@@ -10,9 +10,7 @@ invocations produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import io as sfio
 from .carvefill import BallInComplex, CompatibleFamily, carve_and_fill, realize
@@ -28,17 +26,20 @@ from .geometry import (
     verify_regular,
 )
 from .sampling import choice_vector, parse_hex_choices
-from .topology import certify, verify_shelling
+from .topology import BALL, SPHERE, certify, verify_shelling
 
 OK, VERIFY_FAILED, USAGE = 0, 2, 1
 
-EXPECTED_KIND = {
-    "holes4": "sphere",
-    "holes3": "sphere",
-    "cyclic": "sphere",
-    "highd": "sphere",
-    "aztec": "ball",
-    "aztec-hd": "ball",
+# generate kind -> (builder parameters, one integer flag each, and the
+# certificate kind of its realizations).  Every flag is required except
+# --m, which defaults to --n.
+GENERATE_KINDS = {
+    "holes4": (("n", "m"), SPHERE),
+    "holes3": (("n", "m"), SPHERE),
+    "aztec": (("k", "l"), BALL),
+    "cyclic": (("n",), SPHERE),
+    "highd": (("d", "n"), SPHERE),
+    "aztec-hd": (("d", "k", "l"), BALL),
 }
 
 
@@ -55,25 +56,9 @@ def _base_path(out: str) -> str:
     return out[:-5] if out.endswith(".json") else out
 
 
-def _jobs(args) -> int:
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    env = os.environ.get("SPHEREFORGE_JOBS")
-    return max(1, int(env)) if env else 1
-
-
 def _cmd_generate(args) -> int:
-    builder = BUILDERS[args.kind]
-    if args.kind in ("holes4", "holes3"):
-        report = builder(args.n, args.m if args.m else args.n, check=args.check)
-    elif args.kind == "aztec":
-        report = builder(args.k, args.l, check=args.check)
-    elif args.kind == "cyclic":
-        report = builder(args.n, check=args.check)
-    elif args.kind == "highd":
-        report = builder(args.d, args.n, check=args.check)
-    else:
-        report = builder(args.d, args.k, args.l, check=args.check)
+    flags, expected = GENERATE_KINDS[args.kind]
+    report = BUILDERS[args.kind](*(getattr(args, f) for f in flags), check=args.check)
     manifest = report.manifest
     base = _base_path(args.output)
     sfio.save_complex(f"{base}.json", manifest.result)
@@ -89,16 +74,11 @@ def _cmd_generate(args) -> int:
     if not args.check:
         print(summary + ", unchecked")
         return OK
-    expected = EXPECTED_KIND[args.kind]
     cert = certify(realized)
-    certs = [cert]
-    if args.samples:
-        vectors = [
-            choice_vector(args.seed, t, manifest.n_free_cells)
-            for t in range(args.samples)
-        ]
-        with ThreadPoolExecutor(max_workers=_jobs(args)) as pool:
-            certs.extend(pool.map(lambda b: certify(realize(manifest, b)), vectors))
+    certs = [cert] + [
+        certify(realize(manifest, choice_vector(args.seed, t, manifest.n_free_cells)))
+        for t in range(args.samples)
+    ]
     bad = [c for c in certs if c.kind != expected or c.dim != manifest.result.dim]
     kind_txt = f"{cert.kind}({cert.dim})"
     print(f"{summary}, certificate {kind_txt}")
@@ -118,7 +98,7 @@ def _cmd_fill(args) -> int:
             ball = BallInComplex.of(host, facets)
             keys.append(key)
             fams.append(CompatibleFamily.of(ball, members))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputParseError(f"malformed holes file: {exc}") from exc
     manifest = carve_and_fill(host, fams, keys=keys)
     sfio.save_manifest(args.output, manifest)
@@ -243,30 +223,16 @@ def build_parser() -> _Parser:
 
     gen = sub.add_parser("generate", help="build a named construction")
     gsub = gen.add_subparsers(dest="kind", required=True)
-    for kind in ("holes4", "holes3", "aztec", "cyclic", "highd", "aztec-hd"):
+    for kind, (flags, _) in GENERATE_KINDS.items():
         g = gsub.add_parser(kind)
-        if kind in ("holes4", "holes3"):
-            g.add_argument("--n", type=int, required=True)
-            g.add_argument("--m", type=int, default=0)
-        elif kind == "aztec":
-            g.add_argument("--k", type=int, required=True)
-            g.add_argument("--l", type=int, required=True)
-        elif kind == "cyclic":
-            g.add_argument("--n", type=int, required=True)
-        elif kind == "highd":
-            g.add_argument("--d", type=int, required=True)
-            g.add_argument("--n", type=int, required=True)
-        else:
-            g.add_argument("--d", type=int, required=True)
-            g.add_argument("--k", type=int, required=True)
-            g.add_argument("--l", type=int, required=True)
+        for flag in flags:
+            g.add_argument(f"--{flag}", type=int, required=flag != "m")
         g.add_argument("-o", "--output", required=True)
         g.add_argument("--check", dest="check", action="store_true", default=True)
         g.add_argument("--no-check", dest="check", action="store_false")
         g.add_argument("--seed", type=int, default=0)
         g.add_argument("--samples", type=int, default=0,
                        help="additionally certify this many seeded realizations")
-        g.add_argument("--jobs", type=int, default=None)
         g.set_defaults(func=_cmd_generate)
 
     f = sub.add_parser("fill", help="carve and fill explicit holes")

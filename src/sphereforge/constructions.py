@@ -59,17 +59,16 @@ class ConstructionReport:
     flags: dict = field(default_factory=dict)
 
 
-def _report(name, manifest, per_hole, claimed, flags=None) -> ConstructionReport:
-    total = sum(per_hole.values())
-    if total != manifest.n_free_cells:
-        raise InternalInvariantViolation("per-hole counts disagree with manifest")
+def _report(name, manifest, claimed, flags=None) -> ConstructionReport:
     return ConstructionReport(
         name=name,
         manifest=manifest,
         vertex_count=len(manifest.result.vertex_set),
         free_cell_count=manifest.n_free_cells,
         simplex_cell_count=len(manifest.result.simplex_cells),
-        per_hole_counts=dict(per_hole),
+        per_hole_counts={
+            key: len(manifest.free_cells_by_ball[key]) for key in manifest.hole_keys
+        },
         claimed_bounds=claimed,
         flags=flags or {},
     )
@@ -133,30 +132,37 @@ def _extreme_members(box: GridBox, region: GridRegion, width: int) -> list[Simpl
 
 
 def _grid_band_families(
-    host: JoinOfPaths, width: int
+    host: JoinOfPaths, width: int, check: bool
 ) -> tuple[list[int], list[BallInComplex], list[list[Simplex]]]:
+    """Band balls of the join, with the extreme members of each.
+
+    With ``check``, every band must meet the shelling hypothesis; in the
+    3-dimensional join (d = 2) each band is also certified as a ball,
+    which is cheap there but would dominate the build above it."""
     keys, balls, member_lists = [], [], []
     for q, region in _band_regions(host.box, width):
+        if check and not region.shellable_guaranteed:
+            raise InternalInvariantViolation(f"band {q} misses the shelling hypothesis")
         ball = BallInComplex.of(
             host.complex, [host.facet_of(c) for c in region.cells]
         )
+        if check and host.d == 2 and not ball.certify_ball().is_ball(ball.dim):
+            raise InternalInvariantViolation(f"band {q} is not a ball")
         keys.append(q)
         balls.append(ball)
         member_lists.append(_extreme_members(host.box, region, width))
     return keys, balls, member_lists
 
 
-def _check_band_balls(keys, balls) -> None:
-    for q, ball in zip(keys, balls):
-        if not ball.certify_ball().is_ball(ball.dim):
-            raise InternalInvariantViolation(f"band {q} is not a ball")
-
-
-def _assert_bipyramids(manifest: FillManifest) -> None:
+def _assert_cell_shapes(manifest: FillManifest, d: int) -> None:
+    """Every free cell is the free sum of a (d-1)-simplex and a d-simplex;
+    for d = 2 that is a triangular bipyramid."""
     for cell in manifest.free_cells:
         sizes = sorted((len(cell.f_part), len(cell.g_part)))
-        if sizes != [2, 3]:
-            raise InternalInvariantViolation(f"cell {cell!r} is not a bipyramid")
+        if sizes != [d, d + 1]:
+            raise InternalInvariantViolation(
+                f"cell {cell!r} is not a (d-1)-simplex + d-simplex free sum"
+            )
 
 
 def _assert_missing_faces_distinct(manifest: FillManifest) -> None:
@@ -184,16 +190,14 @@ def sample_realization_certificates(
     return vectors
 
 
-def build_holes4(n: int, m: int, check: bool = True) -> ConstructionReport:
-    """Width-4 diagonal band holes in the join of two paths, closed to a
-    sphere.  Every free cell is a triangular bipyramid with a distinct
-    interior missing edge, so all of them triangulate independently."""
-    if n < 4 or m < 4:
-        raise DegenerateInput("need n, m >= 4")
-    host = join_of_paths((n, m))
-    keys, balls, member_lists = _grid_band_families(host, 4)
-    if check:
-        _check_band_balls(keys, balls)
+def _band_manifest(lengths: tuple[int, ...], check: bool) -> FillManifest:
+    """Width-(d+2) diagonal band holes in the join of d paths with the
+    given vertex counts, closed to a sphere of dimension 2d-1.  Every
+    free cell is the free sum of a (d-1)-simplex and a d-simplex with a
+    distinct interior missing face, so all of them triangulate
+    independently."""
+    host = join_of_paths(lengths)
+    keys, balls, member_lists = _grid_band_families(host, host.d + 2, check)
     fams = [
         CompatibleFamily.of(ball, members)
         for ball, members in zip(balls, member_lists)
@@ -202,29 +206,42 @@ def build_holes4(n: int, m: int, check: bool = True) -> ConstructionReport:
         host.complex, carve_and_fill(host.complex, fams, keys=keys)
     )
     if check:
-        _assert_bipyramids(manifest)
+        _assert_cell_shapes(manifest, host.d)
         _assert_missing_faces_distinct(manifest)
-    per_hole = {q: len(manifest.free_cells_by_ball[q]) for q in manifest.hole_keys}
+    return manifest
+
+
+def build_holes4(n: int, m: int | None = None, check: bool = True) -> ConstructionReport:
+    """Width-4 diagonal band holes in the join of two paths on n and m
+    vertices (m defaults to n), closed to a 3-sphere; every free cell is
+    a triangular bipyramid.  The same manifest as ``build_highd(2, n)``
+    when m = n."""
+    if m is None:
+        m = n
+    if n < 4 or m < 4:
+        raise DegenerateInput("need n, m >= 4")
+    manifest = _band_manifest((n, m), check)
     b = manifest.n_free_cells
     claimed = {
         "free_cells": b,
         "free_cells_over_n_squared": b / (n * m),
         "leading_coefficient": 0.5,
     }
-    return _report("holes4", manifest, per_hole, claimed)
+    return _report("holes4", manifest, claimed)
 
 
-def build_holes3(n: int, m: int, check: bool = True) -> ConstructionReport:
+def build_holes3(n: int, m: int | None = None, check: bool = True) -> ConstructionReport:
     """Width-3 band variant: denser candidate families, but the members
     come in pairs sharing a missing edge, so most holes fail the
     compatibility test.  Falls back to the maximal compatible subfamily
-    (greedy in lexicographic order) and reports what was dropped."""
+    (greedy in lexicographic order) and reports what was dropped.  m
+    defaults to n."""
+    if m is None:
+        m = n
     if n < 4 or m < 4:
         raise DegenerateInput("need n, m >= 4")
     host = join_of_paths((n, m))
-    keys, balls, member_lists = _grid_band_families(host, 3)
-    if check:
-        _check_band_balls(keys, balls)
+    keys, balls, member_lists = _grid_band_families(host, 3, check)
     fams = []
     incompatible = []
     family_sizes = {}
@@ -252,9 +269,8 @@ def build_holes3(n: int, m: int, check: bool = True) -> ConstructionReport:
         host.complex, carve_and_fill(host.complex, fams, keys=keys)
     )
     if check:
-        _assert_bipyramids(manifest)
+        _assert_cell_shapes(manifest, 2)
         _assert_missing_faces_distinct(manifest)
-    per_hole = {q: len(manifest.free_cells_by_ball[q]) for q in manifest.hole_keys}
     b = manifest.n_free_cells
     claimed = {
         "free_cells": b,
@@ -266,7 +282,7 @@ def build_holes3(n: int, m: int, check: bool = True) -> ConstructionReport:
         "family_sizes": family_sizes,
         "fallback_sizes": fallback_sizes,
     }
-    return _report("holes3", manifest, per_hole, claimed, flags)
+    return _report("holes3", manifest, claimed, flags)
 
 
 def _aztec_regions(d: int, k: int, l: int) -> dict[tuple[int, ...], GridRegion]:
@@ -286,17 +302,21 @@ def _aztec_center(key: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple((s - 1) * k + (k + 1) // 2 for s in key)
 
 
-def build_aztec(k: int, l: int, check: bool = True) -> ConstructionReport:
-    """Aztec-diamond holes, one per k x k subgrid of a square grid.
+def _aztec_cells_per_hole(d: int, k: int) -> int:
+    """Boundary cubes of one Aztec crosspolytope: the lattice points of
+    its outermost shell, E(d, r) - E(d, r-1) with r = (k-1)/2."""
+    return ehrhart_crosspolytope(d, (k - 1) // 2) - ehrhart_crosspolytope(d, (k - 3) // 2)
 
-    The holes are grid-starconvex from their centers, so the filled cells
-    are genuinely convex pieces; the geometric realization lives in the
-    geometry module.  The output is a ball (no closing cone)."""
+
+def _aztec_manifest(d: int, k: int, l: int, check: bool) -> FillManifest:
+    """Aztec crosspolytope holes, one per k^d subgrid of the join of d
+    paths on kl+1 vertices; the output is a ball of dimension 2d-1 with
+    l^d holes (no closing cone).  The holes are grid-starconvex from
+    their centers, so the filled cells are genuinely convex pieces."""
     if k < 3 or k % 2 == 0 or l < 1:
         raise DegenerateInput("need odd k >= 3 and l >= 1")
-    n = k * l + 1
-    host = join_of_paths((n, n))
-    regions = _aztec_regions(2, k, l)
+    host = join_of_paths((k * l + 1,) * d)
+    regions = _aztec_regions(d, k, l)
     keys, fams = [], []
     for key in sorted(regions):
         region = regions[key]
@@ -308,20 +328,29 @@ def build_aztec(k: int, l: int, check: bool = True) -> ConstructionReport:
         fams.append(CompatibleFamily.of(ball, members))
     manifest = carve_and_fill(host.complex, fams, keys=keys)
     if check:
-        _assert_bipyramids(manifest)
         _assert_missing_faces_distinct(manifest)
-        expected = (2 * k - 2) * l * l
+        expected = _aztec_cells_per_hole(d, k) * l ** d
         if manifest.n_free_cells != expected:
             raise InternalInvariantViolation(
                 f"expected {expected} free cells, got {manifest.n_free_cells}"
             )
-    per_hole = {key: len(manifest.free_cells_by_ball[key]) for key in manifest.hole_keys}
+    return manifest
+
+
+def build_aztec(k: int, l: int, check: bool = True) -> ConstructionReport:
+    """Aztec-diamond holes, one per k x k subgrid of a square grid; every
+    free cell is a triangular bipyramid.  The geometric realization lives
+    in the geometry module.  The same manifest as
+    ``build_aztec_highd(2, k, l)``."""
+    manifest = _aztec_manifest(2, k, l, check)
+    if check:
+        _assert_cell_shapes(manifest, 2)
     claimed = {
         "free_cells": manifest.n_free_cells,
         "formula_2k_minus_2_times_l_squared": (2 * k - 2) * l * l,
         "point_count": 2 * k * l + 2 + l * l,
     }
-    return _report("aztec", manifest, per_hole, claimed)
+    return _report("aztec", manifest, claimed)
 
 
 def _cyclic_host(n: int) -> SimplicialComplex:
@@ -397,7 +426,6 @@ def build_cyclic(n: int, check: bool = True) -> ConstructionReport:
     manifest = carve_and_fill(host, fams, keys=keys)
     if check:
         _assert_missing_faces_distinct(manifest)
-    per_hole = {k: len(manifest.free_cells_by_ball[k]) for k in manifest.hole_keys}
     b = manifest.n_free_cells
     claimed = {
         "free_cells": b,
@@ -411,50 +439,25 @@ def build_cyclic(n: int, check: bool = True) -> ConstructionReport:
         ),
         "vertex_count_alternatives": [5 * n, 5 * n + 1],
     }
-    return _report("cyclic", manifest, per_hole, claimed, flags)
+    return _report("cyclic", manifest, claimed, flags)
 
 
 def build_highd(d: int, n: int, check: bool = True) -> ConstructionReport:
-    """Width-(d+2) band holes in the join of d paths, closed to a sphere
-    of dimension 2d-1.  Every free cell is the free sum of a (d-1)-simplex
-    and a d-simplex, with 2d+1 vertices."""
+    """Width-(d+2) band holes in the join of d paths on n vertices each,
+    closed to a sphere of dimension 2d-1.  Every free cell is the free
+    sum of a (d-1)-simplex and a d-simplex, with 2d+1 vertices."""
     if not 2 <= d <= 4:
         raise DegenerateInput("need 2 <= d <= 4 at desk scale")
     if n < d + 3:
         raise DegenerateInput("need n >= d + 3")
-    host = join_of_paths((n,) * d)
-    width = d + 2
-    keys, balls, member_lists = [], [], []
-    for q, region in _band_regions(host.box, width):
-        if check and not region.shellable_guaranteed:
-            raise InternalInvariantViolation(f"band {q} misses the shelling hypothesis")
-        ball = BallInComplex.of(host.complex, [host.facet_of(c) for c in region.cells])
-        keys.append(q)
-        balls.append(ball)
-        member_lists.append(_extreme_members(host.box, region, width))
-    fams = [
-        CompatibleFamily.of(ball, members)
-        for ball, members in zip(balls, member_lists)
-    ]
-    manifest = _close_with_cone(
-        host.complex, carve_and_fill(host.complex, fams, keys=keys)
-    )
-    if check:
-        _assert_missing_faces_distinct(manifest)
-        for cell in manifest.free_cells:
-            sizes = sorted((len(cell.f_part), len(cell.g_part)))
-            if sizes != [d, d + 1]:
-                raise InternalInvariantViolation(
-                    f"cell {cell!r} is not a (d-1)-simplex + d-simplex free sum"
-                )
-    per_hole = {q: len(manifest.free_cells_by_ball[q]) for q in manifest.hole_keys}
+    manifest = _band_manifest((n,) * d, check)
     b = manifest.n_free_cells
     claimed = {
         "free_cells": b,
         "free_cells_over_n_to_d": b / (n ** d),
         "leading_coefficient": 2 / (d + 2),
     }
-    return _report("highd", manifest, per_hole, claimed)
+    return _report("highd", manifest, claimed)
 
 
 def build_aztec_highd(d: int, k: int, l: int, check: bool = True) -> ConstructionReport:
@@ -462,38 +465,13 @@ def build_aztec_highd(d: int, k: int, l: int, check: bool = True) -> Constructio
     of dimension 2d-1 with l^d holes."""
     if not 1 <= d <= 3:
         raise DegenerateInput("need 1 <= d <= 3 at desk scale")
-    if k < 3 or k % 2 == 0 or l < 1:
-        raise DegenerateInput("need odd k >= 3 and l >= 1")
-    n = k * l + 1
-    host = join_of_paths((n,) * d)
-    regions = _aztec_regions(d, k, l)
-    keys, fams = [], []
-    for key in sorted(regions):
-        region = regions[key]
-        if check and not is_grid_starconvex(region, _aztec_center(key, k)):
-            raise InternalInvariantViolation(f"hole {key} is not starconvex")
-        ball = BallInComplex.of(host.complex, [host.facet_of(c) for c in region.cells])
-        members = sorted(boundary_members(region, host))
-        keys.append(key)
-        fams.append(CompatibleFamily.of(ball, members))
-    manifest = carve_and_fill(host.complex, fams, keys=keys)
-    per_shell = ehrhart_crosspolytope(d, (k - 1) // 2) - ehrhart_crosspolytope(
-        d, (k - 3) // 2
-    )
-    if check:
-        _assert_missing_faces_distinct(manifest)
-        expected = per_shell * l ** d
-        if manifest.n_free_cells != expected:
-            raise InternalInvariantViolation(
-                f"expected {expected} free cells, got {manifest.n_free_cells}"
-            )
-    per_hole = {key: len(manifest.free_cells_by_ball[key]) for key in manifest.hole_keys}
+    manifest = _aztec_manifest(d, k, l, check)
     claimed = {
         "free_cells": manifest.n_free_cells,
-        "boundary_cubes_per_hole": per_shell,
+        "boundary_cubes_per_hole": _aztec_cells_per_hole(d, k),
         "vertex_count_formula": d * (k * l + 1) + l ** d,
     }
-    return _report("aztec_highd", manifest, per_hole, claimed)
+    return _report("aztec_highd", manifest, claimed)
 
 
 BUILDERS = {

@@ -315,6 +315,9 @@ def lift_data_from_obj(obj: dict) -> dict:
         }
     except (KeyError, TypeError) as exc:
         raise InputParseError(f"malformed lift file: {exc}") from exc
+    for v, _ in points:
+        if v not in heights:
+            raise InputParseError(f"malformed lift file: point {v.label} has no height")
     return out
 
 

@@ -164,102 +164,59 @@ def _kind_low_dim(facets: list[tuple[int, ...]]) -> str:
     return BALL if ends == 2 else NEITHER
 
 
-def _certify_indexed(facets: list[tuple[int, ...]]) -> TopologyCertificate:
+def _classify(
+    facets: list[tuple[int, ...]],
+    face: tuple[int, ...],
+    memo: dict[tuple[int, ...], tuple],
+) -> tuple:
+    """The fields of the TopologyCertificate of a complex given by
+    indexed facets, in order: kind, dim, betti, pseudomanifold, closed,
+    dual_connected, links_verified.  A plain tuple, because links are
+    classified by the thousand and a certificate object for each one
+    costs a few percent of ``certify``.
+
+    ``face`` is the face whose iterated vertex link the complex is, and
+    ``memo`` caches those links by face; the top level has ``face == ()``.
+    Only the top level reports the full evidence: a link stops at its
+    first failed test and gets Betti numbers only when it needs them.
+    """
     d = len(facets[0]) - 1
+    top = not face
     if d <= 1:
         kind = _kind_low_dim(facets)
-        betti = _betti_from_indexed(facets)
-        closed = kind == SPHERE
-        return TopologyCertificate(kind, d, betti, kind != NEITHER, closed, True, True)
-
-    # iterated vertex links of this complex are memoized by the face
-    # whose link they are
-    memo: dict[tuple[int, ...], tuple[str, int]] = {}
-
-    def link_kind(
-        face: tuple[int, ...], parent_facets: list[tuple[int, ...]], vertex: int
-    ) -> tuple[str, int]:
-        cached = memo.get(face)
-        if cached is not None:
-            return cached
-        sub = [
-            tuple(w for w in f if w != vertex) for f in parent_facets if vertex in f
-        ]
-        result = _kind(sub, face)
-        memo[face] = result
-        return result
-
-    def _kind(fs: list[tuple[int, ...]], face: tuple[int, ...]) -> tuple[str, int]:
-        dd = len(fs[0]) - 1
-        if dd <= 1:
-            return _kind_low_dim(fs), dd
-        ridges = _ridge_counts(fs)
-        if any(len(owners) > 2 for owners in ridges.values()):
-            return NEITHER, dd
-        if not _dual_connected(len(fs), ridges):
-            return NEITHER, dd
-        betti = _betti_from_indexed(fs)
-        boundary = [r for r, owners in ridges.items() if len(owners) == 1]
-        verts = sorted({v for f in fs for v in f})
-        if not boundary:
-            if betti != _sphere_pattern(dd):
-                return NEITHER, dd
-            for v in verts:
-                sub_face = tuple(sorted(face + (v,)))
-                if link_kind(sub_face, fs, v) != (SPHERE, dd - 1):
-                    return NEITHER, dd
-            return SPHERE, dd
-        if any(b != 0 for b in betti):
-            return NEITHER, dd
-        bd_cert = _certify_indexed(boundary)
-        if not bd_cert.is_sphere(dd - 1):
-            return NEITHER, dd
-        bd_verts = {v for r in boundary for v in r}
-        for v in verts:
-            sub_face = tuple(sorted(face + (v,)))
-            expected = BALL if v in bd_verts else SPHERE
-            if link_kind(sub_face, fs, v) != (expected, dd - 1):
-                return NEITHER, dd
-        return BALL, dd
+        betti = _betti_from_indexed(facets) if top else None
+        return kind, d, betti, kind != NEITHER, kind == SPHERE, True, True
 
     ridges = _ridge_counts(facets)
-    worst = max(len(owners) for owners in ridges.values())
-    pm = worst <= 2
+    pm = all(len(owners) <= 2 for owners in ridges.values())
     closed = pm and all(len(owners) == 2 for owners in ridges.values())
-    connected = _dual_connected(len(facets), ridges)
-    betti = _betti_from_indexed(facets)
+    connected = (pm or top) and _dual_connected(len(facets), ridges)
+    betti = _betti_from_indexed(facets) if top or (pm and connected) else None
+    neither = NEITHER, d, betti, pm, closed, connected, True
     if not pm or not connected:
-        return TopologyCertificate(NEITHER, d, betti, pm, closed, connected, True)
-
-    check_links = d <= LINK_RECURSION_MAX_DIM
-    verts = sorted({v for f in facets for v in f})
-
+        return neither
+    bd_verts: set[int] = set()
     if closed:
         if betti != _sphere_pattern(d):
-            return TopologyCertificate(NEITHER, d, betti, pm, closed, connected, True)
-        if check_links:
-            for v in verts:
-                if link_kind((v,), facets, v) != (SPHERE, d - 1):
-                    return TopologyCertificate(
-                        NEITHER, d, betti, pm, closed, connected, True
-                    )
-        return TopologyCertificate(SPHERE, d, betti, pm, closed, connected, check_links)
-
-    if any(b != 0 for b in betti):
-        return TopologyCertificate(NEITHER, d, betti, pm, closed, connected, True)
-    boundary = [r for r, owners in ridges.items() if len(owners) == 1]
-    bd_cert = _certify_indexed(boundary)
-    if not bd_cert.is_sphere(d - 1):
-        return TopologyCertificate(NEITHER, d, betti, pm, closed, connected, True)
-    if check_links:
+            return neither
+    else:
+        if any(b != 0 for b in betti):
+            return neither
+        boundary = [r for r, owners in ridges.items() if len(owners) == 1]
+        if _classify(boundary, (), {})[:2] != (SPHERE, d - 1):
+            return neither
         bd_verts = {v for r in boundary for v in r}
-        for v in verts:
-            expected = BALL if v in bd_verts else SPHERE
-            if link_kind((v,), facets, v) != (expected, d - 1):
-                return TopologyCertificate(
-                    NEITHER, d, betti, pm, closed, connected, True
-                )
-    return TopologyCertificate(BALL, d, betti, pm, closed, connected, check_links)
+    check_links = d <= LINK_RECURSION_MAX_DIM
+    if check_links:
+        for v in sorted({v for f in facets for v in f}):
+            sub_face = tuple(sorted(face + (v,)))
+            link = memo.get(sub_face)
+            if link is None:
+                sub = [tuple(w for w in f if w != v) for f in facets if v in f]
+                link = memo[sub_face] = _classify(sub, sub_face, memo)
+            if link[:2] != (BALL if v in bd_verts else SPHERE, d - 1):
+                return neither
+    return SPHERE if closed else BALL, d, betti, pm, closed, connected, check_links
 
 
 def certify(x: SimplicialComplex) -> TopologyCertificate:
@@ -275,7 +232,7 @@ def certify(x: SimplicialComplex) -> TopologyCertificate:
     x._require_nonvoid()
     if x.dim < 0:
         raise DegenerateInput("cannot certify the empty-facet complex")
-    return _certify_indexed(_indexed_facets(x))
+    return TopologyCertificate(*_classify(_indexed_facets(x), (), {}))
 
 
 def verify_shelling(x: SimplicialComplex, s: "ShellingOrder | list[Simplex]") -> bool:

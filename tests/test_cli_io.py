@@ -1,5 +1,6 @@
 """Serialization round trips, CLI pipelines, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -63,6 +64,59 @@ class TestComplexIO:
 
 def run(tmp_path, *argv):
     return main([str(a) for a in argv])
+
+
+# SHA-256 of the .json, .manifest.json, .realized.json and .report.json
+# artifacts of `generate`.  These pin the output bytes of every builder;
+# a refactor must reproduce them, never re-record them.
+GOLDEN_ARTIFACTS = {
+    ("holes4", "--n", "5", "--m", "7"): (
+        "1d0f8a7630baa2cee9e082520582af17115105156ea2733acadb41027ccafc43",
+        "2940ed95326c66ef124c78532f366937120d2647d7434b924d70b7303a42449a",
+        "8d0e57cb25b07b3db00bf90890854d9916475e40d1dbf0904f206a4525f1311a",
+        "b43c4b948b2368fbde7ee5c9cf48470abf81d234cbd5ef30429182b6a8e6e116",
+    ),
+    ("holes3", "--n", "6"): (
+        "0d8ea8239844ddca016797bae79c2ca88c2bb5d6f41c5da08af3aa444917361a",
+        "3053d349eb1557886c3d1e1bcca706e830b34194624bdccd103128fdb1899770",
+        "84429e5d0f5d9fc6110086647d840693c06d88e475120932f861baf30519e670",
+        "f13cd894511cefd5524436585d2bd0b7cd45317ffb61c2449f0a4190a1471c76",
+    ),
+    ("aztec", "--k", "3", "--l", "2"): (
+        "c68cc5b310cdc3ecbeadb86f797a51f02c54a0a8130902fd972a0b2efa772e92",
+        "bae32467f01adecd023664816ff749b319ce01b939f8498cdf83096c265739d0",
+        "dcd7e92a1e6cef72eae01cd17b19040d0f84ba89eb9dabf5ae5ecee892a51fef",
+        "ed7f56b2c188bd9285d8d683e3ea9dfde7c57ef628bff28cedcb64a3df94de39",
+    ),
+    ("cyclic", "--n", "3"): (
+        "d2d591b8211a7f7df630d124e70877aab713a2ad72f56e56c7c7efd37c863559",
+        "2b0c75218098d8fa96679fcea983b12d13e69471185238bc84f574aaba02a6a5",
+        "d1061c611a263fb3c1bafdb765dddaec5b1cd8e2bbcfb156a8a157e778998772",
+        "3e112c70abacef4c083a9ee2235bc2b134552050378ddb02c5362ba3022a2f2f",
+    ),
+    ("highd", "--d", "3", "--n", "6"): (
+        "ef571fbdea6fc60df2c627b92e7291dfcc79a4b61646ea1b9a5266b60a537773",
+        "9244eaee31f8ca881d750f9d1e4b2b1a95b6087b51c38ad26f6646ae97f1230e",
+        "fbd2a0a30f14ca010fcdcb1585a83497be32f3a614501690ccf16eaf88c9407d",
+        "15a7487f4f3092c9bb4cb3034a3842fc50252a650b28944d5bc8dfaa97fdb9df",
+    ),
+    ("aztec-hd", "--d", "3", "--k", "3", "--l", "1"): (
+        "ccc240483c64667bd226dd971a61c77c0fe6983cb2de5350c803539dd1318580",
+        "6daa2a7112dc54d488da9fd36962851e93472c7bfe44db1b04b505a49e9fa554",
+        "30bbb010cfd5ecb69bbe3c86d26a5f410f2d3fea7b871e80ea50eca64cef77a6",
+        "b851bf448c99a07b76ab31e73955affff11f6c69bbde19a8f12a03e97d9d4902",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_ARTIFACTS), ids=lambda a: a[0])
+def test_generate_golden_bytes(tmp_path, argv):
+    assert run(tmp_path, "generate", *argv, "-o", tmp_path / "g.json") == 0
+    digests = tuple(
+        hashlib.sha256((tmp_path / f"g{suffix}.json").read_bytes()).hexdigest()
+        for suffix in ("", ".manifest", ".realized", ".report")
+    )
+    assert digests == GOLDEN_ARTIFACTS[argv]
 
 
 class TestCliPipelines:
@@ -160,6 +214,27 @@ class TestCliPipelines:
         sfio.save_complex(str(cpath), region_complex(band))
         sfio.write_text(str(opath), sfio.dumps(sfio.order_to_obj(shelling_order_band(band))))
         assert run(tmp_path, "verify", "shelling", cpath, opath) == 0
+
+    def test_fill_rejects_non_integer_hole_key(self, tmp_path, capsys):
+        host_path = tmp_path / "host.json"
+        sfio.save_complex(str(host_path), join_of_paths((4, 4)).complex)
+        holes_path = tmp_path / "holes.json"
+        holes_path.write_text(json.dumps({"holes": [{"key": "abc", "facets": []}]}))
+        code = run(tmp_path, "fill", "--input", host_path, "--holes", holes_path, "-o", tmp_path / "m.json")
+        assert code == 1
+        assert "input error: malformed holes file:" in capsys.readouterr().err
+
+    def test_lift_file_missing_a_height_is_rejected(self, tmp_path, capsys):
+        lift = tmp_path / "lift.json"
+        assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0
+        obj = json.loads(lift.read_text())
+        del obj["heights"]["a:1:1"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        for argv in (("verify", "regular", bad), ("hull", "--input", bad)):
+            assert run(tmp_path, *argv) == 1
+            assert "a:1:1 has no height" in capsys.readouterr().err
 
     def test_exit_codes_on_bad_input(self, tmp_path):
         bad = tmp_path / "bad.json"

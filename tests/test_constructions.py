@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from sphereforge import betti_gf2, certify, realize
+from sphereforge import io as sfio
 from sphereforge.constructions import (
     build_aztec,
     build_aztec_highd,
@@ -16,6 +17,10 @@ from sphereforge.constructions import (
 )
 from sphereforge.errors import DegenerateInput
 from sphereforge.grid import ehrhart_crosspolytope
+
+
+def manifest_bytes(report):
+    return sfio.dumps(sfio.manifest_to_obj(report.manifest))
 
 
 def interior_point_count(lengths, width, residues):
@@ -143,10 +148,8 @@ class TestCyclic:
 
 class TestHighd:
     def test_reduces_to_holes4_in_dim2(self):
-        r2 = build_highd(2, 9)
-        r4 = build_holes4(9, 9)
-        assert r2.free_cell_count == r4.free_cell_count
-        assert r2.vertex_count == r4.vertex_count
+        for n in (5, 9, 13):
+            assert manifest_bytes(build_highd(2, n)) == manifest_bytes(build_holes4(n, n)), n
 
     def test_d3_count_matches_oracle(self):
         report = build_highd(3, 8)
@@ -167,8 +170,8 @@ class TestHighd:
 
 class TestAztecHighd:
     def test_d2_matches_aztec(self):
-        report = build_aztec_highd(2, 3, 2)
-        assert report.free_cell_count == 16
+        for k, l in ((3, 1), (5, 2), (3, 3)):
+            assert manifest_bytes(build_aztec_highd(2, k, l)) == manifest_bytes(build_aztec(k, l)), (k, l)
 
     def test_d3_single_hole(self):
         report = build_aztec_highd(3, 3, 1)

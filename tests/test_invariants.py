@@ -61,13 +61,23 @@ class TestHomologyInvariance:
             assert betti_gf2(realize(manifest, bits)) == base
 
 
-class TestJobsFlag:
-    def test_generate_with_samples_and_jobs(self, tmp_path):
+class TestSamplesFlag:
+    def test_generate_with_samples_and_seed(self, tmp_path, capsys, monkeypatch):
+        from sphereforge import cli
+        from sphereforge.sampling import choice_vector
+
+        realized = []
+
+        def recording_realize(manifest, bits):
+            realized.append(tuple(bits))
+            return realize(manifest, bits)
+
+        monkeypatch.setattr(cli, "realize", recording_realize)
         out = tmp_path / "s.json"
         code = main(
-            [
-                "generate", "holes4", "--n", "5", "--m", "5",
-                "-o", str(out), "--samples", "3", "--jobs", "2", "--seed", "9",
-            ]
+            ["generate", "holes4", "--n", "5", "-o", str(out), "--samples", "3", "--seed", "9"]
         )
         assert code == 0
+        assert "certificate sphere(3)" in capsys.readouterr().out
+        b = len(realized[0])
+        assert realized == [(0,) * b] + [choice_vector(9, t, b) for t in range(3)]
