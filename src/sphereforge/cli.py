@@ -178,6 +178,8 @@ def _cmd_degree3(args) -> int:
     data = sfio.load_lift_data(args.input)
     if data["kind"] != "aztec":
         raise InputParseError("degree3 expects an aztec lift file")
+    if not all(type(data[key]) is int for key in ("k", "l")):
+        raise InputParseError("degree3 needs integer k and l in the lift file")
     lift = build_aztec_lift(data["k"], data["l"])
     if lift.eps != data["eps"]:
         raise InputParseError("lift file does not match its regenerated lift")

@@ -463,8 +463,8 @@ def build_highd(d: int, n: int, check: bool = True) -> ConstructionReport:
 def build_aztec_highd(d: int, k: int, l: int, check: bool = True) -> ConstructionReport:
     """Aztec crosspolytope holes in the join of d paths; output is a ball
     of dimension 2d-1 with l^d holes."""
-    if not 1 <= d <= 3:
-        raise DegenerateInput("need 1 <= d <= 3 at desk scale")
+    if not 2 <= d <= 3:
+        raise DegenerateInput("need 2 <= d <= 3 at desk scale")
     manifest = _aztec_manifest(d, k, l, check)
     claimed = {
         "free_cells": manifest.n_free_cells,

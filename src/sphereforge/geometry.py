@@ -72,48 +72,6 @@ def _cell_key(cell: frozenset[VertexId]) -> tuple:
 # exact linear algebra helpers
 
 
-def _bareiss_det(rows: list[list[int]]) -> int:
-    """Exact integer determinant by fraction-free elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if m[i][i] == 0:
-            for r in range(i + 1, n):
-                if m[r][i] != 0:
-                    m[i], m[r] = m[r], m[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
-            m[r][i] = 0
-        prev = m[i][i]
-    return sign * m[-1][-1]
-
-
-def _cofactor_normal(points: list[tuple[int, ...]]) -> tuple[int, ...] | None:
-    """Homogeneous normal of the hyperplane through k points in R^k.
-
-    Returns nu of length k+1 with nu . (p, 1) = 0 for each point, or None
-    if the points are affinely dependent.
-    """
-    k = len(points)
-    mat = [list(p) + [1] for p in points]
-    nu = []
-    for j in range(k + 1):
-        minor = [row[:j] + row[j + 1:] for row in mat]
-        nu.append((-1) ** j * _bareiss_det(minor))
-    if all(v == 0 for v in nu):
-        return None
-    return _primitive(nu)
-
-
 def _primitive(vec) -> tuple[int, ...]:
     g = 0
     for v in vec:
@@ -128,38 +86,46 @@ def _rank_and_nullvector(
 ) -> tuple[int, tuple[int, ...] | None]:
     """Row rank plus a primitive nullspace vector when the nullity is 1.
 
-    Gauss-Jordan over exact rationals: every pivot row ends with a 1 in
-    its pivot column and 0 in all other pivot columns.
+    Fraction-free Gauss-Jordan over the integers (Bareiss, Math. Comp. 22,
+    1968): every update (p*a - f*b) // prev divides exactly, and at the end
+    every pivot row holds the last pivot p in its own pivot column and 0 in
+    the other pivot columns.
     """
-    pivots: list[tuple[int, list[Fraction]]] = []
-    for raw in rows:
-        row = [Fraction(x) for x in raw]
-        for col, prow in pivots:
-            if row[col]:
-                f = row[col]
-                row = [a - f * b for a, b in zip(row, prow)]
-        lead = next((c for c, a in enumerate(row) if a), None)
-        if lead is None:
+    m = [list(row) for row in rows]
+    pivot_cols: list[int] = []
+    prev = 1
+    for col in range(ncols):
+        r = len(pivot_cols)
+        src = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if src is None:
             continue
-        prow = [a / row[lead] for a in row]
-        for idx, (c0, p0) in enumerate(pivots):
-            if p0[lead]:
-                f = p0[lead]
-                pivots[idx] = (c0, [a - f * b for a, b in zip(p0, prow)])
-        pivots.append((lead, prow))
-    rank = len(pivots)
+        m[r], m[src] = m[src], m[r]
+        prow = m[r]
+        p = prow[col]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[col]
+                m[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+        prev = p
+        pivot_cols.append(col)
+    rank = len(pivot_cols)
     if rank != ncols - 1:
         return rank, None
-    pivot_cols = {c for c, _ in pivots}
     free = next(c for c in range(ncols) if c not in pivot_cols)
-    sol = [Fraction(0)] * ncols
-    sol[free] = Fraction(1)
-    for col, prow in pivots:
-        sol[col] = -prow[free]
-    denom = 1
-    for f in sol:
-        denom = lcm(denom, f.denominator)
-    return rank, _primitive([int(f * denom) for f in sol])
+    sol = [0] * ncols
+    sol[free] = prev
+    for row, col in zip(m, pivot_cols):
+        sol[col] = -row[free]
+    return rank, _primitive(sol)
+
+
+def _hyperplane(points: list[tuple[int, ...]]) -> tuple[int, ...] | None:
+    """Homogeneous normal of the hyperplane through k points in R^k.
+
+    Returns nu of length k+1 with nu . (p, 1) = 0 for each point, or None
+    if the points are affinely dependent.
+    """
+    return _rank_and_nullvector([p + (1,) for p in points], len(points) + 1)[1]
 
 
 def _integerize(columns: list[list[Fraction]]) -> list[list[int]]:
@@ -197,22 +163,19 @@ def _dot_h(nu: tuple[int, ...], row: tuple[int, ...]) -> int:
 # regularity verification
 
 
-def _cell_walls(
-    cell_rows: list[tuple[int, ...]], dim: int
-) -> list[tuple[frozenset[int], tuple[int, ...]]]:
-    """Supporting (dim-1)-hyperplanes of a projected cell, as (onset
-    indices into cell_rows, primitive normal)."""
-    walls: dict[frozenset[int], tuple[int, ...]] = {}
+def _cell_walls(cell_rows: list[tuple[int, ...]], dim: int) -> set[frozenset[int]]:
+    """Supporting (dim-1)-hyperplanes of a projected cell, as onsets:
+    the indices into cell_rows of the points on each."""
+    walls: set[frozenset[int]] = set()
     for subset in combinations(range(len(cell_rows)), dim):
-        nu = _cofactor_normal([cell_rows[i][:dim] for i in subset])
+        nu = _hyperplane([cell_rows[i][:dim] for i in subset])
         if nu is None:
             continue
         sides = [_dot_h(nu, cell_rows[i][:dim]) for i in range(len(cell_rows))]
         if any(s > 0 for s in sides) and any(s < 0 for s in sides):
             continue
-        onset = frozenset(i for i, s in enumerate(sides) if s == 0)
-        walls.setdefault(onset, nu)
-    return list(walls.items())
+        walls.add(frozenset(i for i, s in enumerate(sides) if s == 0))
+    return walls
 
 
 def verify_regular(
@@ -266,7 +229,7 @@ def verify_regular(
     counts: dict[frozenset[int], int] = {}
     for idxs in cell_indices:
         cell_rows = [rows[i] for i in idxs]
-        for onset_local, _ in _cell_walls(cell_rows, dim):
+        for onset_local in _cell_walls(cell_rows, dim):
             onset = frozenset(idxs[i] for i in onset_local)
             counts[onset] = counts.get(onset, 0) + 1
     for onset, count in counts.items():
@@ -460,22 +423,13 @@ def aztec_lift(k: int, xs, ys) -> AztecPatchLift:
 def _aztec_patch_cells(k, points, omega) -> tuple[frozenset, ...]:
     """Cells of the patch subdivision, with on-plane grid points included."""
     center = (0, 0)
-    keys = sorted(points)
-    cols = [
-        [points[p][0] for p in keys],
-        [points[p][1] for p in keys],
-        [omega[p] for p in keys],
-    ]
-    int_cols = _integerize(cols)
-    int_row = {
-        p: (int_cols[0][t], int_cols[1][t], int_cols[2][t])
-        for t, p in enumerate(keys)
-    }
+    keys, rows, _ = _int_config([(p, points[p]) for p in sorted(points)], omega)
+    int_row = dict(zip(keys, rows))
 
     def on_plane_closure(seed: list[tuple[int, int]]) -> frozenset:
         # hyperplane through three of the seed points, then collect every
         # configuration point lying on it
-        nu = _cofactor_normal([int_row[p] for p in seed[:3]])
+        nu = _hyperplane([int_row[p] for p in seed[:3]])
         if nu is None:
             raise LiftConstructionFailed("degenerate hole cell")
         return frozenset(p for p in keys if _dot_h(nu, int_row[p]) == 0)
@@ -637,7 +591,9 @@ def build_aztec_lift(k: int, l: int) -> RegularAztecLift:
 @dataclass(frozen=True)
 class HullFacet:
     """A hull facet: its vertex set and outward supporting hyperplane
-    (normal . p <= offset for all configuration points)."""
+    (normal . p <= offset for all configuration points, with each
+    coordinate of p scaled to integers by its column's common
+    denominator)."""
 
     vertices: frozenset[VertexId]
     normal: tuple[int, ...]
@@ -657,7 +613,7 @@ def convex_hull_brute(pts: list[tuple[VertexId, Point]]) -> list[HullFacet]:
         sset = frozenset(subset)
         if any(sset <= onset for onset in onsets):
             continue
-        nu = _cofactor_normal([rows[i] for i in subset])
+        nu = _hyperplane([rows[i] for i in subset])
         if nu is None:
             continue
         pos = neg = False
@@ -742,55 +698,22 @@ def detect_bipyramid_facets(
         n = len(f.vertices)
         if n == 4:
             kinds.append(SIMPLEX)
-        elif n == 5 and _is_bipyramid([coords[v] for v in sorted(f.vertices)]):
+        elif n == 5 and _is_bipyramid([coords[v] for v in sorted(f.vertices)], f.normal):
             kinds.append(BIPYRAMID)
         else:
             kinds.append(OTHER)
     return kinds.count(BIPYRAMID), kinds
 
 
-def _affine_chart(points: list[Point]) -> list[tuple[int, ...]] | None:
-    """Coordinates of coplanar 4-dim points in an affine basis of their
-    hyperplane, integerized; None if they do not span a 3-flat."""
-    rows = [[Fraction(x) for x in p] for p in points]
-    base = rows[0]
-    diffs = [[a - b for a, b in zip(r, base)] for r in rows[1:]]
-    basis: list[list[Fraction]] = []
-    for dvec in diffs:
-        reduced = dvec[:]
-        for bvec in basis:
-            lead = next(i for i, x in enumerate(bvec) if x)
-            if reduced[lead]:
-                f = reduced[lead] / bvec[lead]
-                reduced = [a - f * b for a, b in zip(reduced, bvec)]
-        if any(reduced):
-            basis.append(reduced)
-    if len(basis) != 3:
-        return None
-    coords = []
-    for dvec in [[Fraction(0)] * len(base)] + diffs:
-        reduced = dvec[:]
-        comp = []
-        for bvec in basis:
-            lead = next(i for i, x in enumerate(bvec) if x)
-            f = reduced[lead] / bvec[lead]
-            comp.append(f)
-            reduced = [a - f * b for a, b in zip(reduced, bvec)]
-        if any(reduced):
-            return None
-        coords.append(comp)
-    cols = [list(c) for c in zip(*coords)]
-    return [tuple(r) for r in zip(*_integerize(cols))]
-
-
-def _is_bipyramid(points: list[Point]) -> bool:
-    chart = _affine_chart(points)
-    if chart is None:
-        return False
-    walls = _cell_walls(list(chart), 3)
-    if len(walls) != 6:
-        return False
-    return all(len(onset) == 3 for onset, _ in walls)
+def _is_bipyramid(points: list[Point], normal: tuple[int, ...]) -> bool:
+    """Dropping a coordinate where the facet normal is nonzero maps the
+    facet's hyperplane bijectively and affinely onto R^3, so the image of
+    the points has the facet's faces.  The hull's per-column scaling of
+    the coordinates keeps the normal's zero entries where they are."""
+    drop = next(a for a, n in enumerate(normal) if n)
+    cols = [[p[a] for p in points] for a in range(len(normal)) if a != drop]
+    walls = _cell_walls(list(zip(*_integerize(cols))), 3)
+    return len(walls) == 6 and all(len(onset) == 3 for onset in walls)
 
 
 # ---------------------------------------------------------------------------

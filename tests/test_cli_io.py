@@ -119,6 +119,29 @@ def test_generate_golden_bytes(tmp_path, argv):
     assert digests == GOLDEN_ARTIFACTS[argv]
 
 
+# SHA-256 of the geometry artifacts: the lift files of two Aztec lifts, the
+# hull (normals, offsets and facet kinds) of the (3,1) lift and the raised
+# heights of the (5,1) lift.  Like GOLDEN_ARTIFACTS, never re-recorded.
+GOLDEN_GEOMETRY = {
+    "lift31.json": "9d08f3a32a5beeb17b09f3d81ba67cf3f23acac1be9b945c5b460d1cabf60d3a",
+    "lift51.json": "9dc9ae8891ba094449fbf9d53aff41963e2638e483e2edf409cf77582ff7db4a",
+    "hull31.json": "f108bea353f13bbf2efda0dedcbd69a1013f69d795a9ce6d0259f388cd2f35fd",
+    "degree3_51.json": "e2f05b43d2ae76b0388824239a7e107d55f08ba4b5ca7ec9c6ce7e4eb5c9e1dd",
+}
+
+
+def test_geometry_golden_bytes(tmp_path):
+    for k in (3, 5):
+        assert run(tmp_path, "lift", "aztec", "--k", k, "--l", 1, "-o", tmp_path / f"lift{k}1.json") == 0
+    assert run(tmp_path, "hull", "--input", tmp_path / "lift31.json", "-o", tmp_path / "hull31.json") == 0
+    assert run(tmp_path, "degree3", "--input", tmp_path / "lift51.json", "-o", tmp_path / "degree3_51.json") == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_GEOMETRY
+    }
+    assert digests == GOLDEN_GEOMETRY
+
+
 class TestCliPipelines:
     def test_generate_and_verify_sphere(self, tmp_path, capsys):
         out = tmp_path / "s.json"
@@ -235,6 +258,27 @@ class TestCliPipelines:
         for argv in (("verify", "regular", bad), ("hull", "--input", bad)):
             assert run(tmp_path, *argv) == 1
             assert "a:1:1 has no height" in capsys.readouterr().err
+
+    def test_degree3_rejects_a_missing_or_non_integer_k(self, tmp_path, capsys):
+        lift = tmp_path / "lift.json"
+        assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0
+        obj = json.loads(lift.read_text())
+        capsys.readouterr()
+        for k in (None, "3", 3.0, True):
+            bad = dict(obj)
+            if k is None:
+                del bad["k"]
+            else:
+                bad["k"] = k
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(bad))
+            assert run(tmp_path, "degree3", "--input", path) == 1, k
+            assert "input error: degree3 needs integer k and l" in capsys.readouterr().err
+
+    def test_aztec_hd_dimension_bound(self, tmp_path, capsys):
+        code = run(tmp_path, "generate", "aztec-hd", "--d", "1", "--k", "3", "--l", "1", "-o", tmp_path / "a.json")
+        assert code == 1
+        assert "need 2 <= d <= 3" in capsys.readouterr().err
 
     def test_exit_codes_on_bad_input(self, tmp_path):
         bad = tmp_path / "bad.json"

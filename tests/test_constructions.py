@@ -173,6 +173,11 @@ class TestAztecHighd:
         for k, l in ((3, 1), (5, 2), (3, 3)):
             assert manifest_bytes(build_aztec_highd(2, k, l)) == manifest_bytes(build_aztec(k, l)), (k, l)
 
+    def test_dimension_bound(self):
+        for d in (1, 4):
+            with pytest.raises(DegenerateInput, match="need 2 <= d <= 3"):
+                build_aztec_highd(d, 3, 1)
+
     def test_d3_single_hole(self):
         report = build_aztec_highd(3, 3, 1)
         assert report.free_cell_count == ehrhart_crosspolytope(3, 1) - ehrhart_crosspolytope(3, 0)

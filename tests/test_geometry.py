@@ -1,6 +1,8 @@
 """Exact lifting, regularity verification, hulls, center raising."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -28,6 +30,7 @@ from sphereforge.geometry import (
     standard_coordinates,
     verify_regular,
 )
+from sphereforge.geometry import _hyperplane, _rank_and_nullvector
 
 R = VertexId.raw
 F = Fraction
@@ -234,6 +237,16 @@ class TestHull:
                 assert val <= f.offset
 
 
+def sheared(pts):
+    """Image under the unimodular shear w -> w + x + 2y + 3z, which moves
+    the facet in w = 0 to a hyperplane whose normal has four nonzero
+    entries."""
+    out = [(v, p[:3] + (p[3] + p[0] + 2 * p[1] + 3 * p[2],)) for v, p in pts]
+    five = next(f for f in convex_hull_brute(out) if len(f.vertices) == 5)
+    assert all(five.normal)
+    return out
+
+
 class TestBipyramidDetection:
     def test_simplex(self):
         facets = convex_hull_brute(simplex_points_r4())
@@ -242,7 +255,8 @@ class TestBipyramidDetection:
 
     def test_known_bipyramid_cell(self):
         # a bipyramid and a pyramid-over-square embedded as hull facets in
-        # the hyperplane w = 0, closed off by one extra vertex above
+        # the hyperplane w = 0, closed off by one extra vertex above; the
+        # sheared copy tilts that facet off every coordinate hyperplane
         bipyr = [
             (R(0), pt(0, 0, -1, 0)),
             (R(1), pt(0, 0, 1, 0)),
@@ -251,9 +265,10 @@ class TestBipyramidDetection:
             (R(4), pt(-1, -1, 0, 0)),
             (R(5), pt(0, F(1, 3), 0, 1)),
         ]
-        facets = convex_hull_brute(bipyr)
-        count, kinds = detect_bipyramid_facets(facets, bipyr)
-        assert count == 1
+        for pts in (bipyr, sheared(bipyr)):
+            facets = convex_hull_brute(pts)
+            count, kinds = detect_bipyramid_facets(facets, pts)
+            assert count == 1
 
     def test_pyramid_over_square_is_other(self):
         pyramid = [
@@ -264,10 +279,78 @@ class TestBipyramidDetection:
             (R(4), pt(0, 0, 1, 0)),
             (R(5), pt(0, 0, F(1, 3), 1)),
         ]
-        facets = convex_hull_brute(pyramid)
-        count, kinds = detect_bipyramid_facets(facets, pyramid)
-        assert count == 0
-        assert "other" in kinds
+        for pts in (pyramid, sheared(pyramid)):
+            facets = convex_hull_brute(pts)
+            count, kinds = detect_bipyramid_facets(facets, pts)
+            assert count == 0
+            assert "other" in kinds
+
+
+def fraction_rank(rows, ncols):
+    """Reference rank by Gaussian elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        src = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if src is None:
+            continue
+        m[rank], m[src] = m[src], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][col] / m[rank][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def random_matrix(rng):
+    """Small integer matrix with some zero columns and repeated or scaled
+    rows, entries up to 10**6."""
+    nrows, ncols = rng.randint(1, 6), rng.randint(2, 6)
+    bound = rng.choice((1, 3, 10 ** 6))
+    rows = [[rng.randint(-bound, bound) for _ in range(ncols)] for _ in range(nrows)]
+    for col in range(ncols):
+        if rng.random() < 0.15:
+            for row in rows:
+                row[col] = 0
+    if nrows > 1 and rng.random() < 0.4:
+        i, j = rng.sample(range(nrows), 2)
+        rows[i] = [rng.choice((-2, 1, 3)) * x for x in rows[j]]
+    return [tuple(row) for row in rows], ncols
+
+
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+class TestKernel:
+    def test_rank_and_nullvector_match_fraction_reference(self):
+        rng = random.Random(1968)
+        nullity_one = 0
+        for _ in range(400):
+            rows, ncols = random_matrix(rng)
+            rank, v = _rank_and_nullvector(rows, ncols)
+            assert rank == fraction_rank(rows, ncols), rows
+            if rank != ncols - 1:
+                assert v is None
+                continue
+            nullity_one += 1
+            assert any(v) and all(dot(row, v) == 0 for row in rows), rows
+            assert gcd(*v) == 1
+        assert nullity_one >= 50
+
+    def test_hyperplane_none_exactly_for_affinely_dependent_points(self):
+        rng = random.Random(22)
+        for _ in range(300):
+            k = rng.randint(1, 4)
+            bound = rng.choice((2, 10 ** 6))
+            points = [tuple(rng.randint(-bound, bound) for _ in range(k)) for _ in range(k)]
+            if k > 1 and rng.random() < 0.2:
+                points[0] = points[1]
+            homog = [p + (1,) for p in points]
+            nu = _hyperplane(points)
+            assert (nu is None) == (fraction_rank(homog, k + 1) < k), points
+            if nu is not None:
+                assert all(dot(nu, h) == 0 for h in homog)
 
 
 class TestHullOfLift:
