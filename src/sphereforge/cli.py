@@ -16,7 +16,7 @@ from . import io as sfio
 from .carvefill import BallInComplex, CompatibleFamily, carve_and_fill, realize
 from .complexes import Simplex, VertexId
 from .constructions import BUILDERS
-from .errors import InputParseError, SphereforgeError
+from .errors import DegenerateInput, InputParseError, SphereforgeError
 from .geometry import (
     build_aztec_lift,
     delta_search,
@@ -163,6 +163,8 @@ def _cmd_hull(args) -> int:
     data = sfio.load_lift_data(args.input)
     heights = data["heights"]
     pts = [(v, p + (heights[v],)) for v, p in data["points"]]
+    if any(len(p) != 4 for _, p in pts):
+        raise DegenerateInput("facet classification expects a 4-dimensional hull")
     facets, apex_pt = hull_with_apex(pts, VertexId.cone())
     count, kinds = detect_bipyramid_facets(
         facets, pts + [(VertexId.cone(), apex_pt)]
@@ -278,7 +280,7 @@ def build_parser() -> _Parser:
     la.add_argument("-o", "--output", required=True)
     la.set_defaults(func=_cmd_lift)
 
-    h = sub.add_parser("hull", help="brute-force hull of a lifted configuration")
+    h = sub.add_parser("hull", help="exact hull of a lifted configuration plus an apex")
     h.add_argument("--input", required=True)
     h.add_argument("--apex", default="auto", choices=["auto"])
     h.add_argument("-o", "--output")

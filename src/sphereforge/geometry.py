@@ -163,10 +163,13 @@ def _dot_h(nu: tuple[int, ...], row: tuple[int, ...]) -> int:
 # regularity verification
 
 
-def _cell_walls(cell_rows: list[tuple[int, ...]], dim: int) -> set[frozenset[int]]:
-    """Supporting (dim-1)-hyperplanes of a projected cell, as onsets:
-    the indices into cell_rows of the points on each."""
-    walls: set[frozenset[int]] = set()
+def _cell_walls(
+    cell_rows: list[tuple[int, ...]], dim: int
+) -> dict[frozenset[int], tuple[int, ...]]:
+    """Supporting (dim-1)-hyperplanes of a projected cell, as onsets (the
+    indices into cell_rows of the points on each), each mapped to the
+    first dim affinely independent points found to span it."""
+    walls: dict[frozenset[int], tuple[int, ...]] = {}
     for subset in combinations(range(len(cell_rows)), dim):
         nu = _hyperplane([cell_rows[i][:dim] for i in subset])
         if nu is None:
@@ -174,7 +177,7 @@ def _cell_walls(cell_rows: list[tuple[int, ...]], dim: int) -> set[frozenset[int
         sides = [_dot_h(nu, cell_rows[i][:dim]) for i in range(len(cell_rows))]
         if any(s > 0 for s in sides) and any(s < 0 for s in sides):
             continue
-        walls.add(frozenset(i for i, s in enumerate(sides) if s == 0))
+        walls.setdefault(frozenset(i for i, s in enumerate(sides) if s == 0), subset)
     return walls
 
 
@@ -644,6 +647,96 @@ def convex_hull_brute(pts: list[tuple[VertexId, Point]]) -> list[HullFacet]:
     return facets
 
 
+def _pivot(
+    rows: list[tuple[int, ...]],
+    basis: list[tuple[int, ...]],
+    ref: tuple[int, ...],
+    skip: frozenset[int],
+) -> tuple[tuple[int, ...], int]:
+    """Turn a hyperplane about the ridge spanned by basis, away from ref,
+    until it supports every point.
+
+    Every candidate contains the ridge and has ref strictly on its
+    negative side, and a point strictly outside one candidate turns the
+    next one further from ref, so the points passed stay inside and one
+    pass suffices.  Returns the hyperplane and the last point that set it.
+    """
+    best, last = None, -1
+    for i, row in enumerate(rows):
+        if i in skip or (best is not None and _dot_h(best, row) <= 0):
+            continue
+        nu = _hyperplane(basis + [row])
+        best, last = (nu if _dot_h(nu, ref) < 0 else tuple(-x for x in nu)), i
+    return best, last
+
+
+def _first_facet(
+    rows: list[tuple[int, ...]], dim: int
+) -> tuple[tuple[int, ...], list[int]]:
+    """One facet of the hull of full-dimensional points in R^dim: its
+    outward normal and dim affinely independent points on it.
+
+    A facet of the projection to the first dim-1 coordinates spans a
+    vertical supporting hyperplane.  It meets the hull in a facet or in a
+    ridge, and one pivot about that ridge gives a facet.
+    """
+    if dim == 1:
+        top = max(range(len(rows)), key=lambda i: rows[i][0])
+        return (1, -rows[top][0]), [top]
+    nu, basis = _first_facet([row[:-1] for row in rows], dim - 1)
+    vertical = nu[:-1] + (0, nu[-1])
+    on = frozenset(i for i, row in enumerate(rows) if _dot_h(vertical, row) == 0)
+    span = [rows[i] for i in basis]
+    extra = next(
+        (i for i in sorted(on) if _hyperplane(span + [rows[i]]) is not None), None
+    )
+    if extra is not None:
+        return vertical, basis + [extra]
+    up = span[0][:-1] + (span[0][-1] + 1,)
+    nu, extra = _pivot(rows, span, up, on)
+    return nu, basis + [extra]
+
+
+def convex_hull(pts: list[tuple[VertexId, Point]]) -> list[HullFacet]:
+    """Exact gift-wrapping hull (Chand-Kapur, J. ACM 17, 1970): from one
+    facet, pivot about each ridge to the facet on its other side.
+
+    The work grows with the facets found, not with the C(n, dim) subsets
+    that convex_hull_brute scans; the facet list is the same.
+    """
+    ids, rows, dim = _int_config(list(pts), None)
+    rank, _ = _rank_and_nullvector([r + (1,) for r in rows], dim + 1)
+    if rank < dim + 1:
+        raise DegenerateInput("point set is not full-dimensional")
+    found: dict[frozenset[int], tuple[int, ...]] = {}
+    ridges: set[frozenset[int]] = set()
+    todo = [_first_facet(rows, dim)[0]]
+    while todo:
+        nu = todo.pop()
+        onset = frozenset(i for i, row in enumerate(rows) if _dot_h(nu, row) == 0)
+        if onset in found:
+            continue
+        found[onset] = nu
+        # the ridges are the walls of the facet in a chart that drops a
+        # coordinate where its normal is nonzero (see _is_bipyramid)
+        local = sorted(onset)
+        drop = next(a for a, n in enumerate(nu[:-1]) if n)
+        chart = [rows[i][:drop] + rows[i][drop + 1:] for i in local]
+        for wall, span in _cell_walls(chart, dim - 1).items():
+            ridge = frozenset(local[j] for j in wall)
+            if ridge in ridges:
+                continue  # already crossed from the facet on its other side
+            ridges.add(ridge)
+            ref = next(rows[i] for j, i in enumerate(local) if j not in wall)
+            todo.append(_pivot(rows, [rows[local[j]] for j in span], ref, onset)[0])
+    facets = [
+        HullFacet(frozenset(ids[i] for i in onset), nu[:-1], -nu[-1])
+        for onset, nu in found.items()
+    ]
+    facets.sort(key=lambda f: tuple(sorted(v.sort_key for v in f.vertices)))
+    return facets
+
+
 def lower_facets(facets: list[HullFacet]) -> list[HullFacet]:
     """Facets whose outward normal points downward in the last coordinate."""
     return [f for f in facets if f.normal[-1] < 0]
@@ -652,12 +745,16 @@ def lower_facets(facets: list[HullFacet]) -> list[HullFacet]:
 def hull_with_apex(
     pts: list[tuple[VertexId, Point]], apex_id: VertexId
 ) -> tuple[list[HullFacet], Point]:
-    """Hull of the configuration plus a certified far apex above it.
+    """Hull of the configuration plus a far apex above it, both built by
+    gift wrapping (convex_hull).
 
-    The apex closes the upper side, so the hull consists of the lower
-    facets of the configuration plus cones over its horizon.
+    The apex, above the centroid, lies strictly beyond every upper facet
+    of the configuration's hull and beneath every other one.  So the new
+    hull keeps the other facets and replaces the upper ones by cones from
+    the apex over the boundary of the upper side.  Returns the facets and
+    the apex point.
     """
-    base = convex_hull_brute(pts)
+    base = convex_hull(pts)
     dim = len(pts[0][1])
     centroid = tuple(
         sum((p[a] for _, p in pts), Fraction(0)) / len(pts) for a in range(dim)
@@ -672,7 +769,7 @@ def hull_with_apex(
         if bound + 1 > height:
             height = bound + 1
     apex_pt = centroid[:-1] + (Fraction(height),)
-    return convex_hull_brute(list(pts) + [(apex_id, apex_pt)]), apex_pt
+    return convex_hull(list(pts) + [(apex_id, apex_pt)]), apex_pt
 
 
 SIMPLEX = "simplex"

@@ -313,7 +313,7 @@ def lift_data_from_obj(obj: dict) -> dict:
             "k": obj.get("k"),
             "l": obj.get("l"),
         }
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InputParseError(f"malformed lift file: {exc}") from exc
     for v, _ in points:
         if v not in heights:

@@ -11,6 +11,7 @@ from sphereforge import (
     join_of_paths,
 )
 from sphereforge import io as sfio
+from sphereforge import cli
 from sphereforge.cli import main
 from sphereforge.constructions import build_aztec, build_holes4
 from sphereforge.errors import InputParseError
@@ -258,6 +259,40 @@ class TestCliPipelines:
         for argv in (("verify", "regular", bad), ("hull", "--input", bad)):
             assert run(tmp_path, *argv) == 1
             assert "a:1:1 has no height" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("points", "nope"),
+        ("points", [["a:1:1"]]),
+        ("heights", []),
+        ("heights", "x"),
+    ])
+    def test_lift_file_of_the_wrong_shape_is_rejected(self, tmp_path, capsys, key, value):
+        lift = tmp_path / "lift.json"
+        assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0
+        obj = json.loads(lift.read_text())
+        obj[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        for argv in (("hull", "--input", bad), ("verify", "regular", bad), ("degree3", "--input", bad)):
+            assert run(tmp_path, *argv) == 1, argv
+            assert "input error: malformed lift file:" in capsys.readouterr().err
+
+    def test_hull_rejects_points_that_are_not_4d_before_building(self, tmp_path, capsys, monkeypatch):
+        lift = tmp_path / "lift.json"
+        assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0
+        obj = json.loads(lift.read_text())
+        obj["points"] = [[label, coords[:2]] for label, coords in obj["points"]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+
+        def no_hull(*args):
+            raise AssertionError("hull built for input that is then rejected")
+
+        monkeypatch.setattr(cli, "hull_with_apex", no_hull)
+        assert run(tmp_path, "hull", "--input", bad) == 1
+        assert "facet classification expects a 4-dimensional hull" in capsys.readouterr().err
 
     def test_degree3_rejects_a_missing_or_non_integer_k(self, tmp_path, capsys):
         lift = tmp_path / "lift.json"

@@ -19,6 +19,7 @@ from sphereforge.geometry import (
     aztec_lift,
     build_aztec_lift,
     compose_lift,
+    convex_hull,
     convex_hull_brute,
     delta_search,
     detect_bipyramid_facets,
@@ -225,8 +226,9 @@ class TestHull:
 
     def test_degenerate_rejected(self):
         flat = [(R(i), pt(i, i, 0, 0)) for i in range(6)]
-        with pytest.raises(DegenerateInput):
-            convex_hull_brute(flat)
+        for hull in (convex_hull_brute, convex_hull):
+            with pytest.raises(DegenerateInput):
+                hull(flat)
 
     def test_outward_normals(self):
         facets = convex_hull_brute(simplex_points_r4())
@@ -366,9 +368,60 @@ class TestHullOfLift:
     def test_bipyramid_count_small(self):
         lift = build_aztec_lift(3, 1)
         pts = [(v, p + (lift.heights[v],)) for v, p in lift.config.points]
-        facets, _ = hull_with_apex(pts, VertexId.cone())
-        count, _ = detect_bipyramid_facets(facets, pts + [(VertexId.cone(), pt(0, 0, 0, 0))])
+        facets, apex_pt = hull_with_apex(pts, VertexId.cone())
+        count, _ = detect_bipyramid_facets(facets, pts + [(VertexId.cone(), apex_pt)])
         assert count == 4
+
+
+def lifted_points(k, l):
+    lift = build_aztec_lift(k, l)
+    return [(v, p + (lift.heights[v],)) for v, p in lift.config.points]
+
+
+def random_rational_points(rng, dim):
+    """Up to 14 points with coordinates in {-2..2} / {1, 2}: many coplanar
+    points, repeated points and non-simplicial facets."""
+    n = rng.randint(dim + 1, 14)
+    bound = rng.choice((1, 2))
+    return [
+        (R(i), tuple(F(rng.randint(-bound, bound), rng.choice((1, 2))) for _ in range(dim)))
+        for i in range(n)
+    ]
+
+
+class TestGiftWrap:
+    """convex_hull against the brute-force oracle, as whole facet lists."""
+
+    def test_matches_brute_force_on_random_sets(self):
+        rng = random.Random(1970)
+        compared = {dim: 0 for dim in (1, 2, 3, 4)}
+        for _ in range(240):
+            dim = rng.choice((1, 2, 3, 4))
+            pts = random_rational_points(rng, dim)
+            try:
+                expected = convex_hull_brute(pts)
+            except DegenerateInput:
+                with pytest.raises(DegenerateInput):
+                    convex_hull(pts)
+                continue
+            assert convex_hull(pts) == expected, pts
+            compared[dim] += 1
+        assert min(compared.values()) >= 40
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_matches_brute_force_on_lifts(self, k):
+        pts = lifted_points(k, 1)
+        assert convex_hull(pts) == convex_hull_brute(pts)
+        facets, apex_pt = hull_with_apex(pts, VertexId.cone())
+        assert facets == convex_hull_brute(pts + [(VertexId.cone(), apex_pt)])
+
+    def test_aztec_34_apex_hull(self):
+        # counts checked against convex_hull_brute, too slow for a unit test here
+        pts = lifted_points(3, 4)
+        facets, apex_pt = hull_with_apex(pts, VertexId.cone())
+        count, kinds = detect_bipyramid_facets(facets, pts + [(VertexId.cone(), apex_pt)])
+        assert (len(facets), count) == (136, 64)
+        assert (kinds.count("simplex"), kinds.count("other")) == (68, 4)
 
 
 class TestRaiseCenters:
