@@ -14,7 +14,7 @@ import sys
 
 from . import io as sfio
 from .carvefill import BallInComplex, CompatibleFamily, carve_and_fill, realize
-from .complexes import Simplex, VertexId
+from .complexes import VertexId
 from .constructions import BUILDERS
 from .errors import DegenerateInput, InputParseError, SphereforgeError
 from .geometry import (
@@ -58,7 +58,7 @@ def _base_path(out: str) -> str:
 
 def _cmd_generate(args) -> int:
     flags, expected = GENERATE_KINDS[args.kind]
-    report = BUILDERS[args.kind](*(getattr(args, f) for f in flags), check=args.check)
+    report = BUILDERS[args.kind](*(getattr(args, f) for f in flags))
     manifest = report.manifest
     base = _base_path(args.output)
     sfio.save_complex(f"{base}.json", manifest.result)
@@ -71,9 +71,6 @@ def _cmd_generate(args) -> int:
         f"{report.name}: {report.free_cell_count} free cells, "
         f"{report.simplex_cell_count} simplices, {report.vertex_count} vertices"
     )
-    if not args.check:
-        print(summary + ", unchecked")
-        return OK
     cert = certify(realized)
     certs = [cert] + [
         certify(realize(manifest, choice_vector(args.seed, t, manifest.n_free_cells)))
@@ -87,19 +84,10 @@ def _cmd_generate(args) -> int:
 
 def _cmd_fill(args) -> int:
     host = sfio.load_simplicial(args.input)
-    spec = sfio._load_json(args.holes)
-    try:
-        holes = spec["holes"]
-        keys, fams = [], []
-        for hole in holes:
-            key = sfio._key_parse(str(hole["key"]))
-            facets = [Simplex(sfio._parse_verts(v)) for v in hole["facets"]]
-            members = [Simplex(sfio._parse_verts(v)) for v in hole.get("members", [])]
-            ball = BallInComplex.of(host, facets)
-            keys.append(key)
-            fams.append(CompatibleFamily.of(ball, members))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputParseError(f"malformed holes file: {exc}") from exc
+    keys, fams = [], []
+    for key, facets, members in sfio.load_holes(args.holes):
+        keys.append(key)
+        fams.append(CompatibleFamily.of(BallInComplex.of(host, facets), members))
     manifest = carve_and_fill(host, fams, keys=keys)
     sfio.save_manifest(args.output, manifest)
     print(f"filled {len(fams)} holes, {manifest.n_free_cells} free cells")
@@ -190,12 +178,7 @@ def _cmd_degree3(args) -> int:
     guaranteed = (2 * lift.k - 6) * lift.l * lift.l
     print(f"degree-3 edges: {degree3} (guaranteed {guaranteed}), delta={delta}")
     if args.output:
-        obj = {
-            "delta": str(delta),
-            "degree3_edges": degree3,
-            "guaranteed": guaranteed,
-            "heights": sfio._heights_to_obj(heights),
-        }
+        obj = sfio.degree3_to_obj(delta, degree3, guaranteed, heights)
         sfio.write_text(args.output, sfio.dumps(obj))
     return OK
 
@@ -203,7 +186,7 @@ def _cmd_degree3(args) -> int:
 def _cmd_count(args) -> int:
     manifest = sfio.load_manifest(args.manifest)
     for key in manifest.hole_keys:
-        print(f"hole {sfio._key_str(key)}: {len(manifest.free_cells_by_ball[key])} free cells")
+        print(f"hole {sfio.key_label(key)}: {len(manifest.free_cells_by_ball[key])} free cells")
     b = manifest.n_free_cells
     print(f"total: {b} free cells, 2^{b} = {2 ** b} realizations")
     return OK
@@ -232,8 +215,6 @@ def build_parser() -> _Parser:
         for flag in flags:
             g.add_argument(f"--{flag}", type=int, required=flag != "m")
         g.add_argument("-o", "--output", required=True)
-        g.add_argument("--check", dest="check", action="store_true", default=True)
-        g.add_argument("--no-check", dest="check", action="store_false")
         g.add_argument("--seed", type=int, default=0)
         g.add_argument("--samples", type=int, default=0,
                        help="additionally certify this many seeded realizations")
@@ -274,15 +255,20 @@ def build_parser() -> _Parser:
 
     li = sub.add_parser("lift", help="certified regular lifts")
     lsub = li.add_subparsers(dest="what", required=True)
-    la = lsub.add_parser("aztec")
-    la.add_argument("--k", type=int, required=True)
+    la = lsub.add_parser(
+        "aztec",
+        description="Build and certify the regular lift of Aztec (k, l).  With the "
+        "built-in coordinates -k, -k+2, ..., k the lift certifies for k in {3, 5, 7}; "
+        "for larger k its split heights stop increasing, the lift fails its own "
+        "regularity check and the command exits 1 without writing a file.",
+    )
+    la.add_argument("--k", type=int, required=True, help="odd; certifies for 3, 5 and 7")
     la.add_argument("--l", type=int, required=True)
     la.add_argument("-o", "--output", required=True)
     la.set_defaults(func=_cmd_lift)
 
     h = sub.add_parser("hull", help="exact hull of a lifted configuration plus an apex")
     h.add_argument("--input", required=True)
-    h.add_argument("--apex", default="auto", choices=["auto"])
     h.add_argument("-o", "--output")
     h.set_defaults(func=_cmd_hull)
 

@@ -69,9 +69,6 @@ class VertexId:
     def __lt__(self, other: "VertexId") -> bool:
         return self.sort_key < other.sort_key
 
-    def __le__(self, other: "VertexId") -> bool:
-        return self.sort_key <= other.sort_key
-
     @property
     def label(self) -> str:
         if self.kind == "c":
@@ -143,21 +140,9 @@ class Simplex:
             raise FaceNotFound(f"{v.label} not in simplex")
         return Simplex(u for u in self.verts if u != v)
 
-    def intersection(self, other: "Simplex") -> "Simplex":
-        return Simplex(self.vset & other.vset)
-
-    def issubset(self, other: "Simplex") -> bool:
-        return self.vset <= other.vset
-
     def facets(self) -> list["Simplex"]:
         """All codimension-1 faces."""
         return [Simplex(self.verts[:i] + self.verts[i + 1:]) for i in range(len(self.verts))]
-
-    def faces(self, include_empty: bool = False) -> Iterator["Simplex"]:
-        lo = 0 if include_empty else 1
-        for k in range(lo, len(self.verts) + 1):
-            for c in combinations(self.verts, k):
-                yield Simplex(c)
 
     def __repr__(self) -> str:
         return "{" + ",".join(v.label for v in self.verts) + "}"

@@ -132,21 +132,21 @@ def _extreme_members(box: GridBox, region: GridRegion, width: int) -> list[Simpl
 
 
 def _grid_band_families(
-    host: JoinOfPaths, width: int, check: bool
+    host: JoinOfPaths, width: int
 ) -> tuple[list[int], list[BallInComplex], list[list[Simplex]]]:
     """Band balls of the join, with the extreme members of each.
 
-    With ``check``, every band must meet the shelling hypothesis; in the
-    3-dimensional join (d = 2) each band is also certified as a ball,
-    which is cheap there but would dominate the build above it."""
+    Every band must meet the shelling hypothesis; in the 3-dimensional
+    join (d = 2) each band is also certified as a ball, which is cheap
+    there but would dominate the build above it."""
     keys, balls, member_lists = [], [], []
     for q, region in _band_regions(host.box, width):
-        if check and not region.shellable_guaranteed:
+        if not region.shellable_guaranteed:
             raise InternalInvariantViolation(f"band {q} misses the shelling hypothesis")
         ball = BallInComplex.of(
             host.complex, [host.facet_of(c) for c in region.cells]
         )
-        if check and host.d == 2 and not ball.certify_ball().is_ball(ball.dim):
+        if host.d == 2 and not ball.certify_ball().is_ball(ball.dim):
             raise InternalInvariantViolation(f"band {q} is not a ball")
         keys.append(q)
         balls.append(ball)
@@ -190,14 +190,14 @@ def sample_realization_certificates(
     return vectors
 
 
-def _band_manifest(lengths: tuple[int, ...], check: bool) -> FillManifest:
+def _band_manifest(lengths: tuple[int, ...]) -> FillManifest:
     """Width-(d+2) diagonal band holes in the join of d paths with the
     given vertex counts, closed to a sphere of dimension 2d-1.  Every
     free cell is the free sum of a (d-1)-simplex and a d-simplex with a
     distinct interior missing face, so all of them triangulate
     independently."""
     host = join_of_paths(lengths)
-    keys, balls, member_lists = _grid_band_families(host, host.d + 2, check)
+    keys, balls, member_lists = _grid_band_families(host, host.d + 2)
     fams = [
         CompatibleFamily.of(ball, members)
         for ball, members in zip(balls, member_lists)
@@ -205,13 +205,12 @@ def _band_manifest(lengths: tuple[int, ...], check: bool) -> FillManifest:
     manifest = _close_with_cone(
         host.complex, carve_and_fill(host.complex, fams, keys=keys)
     )
-    if check:
-        _assert_cell_shapes(manifest, host.d)
-        _assert_missing_faces_distinct(manifest)
+    _assert_cell_shapes(manifest, host.d)
+    _assert_missing_faces_distinct(manifest)
     return manifest
 
 
-def build_holes4(n: int, m: int | None = None, check: bool = True) -> ConstructionReport:
+def build_holes4(n: int, m: int | None = None) -> ConstructionReport:
     """Width-4 diagonal band holes in the join of two paths on n and m
     vertices (m defaults to n), closed to a 3-sphere; every free cell is
     a triangular bipyramid.  The same manifest as ``build_highd(2, n)``
@@ -220,7 +219,7 @@ def build_holes4(n: int, m: int | None = None, check: bool = True) -> Constructi
         m = n
     if n < 4 or m < 4:
         raise DegenerateInput("need n, m >= 4")
-    manifest = _band_manifest((n, m), check)
+    manifest = _band_manifest((n, m))
     b = manifest.n_free_cells
     claimed = {
         "free_cells": b,
@@ -230,7 +229,7 @@ def build_holes4(n: int, m: int | None = None, check: bool = True) -> Constructi
     return _report("holes4", manifest, claimed)
 
 
-def build_holes3(n: int, m: int | None = None, check: bool = True) -> ConstructionReport:
+def build_holes3(n: int, m: int | None = None) -> ConstructionReport:
     """Width-3 band variant: denser candidate families, but the members
     come in pairs sharing a missing edge, so most holes fail the
     compatibility test.  Falls back to the maximal compatible subfamily
@@ -241,7 +240,7 @@ def build_holes3(n: int, m: int | None = None, check: bool = True) -> Constructi
     if n < 4 or m < 4:
         raise DegenerateInput("need n, m >= 4")
     host = join_of_paths((n, m))
-    keys, balls, member_lists = _grid_band_families(host, 3, check)
+    keys, balls, member_lists = _grid_band_families(host, 3)
     fams = []
     incompatible = []
     family_sizes = {}
@@ -268,9 +267,8 @@ def build_holes3(n: int, m: int | None = None, check: bool = True) -> Constructi
     manifest = _close_with_cone(
         host.complex, carve_and_fill(host.complex, fams, keys=keys)
     )
-    if check:
-        _assert_cell_shapes(manifest, 2)
-        _assert_missing_faces_distinct(manifest)
+    _assert_cell_shapes(manifest, 2)
+    _assert_missing_faces_distinct(manifest)
     b = manifest.n_free_cells
     claimed = {
         "free_cells": b,
@@ -308,7 +306,7 @@ def _aztec_cells_per_hole(d: int, k: int) -> int:
     return ehrhart_crosspolytope(d, (k - 1) // 2) - ehrhart_crosspolytope(d, (k - 3) // 2)
 
 
-def _aztec_manifest(d: int, k: int, l: int, check: bool) -> FillManifest:
+def _aztec_manifest(d: int, k: int, l: int) -> FillManifest:
     """Aztec crosspolytope holes, one per k^d subgrid of the join of d
     paths on kl+1 vertices; the output is a ball of dimension 2d-1 with
     l^d holes (no closing cone).  The holes are grid-starconvex from
@@ -320,31 +318,29 @@ def _aztec_manifest(d: int, k: int, l: int, check: bool) -> FillManifest:
     keys, fams = [], []
     for key in sorted(regions):
         region = regions[key]
-        if check and not is_grid_starconvex(region, _aztec_center(key, k)):
+        if not is_grid_starconvex(region, _aztec_center(key, k)):
             raise InternalInvariantViolation(f"hole {key} is not starconvex")
         ball = BallInComplex.of(host.complex, [host.facet_of(c) for c in region.cells])
         members = sorted(boundary_members(region, host))
         keys.append(key)
         fams.append(CompatibleFamily.of(ball, members))
     manifest = carve_and_fill(host.complex, fams, keys=keys)
-    if check:
-        _assert_missing_faces_distinct(manifest)
-        expected = _aztec_cells_per_hole(d, k) * l ** d
-        if manifest.n_free_cells != expected:
-            raise InternalInvariantViolation(
-                f"expected {expected} free cells, got {manifest.n_free_cells}"
-            )
+    _assert_missing_faces_distinct(manifest)
+    expected = _aztec_cells_per_hole(d, k) * l ** d
+    if manifest.n_free_cells != expected:
+        raise InternalInvariantViolation(
+            f"expected {expected} free cells, got {manifest.n_free_cells}"
+        )
     return manifest
 
 
-def build_aztec(k: int, l: int, check: bool = True) -> ConstructionReport:
+def build_aztec(k: int, l: int) -> ConstructionReport:
     """Aztec-diamond holes, one per k x k subgrid of a square grid; every
     free cell is a triangular bipyramid.  The geometric realization lives
     in the geometry module.  The same manifest as
     ``build_aztec_highd(2, k, l)``."""
-    manifest = _aztec_manifest(2, k, l, check)
-    if check:
-        _assert_cell_shapes(manifest, 2)
+    manifest = _aztec_manifest(2, k, l)
+    _assert_cell_shapes(manifest, 2)
     claimed = {
         "free_cells": manifest.n_free_cells,
         "formula_2k_minus_2_times_l_squared": (2 * k - 2) * l * l,
@@ -384,7 +380,7 @@ def _cyclic_hole_facet(n: int, shift: int, cell: tuple[int, int]) -> Simplex:
     )
 
 
-def build_cyclic(n: int, check: bool = True) -> ConstructionReport:
+def build_cyclic(n: int) -> ConstructionReport:
     """Band holes in the boundary of the cyclic 4-polytope on 4n vertices.
 
     Each hole is a rotated copy of a width-4 diagonal band in a chart box
@@ -407,25 +403,23 @@ def build_cyclic(n: int, check: bool = True) -> ConstructionReport:
         shift = (2 * k + 2 * n) % (4 * n)
         facet_of = {c: _cyclic_hole_facet(n, shift, c) for c in region.cells}
         ball = BallInComplex.of(host, facet_of.values())
-        if check:
-            order = ShellingOrder(tuple(facet_of[c] for c in cell_order))
-            if not verify_shelling(ball.subcomplex, order):
-                raise InternalInvariantViolation(f"hole {k} shelling rejected")
-            if not ball.certify_ball().is_ball(3):
-                raise InternalInvariantViolation(f"hole {k} is not a ball")
+        order = ShellingOrder(tuple(facet_of[c] for c in cell_order))
+        if not verify_shelling(ball.subcomplex, order):
+            raise InternalInvariantViolation(f"hole {k} shelling rejected")
+        if not ball.certify_ball().is_ball(3):
+            raise InternalInvariantViolation(f"hole {k} is not a ball")
         members = [
             facet_of[c] for c in sorted(region.cells) if sum(c) in (2 * n - 2, 2 * n + 1)
         ]
         keys.append(k)
         fams.append(CompatibleFamily.of(ball, members))
         covered |= ball.ball_facets
-    if check and len(host.facets - covered) != 2 * n:
+    if len(host.facets - covered) != 2 * n:
         raise InternalInvariantViolation(
             "expected exactly two uncarved facets per hole class"
         )
     manifest = carve_and_fill(host, fams, keys=keys)
-    if check:
-        _assert_missing_faces_distinct(manifest)
+    _assert_missing_faces_distinct(manifest)
     b = manifest.n_free_cells
     claimed = {
         "free_cells": b,
@@ -442,7 +436,7 @@ def build_cyclic(n: int, check: bool = True) -> ConstructionReport:
     return _report("cyclic", manifest, claimed, flags)
 
 
-def build_highd(d: int, n: int, check: bool = True) -> ConstructionReport:
+def build_highd(d: int, n: int) -> ConstructionReport:
     """Width-(d+2) band holes in the join of d paths on n vertices each,
     closed to a sphere of dimension 2d-1.  Every free cell is the free
     sum of a (d-1)-simplex and a d-simplex, with 2d+1 vertices."""
@@ -450,7 +444,7 @@ def build_highd(d: int, n: int, check: bool = True) -> ConstructionReport:
         raise DegenerateInput("need 2 <= d <= 4 at desk scale")
     if n < d + 3:
         raise DegenerateInput("need n >= d + 3")
-    manifest = _band_manifest((n,) * d, check)
+    manifest = _band_manifest((n,) * d)
     b = manifest.n_free_cells
     claimed = {
         "free_cells": b,
@@ -460,12 +454,12 @@ def build_highd(d: int, n: int, check: bool = True) -> ConstructionReport:
     return _report("highd", manifest, claimed)
 
 
-def build_aztec_highd(d: int, k: int, l: int, check: bool = True) -> ConstructionReport:
+def build_aztec_highd(d: int, k: int, l: int) -> ConstructionReport:
     """Aztec crosspolytope holes in the join of d paths; output is a ball
     of dimension 2d-1 with l^d holes."""
     if not 2 <= d <= 3:
         raise DegenerateInput("need 2 <= d <= 3 at desk scale")
-    manifest = _aztec_manifest(d, k, l, check)
+    manifest = _aztec_manifest(d, k, l)
     claimed = {
         "free_cells": manifest.n_free_cells,
         "boundary_cubes_per_hole": _aztec_cells_per_hole(d, k),

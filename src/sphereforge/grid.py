@@ -61,10 +61,6 @@ class GridRegion:
                 raise DegenerateInput(f"cell {c} outside box {box.dims}")
         return cls(box, cs, shellable_guaranteed)
 
-    @cached_property
-    def sorted_cells(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(self.cells))
-
     def __len__(self) -> int:
         return len(self.cells)
 

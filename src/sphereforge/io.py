@@ -22,7 +22,6 @@ from .complexes import (
 from .constructions import ConstructionReport
 from .errors import InputParseError
 from .geometry import HullFacet, Point, RegularAztecLift, Subdivision
-from .grid import GridBox, GridRegion
 from .topology import ShellingOrder, TopologyCertificate
 
 
@@ -108,25 +107,11 @@ def load_simplicial(path: str) -> SimplicialComplex:
 
 
 # --------------------------------------------------------------------------
-# regions
-
-
-def region_to_obj(r: GridRegion) -> dict:
-    return {"box": list(r.box.dims), "cells": [list(c) for c in r.sorted_cells]}
-
-
-def region_from_obj(obj: dict) -> GridRegion:
-    try:
-        return GridRegion.of(GridBox(tuple(obj["box"])), obj["cells"])
-    except (KeyError, TypeError) as exc:
-        raise InputParseError(f"malformed region object: {exc}") from exc
-
-
-# --------------------------------------------------------------------------
 # manifests
 
 
-def _key_str(key) -> str:
+def key_label(key) -> str:
+    """A hole key as it appears in files and reports: "3" or "1,2"."""
     if isinstance(key, tuple):
         return ",".join(str(k) for k in key)
     return str(key)
@@ -138,12 +123,32 @@ def _key_parse(text: str):
     return int(text)
 
 
+def holes_from_obj(obj: dict) -> list[tuple[Any, list[Simplex], list[Simplex]]]:
+    """Decode a ``fill --holes`` file: one ``(key, ball facets, family
+    members)`` triple per hole, in file order."""
+    try:
+        return [
+            (
+                _key_parse(str(hole["key"])),
+                [Simplex(_parse_verts(v)) for v in hole["facets"]],
+                [Simplex(_parse_verts(v)) for v in hole.get("members", [])],
+            )
+            for hole in obj["holes"]
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputParseError(f"malformed holes file: {exc}") from exc
+
+
+def load_holes(path: str) -> list[tuple[Any, list[Simplex], list[Simplex]]]:
+    return holes_from_obj(_load_json(path))
+
+
 def manifest_to_obj(m: FillManifest) -> dict:
     holes = []
     for key in m.hole_keys:
         holes.append(
             {
-                "key": _key_str(key),
+                "key": key_label(key),
                 "apex": m.apex_of_ball[key].label,
                 "cells": [
                     {"f": _labels(c.f_part.verts), "g": _labels(c.g_part.verts)}
@@ -196,7 +201,7 @@ def report_to_obj(r: ConstructionReport) -> dict:
         "vertex_count": r.vertex_count,
         "free_cell_count": r.free_cell_count,
         "simplex_cell_count": r.simplex_cell_count,
-        "per_hole_counts": {_key_str(k): v for k, v in sorted(r.per_hole_counts.items())},
+        "per_hole_counts": {key_label(k): v for k, v in sorted(r.per_hole_counts.items())},
         "claimed_bounds": {k: v for k, v in sorted(r.claimed_bounds.items())},
         "flags": _jsonable(r.flags),
     }
@@ -204,7 +209,7 @@ def report_to_obj(r: ConstructionReport) -> dict:
 
 def _jsonable(obj):
     if isinstance(obj, dict):
-        return {_key_str(k): _jsonable(v) for k, v in obj.items()}
+        return {key_label(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     return obj
@@ -315,7 +320,11 @@ def lift_data_from_obj(obj: dict) -> dict:
         }
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InputParseError(f"malformed lift file: {exc}") from exc
+    seen = set()
     for v, _ in points:
+        if v in seen:
+            raise InputParseError(f"malformed lift file: point {v.label} appears twice")
+        seen.add(v)
         if v not in heights:
             raise InputParseError(f"malformed lift file: point {v.label} has no height")
     return out
@@ -323,6 +332,17 @@ def lift_data_from_obj(obj: dict) -> dict:
 
 def load_lift_data(path: str) -> dict:
     return lift_data_from_obj(_load_json(path))
+
+
+def degree3_to_obj(delta: Fraction, degree3: int, guaranteed: int, heights) -> dict:
+    """The ``degree3 -o`` record: the certified raise, the counts and the
+    raised heights."""
+    return {
+        "delta": str(delta),
+        "degree3_edges": degree3,
+        "guaranteed": guaranteed,
+        "heights": _heights_to_obj(heights),
+    }
 
 
 def hull_to_obj(facets: list[HullFacet], kinds: list[str]) -> dict:

@@ -1,5 +1,6 @@
 """Serialization round trips, CLI pipelines, determinism, exit codes."""
 
+import ast
 import hashlib
 import json
 
@@ -310,6 +311,48 @@ class TestCliPipelines:
             assert run(tmp_path, "degree3", "--input", path) == 1, k
             assert "input error: degree3 needs integer k and l" in capsys.readouterr().err
 
+    def test_lift_file_listing_a_point_twice_is_rejected(self, tmp_path, capsys):
+        lift = tmp_path / "lift.json"
+        assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0
+        assert run(tmp_path, "generate", "aztec", "--k", "3", "--l", "1", "-o", tmp_path / "a.json") == 0
+        obj = json.loads(lift.read_text())
+        obj["points"].append(["a:1:1", ["100", "100", "100"]])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        off = tmp_path / "mesh.off"
+        for argv in (
+            ("hull", "--input", bad),
+            ("verify", "regular", bad),
+            ("degree3", "--input", bad),
+            ("export", "off", "--input", tmp_path / "a.realized.json", "--lift", bad, "-o", off),
+        ):
+            assert run(tmp_path, *argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.err == "input error: malformed lift file: point a:1:1 appears twice\n", argv
+            assert captured.out == "", argv
+        assert not off.exists()
+
+    def test_lift_aztec_beyond_k7_fails_its_own_check(self, tmp_path, capsys):
+        # the built-in coordinates certify k = 3, 5, 7 only: at k = 9 the
+        # split heights stop increasing and the a-posteriori check rejects
+        out = tmp_path / "lift.json"
+        assert run(tmp_path, "lift", "aztec", "--k", "9", "--l", "1", "-o", out) == 1
+        assert capsys.readouterr().err == "error: lift failed its own regularity check\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("generate", "holes4", "--n", "5", "-o", "g.json", "--no-check"),
+        ("generate", "holes4", "--n", "5", "-o", "g.json", "--check"),
+        ("hull", "--input", "lift.json", "--apex", "auto"),
+    ], ids=["no-check", "check", "apex"])
+    def test_options_that_select_nothing_are_gone(self, tmp_path, capsys, argv):
+        assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", tmp_path / "lift.json") == 0
+        capsys.readouterr()
+        assert run(tmp_path, *(tmp_path / a if a.endswith(".json") else a for a in argv)) == 1
+        assert capsys.readouterr().err.startswith("usage error")
+        assert not (tmp_path / "g.json").exists()
+
     def test_aztec_hd_dimension_bound(self, tmp_path, capsys):
         code = run(tmp_path, "generate", "aztec-hd", "--d", "1", "--k", "3", "--l", "1", "-o", tmp_path / "a.json")
         assert code == 1
@@ -322,3 +365,18 @@ class TestCliPipelines:
         assert run(tmp_path, "realize", "--manifest", bad, "-o", tmp_path / "x.json") == 1
         assert main(["generate", "holes4", "--n"]) == 1
         assert main(["nonsense"]) == 1
+
+
+def test_cli_reads_no_private_io_member():
+    """File formats are decided in ``io``: ``cli`` uses only its public names."""
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    private = sorted(
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "sfio"
+        and node.attr.startswith("_")
+    )
+    assert private == []

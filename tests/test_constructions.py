@@ -141,7 +141,7 @@ class TestCyclic:
         sample_realization_certificates(report.manifest, 2, seed=5)
 
     def test_ratio_at_n10(self):
-        report = build_cyclic(10, check=False)
+        report = build_cyclic(10)
         ratio = report.free_cell_count / 100
         assert 3.4 <= ratio <= 4.0
 
