@@ -123,7 +123,8 @@ class CompatibleFamily:
         if not ms <= ball.ball_facets:
             missing = next(iter(ms - ball.ball_facets))
             raise FaceNotFound(f"member {missing!r} is not a facet of the ball")
-        for m in sorted(ms):
+        fam = cls(ball, ms)
+        for m in fam.sorted_members:
             contact = _contact_facets(ball, m)
             if not contact:
                 raise NoBoundaryContact(f"member {m!r} has no boundary facet")
@@ -132,11 +133,11 @@ class CompatibleFamily:
                     f"member {m!r} has a single boundary facet; its fill "
                     "cell would degenerate to a simplex"
                 )
-        return cls(ball, ms)
+        return fam
 
     @cached_property
     def missing_faces(self) -> dict[Simplex, Simplex]:
-        return {m: missing_face(self.ball, m) for m in sorted(self.members)}
+        return {m: missing_face(self.ball, m) for m in self.sorted_members}
 
     @cached_property
     def sorted_members(self) -> tuple[Simplex, ...]:

@@ -171,7 +171,12 @@ def _cmd_degree3(args) -> int:
     if not all(type(data[key]) is int for key in ("k", "l")):
         raise InputParseError("degree3 needs integer k and l in the lift file")
     lift = build_aztec_lift(data["k"], data["l"])
-    if lift.eps != data["eps"]:
+    if (
+        lift.eps != data["eps"]
+        or dict(lift.config.points) != dict(data["points"])
+        or lift.heights != data["heights"]
+        or lift.subdivision != data["subdivision"]
+    ):
         raise InputParseError("lift file does not match its regenerated lift")
     delta = delta_search(lift)
     heights, degree3 = raise_centers(lift, delta)

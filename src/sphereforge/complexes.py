@@ -98,7 +98,7 @@ class Simplex:
     verts: tuple[VertexId, ...]
 
     def __init__(self, verts: Iterable[VertexId]) -> None:
-        vs = tuple(sorted(verts, key=lambda v: v.sort_key))
+        vs = tuple(sorted(verts))
         for u, w in zip(vs, vs[1:]):
             if u == w:
                 raise DegenerateInput(f"repeated vertex {u.label} in simplex")
@@ -122,11 +122,7 @@ class Simplex:
         return v in self.vset
 
     def __lt__(self, other: "Simplex") -> bool:
-        return self.sort_key < other.sort_key
-
-    @property
-    def sort_key(self) -> tuple:
-        return tuple(v.sort_key for v in self.verts)
+        return self.verts < other.verts
 
     def union(self, other: "Simplex | Iterable[VertexId]") -> "Simplex":
         other_vs = other.verts if isinstance(other, Simplex) else tuple(other)
@@ -194,7 +190,7 @@ class SimplicialComplex:
 
     @cached_property
     def vertices(self) -> tuple[VertexId, ...]:
-        return tuple(sorted(self.vertex_set, key=lambda v: v.sort_key))
+        return tuple(sorted(self.vertex_set))
 
     def has_face(self, s: Simplex) -> bool:
         return any(s.vset <= f.vset for f in self.facets)
@@ -291,14 +287,10 @@ class FreeSumCell:
 
     @cached_property
     def vertices(self) -> tuple[VertexId, ...]:
-        return tuple(sorted(self.vset, key=lambda v: v.sort_key))
-
-    @property
-    def sort_key(self) -> tuple:
-        return (self.f_part.sort_key, self.g_part.sort_key)
+        return tuple(sorted(self.vset))
 
     def __lt__(self, other: "FreeSumCell") -> bool:
-        return self.sort_key < other.sort_key
+        return (self.f_part, self.g_part) < (other.f_part, other.g_part)
 
     def boundary_facets(self) -> list[Simplex]:
         """Codimension-1 faces: drop one vertex from each part."""
@@ -372,7 +364,7 @@ class PolyComplex:
 
     @cached_property
     def vertices(self) -> tuple[VertexId, ...]:
-        return tuple(sorted(self.vertex_set, key=lambda v: v.sort_key))
+        return tuple(sorted(self.vertex_set))
 
     @cached_property
     def sorted_simplex_cells(self) -> tuple[Simplex, ...]:

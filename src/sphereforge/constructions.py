@@ -403,11 +403,12 @@ def build_cyclic(n: int) -> ConstructionReport:
         shift = (2 * k + 2 * n) % (4 * n)
         facet_of = {c: _cyclic_hole_facet(n, shift, c) for c in region.cells}
         ball = BallInComplex.of(host, facet_of.values())
+        # every ridge of the host lies in two facets, so the hole is a
+        # pseudomanifold, and a shelling that never meets a facet's whole
+        # boundary makes it a PL ball (Danaraj-Klee, Duke Math. J. 41, 1974)
         order = ShellingOrder(tuple(facet_of[c] for c in cell_order))
         if not verify_shelling(ball.subcomplex, order):
             raise InternalInvariantViolation(f"hole {k} shelling rejected")
-        if not ball.certify_ball().is_ball(3):
-            raise InternalInvariantViolation(f"hole {k} is not a ball")
         members = [
             facet_of[c] for c in sorted(region.cells) if sum(c) in (2 * n - 2, 2 * n + 1)
         ]

@@ -64,8 +64,9 @@ class Subdivision:
         return len(self.cells)
 
 
-def _cell_key(cell: frozenset[VertexId]) -> tuple:
-    return tuple(sorted(v.sort_key for v in cell))
+def _cell_key(cell: frozenset[VertexId]) -> tuple[VertexId, ...]:
+    """Canonical order of vertex sets: by their sorted vertex tuples."""
+    return tuple(sorted(cell))
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +644,7 @@ def convex_hull_brute(pts: list[tuple[VertexId, Point]]) -> list[HullFacet]:
         HullFacet(frozenset(ids[i] for i in onset), normal, offset)
         for onset, (normal, offset) in found.items()
     ]
-    facets.sort(key=lambda f: tuple(sorted(v.sort_key for v in f.vertices)))
+    facets.sort(key=lambda f: _cell_key(f.vertices))
     return facets
 
 
@@ -733,7 +734,7 @@ def convex_hull(pts: list[tuple[VertexId, Point]]) -> list[HullFacet]:
         HullFacet(frozenset(ids[i] for i in onset), nu[:-1], -nu[-1])
         for onset, nu in found.items()
     ]
-    facets.sort(key=lambda f: tuple(sorted(v.sort_key for v in f.vertices)))
+    facets.sort(key=lambda f: _cell_key(f.vertices))
     return facets
 
 
@@ -748,11 +749,14 @@ def hull_with_apex(
     """Hull of the configuration plus a far apex above it, both built by
     gift wrapping (convex_hull).
 
-    The apex, above the centroid, lies strictly beyond every upper facet
-    of the configuration's hull and beneath every other one.  So the new
-    hull keeps the other facets and replaces the upper ones by cones from
-    the apex over the boundary of the upper side.  Returns the facets and
-    the apex point.
+    The apex, above the centroid, must lie strictly beyond every upper
+    facet of the configuration's hull and beneath every other one.  Then
+    the new hull keeps the other facets and replaces the upper ones by
+    cones from the apex over the boundary of the upper side.  That is
+    checked after the fact: the facets without the apex must be exactly
+    the base facets whose normal does not point up, or
+    InternalInvariantViolation is raised.  Returns the facets and the apex
+    point.
     """
     base = convex_hull(pts)
     dim = len(pts[0][1])
@@ -769,7 +773,11 @@ def hull_with_apex(
         if bound + 1 > height:
             height = bound + 1
     apex_pt = centroid[:-1] + (Fraction(height),)
-    return convex_hull(list(pts) + [(apex_id, apex_pt)]), apex_pt
+    hull = convex_hull(list(pts) + [(apex_id, apex_pt)])
+    kept = {f.vertices for f in hull if apex_id not in f.vertices}
+    if kept != {f.vertices for f in base if f.normal[-1] <= 0}:
+        raise InternalInvariantViolation("the apex is not beyond every upper facet")
+    return hull, apex_pt
 
 
 SIMPLEX = "simplex"
@@ -848,10 +856,7 @@ def raise_centers(
     delta = Fraction(delta)
     if delta <= 0:
         raise DegenerateInput("delta must be positive")
-    apexes = set(lift.manifest.apex_of_ball.values())
-    heights = {
-        v: h + delta if v in apexes else h for v, h in lift.heights.items()
-    }
+    heights = compose_lift(lift.heights, _center_bump(lift, 1), delta)
     target = raised_center_target(lift.manifest)
     if not verify_regular(list(lift.config.points), heights, target):
         raise DeltaTooLarge(f"raising centers by {delta} breaks regularity")
@@ -862,12 +867,11 @@ def delta_search(lift: RegularAztecLift) -> Fraction:
     """Certified center-raising amount, found by halving from the lift's
     own perturbation scale."""
     target = raised_center_target(lift.manifest)
+    bump = _center_bump(lift, lift.eps)
+    return lift.eps * eps_search(list(lift.config.points), lift.heights, bump, target)
+
+
+def _center_bump(lift: RegularAztecLift, size: Fraction) -> dict[VertexId, Fraction]:
+    """size at every hole center of the lift, 0 at every other point."""
     apexes = set(lift.manifest.apex_of_ball.values())
-    for t in range(1, EPS_SEARCH_MAX_EXPONENT + 1):
-        delta = lift.eps * Fraction(1, 2 ** t)
-        heights = {
-            v: h + delta if v in apexes else h for v, h in lift.heights.items()
-        }
-        if verify_regular(list(lift.config.points), heights, target):
-            return delta
-    raise EpsSearchExhausted("no center-raising amount certified the refinement")
+    return {v: Fraction(size) if v in apexes else Fraction(0) for v in lift.heights}

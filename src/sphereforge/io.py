@@ -26,7 +26,7 @@ from .topology import ShellingOrder, TopologyCertificate
 
 
 def _labels(verts) -> list[str]:
-    return [v.label for v in sorted(verts, key=lambda v: v.sort_key)]
+    return [v.label for v in sorted(verts)]
 
 
 def _parse_verts(labels) -> list[VertexId]:
@@ -201,8 +201,8 @@ def report_to_obj(r: ConstructionReport) -> dict:
         "vertex_count": r.vertex_count,
         "free_cell_count": r.free_cell_count,
         "simplex_cell_count": r.simplex_cell_count,
-        "per_hole_counts": {key_label(k): v for k, v in sorted(r.per_hole_counts.items())},
-        "claimed_bounds": {k: v for k, v in sorted(r.claimed_bounds.items())},
+        "per_hole_counts": {key_label(k): v for k, v in r.per_hole_counts.items()},
+        "claimed_bounds": dict(r.claimed_bounds),
         "flags": _jsonable(r.flags),
     }
 
@@ -262,10 +262,7 @@ def _frac_parse(s: str) -> Fraction:
 
 
 def _points_to_obj(points) -> list:
-    return [
-        [v.label, [_frac_str(c) for c in p]]
-        for v, p in sorted(points, key=lambda vp: vp[0].sort_key)
-    ]
+    return [[v.label, [_frac_str(c) for c in p]] for v, p in sorted(points)]
 
 
 def _points_from_obj(obj) -> list[tuple[VertexId, Point]]:
@@ -276,7 +273,7 @@ def _points_from_obj(obj) -> list[tuple[VertexId, Point]]:
 
 
 def _heights_to_obj(heights) -> dict:
-    return {v.label: _frac_str(h) for v, h in sorted(heights.items(), key=lambda kv: kv[0].sort_key)}
+    return {v.label: _frac_str(h) for v, h in heights.items()}
 
 
 def _heights_from_obj(obj) -> dict[VertexId, Fraction]:
@@ -301,14 +298,30 @@ def save_lift(path: str, lift: RegularAztecLift) -> None:
     write_text(path, dumps(lift_to_obj(lift)))
 
 
+def _cells_from_obj(obj) -> set[frozenset[VertexId]]:
+    """Subdivision cells as vertex sets, refusing a cell that lists a
+    label twice and a cell listed twice, which sets would merge."""
+    cells: set[frozenset[VertexId]] = set()
+    for labels in obj:
+        verts = _parse_verts(labels)
+        cell = frozenset(verts)
+        if len(cell) != len(verts):
+            twice = next(v for i, v in enumerate(verts) if v in verts[:i])
+            raise InputParseError(f"malformed lift file: a cell lists {twice.label} twice")
+        if cell in cells:
+            raise InputParseError(
+                f"malformed lift file: cell {{{','.join(_labels(cell))}}} appears twice"
+            )
+        cells.add(cell)
+    return cells
+
+
 def lift_data_from_obj(obj: dict) -> dict:
     """Decode the parts of a lift file needed by the verifier and hull."""
     try:
         points = _points_from_obj(obj["points"])
         heights = _heights_from_obj(obj["heights"])
-        sub = Subdivision.of(
-            [frozenset(_parse_verts(cell)) for cell in obj["subdivision"]]
-        )
+        sub = Subdivision.of(_cells_from_obj(obj["subdivision"]))
         out = {
             "points": points,
             "heights": heights,

@@ -77,7 +77,7 @@ def test_criterion_01_gale_oracle():
 def test_criterion_02_holes4_desk_scale():
     t0 = time.time()
     for n in (9, 13, 17):
-        report = build_holes4(n, n)  # check=True asserts bipyramids + distinctness
+        report = build_holes4(n, n)  # the build asserts bipyramids + distinctness
         manifest = report.manifest
         faces = [c.f_part for c in manifest.free_cells]
         assert len(set(faces)) == len(faces)
@@ -151,7 +151,7 @@ def test_criterion_06_degree3_edges():
 def test_criterion_07_cyclic():
     t0 = time.time()
     for n in (3, 5, 10):
-        report = build_cyclic(n)  # check=True verifies balls and shellings
+        report = build_cyclic(n)  # the build verifies each hole's shelling
         assert report.flags["vertex_count_alternatives"] == [5 * n, 5 * n + 1]
         assert report.vertex_count == 5 * n
     ratio = build_cyclic(10).free_cell_count / 100

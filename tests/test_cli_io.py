@@ -333,6 +333,55 @@ class TestCliPipelines:
             assert captured.out == "", argv
         assert not off.exists()
 
+    def test_degree3_rejects_a_lift_that_is_not_its_regenerated_lift(self, tmp_path, capsys):
+        lifts = {}
+        for k in (3, 5):
+            path = tmp_path / f"lift{k}1.json"
+            assert run(tmp_path, "lift", "aztec", "--k", k, "--l", "1", "-o", path) == 0
+            lifts[k] = json.loads(path.read_text())
+        raised = json.loads(json.dumps(lifts[3]))
+        raised["heights"]["a:1:1"] = "1000"
+        flat = json.loads(json.dumps(lifts[5]))
+        flat["points"] = [[label, ["0", "0", "0"]] for label, _ in flat["points"]]
+        flat["heights"] = {label: "0" for label in flat["heights"]}
+        flat["subdivision"] = flat["subdivision"][:1]
+        capsys.readouterr()
+        for name, obj, regular in (("raised", raised, 2), ("flat", flat, None)):
+            bad = tmp_path / f"{name}.json"
+            bad.write_text(json.dumps(obj))
+            if regular is not None:
+                assert run(tmp_path, "verify", "regular", bad) == regular
+                capsys.readouterr()
+            out = tmp_path / f"{name}.degree3.json"
+            assert run(tmp_path, "degree3", "--input", bad, "-o", out) == 1, name
+            captured = capsys.readouterr()
+            assert captured.err == "input error: lift file does not match its regenerated lift\n"
+            assert captured.out == ""
+            assert not out.exists()
+
+    def test_lift_file_listing_a_cell_or_a_cell_label_twice_is_rejected(self, tmp_path, capsys):
+        lift = tmp_path / "lift.json"
+        assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0
+        obj = json.loads(lift.read_text())
+        label_twice = json.loads(json.dumps(obj))
+        first = label_twice["subdivision"][0]
+        first.append(first[0])
+        cell_twice = json.loads(json.dumps(obj))
+        cell_twice["subdivision"].append(cell_twice["subdivision"][3])
+        cell = "{" + ",".join(obj["subdivision"][3]) + "}"
+        capsys.readouterr()
+        for tampered, message in (
+            (label_twice, f"a cell lists {first[0]} twice"),
+            (cell_twice, f"cell {cell} appears twice"),
+        ):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(tampered))
+            for argv in (("verify", "regular", bad), ("degree3", "--input", bad)):
+                assert run(tmp_path, *argv) == 1, argv
+                captured = capsys.readouterr()
+                assert captured.err == f"input error: malformed lift file: {message}\n", argv
+                assert captured.out == "", argv
+
     def test_lift_aztec_beyond_k7_fails_its_own_check(self, tmp_path, capsys):
         # the built-in coordinates certify k = 3, 5, 7 only: at k = 9 the
         # split heights stop increasing and the a-posteriori check rejects

@@ -1,9 +1,13 @@
 """Core complex machinery against small hand-checked and brute-force oracles."""
 
+import ast
+import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import sphereforge
 from sphereforge import (
     EMPTY_SIMPLEX,
     FreeSumCell,
@@ -56,6 +60,35 @@ class TestVertexId:
         assert sorted(vs, key=lambda v: v.sort_key) == [
             a(1), a(2), VertexId.hole(3), VertexId.cone(), VertexId.raw(0),
         ]
+
+    def test_natural_order_is_the_sort_key_order(self):
+        # VertexId.sort_key is the one definition of the canonical order;
+        # simplices and free-sum cells compare lexicographically in it
+        rng = random.Random(2014)
+        pool = [VertexId.cone()]
+        for _ in range(40):
+            pool += [
+                VertexId.path(rng.randint(1, 3), rng.randint(1, 12)),
+                VertexId.hole(rng.randint(-5, 20)),
+                VertexId.raw(rng.randint(0, 30)),
+            ]
+        pool = list(dict.fromkeys(pool))  # distinct, in a seed-fixed order
+        for _ in range(20):
+            vs = rng.sample(pool, 30)
+            assert sorted(vs) == sorted(vs, key=lambda v: v.sort_key)
+            simplices = [Simplex(rng.sample(pool, rng.randint(0, 5))) for _ in range(40)]
+            assert sorted(simplices) == sorted(
+                simplices, key=lambda s: tuple(v.sort_key for v in s.verts)
+            )
+            cells = []
+            for _ in range(40):
+                vs = rng.sample(pool, rng.randint(4, 7))
+                cut = rng.randint(2, len(vs) - 2)
+                cells.append(FreeSumCell(Simplex(vs[:cut]), Simplex(vs[cut:])))
+            assert sorted(cells) == sorted(cells, key=lambda c: (
+                tuple(v.sort_key for v in c.f_part.verts),
+                tuple(v.sort_key for v in c.g_part.verts),
+            ))
 
     def test_labels_round_trip(self):
         for v in (a(1), b(7), VertexId.hole(12), VertexId.cone(), VertexId.raw(0)):
@@ -281,3 +314,25 @@ class TestCyclicPolytope:
             cyclic_polytope_facets(4, 4)
         with pytest.raises(DegenerateInput):
             cyclic_polytope_facets(6, 1)
+
+
+def test_only_vertexid_reads_sort_key():
+    """The canonical order is defined once, by ``VertexId.sort_key``; every
+    other module sorts vertices, simplices and cells by ``<``."""
+    readers = []
+    for path in sorted(Path(sphereforge.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "VertexId"
+            for node in ast.walk(cls)
+        }
+        readers += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "sort_key"
+            and id(node) not in allowed
+        ]
+    assert readers == []

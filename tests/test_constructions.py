@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from sphereforge import betti_gf2, certify, realize
+from sphereforge import betti_gf2, certify, constructions, realize
 from sphereforge import io as sfio
 from sphereforge.constructions import (
     build_aztec,
@@ -15,7 +15,7 @@ from sphereforge.constructions import (
     build_holes4,
     sample_realization_certificates,
 )
-from sphereforge.errors import DegenerateInput
+from sphereforge.errors import DegenerateInput, InternalInvariantViolation
 from sphereforge.grid import ehrhart_crosspolytope
 
 
@@ -144,6 +144,12 @@ class TestCyclic:
         report = build_cyclic(10)
         ratio = report.free_cell_count / 100
         assert 3.4 <= ratio <= 4.0
+
+    def test_rejected_shelling_fails_the_build(self, monkeypatch):
+        # the verified shelling is each hole's only ball certificate
+        monkeypatch.setattr(constructions, "verify_shelling", lambda x, order: False)
+        with pytest.raises(InternalInvariantViolation, match="hole 1 shelling rejected"):
+            build_cyclic(3)
 
 
 class TestHighd:

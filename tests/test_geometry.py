@@ -12,6 +12,7 @@ from sphereforge.errors import (
     DegenerateInput,
     DeltaTooLarge,
     EpsSearchExhausted,
+    InternalInvariantViolation,
     SymmetryViolation,
 )
 from sphereforge.geometry import (
@@ -371,6 +372,16 @@ class TestHullOfLift:
         facets, apex_pt = hull_with_apex(pts, VertexId.cone())
         count, _ = detect_bipyramid_facets(facets, pts + [(VertexId.cone(), apex_pt)])
         assert count == 4
+
+    def test_apex_below_an_upper_facet_is_caught(self):
+        # the apex height bound mixes column-scaled normals with the raw
+        # centroid; here the apex (33/98, 22249/2744) lands beneath the
+        # upper facet {r:4, r:5}, which would survive in the returned hull
+        pts = [(R(i), pt(*p)) for i, p in enumerate(
+            [(5, 5), (2, 4), (F(-3, 2), 0), (-1, 1), (0, 7), (-2, -2), (F(-1, 7), 3)]
+        )]
+        with pytest.raises(InternalInvariantViolation):
+            hull_with_apex(pts, VertexId.cone())
 
 
 def lifted_points(k, l):
