@@ -69,11 +69,6 @@ class BallInComplex:
     def boundary_facet_set(self) -> frozenset[Simplex]:
         return self.boundary.facets
 
-    def certify_ball(self):
-        from .topology import certify
-
-        return certify(self.subcomplex)
-
 
 def boundary_restriction(b: BallInComplex, sigma: Simplex) -> SimplicialComplex:
     """The pure codimension-1 part of a cell's boundary lying on the
@@ -186,12 +181,21 @@ def fill_ball(
 @dataclass(frozen=True)
 class FillManifest:
     """The outcome of carving and filling: the new complex plus the free
-    cells per hole in canonical order (hole key, then missing face)."""
+    cells per hole in canonical order (hole key, then missing face).
+    Hole keys are distinct, and the holes list every free cell of the
+    complex exactly once."""
 
     result: PolyComplex
     hole_keys: tuple[Hashable, ...]
     free_cells_by_ball: dict[Hashable, tuple[FreeSumCell, ...]]
     apex_of_ball: dict[Hashable, VertexId]
+
+    def __post_init__(self) -> None:
+        if len(set(self.hole_keys)) != len(self.hole_keys):
+            raise DegenerateInput(f"hole keys {self.hole_keys} are not distinct")
+        cells = self.free_cells
+        if len(cells) != len(self.result.free_cells) or set(cells) != self.result.free_cells:
+            raise DegenerateInput("the holes do not list each free cell of the complex once")
 
     @cached_property
     def free_cells(self) -> tuple[FreeSumCell, ...]:

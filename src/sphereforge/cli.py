@@ -132,7 +132,8 @@ def _cmd_verify_shelling(args) -> int:
 
 def _cmd_verify_regular(args) -> int:
     data = sfio.load_lift_data(args.input)
-    ok = verify_regular(data["points"], data["heights"], data["subdivision"])
+    config = data["config"]
+    ok = verify_regular(config.points, config.heights, data["subdivision"])
     print("regular subdivision verified" if ok else "regularity check failed")
     return OK if ok else VERIFY_FAILED
 
@@ -148,9 +149,8 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_hull(args) -> int:
-    data = sfio.load_lift_data(args.input)
-    heights = data["heights"]
-    pts = [(v, p + (heights[v],)) for v, p in data["points"]]
+    config = sfio.load_lift_data(args.input)["config"]
+    pts = [(v, p + (config.heights[v],)) for v, p in config.points]
     if any(len(p) != 4 for _, p in pts):
         raise DegenerateInput("facet classification expects a 4-dimensional hull")
     facets, apex_pt = hull_with_apex(pts, VertexId.cone())
@@ -171,12 +171,8 @@ def _cmd_degree3(args) -> int:
     if not all(type(data[key]) is int for key in ("k", "l")):
         raise InputParseError("degree3 needs integer k and l in the lift file")
     lift = build_aztec_lift(data["k"], data["l"])
-    if (
-        lift.eps != data["eps"]
-        or dict(lift.config.points) != dict(data["points"])
-        or lift.heights != data["heights"]
-        or lift.subdivision != data["subdivision"]
-    ):
+    regenerated = (lift.config, lift.subdivision, lift.eps)
+    if regenerated != (data["config"], data["subdivision"], data["eps"]):
         raise InputParseError("lift file does not match its regenerated lift")
     delta = delta_search(lift)
     heights, degree3 = raise_centers(lift, delta)
@@ -199,8 +195,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_export_off(args) -> int:
     x = sfio.load_simplicial(args.input)
-    data = sfio.load_lift_data(args.lift)
-    coords = {v: p for v, p in data["points"]}
+    coords = dict(sfio.load_lift_data(args.lift)["config"].points)
     text, sidecar = sfio.off_export(x, coords)
     sfio.write_text(args.output, text)
     sidecar_path = args.output + ".exact.json"

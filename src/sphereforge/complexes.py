@@ -77,6 +77,8 @@ class VertexId:
 
     @classmethod
     def from_label(cls, text: str) -> "VertexId":
+        if not isinstance(text, str):
+            raise DegenerateInput(f"bad vertex label {text!r}")
         parts = text.split(":")
         kind = parts[0]
         if kind not in _KIND_RANK:

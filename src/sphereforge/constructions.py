@@ -8,7 +8,7 @@ close the boundary with a cone from a fresh apex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Hashable
 
@@ -82,12 +82,7 @@ def _close_with_cone(host: SimplicialComplex, manifest: FillManifest) -> FillMan
     result = PolyComplex.from_cells(
         list(manifest.result.simplex_cells) + cones, manifest.result.free_cells
     )
-    return FillManifest(
-        result=result,
-        hole_keys=manifest.hole_keys,
-        free_cells_by_ball=manifest.free_cells_by_ball,
-        apex_of_ball=manifest.apex_of_ball,
-    )
+    return replace(manifest, result=result)
 
 
 def _band_regions(box: GridBox, width: int) -> list[tuple[int, GridRegion]]:
@@ -146,7 +141,7 @@ def _grid_band_families(
         ball = BallInComplex.of(
             host.complex, [host.facet_of(c) for c in region.cells]
         )
-        if host.d == 2 and not ball.certify_ball().is_ball(ball.dim):
+        if host.d == 2 and not certify(ball.subcomplex).is_ball(ball.dim):
             raise InternalInvariantViolation(f"band {q} is not a ball")
         keys.append(q)
         balls.append(ball)

@@ -30,25 +30,40 @@ Point = tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class LiftedConfiguration:
-    """Exact rational points with one height per point."""
+    """Exact rational points, each listed once and kept in vertex order,
+    with a height for every point and for nothing else."""
 
     points: tuple[tuple[VertexId, Point], ...]
     heights: dict[VertexId, Fraction]
 
     def __post_init__(self) -> None:
-        ids = [v for v, _ in self.points]
-        if len(set(ids)) != len(ids):
-            raise DegenerateInput("duplicate vertex ids in configuration")
+        points = tuple(sorted(self.points))
+        ids = [v for v, _ in points]
+        twice = [u for u, v in zip(ids, ids[1:]) if u == v]
+        if twice:
+            raise DegenerateInput(f"point {twice[0].label} appears twice")
         missing = [v for v in ids if v not in self.heights]
         if missing:
-            raise DegenerateInput(f"no height for {missing[0].label}")
+            raise DegenerateInput(f"point {missing[0].label} has no height")
+        extra = sorted(set(self.heights) - set(ids))
+        if extra:
+            raise DegenerateInput(f"height for {extra[0].label}, which is not a point")
+        object.__setattr__(self, "points", points)
 
 
 @dataclass(frozen=True)
 class Subdivision:
-    """Claimed cells of a subdivision, each a set of vertex ids."""
+    """Claimed cells of a subdivision: distinct sets of vertex ids."""
 
     cells: tuple[frozenset[VertexId], ...]
+
+    def __post_init__(self) -> None:
+        seen: set[frozenset[VertexId]] = set()
+        for cell in self.cells:
+            if cell in seen:
+                labels = ",".join(v.label for v in _cell_key(cell))
+                raise DegenerateInput(f"cell {{{labels}}} appears twice")
+            seen.add(cell)
 
     @classmethod
     def of(cls, cells) -> "Subdivision":
@@ -197,12 +212,11 @@ def verify_regular(
     """
     ids, rows, dim = _int_config(list(pts), heights)
     index = {v: i for i, v in enumerate(ids)}
-    cells = list(dict.fromkeys(sub.cells))
-    if not cells or len(cells) != len(sub.cells):
+    if not sub.cells:
         return False
 
     cell_indices: list[list[int]] = []
-    for cell in cells:
+    for cell in sub.cells:
         if not all(v in index for v in cell):
             raise DegenerateInput("cell uses a vertex not in the configuration")
         cell_indices.append(sorted(index[v] for v in cell))

@@ -7,7 +7,9 @@ labels as "a:<path>:<pos>", "h:<key>", "c", "r:<int>".
 
 from __future__ import annotations
 
+import functools
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -20,8 +22,8 @@ from .complexes import (
     VertexId,
 )
 from .constructions import ConstructionReport
-from .errors import InputParseError
-from .geometry import HullFacet, Point, RegularAztecLift, Subdivision
+from .errors import InputParseError, SphereforgeError
+from .geometry import HullFacet, LiftedConfiguration, Point, RegularAztecLift, Subdivision
 from .topology import ShellingOrder, TopologyCertificate
 
 
@@ -30,10 +32,28 @@ def _labels(verts) -> list[str]:
 
 
 def _parse_verts(labels) -> list[VertexId]:
-    try:
-        return [VertexId.from_label(s) for s in labels]
-    except Exception as exc:
-        raise InputParseError(f"bad vertex label list {labels!r}") from exc
+    return [VertexId.from_label(s) for s in labels]
+
+
+def _decoder(file: str):
+    """The failure policy of every ``*_from_obj``: whatever decoding
+    raises, from a missing key to a rule of a type it builds, becomes
+    ``InputParseError("malformed <file>: <reason>")``.  A decoder that
+    reads a part in another's format calls that one's ``__wrapped__``, so
+    the message names the file that was read."""
+
+    def wrap(decode):
+        @functools.wraps(decode)
+        def checked(obj):
+            try:
+                return decode(obj)
+            except (LookupError, TypeError, ValueError, AttributeError, SphereforgeError) as exc:
+                reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                raise InputParseError(f"malformed {file}: {reason}") from exc
+
+        return checked
+
+    return wrap
 
 
 def dumps(obj: Any) -> str:
@@ -44,7 +64,7 @@ def _load_json(path: str) -> Any:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputParseError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -69,21 +89,20 @@ def complex_to_obj(x: "SimplicialComplex | PolyComplex") -> dict:
     return {"dim": x.dim, "cells": cells}
 
 
+def _free_cell(obj: dict) -> FreeSumCell:
+    return FreeSumCell(Simplex(_parse_verts(obj["f"])), Simplex(_parse_verts(obj["g"])))
+
+
+@_decoder("complex")
 def complex_from_obj(obj: dict) -> "SimplicialComplex | PolyComplex":
-    try:
-        cells = obj["cells"]
-        simplices, free = [], []
-        for c in cells:
-            if c["t"] == "s":
-                simplices.append(Simplex(_parse_verts(c["v"])))
-            elif c["t"] == "fs":
-                free.append(
-                    FreeSumCell(Simplex(_parse_verts(c["f"])), Simplex(_parse_verts(c["g"])))
-                )
-            else:
-                raise InputParseError(f"unknown cell type {c.get('t')!r}")
-    except (KeyError, TypeError) as exc:
-        raise InputParseError(f"malformed complex object: {exc}") from exc
+    simplices, free = [], []
+    for c in obj["cells"]:
+        if c["t"] == "s":
+            simplices.append(Simplex(_parse_verts(c["v"])))
+        elif c["t"] == "fs":
+            free.append(_free_cell(c))
+        else:
+            raise ValueError(f"unknown cell type {c['t']!r}")
     if free:
         return PolyComplex.from_cells(simplices, free)
     return SimplicialComplex.from_facets(simplices)
@@ -123,20 +142,18 @@ def _key_parse(text: str):
     return int(text)
 
 
+@_decoder("holes file")
 def holes_from_obj(obj: dict) -> list[tuple[Any, list[Simplex], list[Simplex]]]:
     """Decode a ``fill --holes`` file: one ``(key, ball facets, family
     members)`` triple per hole, in file order."""
-    try:
-        return [
-            (
-                _key_parse(str(hole["key"])),
-                [Simplex(_parse_verts(v)) for v in hole["facets"]],
-                [Simplex(_parse_verts(v)) for v in hole.get("members", [])],
-            )
-            for hole in obj["holes"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputParseError(f"malformed holes file: {exc}") from exc
+    return [
+        (
+            _key_parse(str(hole["key"])),
+            [Simplex(_parse_verts(v)) for v in hole["facets"]],
+            [Simplex(_parse_verts(v)) for v in hole.get("members", [])],
+        )
+        for hole in obj["holes"]
+    ]
 
 
 def load_holes(path: str) -> list[tuple[Any, list[Simplex], list[Simplex]]]:
@@ -159,22 +176,17 @@ def manifest_to_obj(m: FillManifest) -> dict:
     return {"dim": m.result.dim, "complex": complex_to_obj(m.result), "holes": holes}
 
 
+@_decoder("manifest")
 def manifest_from_obj(obj: dict) -> FillManifest:
-    try:
-        result = complex_from_obj(obj["complex"])
-        if isinstance(result, SimplicialComplex):
-            result = PolyComplex.from_simplicial(result)
-        keys, by_ball, apex_of = [], {}, {}
-        for hole in obj["holes"]:
-            key = _key_parse(hole["key"])
-            keys.append(key)
-            apex_of[key] = VertexId.from_label(hole["apex"])
-            by_ball[key] = tuple(
-                FreeSumCell(Simplex(_parse_verts(c["f"])), Simplex(_parse_verts(c["g"])))
-                for c in hole["cells"]
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputParseError(f"malformed manifest: {exc}") from exc
+    result = complex_from_obj.__wrapped__(obj["complex"])
+    if isinstance(result, SimplicialComplex):
+        result = PolyComplex.from_simplicial(result)
+    keys, by_ball, apex_of = [], {}, {}
+    for hole in obj["holes"]:
+        key = _key_parse(hole["key"])
+        keys.append(key)
+        apex_of[key] = VertexId.from_label(hole["apex"])
+        by_ball[key] = tuple(_free_cell(c) for c in hole["cells"])
     return FillManifest(
         result=result,
         hole_keys=tuple(keys),
@@ -235,11 +247,9 @@ def order_to_obj(s: ShellingOrder) -> dict:
     return {"order": [_labels(f.verts) for f in s.order]}
 
 
+@_decoder("shelling order")
 def order_from_obj(obj: dict) -> ShellingOrder:
-    try:
-        return ShellingOrder(tuple(Simplex(_parse_verts(v)) for v in obj["order"]))
-    except (KeyError, TypeError) as exc:
-        raise InputParseError(f"malformed shelling order: {exc}") from exc
+    return ShellingOrder(tuple(Simplex(_parse_verts(v)) for v in obj["order"]))
 
 
 def load_order(path: str) -> ShellingOrder:
@@ -255,14 +265,16 @@ def _frac_str(f: Fraction) -> str:
 
 
 def _frac_parse(s: str) -> Fraction:
-    try:
+    """A rational from its "p/q" string, such as "-3" or "7/2".  JSON
+    numbers are refused, so no float reaches the exact kernels, and so
+    are decimals and exponents, which Fraction would expand to any size."""
+    if isinstance(s, str) and re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", s):
         return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputParseError(f"bad rational {s!r}") from exc
+    raise ValueError(f"bad rational {s!r}")
 
 
 def _points_to_obj(points) -> list:
-    return [[v.label, [_frac_str(c) for c in p]] for v, p in sorted(points)]
+    return [[v.label, [_frac_str(c) for c in p]] for v, p in points]
 
 
 def _points_from_obj(obj) -> list[tuple[VertexId, Point]]:
@@ -298,49 +310,33 @@ def save_lift(path: str, lift: RegularAztecLift) -> None:
     write_text(path, dumps(lift_to_obj(lift)))
 
 
-def _cells_from_obj(obj) -> set[frozenset[VertexId]]:
+def _cells_from_obj(obj) -> list[frozenset[VertexId]]:
     """Subdivision cells as vertex sets, refusing a cell that lists a
-    label twice and a cell listed twice, which sets would merge."""
-    cells: set[frozenset[VertexId]] = set()
+    label twice, which a set would merge."""
+    cells = []
     for labels in obj:
         verts = _parse_verts(labels)
         cell = frozenset(verts)
         if len(cell) != len(verts):
             twice = next(v for i, v in enumerate(verts) if v in verts[:i])
-            raise InputParseError(f"malformed lift file: a cell lists {twice.label} twice")
-        if cell in cells:
-            raise InputParseError(
-                f"malformed lift file: cell {{{','.join(_labels(cell))}}} appears twice"
-            )
-        cells.add(cell)
+            raise ValueError(f"a cell lists {twice.label} twice")
+        cells.append(cell)
     return cells
 
 
+@_decoder("lift file")
 def lift_data_from_obj(obj: dict) -> dict:
     """Decode the parts of a lift file needed by the verifier and hull."""
-    try:
-        points = _points_from_obj(obj["points"])
-        heights = _heights_from_obj(obj["heights"])
-        sub = Subdivision.of(_cells_from_obj(obj["subdivision"]))
-        out = {
-            "points": points,
-            "heights": heights,
-            "subdivision": sub,
-            "eps": _frac_parse(obj["eps"]),
-            "kind": obj.get("kind"),
-            "k": obj.get("k"),
-            "l": obj.get("l"),
-        }
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise InputParseError(f"malformed lift file: {exc}") from exc
-    seen = set()
-    for v, _ in points:
-        if v in seen:
-            raise InputParseError(f"malformed lift file: point {v.label} appears twice")
-        seen.add(v)
-        if v not in heights:
-            raise InputParseError(f"malformed lift file: point {v.label} has no height")
-    return out
+    return {
+        "config": LiftedConfiguration(
+            _points_from_obj(obj["points"]), _heights_from_obj(obj["heights"])
+        ),
+        "subdivision": Subdivision.of(_cells_from_obj(obj["subdivision"])),
+        "eps": _frac_parse(obj["eps"]),
+        "kind": obj.get("kind"),
+        "k": obj.get("k"),
+        "l": obj.get("l"),
+    }
 
 
 def load_lift_data(path: str) -> dict:

@@ -22,10 +22,11 @@ from sphereforge import (
     realize,
     triangulate_cell,
 )
-from sphereforge.carvefill import FreeSumCell
+from sphereforge.carvefill import FillManifest, FreeSumCell
 from sphereforge.errors import (
     BallOverlap,
     ChoiceLengthMismatch,
+    DegenerateInput,
     DisjointnessViolation,
     FaceNotFound,
     IncompatibleFamily,
@@ -203,6 +204,20 @@ class TestCarveAndFill:
         assert [len(manifest.free_cells_by_ball[k]) for k in manifest.hole_keys] == [1, 1]
         assert manifest.apex_of_ball[1] == VertexId.hole(1)
         manifest.result.validate_proper_intersections()
+
+    def test_manifest_holes_must_list_each_free_cell_once(self):
+        _, m = small_two_hole_manifest()
+        cell1, cell2 = m.free_cells
+        for keys, by_ball in (
+            ((1, 2, 2), m.free_cells_by_ball),
+            ((1, 2), {1: (cell1,), 2: ()}),
+            ((1, 2), {1: (cell1,), 2: (cell2, cell2)}),
+            ((1, 2), {1: (cell1, cell2), 2: (cell2,)}),
+        ):
+            with pytest.raises(DegenerateInput):
+                FillManifest(m.result, keys, by_ball, m.apex_of_ball)
+        # only the cover is checked, not which hole holds a cell
+        FillManifest(m.result, (2, 1), {1: (), 2: (cell2, cell1)}, m.apex_of_ball)
 
     def test_overlapping_balls_rejected(self):
         host = join_of_paths((5, 5))

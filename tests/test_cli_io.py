@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,7 @@ from sphereforge import io as sfio
 from sphereforge import cli
 from sphereforge.cli import main
 from sphereforge.constructions import build_aztec, build_holes4
+from sphereforge.geometry import build_aztec_lift
 from sphereforge.errors import InputParseError
 from sphereforge.sampling import choice_vector, format_hex_choices, parse_hex_choices
 
@@ -62,6 +64,13 @@ class TestComplexIO:
     def test_malformed_rejected(self):
         with pytest.raises(InputParseError):
             sfio.complex_from_obj({"cells": [{"t": "weird", "v": []}]})
+
+    @pytest.mark.parametrize("eps", ["0.5", "1e3", " 1/2", "1/0", "1/-2", 1])
+    def test_a_rational_that_is_not_a_p_q_string_is_refused(self, eps):
+        obj = sfio.lift_to_obj(build_aztec_lift(3, 1))
+        assert sfio.lift_data_from_obj(obj)["eps"] == Fraction(obj["eps"])
+        with pytest.raises(InputParseError, match=f"^malformed lift file: bad rational {eps!r}$"):
+            sfio.lift_data_from_obj(dict(obj, eps=eps))
 
 
 def run(tmp_path, *argv):
@@ -381,6 +390,90 @@ class TestCliPipelines:
                 captured = capsys.readouterr()
                 assert captured.err == f"input error: malformed lift file: {message}\n", argv
                 assert captured.out == "", argv
+
+    def test_manifest_holes_that_disagree_with_the_complex_are_rejected(self, tmp_path, capsys):
+        assert run(tmp_path, "generate", "holes4", "--n", "5", "-o", tmp_path / "h.json") == 0
+        obj = json.loads((tmp_path / "h.manifest.json").read_text())
+        assert [(h["key"], len(h["cells"])) for h in obj["holes"]] == [("0", 0), ("1", 5)]
+        twice = json.loads(json.dumps(obj))
+        twice["holes"].append(twice["holes"][1])
+        dropped = json.loads(json.dumps(obj))
+        dropped["holes"][1]["cells"].pop()
+        capsys.readouterr()
+        for tampered in (twice, dropped):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(tampered))
+            out = tmp_path / "r.json"
+            for argv in (("count", "--manifest", bad), ("realize", "--manifest", bad, "-o", out)):
+                assert run(tmp_path, *argv) == 1, argv
+                captured = capsys.readouterr()
+                assert captured.err.startswith("input error: malformed manifest: "), argv
+                assert captured.out == "", argv
+            assert not out.exists()
+
+    def test_a_vertex_label_that_is_not_a_string_is_rejected(self, tmp_path, capsys):
+        assert run(tmp_path, "generate", "holes4", "--n", "5", "-o", tmp_path / "h.json") == 0
+        obj = json.loads((tmp_path / "h.manifest.json").read_text())
+        obj["holes"][1]["apex"] = 7
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        for argv in (("count", "--manifest", bad), ("realize", "--manifest", bad, "-o", tmp_path / "r.json")):
+            assert run(tmp_path, *argv) == 1, argv
+            assert capsys.readouterr().err == "input error: malformed manifest: bad vertex label 7\n"
+
+    def test_rationals_must_be_strings(self, tmp_path, capsys):
+        lift = tmp_path / "lift.json"
+        assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0
+        obj = json.loads(lift.read_text())
+        assert obj["points"][0] == ["a:1:1", ["1", "0", "1"]]
+        eps = dict(obj, eps=0.25)
+        point = json.loads(json.dumps(obj))
+        point["points"][0][1] = [1.0, 0.0, 1.0]
+        heights = dict(obj, heights={label: float(Fraction(h)) for label, h in obj["heights"].items()})
+        capsys.readouterr()
+        for tampered, commands, number in (
+            (eps, ("verify",), "0.25"),
+            (point, ("verify", "hull"), "1.0"),
+            (heights, ("verify",), repr(float(Fraction(obj["heights"]["a:1:1"])))),
+        ):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(tampered))
+            argvs = {"verify": ("verify", "regular", bad), "hull": ("hull", "--input", bad)}
+            for command in commands:
+                assert run(tmp_path, *argvs[command]) == 1, command
+                captured = capsys.readouterr()
+                assert captured.err == f"input error: malformed lift file: bad rational {number}\n"
+                assert captured.out == ""
+
+    def test_a_height_for_a_label_that_is_not_a_point_is_rejected(self, tmp_path, capsys):
+        lift = tmp_path / "lift.json"
+        assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0
+        assert run(tmp_path, "generate", "aztec", "--k", "3", "--l", "1", "-o", tmp_path / "a.json") == 0
+        obj = json.loads(lift.read_text())
+        obj["heights"]["a:9:9"] = "5"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        off = tmp_path / "mesh.off"
+        for argv in (
+            ("verify", "regular", bad),
+            ("hull", "--input", bad),
+            ("export", "off", "--input", tmp_path / "a.realized.json", "--lift", bad, "-o", off),
+        ):
+            assert run(tmp_path, *argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.err == "input error: malformed lift file: height for a:9:9, which is not a point\n"
+            assert captured.out == ""
+        assert not off.exists()
+
+    @pytest.mark.parametrize("content", [b'{"cells": "\xff"}', b"[" * 100000 + b"]" * 100000],
+                             ids=["not-utf8", "nested-too-deep"])
+    def test_a_file_that_is_not_readable_json_is_an_input_error(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert run(tmp_path, "verify", "sphere", bad) == 1
+        assert capsys.readouterr().err.startswith(f"input error: cannot read JSON from {bad}: ")
 
     def test_lift_aztec_beyond_k7_fails_its_own_check(self, tmp_path, capsys):
         # the built-in coordinates certify k = 3, 5, 7 only: at k = 9 the

@@ -100,6 +100,11 @@ class TestVertexId:
         with pytest.raises(DegenerateInput):
             VertexId.from_label("a:one:2")
 
+    @pytest.mark.parametrize("label", [7, None, ["a:1:1"]], ids=["int", "null", "list"])
+    def test_a_label_that_is_not_a_string_is_rejected(self, label):
+        with pytest.raises(DegenerateInput, match="bad vertex label"):
+            VertexId.from_label(label)
+
 
 class TestSimplex:
     def test_sorted_and_unique(self):

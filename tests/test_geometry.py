@@ -16,6 +16,7 @@ from sphereforge.errors import (
     SymmetryViolation,
 )
 from sphereforge.geometry import (
+    LiftedConfiguration,
     Subdivision,
     aztec_lift,
     build_aztec_lift,
@@ -72,6 +73,33 @@ def square_points():
 
 def paraboloid(points):
     return {v: sum(c * c for c in p) for v, p in points}
+
+
+class TestLiftedConfiguration:
+    def test_points_are_kept_in_vertex_order(self):
+        pts = square_points()
+        heights = paraboloid(pts)
+        config = LiftedConfiguration(tuple(reversed(pts)), heights)
+        assert config.points == tuple(pts)
+        assert config == LiftedConfiguration(tuple(pts), dict(reversed(heights.items())))
+
+    def test_heights_must_match_the_points_exactly(self):
+        pts = square_points()
+        heights = paraboloid(pts)
+        cases = (
+            (pts + [(R(1), pt(5, 5))], heights, "point r:1 appears twice"),
+            (pts, {v: h for v, h in heights.items() if v != R(2)}, "point r:2 has no height"),
+            (pts, {**heights, R(9): F(0)}, "height for r:9, which is not a point"),
+        )
+        for points, hs, message in cases:
+            with pytest.raises(DegenerateInput, match=message):
+                LiftedConfiguration(tuple(points), hs)
+
+
+class TestSubdivision:
+    def test_a_cell_listed_twice_is_rejected(self):
+        with pytest.raises(DegenerateInput, match=r"cell \{r:0,r:1,r:2\} appears twice"):
+            Subdivision.of([{R(2), R(1), R(0)}, {R(1), R(2), R(3)}, {R(0), R(1), R(2)}])
 
 
 class TestVerifyRegular:
