@@ -150,13 +150,14 @@ def _cmd_lift(args) -> int:
 
 def _cmd_hull(args) -> int:
     config = sfio.load_lift_data(args.input)["config"]
+    apex = VertexId.cone()
+    if apex in config.heights:
+        raise InputParseError(f"lift point label {apex.label} is reserved for the apex")
     pts = [(v, p + (config.heights[v],)) for v, p in config.points]
     if any(len(p) != 4 for _, p in pts):
         raise DegenerateInput("facet classification expects a 4-dimensional hull")
-    facets, apex_pt = hull_with_apex(pts, VertexId.cone())
-    count, kinds = detect_bipyramid_facets(
-        facets, pts + [(VertexId.cone(), apex_pt)]
-    )
+    facets, apex_pt = hull_with_apex(pts, apex)
+    count, kinds = detect_bipyramid_facets(facets, pts + [(apex, apex_pt)])
     print(f"bipyramids: {count}")
     print(f"facets: {len(facets)} (simplices {kinds.count('simplex')}, other {kinds.count('other')})")
     if args.output:
@@ -170,10 +171,16 @@ def _cmd_degree3(args) -> int:
         raise InputParseError("degree3 expects an aztec lift file")
     if not all(type(data[key]) is int for key in ("k", "l")):
         raise InputParseError("degree3 needs integer k and l in the lift file")
-    lift = build_aztec_lift(data["k"], data["l"])
+    mismatch = InputParseError("lift file does not match its regenerated lift")
+    k, l = data["k"], data["l"]
+    # The lift of Aztec (k, l) has 2(kl + 1) path points and l^2 hole
+    # centers; refuse a file that cannot match before building the lift.
+    if len(data["config"].points) != 2 * (k * l + 1) + l * l:
+        raise mismatch
+    lift = build_aztec_lift(k, l)
     regenerated = (lift.config, lift.subdivision, lift.eps)
     if regenerated != (data["config"], data["subdivision"], data["eps"]):
-        raise InputParseError("lift file does not match its regenerated lift")
+        raise mismatch
     delta = delta_search(lift)
     heights, degree3 = raise_centers(lift, delta)
     guaranteed = (2 * lift.k - 6) * lift.l * lift.l
@@ -196,6 +203,10 @@ def _cmd_count(args) -> int:
 def _cmd_export_off(args) -> int:
     x = sfio.load_simplicial(args.input)
     coords = dict(sfio.load_lift_data(args.lift)["config"].points)
+    flat = [(v, len(p)) for v, p in coords.items() if len(p) != 3]
+    if flat:
+        v, n = flat[0]
+        raise InputParseError(f"export off needs 3-D points; point {v.label} has {n} coordinates")
     text, sidecar = sfio.off_export(x, coords)
     sfio.write_text(args.output, text)
     sidecar_path = args.output + ".exact.json"

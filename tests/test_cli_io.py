@@ -368,6 +368,63 @@ class TestCliPipelines:
             assert captured.out == ""
             assert not out.exists()
 
+    @pytest.mark.parametrize("k, l", [(3, 9), (7, 9)])
+    def test_degree3_refuses_a_point_count_that_cannot_match_before_building(
+        self, tmp_path, capsys, monkeypatch, k, l
+    ):
+        lift = tmp_path / "lift.json"
+        assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0
+        obj = json.loads(lift.read_text())
+        obj["k"], obj["l"] = k, l
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+
+        def no_lift(*args):
+            raise AssertionError("lift built for a file that is then refused")
+
+        monkeypatch.setattr(cli, "build_aztec_lift", no_lift)
+        assert run(tmp_path, "degree3", "--input", bad) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "input error: lift file does not match its regenerated lift\n"
+        assert captured.out == ""
+
+    def test_hull_refuses_a_point_labelled_as_the_apex(self, tmp_path, capsys):
+        lift = tmp_path / "lift.json"
+        assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0
+        obj = json.loads(lift.read_text())
+        obj["points"] = [["c" if label == "a:1:1" else label, coords] for label, coords in obj["points"]]
+        obj["heights"]["c"] = obj["heights"].pop("a:1:1")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        out = tmp_path / "hull.json"
+        assert run(tmp_path, "hull", "--input", bad, "-o", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "input error: lift point label c is reserved for the apex\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which, coords, n", [("every", [], 0), ("first", ["0", "1"], 2)])
+    def test_export_off_refuses_points_that_are_not_3d(self, tmp_path, capsys, which, coords, n):
+        lift = tmp_path / "lift.json"
+        assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0
+        assert run(tmp_path, "generate", "aztec", "--k", "3", "--l", "1", "-o", tmp_path / "a.json") == 0
+        obj = json.loads(lift.read_text())
+        points = obj["points"]
+        for point in points if which == "every" else points[:1]:
+            point[1] = coords
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        off = tmp_path / "mesh.off"
+        assert run(tmp_path, "export", "off", "--input", tmp_path / "a.realized.json", "--lift", bad, "-o", off) == 1
+        captured = capsys.readouterr()
+        label = points[0][0]
+        assert captured.err == f"input error: export off needs 3-D points; point {label} has {n} coordinates\n"
+        assert captured.out == ""
+        assert not off.exists()
+
     def test_lift_file_listing_a_cell_or_a_cell_label_twice_is_rejected(self, tmp_path, capsys):
         lift = tmp_path / "lift.json"
         assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0

@@ -15,7 +15,11 @@ from sphereforge import (
     join,
     verify_shelling,
 )
+from sphereforge import topology
+from sphereforge.carvefill import realize
+from sphereforge.constructions import build_aztec, build_cyclic, build_highd, build_holes4
 from sphereforge.errors import InvalidOrder
+from sphereforge.sampling import choice_vector
 
 R = VertexId.raw
 
@@ -151,3 +155,102 @@ class TestBoundaryCertificates:
         ball = paths_join(4, 5)
         bd = boundary_complex(ball)
         assert certify(bd).is_sphere(2)
+
+
+def surface(*facets):
+    return SimplicialComplex.from_facets(rs(*f) for f in facets)
+
+
+def capped_tube(rings, bottom):
+    """A tube of ``rings`` triangles of vertices, its ends coned to the
+    vertices 0 and ``bottom``: a 2-sphere, or one pinched at a point when
+    ``bottom`` is 0."""
+    ring = [[10 + 3 * r + i for i in range(3)] for r in range(rings)]
+    facets = [(0, ring[0][i], ring[0][(i + 1) % 3]) for i in range(3)]
+    facets += [(bottom, ring[-1][i], ring[-1][(i + 1) % 3]) for i in range(3)]
+    for a, b in zip(ring, ring[1:]):
+        for i in range(3):
+            j = (i + 1) % 3
+            facets += [(a[i], a[j], b[i]), (a[j], b[i], b[j])]
+    return surface(*facets)
+
+
+# Surfaces that are not spheres or disks, each with the reduced GF(2)
+# Betti numbers of itself, its cone and its suspension.
+NOT_SPHERES_OR_DISKS = {
+    "torus": (
+        surface(*[(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)],
+                *[(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)]),
+        (0, 2, 1), (0, 0, 0, 0), (0, 0, 2, 1),
+    ),
+    "rp2": (
+        surface((1, 2, 4), (1, 2, 6), (1, 3, 4), (1, 3, 5), (1, 5, 6),
+                (2, 3, 5), (2, 3, 6), (2, 4, 5), (3, 4, 6), (4, 5, 6)),
+        (0, 1, 1), (0, 0, 0, 0), (0, 0, 1, 1),
+    ),
+    "pinched-s2": (capped_tube(3, 0), (0, 1, 1), (0, 0, 0, 0), (0, 0, 1, 1)),
+    "annulus": (
+        surface(*[(i, (i + 1) % 4, 10 + i) for i in range(4)],
+                *[((i + 1) % 4, 10 + i, 10 + (i + 1) % 4) for i in range(4)]),
+        (0, 1, 0), (0, 0, 0, 0), (0, 0, 1, 0),
+    ),
+    "mobius": (
+        surface(*[(i, (i + 1) % 5, (i + 2) % 5) for i in range(5)]),
+        (0, 1, 0), (0, 0, 0, 0), (0, 0, 1, 0),
+    ),
+}
+
+
+class TestCountingCertificates:
+    """The certificate takes the outer GF(2) ranks and the kind of every
+    2-dimensional complex from face counts; these pin it against the full
+    elimination of ``betti_gf2``."""
+
+    @pytest.mark.parametrize("name", NOT_SPHERES_OR_DISKS)
+    def test_surfaces_their_cones_and_suspensions_are_neither(self, name):
+        x, betti, cone_betti, suspension_betti = NOT_SPHERES_OR_DISKS[name]
+        for y, expected in (
+            (x, betti),
+            (cone(x, VertexId.cone()), cone_betti),
+            (join(x, sphere0(900, 901)), suspension_betti),
+        ):
+            cert = certify(y)
+            assert (cert.kind, cert.betti) == ("neither", expected), y.dim
+            assert cert.pseudomanifold and cert.dual_connected
+            assert betti_gf2(y) == expected
+
+    def test_the_tube_with_two_caps_is_a_sphere_and_its_cone_a_ball(self):
+        x = capped_tube(3, 1)
+        assert certify(x).is_sphere(2)
+        assert certify(cone(x, VertexId.cone())).is_ball(3)
+        assert certify(SimplicialComplex.from_facets(x.sorted_facets[1:])).is_ball(2)
+
+    @pytest.mark.parametrize("build, args", [
+        (build_holes4, (9,)),
+        (build_cyclic, (10,)),
+        (build_highd, (3, 6)),
+        (build_aztec, (3, 2)),
+    ], ids=["holes4-9", "cyclic-10", "highd-3-6", "aztec-3-2"])
+    def test_betti_numbers_match_full_elimination(self, build, args):
+        manifest = build(*args).manifest
+        x = realize(manifest, choice_vector(5, 1, manifest.n_free_cells))
+        facets = x.sorted_facets
+        for y in (x, SimplicialComplex.from_facets(facets[1:]),
+                  SimplicialComplex.from_facets(facets[1:-1])):
+            assert certify(y).betti == betti_gf2(y)
+
+    def test_a_3_sphere_takes_one_elimination(self, monkeypatch):
+        # top rank and bottom rank are counted, so only d_2 is eliminated,
+        # and the 2-dimensional vertex links are classified by chi alone
+        calls = []
+        rank_gf2 = topology._rank_gf2
+
+        def counting(columns):
+            calls.append(len(columns))
+            return rank_gf2(columns)
+
+        manifest = build_holes4(9).manifest
+        x = realize(manifest, (0,) * manifest.n_free_cells)
+        monkeypatch.setattr(topology, "_rank_gf2", counting)
+        assert certify(x).is_sphere(3)
+        assert len(calls) == 1
