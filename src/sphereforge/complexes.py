@@ -7,7 +7,7 @@ runs.  All types are immutable; the operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -20,63 +20,90 @@ from .errors import (
 )
 
 _KIND_RANK = {"a": 0, "h": 1, "c": 2, "r": 3}
+_ARITY = {"a": 2, "h": 1, "c": 0, "r": 1}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class VertexId:
     """Structured vertex label.
 
     Kinds: ``a`` path vertex (path index, position), ``h`` hole apex
     (integer key), ``c`` the single cone apex, ``r`` raw nonnegative
     integer.  Labels serialize as ``a:<path>:<pos>``, ``h:<key>``, ``c``
-    and ``r:<int>``.
+    and ``r:<int>``; only the canonical spelling of a label is read.
+
+    Every vertex is immutable, so ``sort_key``, ``label`` and the hash
+    are computed once, at construction, from ``kind`` and ``data``.  The
+    factories (``path``, ``hole``, ``cone``, ``raw``, ``from_label``)
+    return one shared instance per label, so equal vertices from them are
+    identical and compare at the speed of ``is``; a vertex built directly
+    equals and hashes like the shared one, by its key.
     """
 
     kind: str
     data: tuple[int, ...]
+    sort_key: tuple[int, tuple[int, ...]] = field(init=False, repr=False)
+    label: str = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _KIND_RANK:
             raise DegenerateInput(f"unknown vertex kind {self.kind!r}")
-        arity = {"a": 2, "h": 1, "c": 0, "r": 1}[self.kind]
+        arity = _ARITY[self.kind]
         if len(self.data) != arity:
             raise DegenerateInput(f"vertex kind {self.kind!r} needs {arity} fields")
         if self.kind == "a" and (self.data[0] < 1 or self.data[1] < 1):
             raise DegenerateInput("path vertices are 1-based")
         if self.kind == "r" and self.data[0] < 0:
             raise DegenerateInput("raw vertex ids are nonnegative")
+        key = (_KIND_RANK[self.kind], self.data)
+        label = ":".join([self.kind] + [str(x) for x in self.data])
+        object.__setattr__(self, "sort_key", key)
+        object.__setattr__(self, "label", label)
+        # from integers only, so set order does not depend on PYTHONHASHSEED
+        object.__setattr__(self, "_hash", hash(key))
+
+    @classmethod
+    def _interned(cls, kind: str, data: tuple[int, ...]) -> "VertexId":
+        v = _INTERNED.get((kind, data))
+        if v is None:
+            v = _INTERNED[(kind, data)] = cls(kind, data)
+        return v
 
     @classmethod
     def path(cls, path: int, pos: int) -> "VertexId":
-        return cls("a", (path, pos))
+        return cls._interned("a", (path, pos))
 
     @classmethod
     def hole(cls, key: int) -> "VertexId":
-        return cls("h", (key,))
+        return cls._interned("h", (key,))
 
     @classmethod
     def cone(cls) -> "VertexId":
-        return cls("c", ())
+        return cls._interned("c", ())
 
     @classmethod
     def raw(cls, n: int) -> "VertexId":
-        return cls("r", (n,))
+        return cls._interned("r", (n,))
 
-    @property
-    def sort_key(self) -> tuple:
-        return (_KIND_RANK[self.kind], self.data)
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, VertexId):
+            return NotImplemented
+        return self.sort_key == other.sort_key
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __lt__(self, other: "VertexId") -> bool:
         return self.sort_key < other.sort_key
 
-    @property
-    def label(self) -> str:
-        if self.kind == "c":
-            return "c"
-        return ":".join([self.kind] + [str(x) for x in self.data])
-
     @classmethod
     def from_label(cls, text: str) -> "VertexId":
+        """The vertex of a canonical label: ``v.label == text`` holds for
+        the result, so a sign, a leading zero, an underscore, a space or a
+        non-ASCII digit, which ``int`` would read, is refused."""
         if not isinstance(text, str):
             raise DegenerateInput(f"bad vertex label {text!r}")
         parts = text.split(":")
@@ -87,17 +114,36 @@ class VertexId:
             data = tuple(int(p) for p in parts[1:])
         except ValueError as exc:
             raise DegenerateInput(f"bad vertex label {text!r}") from exc
-        return cls(kind, data)
+        v = cls._interned(kind, data)
+        if v.label != text:
+            raise DegenerateInput(
+                f"bad vertex label {text!r}: the canonical spelling is {v.label!r}"
+            )
+        return v
 
     def __repr__(self) -> str:
         return f"V({self.label})"
 
 
-@dataclass(frozen=True)
+# The shared vertex of each (kind, data).  Vertices are immutable, so
+# one instance per label can serve every caller.
+_INTERNED: dict[tuple[str, tuple[int, ...]], VertexId] = {}
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Simplex:
-    """An abstract simplex: a strictly sorted tuple of vertex ids."""
+    """An abstract simplex: a strictly sorted tuple of vertex ids.
+
+    ``verts`` never changes, so its hash is computed once, at
+    construction, and ``vset`` once, on first use.  ``Simplex(...)``
+    sorts its input and refuses a repeated vertex; ``_face`` trusts its
+    input, and is only given sub-tuples of the ``verts`` of an existing
+    simplex, which are strictly sorted because ``verts`` is.
+    """
 
     verts: tuple[VertexId, ...]
+    _hash: int = field(repr=False)
+    _vset: frozenset[VertexId] | None = field(repr=False)
 
     def __init__(self, verts: Iterable[VertexId]) -> None:
         vs = tuple(sorted(verts))
@@ -105,10 +151,25 @@ class Simplex:
             if u == w:
                 raise DegenerateInput(f"repeated vertex {u.label} in simplex")
         object.__setattr__(self, "verts", vs)
+        object.__setattr__(self, "_hash", hash(vs))
+        object.__setattr__(self, "_vset", None)
 
-    @cached_property
+    @classmethod
+    def _face(cls, verts: tuple[VertexId, ...]) -> "Simplex":
+        """A simplex on a strictly sorted tuple, taken as it is."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "verts", verts)
+        object.__setattr__(s, "_hash", hash(verts))
+        object.__setattr__(s, "_vset", None)
+        return s
+
+    @property
     def vset(self) -> frozenset[VertexId]:
-        return frozenset(self.verts)
+        vs = self._vset
+        if vs is None:
+            vs = frozenset(self.verts)
+            object.__setattr__(self, "_vset", vs)
+        return vs
 
     @property
     def dim(self) -> int:
@@ -123,6 +184,16 @@ class Simplex:
     def __contains__(self, v: VertexId) -> bool:
         return v in self.vset
 
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Simplex):
+            return NotImplemented
+        return self._hash == other._hash and self.verts == other.verts
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def __lt__(self, other: "Simplex") -> bool:
         return self.verts < other.verts
 
@@ -134,13 +205,17 @@ class Simplex:
         return Simplex(self.verts + (v,))
 
     def without(self, v: VertexId) -> "Simplex":
-        if v not in self.vset:
-            raise FaceNotFound(f"{v.label} not in simplex")
-        return Simplex(u for u in self.verts if u != v)
+        vs = self.verts
+        try:
+            i = vs.index(v)
+        except ValueError:
+            raise FaceNotFound(f"{v.label} not in simplex") from None
+        return Simplex._face(vs[:i] + vs[i + 1:])
 
     def facets(self) -> list["Simplex"]:
         """All codimension-1 faces."""
-        return [Simplex(self.verts[:i] + self.verts[i + 1:]) for i in range(len(self.verts))]
+        vs = self.verts
+        return [Simplex._face(vs[:i] + vs[i + 1:]) for i in range(len(vs))]
 
     def __repr__(self) -> str:
         return "{" + ",".join(v.label for v in self.verts) + "}"
@@ -194,8 +269,20 @@ class SimplicialComplex:
     def vertices(self) -> tuple[VertexId, ...]:
         return tuple(sorted(self.vertex_set))
 
+    @cached_property
+    def _facets_of(self) -> dict[VertexId, list[Simplex]]:
+        """The facets containing each vertex."""
+        out: dict[VertexId, list[Simplex]] = {}
+        for f in self.facets:
+            for v in f.verts:
+                out.setdefault(v, []).append(f)
+        return out
+
     def has_face(self, s: Simplex) -> bool:
-        return any(s.vset <= f.vset for f in self.facets)
+        if not s.verts:
+            return bool(self.facets)
+        vs = s.vset
+        return any(vs <= f.vset for f in self._facets_of.get(s.verts[0], ()))
 
     def _require_nonvoid(self) -> None:
         if self.is_void:

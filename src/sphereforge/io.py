@@ -28,6 +28,11 @@ from .topology import ShellingOrder, TopologyCertificate
 
 
 def _labels(verts) -> list[str]:
+    """The labels of vertices already in order, such as ``Simplex.verts``."""
+    return [v.label for v in verts]
+
+
+def _sorted_labels(verts) -> list[str]:
     return [v.label for v in sorted(verts)]
 
 
@@ -302,7 +307,7 @@ def lift_to_obj(lift: RegularAztecLift) -> dict:
         "heights": _heights_to_obj(lift.heights),
         "coarse": _heights_to_obj(lift.coarse),
         "fine": _heights_to_obj(lift.fine),
-        "subdivision": [_labels(cell) for cell in lift.subdivision.cells],
+        "subdivision": [_sorted_labels(cell) for cell in lift.subdivision.cells],
     }
 
 
@@ -358,7 +363,7 @@ def hull_to_obj(facets: list[HullFacet], kinds: list[str]) -> dict:
     return {
         "facets": [
             {
-                "v": _labels(f.vertices),
+                "v": _sorted_labels(f.vertices),
                 "normal": [str(c) for c in f.normal],
                 "offset": str(f.offset),
                 "kind": kind,

@@ -61,8 +61,10 @@ class TopologyCertificate:
 
 
 def _indexed_facets(x: SimplicialComplex) -> list[tuple[int, ...]]:
+    """Facets as sorted tuples of vertex indices.  ``x.vertices`` and
+    each ``f.verts`` are sorted, so the indices come out in order."""
     index = {v: i for i, v in enumerate(x.vertices)}
-    return [tuple(sorted(index[v] for v in f)) for f in x.facets]
+    return [tuple([index[v] for v in f.verts]) for f in x.facets]
 
 
 def _faces_by_dim(facets: list[tuple[int, ...]], dims: range) -> list[list[tuple[int, ...]]]:
@@ -282,11 +284,15 @@ def _classify(
         bd_verts = {v for r in boundary for v in r}
     check_links = d <= LINK_RECURSION_MAX_DIM
     if check_links:
+        star: dict[int, list[tuple[int, ...]]] = {v: [] for v in vertices}
+        for f in facets:
+            for v in f:
+                star[v].append(f)
         for v in vertices:
             sub_face = tuple(sorted(face + (v,)))
             link = memo.get(sub_face)
             if link is None:
-                sub = [tuple(w for w in f if w != v) for f in facets if v in f]
+                sub = [tuple(w for w in f if w != v) for f in star[v]]
                 link = memo[sub_face] = _classify(sub, sub_face, memo)
             if link[:2] != (BALL if v in bd_verts else SPHERE, d - 1):
                 return neither

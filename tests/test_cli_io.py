@@ -479,6 +479,52 @@ class TestCliPipelines:
             assert run(tmp_path, *argv) == 1, argv
             assert capsys.readouterr().err == "input error: malformed manifest: bad vertex label 7\n"
 
+    @pytest.mark.parametrize(
+        "label, canonical",
+        [("r:01", "r:1"), ("r:1_0", "r:10"), ("r: 1", "r:1"), ("r:+1", "r:1"), ("r:\u0663", "r:3")],
+        ids=["leading-zero", "underscore", "space", "sign", "arabic-indic-digit"],
+    )
+    def test_a_label_that_is_not_canonical_is_rejected(self, tmp_path, capsys, label, canonical):
+        # r:3 -- label would close the path r:1 -- r:2 -- r:3 into a circle
+        # if it were read as r:1
+        path = tmp_path / "path.json"
+        edges = [["r:1", "r:2"], ["r:2", "r:3"], ["r:3", label]]
+        path.write_text(json.dumps({"dim": 1, "cells": [{"t": "s", "v": e} for e in edges]}))
+        assert run(tmp_path, "verify", "sphere", path) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"input error: malformed complex: bad vertex label {label!r}: "
+            f"the canonical spelling is {canonical!r}\n"
+        )
+        assert captured.out == ""
+
+    def test_manifest_and_lift_labels_must_be_canonical(self, tmp_path, capsys):
+        assert run(tmp_path, "generate", "holes4", "--n", "5", "-o", tmp_path / "h.json") == 0
+        manifest = json.loads((tmp_path / "h.manifest.json").read_text())
+        assert manifest["holes"][1]["apex"] == "h:1"
+        manifest["holes"][1]["apex"] = "h:+1"
+        lift = tmp_path / "lift.json"
+        assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0
+        obj = json.loads(lift.read_text())
+        assert obj["points"][0][0] == "a:1:1"
+        obj["points"][0][0] = "a:01:1"
+        bad_manifest, bad_lift = tmp_path / "bad.manifest.json", tmp_path / "bad.lift.json"
+        bad_manifest.write_text(json.dumps(manifest))
+        bad_lift.write_text(json.dumps(obj))
+        capsys.readouterr()
+        for argv, message in (
+            (("count", "--manifest", bad_manifest), "manifest: bad vertex label 'h:+1'"),
+            (("realize", "--manifest", bad_manifest, "-o", tmp_path / "r.json"),
+             "manifest: bad vertex label 'h:+1'"),
+            (("verify", "regular", bad_lift), "lift file: bad vertex label 'a:01:1'"),
+            (("hull", "--input", bad_lift), "lift file: bad vertex label 'a:01:1'"),
+        ):
+            assert run(tmp_path, *argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"input error: malformed {message}: "), argv
+            assert captured.out == "", argv
+        assert not (tmp_path / "r.json").exists()
+
     def test_rationals_must_be_strings(self, tmp_path, capsys):
         lift = tmp_path / "lift.json"
         assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0

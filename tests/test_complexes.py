@@ -99,6 +99,35 @@ class TestVertexId:
             VertexId.from_label("x:1")
         with pytest.raises(DegenerateInput):
             VertexId.from_label("a:one:2")
+        # int() reads these, but only the canonical spelling is a label
+        for label in ("r:01", "r:1_0", "r: 1", "a:+1:2", "r:\u0663", "h:-0", "c:"):
+            with pytest.raises(DegenerateInput, match="bad vertex label"):
+                VertexId.from_label(label)
+
+    def test_a_directly_built_vertex_equals_the_shared_one(self):
+        direct, shared = VertexId("a", (1, 2)), VertexId.path(1, 2)
+        assert direct is not shared
+        assert direct == shared and shared == direct
+        assert hash(direct) == hash(shared)
+        assert {direct: 1}[shared] == 1
+        assert direct != VertexId("a", (2, 1))
+        assert direct != "a:1:2"
+
+    def test_the_factories_share_one_vertex_per_label(self):
+        assert VertexId.path(1, 2) is VertexId.from_label("a:1:2")
+        assert VertexId.hole(-3) is VertexId.from_label("h:-3")
+        assert VertexId.cone() is VertexId.from_label("c")
+        assert VertexId.raw(0) is VertexId.from_label("r:0")
+
+    def test_order_across_kinds_then_by_data(self):
+        expected = [
+            a(1), a(2), b(1), VertexId.hole(-1), VertexId.hole(0), VertexId.hole(7),
+            VertexId.cone(), VertexId.raw(0), VertexId.raw(2), VertexId.raw(10),
+        ]
+        shuffled = expected[:]
+        random.Random(9).shuffle(shuffled)
+        assert sorted(shuffled) == expected
+        assert all(u < w and not w < u for u, w in zip(expected, expected[1:]))
 
     @pytest.mark.parametrize("label", [7, None, ["a:1:1"]], ids=["int", "null", "list"])
     def test_a_label_that_is_not_a_string_is_rejected(self, label):
@@ -122,6 +151,55 @@ class TestSimplex:
             (VertexId.raw(1), VertexId.raw(3)),
             (VertexId.raw(2), VertexId.raw(3)),
         ]
+
+
+    def test_faces_match_simplices_built_from_shuffled_input(self):
+        rng = random.Random(2014)
+        pool = [a(i) for i in range(1, 6)] + [b(j) for j in range(1, 4)]
+        pool += [VertexId.hole(1), VertexId.cone(), VertexId.raw(0), VertexId.raw(5)]
+        built, faces = [], []
+        for _ in range(30):
+            s = Simplex(rng.sample(pool, rng.randint(1, 7)))
+            cut = [s.without(v) for v in s] + s.facets()
+            for f in cut:
+                vs = list(f.verts)
+                rng.shuffle(vs)
+                g = Simplex(vs)
+                assert f == g and g == f and hash(f) == hash(g)
+                assert f.verts == g.verts and f.vset == g.vset
+                faces.append(f)
+                built.append(g)
+        assert sorted(faces) == sorted(built)
+        order = sorted(range(len(faces)), key=lambda i: built[i].verts)
+        assert [faces[i] for i in order] == sorted(faces)
+
+    def test_without_a_vertex_not_in_the_simplex(self):
+        with pytest.raises(FaceNotFound):
+            raw_simplex(1, 2).without(VertexId.raw(3))
+        assert raw_simplex(1, 2).without(VertexId("r", (2,))) == raw_simplex(1)
+
+
+class TestHasFace:
+    def test_agrees_with_a_scan_of_every_facet(self):
+        rng = random.Random(7)
+        pool = [VertexId.raw(n) for n in range(9)]
+        for _ in range(25):
+            k = rng.randint(1, 5)
+            x = SimplicialComplex.from_facets(
+                {Simplex(rng.sample(pool, k)) for _ in range(rng.randint(1, 12))}
+            )
+            queries = [EMPTY_SIMPLEX] + [
+                Simplex(rng.sample(pool, rng.randint(1, k + 1))) for _ in range(40)
+            ]
+            queries += [g for f in x.facets for g in f.facets()] + list(x.facets)
+            for q in queries:
+                assert x.has_face(q) == any(q.vset <= f.vset for f in x.facets), q
+            assert any(not x.has_face(q) for q in queries)
+
+    def test_empty_simplex(self):
+        assert empty_complex().has_face(EMPTY_SIMPLEX)
+        assert SimplicialComplex.from_facets([raw_simplex(1, 2)]).has_face(EMPTY_SIMPLEX)
+        assert not SimplicialComplex.from_facets([]).has_face(EMPTY_SIMPLEX)
 
 
 class TestJoin:

@@ -81,3 +81,29 @@ class TestSamplesFlag:
         assert "certificate sphere(3)" in capsys.readouterr().out
         b = len(realized[0])
         assert realized == [(0,) * b] + [choice_vector(9, t, b) for t in range(3)]
+
+    def test_a_failing_sample_is_named_on_stderr(self, tmp_path, capsys, monkeypatch):
+        from dataclasses import replace
+
+        from sphereforge import cli
+
+        calls = []
+
+        def certify_failing_sample_1(x):
+            cert = certify(x)
+            calls.append(cert)
+            # call 1 certifies the zero realization, call t + 2 sample t
+            return replace(cert, kind="neither") if len(calls) == 3 else cert
+
+        monkeypatch.setattr(cli, "certify", certify_failing_sample_1)
+        argv = ["generate", "holes4", "--n", "5", "--samples", "3", "--seed", "9"]
+        code = main(argv + ["-o", str(tmp_path / "bad.json")])
+        bad = capsys.readouterr()
+        assert code == 2
+        assert bad.err == "sample 1 certified neither(3), expected sphere(3)\n"
+
+        monkeypatch.setattr(cli, "certify", certify)
+        assert main(argv + ["-o", str(tmp_path / "good.json")]) == 0
+        good = capsys.readouterr()
+        assert good.err == ""
+        assert bad.out == good.out
