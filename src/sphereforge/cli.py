@@ -19,10 +19,10 @@ from .constructions import BUILDERS
 from .errors import DegenerateInput, InputParseError, SphereforgeError
 from .geometry import (
     build_aztec_lift,
+    count_degree3_edges,
     delta_search,
     detect_bipyramid_facets,
     hull_with_apex,
-    raise_centers,
     verify_regular,
 )
 from .sampling import choice_vector, parse_hex_choices
@@ -185,8 +185,8 @@ def _cmd_degree3(args) -> int:
     regenerated = (lift.config, lift.subdivision, lift.eps)
     if regenerated != (data["config"], data["subdivision"], data["eps"]):
         raise mismatch
-    delta = delta_search(lift)
-    heights, degree3 = raise_centers(lift, delta)
+    delta, heights = delta_search(lift)
+    degree3 = count_degree3_edges(lift.manifest)
     guaranteed = (2 * lift.k - 6) * lift.l * lift.l
     print(f"degree-3 edges: {degree3} (guaranteed {guaranteed}), delta={delta}")
     if args.output:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 
 from .carvefill import FillManifest, realize, triangulate_cell
 from .complexes import VertexId
@@ -30,8 +31,9 @@ Point = tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class LiftedConfiguration:
-    """Exact rational points, each listed once and kept in vertex order,
-    with a height for every point and for nothing else."""
+    """Exact rational points, each listed once, at distinct coordinates
+    and kept in vertex order, with a height for every point and for
+    nothing else."""
 
     points: tuple[tuple[VertexId, Point], ...]
     heights: dict[VertexId, Fraction]
@@ -48,6 +50,13 @@ class LiftedConfiguration:
         extra = sorted(set(self.heights) - set(ids))
         if extra:
             raise DegenerateInput(f"height for {extra[0].label}, which is not a point")
+        # a point without coordinates is left to the dimension check of
+        # the command that reads it
+        at: dict[Point, VertexId] = {}
+        for v, p in points:
+            if p and at.setdefault(p, v) != v:
+                coords = ",".join(str(c) for c in p)
+                raise DegenerateInput(f"points {at[p].label} and {v.label} are both at ({coords})")
         object.__setattr__(self, "points", points)
 
 
@@ -172,7 +181,7 @@ def _int_config(
 
 
 def _dot_h(nu: tuple[int, ...], row: tuple[int, ...]) -> int:
-    return sum(a * b for a, b in zip(nu, row)) + nu[-1]
+    return sum(map(mul, nu, row)) + nu[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -180,17 +189,26 @@ def _dot_h(nu: tuple[int, ...], row: tuple[int, ...]) -> int:
 
 
 def _cell_walls(
-    cell_rows: list[tuple[int, ...]], dim: int
+    cell_rows: list[tuple[int, ...]], dim: int, rank: int
 ) -> dict[frozenset[int], tuple[int, ...]]:
     """Supporting (dim-1)-hyperplanes of a projected cell, as onsets (the
     indices into cell_rows of the points on each), each mapped to the
-    first dim affinely independent points found to span it."""
+    first dim affinely independent points found to span it.
+
+    rank is the rank of the rows (p[:dim], 1), which every caller has
+    already established.  A full-dimensional simplex (dim+1 rows of rank
+    dim+1) has exactly its dim-subsets as walls, each spanned by itself,
+    so only other cells are searched subset by subset.
+    """
+    if len(cell_rows) == dim + 1 and rank == dim + 1:
+        return {frozenset(s): s for s in combinations(range(dim + 1), dim)}
+    hom = [row[:dim] + (1,) for row in cell_rows]
     walls: dict[frozenset[int], tuple[int, ...]] = {}
-    for subset in combinations(range(len(cell_rows)), dim):
-        nu = _hyperplane([cell_rows[i][:dim] for i in subset])
+    for subset in combinations(range(len(hom)), dim):
+        nu = _rank_and_nullvector([hom[i] for i in subset], dim + 1)[1]
         if nu is None:
             continue
-        sides = [_dot_h(nu, cell_rows[i][:dim]) for i in range(len(cell_rows))]
+        sides = [sum(map(mul, nu, h)) for h in hom]
         if any(s > 0 for s in sides) and any(s < 0 for s in sides):
             continue
         walls.setdefault(frozenset(i for i, s in enumerate(sides) if s == 0), subset)
@@ -208,7 +226,11 @@ def verify_regular(
     For each cell: (a) its lifted points share a non-vertical hyperplane,
     (b) every other point lifts strictly above it, and (c) the cells
     cover: every interior wall is shared by exactly two cells and every
-    other wall supports the convex hull of the configuration.
+    other wall supports the convex hull of the configuration.  One
+    elimination of the lifted rows (x, h, 1) settles (a) and the cell's
+    full dimension together; a simplex cell's walls are its dim-subsets,
+    read off without a search, and other cells' walls are found by
+    testing every dim-subset of their points.
     """
     ids, rows, dim = _int_config(list(pts), heights)
     index = {v: i for i, v in enumerate(ids)}
@@ -221,47 +243,55 @@ def verify_regular(
             raise DegenerateInput("cell uses a vertex not in the configuration")
         cell_indices.append(sorted(index[v] for v in cell))
 
+    lifted = [row + (1,) for row in rows]
     for idxs in cell_indices:
         if len(idxs) < dim + 1:
             raise DegenerateCell(f"cell with {len(idxs)} points in dimension {dim}")
-        proj_rank, _ = _rank_and_nullvector(
-            [rows[i][:dim] + (1,) for i in idxs], dim + 1
-        )
-        if proj_rank < dim + 1:
+        # Let A hold the cell's lifted rows (x, h, 1) and P the projected
+        # rows (x, 1), which are A without its h column; removing a column
+        # lowers the rank by at most 1, so rank P <= rank A <= rank P + 1.
+        # rank A < dim+1: then rank P < dim+1, the cell is not
+        #   full-dimensional.
+        # rank A = dim+2: then rank P = dim+1, and the lifted points are
+        #   on no common hyperplane.
+        # rank A = dim+1: the null space of A is spanned by nu.  A null
+        #   vector v of P gives the null vector (v, 0) of A, a multiple of
+        #   nu.  So if nu's h entry is 0, then nu without it is a null
+        #   vector of P and rank P < dim+1; otherwise P has no null vector,
+        #   rank P = dim+1, and nu is a non-vertical hyperplane.  A
+        #   vertical lifted plane therefore always means a degenerate cell.
+        rank, nu = _rank_and_nullvector([lifted[i] for i in idxs], dim + 2)
+        if rank < dim + 1 or (nu is not None and nu[dim] == 0):
             raise DegenerateCell("cell does not span full dimension")
-        rank, nu = _rank_and_nullvector([rows[i] + (1,) for i in idxs], dim + 2)
         if nu is None:
             return False  # lifted points not on a common hyperplane
-        if nu[dim] == 0:
-            return False  # vertical hyperplane
         if nu[dim] < 0:
             nu = tuple(-x for x in nu)
         in_cell = set(idxs)
-        for i, row in enumerate(rows):
+        for i, row in enumerate(lifted):
             if i in in_cell:
                 continue
-            if _dot_h(nu, row) <= 0:
+            if sum(map(mul, nu, row)) <= 0:
                 return False  # not strictly above
 
-    # wall matching
+    # wall matching: every cell has passed the checks above, so its
+    # projected rows have rank dim+1
     counts: dict[frozenset[int], int] = {}
     for idxs in cell_indices:
         cell_rows = [rows[i] for i in idxs]
-        for onset_local in _cell_walls(cell_rows, dim):
+        for onset_local in _cell_walls(cell_rows, dim, dim + 1):
             onset = frozenset(idxs[i] for i in onset_local)
             counts[onset] = counts.get(onset, 0) + 1
+    projected = [row[:dim] + (1,) for row in rows]
     for onset, count in counts.items():
         if count == 2:
             continue
         if count > 2:
             return False
-        base = sorted(onset)
-        rank, nu = _rank_and_nullvector(
-            [rows[i][:dim] + (1,) for i in base], dim + 1
-        )
+        _, nu = _rank_and_nullvector([projected[i] for i in sorted(onset)], dim + 1)
         if nu is None:
             return False
-        sides = [_dot_h(nu, row[:dim]) for row in rows]
+        sides = [sum(map(mul, nu, p)) for p in projected]
         if any(s > 0 for s in sides) and any(s < 0 for s in sides):
             return False  # an unmatched interior wall
     return True
@@ -733,11 +763,12 @@ def convex_hull(pts: list[tuple[VertexId, Point]]) -> list[HullFacet]:
             continue
         found[onset] = nu
         # the ridges are the walls of the facet in a chart that drops a
-        # coordinate where its normal is nonzero (see _is_bipyramid)
+        # coordinate where its normal is nonzero (see _is_bipyramid); the
+        # facet spans the chart, so its homogeneous rows have rank dim
         local = sorted(onset)
         drop = next(a for a, n in enumerate(nu[:-1]) if n)
         chart = [rows[i][:drop] + rows[i][drop + 1:] for i in local]
-        for wall, span in _cell_walls(chart, dim - 1).items():
+        for wall, span in _cell_walls(chart, dim - 1, dim).items():
             ridge = frozenset(local[j] for j in wall)
             if ridge in ridges:
                 continue  # already crossed from the facet on its other side
@@ -828,10 +859,11 @@ def _is_bipyramid(points: list[Point], normal: tuple[int, ...]) -> bool:
     """Dropping a coordinate where the facet normal is nonzero maps the
     facet's hyperplane bijectively and affinely onto R^3, so the image of
     the points has the facet's faces.  The hull's per-column scaling of
-    the coordinates keeps the normal's zero entries where they are."""
+    the coordinates keeps the normal's zero entries where they are.  A
+    facet spans its hyperplane, so the image's rows (p, 1) have rank 4."""
     drop = next(a for a, n in enumerate(normal) if n)
     cols = [[p[a] for p in points] for a in range(len(normal)) if a != drop]
-    walls = _cell_walls(list(zip(*_integerize(cols))), 3)
+    walls = _cell_walls(list(zip(*_integerize(cols))), 3, 4)
     return len(walls) == 6 and all(len(onset) == 3 for onset in walls)
 
 
@@ -877,12 +909,16 @@ def raise_centers(
     return heights, count_degree3_edges(lift.manifest)
 
 
-def delta_search(lift: RegularAztecLift) -> Fraction:
+def delta_search(
+    lift: RegularAztecLift,
+) -> tuple[Fraction, dict[VertexId, Fraction]]:
     """Certified center-raising amount, found by halving from the lift's
-    own perturbation scale."""
+    own perturbation scale, and the raised heights it certified: the
+    ones raise_centers(lift, delta) computes."""
     target = raised_center_target(lift.manifest)
     bump = _center_bump(lift, lift.eps)
-    return lift.eps * eps_search(list(lift.config.points), lift.heights, bump, target)
+    t = eps_search(list(lift.config.points), lift.heights, bump, target)
+    return lift.eps * t, compose_lift(lift.heights, bump, t)
 
 
 def _center_bump(lift: RegularAztecLift, size: Fraction) -> dict[VertexId, Fraction]:

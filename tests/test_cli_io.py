@@ -351,7 +351,7 @@ class TestCliPipelines:
         raised = json.loads(json.dumps(lifts[3]))
         raised["heights"]["a:1:1"] = "1000"
         flat = json.loads(json.dumps(lifts[5]))
-        flat["points"] = [[label, ["0", "0", "0"]] for label, _ in flat["points"]]
+        flat["points"] = [[label, [str(i), "0", "0"]] for i, (label, _) in enumerate(flat["points"])]
         flat["heights"] = {label: "0" for label in flat["heights"]}
         flat["subdivision"] = flat["subdivision"][:1]
         capsys.readouterr()
@@ -404,6 +404,26 @@ class TestCliPipelines:
         assert captured.err == "input error: lift point label c is reserved for the apex\n"
         assert captured.out == ""
         assert not out.exists()
+
+    def test_two_labels_at_one_point_are_rejected(self, tmp_path, capsys):
+        # r:0 at the point and height of a:1:1 used to give 33 bipyramids
+        # and 16 other facets instead of 36 and 4
+        lift = tmp_path / "lift.json"
+        assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "3", "-o", lift) == 0
+        obj = json.loads(lift.read_text())
+        coords = dict(obj["points"])["a:1:1"]
+        obj["points"].append(["r:0", coords])
+        obj["heights"]["r:0"] = obj["heights"]["a:1:1"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        for argv in (("hull", "--input", bad), ("verify", "regular", bad)):
+            assert run(tmp_path, *argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.err == (
+                "input error: malformed lift file: points a:1:1 and r:0 are both at (1,0,1)\n"
+            ), argv
+            assert captured.out == "", argv
 
     @pytest.mark.parametrize("which, coords, n", [("every", [], 0), ("first", ["0", "1"], 2)])
     def test_export_off_refuses_points_that_are_not_3d(self, tmp_path, capsys, which, coords, n):

@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
 
-from sphereforge import VertexId, cyclic_polytope_facets
+from sphereforge import VertexId, cyclic_polytope_facets, geometry
 from sphereforge.errors import (
     DegenerateCell,
     DegenerateInput,
@@ -30,10 +31,11 @@ from sphereforge.geometry import (
     lower_facets,
     paths_coordinates,
     raise_centers,
+    raised_center_target,
     standard_coordinates,
     verify_regular,
 )
-from sphereforge.geometry import _hyperplane, _rank_and_nullvector
+from sphereforge.geometry import _cell_walls, _hyperplane, _int_config, _rank_and_nullvector
 
 R = VertexId.raw
 F = Fraction
@@ -90,6 +92,11 @@ class TestLiftedConfiguration:
             (pts + [(R(1), pt(5, 5))], heights, "point r:1 appears twice"),
             (pts, {v: h for v, h in heights.items() if v != R(2)}, "point r:2 has no height"),
             (pts, {**heights, R(9): F(0)}, "height for r:9, which is not a point"),
+            (
+                pts + [(R(7), pt(2, 0))],
+                {**heights, R(7): heights[R(1)]},
+                r"points r:1 and r:7 are both at \(2,0\)",
+            ),
         )
         for points, hs, message in cases:
             with pytest.raises(DegenerateInput, match=message):
@@ -136,6 +143,171 @@ class TestVerifyRegular:
         heights = paraboloid(pts)
         with pytest.raises(DegenerateCell):
             verify_regular(pts, heights, Subdivision.of([{R(0), R(1)}]))
+
+    def test_a_vertical_lifted_plane_is_a_degenerate_cell(self):
+        # three collinear points lift onto a vertical plane only
+        pts = [(R(0), pt(0, 0)), (R(1), pt(1, 1)), (R(2), pt(2, 2)), (R(3), pt(0, 2))]
+        heights = {R(0): F(0), R(1): F(5), R(2): F(1), R(3): F(0)}
+        with pytest.raises(DegenerateCell):
+            verify_regular(pts, heights, Subdivision.of([{R(0), R(1), R(2)}]))
+
+    def test_one_elimination_per_cell_and_none_for_simplex_walls(self, monkeypatch):
+        calls = []
+        kernel = geometry._rank_and_nullvector
+
+        def counting(rows, ncols):
+            calls.append(len(rows))
+            return kernel(rows, ncols)
+
+        lift = build_aztec_lift(3, 3)
+        cells = lift.subdivision.cells
+        monkeypatch.setattr(geometry, "_rank_and_nullvector", counting)
+        assert verify_regular(list(lift.config.points), lift.heights, lift.subdivision)
+        # 72 cells, one elimination each; the walls of the 36 simplices are
+        # read off, the 36 five-point cells try C(5, 3) = 10 subsets each,
+        # and each of the 36 unmatched walls on the boundary takes one more
+        assert (len(cells), sum(len(c) == 4 for c in cells)) == (72, 36)
+        assert len(calls) == 72 + 36 * 10 + 36 == 468
+
+
+def reference_cell_walls(cell_rows, dim):
+    """The walls of a projected cell by testing every dim-subset."""
+    walls = {}
+    for subset in combinations(range(len(cell_rows)), dim):
+        nu = _hyperplane([cell_rows[i][:dim] for i in subset])
+        if nu is None:
+            continue
+        sides = [dot(nu, row[:dim]) + nu[-1] for row in cell_rows]
+        if any(s > 0 for s in sides) and any(s < 0 for s in sides):
+            continue
+        walls.setdefault(frozenset(i for i, s in enumerate(sides) if s == 0), subset)
+    return walls
+
+
+def reference_verify_regular(pts, heights, sub):
+    """verify_regular with two eliminations per cell (projected rank, then
+    lifted plane) and walls by subset search for every cell."""
+    ids, rows, dim = _int_config(list(pts), heights)
+    index = {v: i for i, v in enumerate(ids)}
+    if not sub.cells:
+        return False
+    cell_indices = []
+    for cell in sub.cells:
+        if not all(v in index for v in cell):
+            raise DegenerateInput("cell uses a vertex not in the configuration")
+        cell_indices.append(sorted(index[v] for v in cell))
+    for idxs in cell_indices:
+        if len(idxs) < dim + 1:
+            raise DegenerateCell("too few points")
+        proj_rank, _ = _rank_and_nullvector([rows[i][:dim] + (1,) for i in idxs], dim + 1)
+        if proj_rank < dim + 1:
+            raise DegenerateCell("cell does not span full dimension")
+        _, nu = _rank_and_nullvector([rows[i] + (1,) for i in idxs], dim + 2)
+        if nu is None or nu[dim] == 0:
+            return False
+        if nu[dim] < 0:
+            nu = tuple(-x for x in nu)
+        if any(dot(nu, row) + nu[-1] <= 0 for i, row in enumerate(rows) if i not in idxs):
+            return False
+    counts = {}
+    for idxs in cell_indices:
+        for onset_local in reference_cell_walls([rows[i] for i in idxs], dim):
+            onset = frozenset(idxs[i] for i in onset_local)
+            counts[onset] = counts.get(onset, 0) + 1
+    for onset, count in counts.items():
+        if count == 2:
+            continue
+        if count > 2:
+            return False
+        _, nu = _rank_and_nullvector([rows[i][:dim] + (1,) for i in sorted(onset)], dim + 1)
+        if nu is None:
+            return False
+        sides = [dot(nu, row[:dim]) + nu[-1] for row in rows]
+        if any(s > 0 for s in sides) and any(s < 0 for s in sides):
+            return False
+    return True
+
+
+def outcome(verify, pts, heights, sub):
+    try:
+        return verify(pts, heights, sub)
+    except DegenerateCell:
+        return DegenerateCell
+
+
+def random_lower_hull(rng, dim):
+    """Distinct points on a small grid (many collinear and coplanar ones),
+    random heights, and the cells of the lower hull of the lift."""
+    coords = set()
+    while len(coords) < rng.randint(dim + 2, 9):
+        coords.add(tuple(F(rng.randint(-2, 2)) for _ in range(dim)))
+    pts = [(R(i), p) for i, p in enumerate(sorted(coords))]
+    heights = {v: F(rng.randint(0, 6), rng.choice((1, 2))) for v, _ in pts}
+    facets = convex_hull([(v, p + (heights[v],)) for v, p in pts])
+    return pts, heights, [set(f.vertices) for f in lower_facets(facets)]
+
+
+def mutations(rng, pts, heights, cells):
+    """The lower hull cells, then one cell dropped, two merged, a vertex
+    swapped and a height moved by 1 either way."""
+    yield heights, cells
+    if len(cells) > 1:
+        drop = rng.randrange(len(cells))
+        yield heights, cells[:drop] + cells[drop + 1:]
+        i, j = rng.sample(range(len(cells)), 2)
+        yield heights, [c for t, c in enumerate(cells) if t not in (i, j)] + [cells[i] | cells[j]]
+    t = rng.randrange(len(cells))
+    out = rng.choice(sorted(cells[t]))
+    into = rng.choice([v for v, _ in pts if v not in cells[t]] or [out])
+    yield heights, cells[:t] + [cells[t] - {out} | {into}] + cells[t + 1:]
+    v = rng.choice([v for v, _ in pts])
+    yield {**heights, v: heights[v] + rng.choice((1, -1))}, cells
+
+
+class TestVerifyRegularDifferential:
+    """verify_regular against the two-elimination, full-search reference."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_same_answer_as_the_reference(self, dim):
+        rng = random.Random(2000 + dim)
+        seen = {True: 0, False: 0, DegenerateCell: 0}
+        for _ in range(200):
+            try:
+                pts, heights, cells = random_lower_hull(rng, dim)
+            except DegenerateInput:
+                continue  # not full-dimensional
+            for hs, claimed in mutations(rng, pts, heights, cells):
+                try:
+                    sub = Subdivision.of(claimed)
+                except DegenerateInput:
+                    continue  # a cell listed twice
+                expected = outcome(reference_verify_regular, pts, hs, sub)
+                assert outcome(verify_regular, pts, hs, sub) == expected, (pts, hs, claimed)
+                seen[expected] += 1
+        assert min(seen[True], seen[False]) >= 200 and seen[DegenerateCell] >= 5, seen
+
+    def test_simplex_walls_read_off_match_the_subset_search(self):
+        rng = random.Random(1968)
+        read_off = 0
+        for _ in range(300):
+            dim = rng.choice((1, 2, 3))
+            # a trailing height column, as verify_regular passes its rows
+            rows = [tuple(rng.randint(-3, 3) for _ in range(dim + 1)) for _ in range(dim + 1)]
+            rank, _ = _rank_and_nullvector([row[:dim] + (1,) for row in rows], dim + 1)
+            walls = _cell_walls(rows, dim, rank)
+            assert list(walls.items()) == list(reference_cell_walls(rows, dim).items()), rows
+            read_off += rank == dim + 1
+        assert read_off >= 150
+
+    def test_affinely_dependent_points_are_searched(self):
+        # three points on a line: one wall through all of them, not the
+        # three pairs that a triangle would have
+        rows = [(0, 0), (1, 1), (2, 2)]
+        rank, _ = _rank_and_nullvector([row + (1,) for row in rows], 3)
+        assert rank == 2
+        assert _cell_walls(rows, 2, rank) == reference_cell_walls(rows, 2) == {
+            frozenset({0, 1, 2}): (0, 1)
+        }
 
 
 class TestAztecLift:
@@ -466,7 +638,7 @@ class TestGiftWrap:
 class TestRaiseCenters:
     def test_k3_vacuous_quad_guarantee(self):
         lift = build_aztec_lift(3, 1)
-        delta = delta_search(lift)
+        delta, _ = delta_search(lift)
         heights, degree3 = raise_centers(lift, delta)
         assert degree3 >= 0  # 2k-6 = 0 quadrilaterals, nothing guaranteed
         assert heights[lift.manifest.apex_of_ball[(1, 1)]] > lift.heights[
@@ -475,9 +647,18 @@ class TestRaiseCenters:
 
     def test_k5_degree3_guarantee(self):
         lift = build_aztec_lift(5, 1)
-        delta = delta_search(lift)
+        delta, _ = delta_search(lift)
         _, degree3 = raise_centers(lift, delta)
         assert degree3 >= (2 * 5 - 6) * 1
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_delta_search_hands_back_the_heights_raise_centers_certifies(self, k):
+        lift = build_aztec_lift(k, 1)
+        delta, heights = delta_search(lift)
+        assert heights == raise_centers(lift, delta)[0]
+        assert verify_regular(
+            list(lift.config.points), heights, raised_center_target(lift.manifest)
+        )
 
     def test_huge_delta_rejected(self):
         lift = build_aztec_lift(3, 1)

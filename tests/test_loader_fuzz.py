@@ -113,6 +113,8 @@ def valid(tmp_path_factory):
 @example(name="lift.json", edits=[([1], "set", 0.25)])
 @example(name="lift.json", edits=[([7, 0, 1], "set", [1.0, 0.0, 1.0])])
 @example(name="lift.json", edits=[([3, 0], "set", 2.0)])
+# a:1:2 moved onto the point of a:1:1
+@example(name="lift.json", edits=[([7, 1, 1], "set", ["1", "0", "1"])])
 def test_a_mutated_file_never_escapes_the_cli(valid, name, edits):
     d, objs = valid
     path = d / "mutated.json"
