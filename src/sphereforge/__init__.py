@@ -7,25 +7,14 @@ realizability with exact rational arithmetic.
 """
 
 from .complexes import (
-    EMPTY_SIMPLEX,
     FreeSumCell,
-    FVector,
     PolyComplex,
     Simplex,
     SimplicialComplex,
     VertexId,
     boundary_complex,
-    cone,
-    cyclic_polytope_facets,
-    empty_complex,
-    f_vector,
-    gale_evenness,
-    join,
-    link,
-    star,
 )
 from .topology import (
-    ShellingOrder,
     TopologyCertificate,
     betti_gf2,
     certify,
@@ -35,7 +24,6 @@ from .carvefill import (
     BallInComplex,
     CompatibleFamily,
     FillManifest,
-    boundary_restriction,
     carve_and_fill,
     fill_ball,
     is_compatible,
@@ -48,18 +36,13 @@ from .grid import (
     GridRegion,
     JoinOfPaths,
     aztec_crosspolytope,
-    aztec_diamond,
     band_cell_order,
     boundary_members,
     cell_simplex,
     diagonal_band,
     ehrhart_crosspolytope,
-    is_grid_connected,
     is_grid_starconvex,
-    is_grid_unimodal,
     join_of_paths,
-    region_complex,
-    shelling_order_band,
 )
 from .constructions import (
     BUILDERS,
@@ -70,7 +53,6 @@ from .constructions import (
     build_highd,
     build_holes3,
     build_holes4,
-    sample_realization_certificates,
 )
 from .geometry import (
     LiftedConfiguration,
@@ -84,7 +66,6 @@ from .geometry import (
     detect_bipyramid_facets,
     eps_search,
     hull_with_apex,
-    paths_coordinates,
     raise_centers,
     standard_coordinates,
     verify_regular,

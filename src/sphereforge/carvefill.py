@@ -70,16 +70,6 @@ class BallInComplex:
         return self.boundary.facets
 
 
-def boundary_restriction(b: BallInComplex, sigma: Simplex) -> SimplicialComplex:
-    """The pure codimension-1 part of a cell's boundary lying on the
-    ball's boundary.  May be void."""
-    if sigma not in b.ball_facets:
-        raise FaceNotFound(f"{sigma!r} is not a facet of the ball")
-    return SimplicialComplex.from_facets(
-        t for t in sigma.facets() if t in b.boundary_facet_set
-    )
-
-
 def _contact_facets(b: BallInComplex, sigma: Simplex) -> list[Simplex]:
     return [t for t in sigma.facets() if t in b.boundary_facet_set]
 

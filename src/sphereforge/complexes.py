@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -221,9 +220,6 @@ class Simplex:
         return "{" + ",".join(v.label for v in self.verts) + "}"
 
 
-EMPTY_SIMPLEX = Simplex(())
-
-
 @dataclass(frozen=True)
 class SimplicialComplex:
     """A pure simplicial complex, stored by its facets.
@@ -289,44 +285,6 @@ class SimplicialComplex:
             raise DegenerateInput("void complex is not valid input")
 
 
-def empty_complex() -> SimplicialComplex:
-    """The join identity: one empty facet."""
-    return SimplicialComplex.from_facets([EMPTY_SIMPLEX])
-
-
-def join(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialComplex:
-    """Join of two complexes on disjoint vertex sets."""
-    x._require_nonvoid()
-    y._require_nonvoid()
-    overlap = x.vertex_set & y.vertex_set
-    if overlap:
-        labels = sorted(v.label for v in overlap)
-        raise DisjointnessViolation(f"joined complexes share vertices {labels}")
-    return SimplicialComplex.from_facets(
-        f.union(g) for f in x.facets for g in y.facets
-    )
-
-
-def link(x: SimplicialComplex, f: Simplex) -> SimplicialComplex:
-    """Link of a face: residues of the facets containing it."""
-    x._require_nonvoid()
-    cofacets = [s for s in x.facets if f.vset <= s.vset]
-    if not cofacets:
-        raise FaceNotFound(f"{f!r} is not a face")
-    return SimplicialComplex.from_facets(
-        Simplex(s.vset - f.vset) for s in cofacets
-    )
-
-
-def star(x: SimplicialComplex, f: Simplex) -> SimplicialComplex:
-    """Closed star of a face: the subcomplex generated by its cofacets."""
-    x._require_nonvoid()
-    cofacets = [s for s in x.facets if f.vset <= s.vset]
-    if not cofacets:
-        raise FaceNotFound(f"{f!r} is not a face")
-    return SimplicialComplex.from_facets(cofacets)
-
-
 def boundary_complex(x: SimplicialComplex) -> SimplicialComplex:
     """Codimension-1 faces lying in exactly one facet; void if closed."""
     x._require_nonvoid()
@@ -338,14 +296,6 @@ def boundary_complex(x: SimplicialComplex) -> SimplicialComplex:
     if bad:
         raise NotPseudomanifold(f"face {bad[0]!r} lies in {counts[bad[0]]} facets")
     return SimplicialComplex.from_facets(r for r, c in counts.items() if c == 1)
-
-
-def cone(x: SimplicialComplex, apex: VertexId) -> SimplicialComplex:
-    """Cone over a complex from a fresh apex."""
-    x._require_nonvoid()
-    if apex in x.vertex_set:
-        raise DisjointnessViolation(f"apex {apex.label} already a vertex")
-    return SimplicialComplex.from_facets(f.with_vertex(apex) for f in x.facets)
 
 
 @dataclass(frozen=True)
@@ -381,31 +331,6 @@ class FreeSumCell:
     def __lt__(self, other: "FreeSumCell") -> bool:
         return (self.f_part, self.g_part) < (other.f_part, other.g_part)
 
-    def boundary_facets(self) -> list[Simplex]:
-        """Codimension-1 faces: drop one vertex from each part."""
-        out = []
-        for u in self.f_part:
-            for w in self.g_part:
-                out.append(Simplex((self.vset - {u}) - {w}))
-        return out
-
-    def is_proper_face(self, verts: frozenset[VertexId]) -> bool:
-        """True iff the vertex set spans a proper face of the cell."""
-        if not verts <= self.vset:
-            return False
-        return not (self.f_part.vset <= verts) and not (self.g_part.vset <= verts)
-
-    def proper_faces(self) -> Iterator[Simplex]:
-        """All nonempty proper faces (not the full cell)."""
-        f = self.f_part.verts
-        g = self.g_part.verts
-        for kf in range(len(f)):
-            for cf in combinations(f, kf):
-                for kg in range(len(g)):
-                    for cg in combinations(g, kg):
-                        if cf or cg:
-                            yield Simplex(cf + cg)
-
     def __repr__(self) -> str:
         return f"FS({self.f_part!r}+{self.g_part!r})"
 
@@ -438,10 +363,6 @@ class PolyComplex:
         x._require_nonvoid()
         return cls(x.facets, frozenset(), x.dim)
 
-    @property
-    def n_cells(self) -> int:
-        return len(self.simplex_cells) + len(self.free_cells)
-
     @cached_property
     def vertex_set(self) -> frozenset[VertexId]:
         vs: set[VertexId] = set()
@@ -462,128 +383,3 @@ class PolyComplex:
     @cached_property
     def sorted_free_cells(self) -> tuple[FreeSumCell, ...]:
         return tuple(sorted(self.free_cells))
-
-    def validate_proper_intersections(self) -> None:
-        """Check every pair of cells meets in a common face of both.
-
-        Only pairs sharing a vertex are examined; the empty set is a face
-        of everything.  Raises InternalInvariantViolation on failure.
-        """
-        from .errors import InternalInvariantViolation
-
-        cells: list[tuple[frozenset[VertexId], object]] = []
-        for s in self.sorted_simplex_cells:
-            cells.append((s.vset, s))
-        for c in self.sorted_free_cells:
-            cells.append((c.vset, c))
-        by_vertex: dict[VertexId, list[int]] = {}
-        for i, (vs, _) in enumerate(cells):
-            for v in vs:
-                by_vertex.setdefault(v, []).append(i)
-        pairs = set()
-        for idxs in by_vertex.values():
-            for i, j in combinations(idxs, 2):
-                pairs.add((i, j))
-        for i, j in sorted(pairs):
-            vi, ci = cells[i]
-            vj, cj = cells[j]
-            inter = vi & vj
-            for vs, cell in ((vi, ci), (vj, cj)):
-                if isinstance(cell, FreeSumCell):
-                    ok = cell.is_proper_face(inter) or (inter == vs and ci is cj)
-                else:
-                    ok = inter != vs or ci is cj
-                    ok = ok and inter <= vs
-                if not ok:
-                    raise InternalInvariantViolation(
-                        f"cells {ci!r} and {cj!r} do not intersect properly"
-                    )
-
-    def boundary(self) -> SimplicialComplex:
-        """Codimension-1 faces lying in exactly one cell."""
-        counts: dict[Simplex, int] = {}
-        for s in self.simplex_cells:
-            for r in s.facets():
-                counts[r] = counts.get(r, 0) + 1
-        for c in self.free_cells:
-            for r in c.boundary_facets():
-                counts[r] = counts.get(r, 0) + 1
-        bad = [r for r, c in counts.items() if c >= 3]
-        if bad:
-            raise NotPseudomanifold(f"face {bad[0]!r} lies in {counts[bad[0]]} cells")
-        return SimplicialComplex.from_facets(r for r, c in counts.items() if c == 1)
-
-
-@dataclass(frozen=True)
-class FVector:
-    """Face counts by dimension, index 0 = vertices."""
-
-    counts: tuple[int, ...]
-
-    @property
-    def euler_characteristic(self) -> int:
-        return sum(c if i % 2 == 0 else -c for i, c in enumerate(self.counts))
-
-
-def f_vector(x: "PolyComplex | SimplicialComplex") -> FVector:
-    """Count faces of every dimension, deduplicated across cells.
-
-    Free-sum cells contribute their proper faces plus the cell itself.
-    """
-    if isinstance(x, SimplicialComplex):
-        x._require_nonvoid()
-        x = PolyComplex.from_simplicial(x)
-    faces: set[frozenset[VertexId]] = set()
-    for s in x.simplex_cells:
-        for k in range(1, len(s.verts) + 1):
-            for c in combinations(s.verts, k):
-                faces.add(frozenset(c))
-    full_cells: set[frozenset[VertexId]] = set()
-    for cell in x.free_cells:
-        full_cells.add(cell.vset)
-        for f in cell.proper_faces():
-            faces.add(f.vset)
-    counts = [0] * (x.dim + 1)
-    for f in faces:
-        counts[len(f) - 1] += 1
-    # a full free-sum cell is a dim-dimensional face with more vertices
-    counts[x.dim] += len(full_cells)
-    return FVector(tuple(counts))
-
-
-def gale_evenness(subset: Iterable[int], n: int) -> bool:
-    """Gale's evenness condition for a candidate facet of a cyclic polytope.
-
-    Between any two consecutive non-members the number of members must be
-    even; runs touching either end of [1, n] are unconstrained.
-    """
-    members = set(subset)
-    run = 0
-    seen_gap = False
-    for v in range(1, n + 1):
-        if v in members:
-            run += 1
-        else:
-            if seen_gap and run % 2 == 1:
-                return False
-            seen_gap = True
-            run = 0
-    return True
-
-
-def cyclic_polytope_facets(n: int, d: int) -> SimplicialComplex:
-    """Boundary complex of the cyclic d-polytope on n vertices.
-
-    Vertices are the raw labels 1..n; facets are the d-subsets passing
-    Gale's evenness condition.
-    """
-    if d < 2:
-        raise DegenerateInput("cyclic polytopes need dimension >= 2")
-    if n <= d:
-        raise DegenerateInput(f"need n > d, got n={n}, d={d}")
-    verts = [VertexId.raw(i) for i in range(1, n + 1)]
-    facets = []
-    for idxs in combinations(range(1, n + 1), d):
-        if gale_evenness(idxs, n):
-            facets.append(Simplex(verts[i - 1] for i in idxs))
-    return SimplicialComplex.from_facets(facets)

@@ -19,7 +19,6 @@ from .carvefill import (
     carve_and_fill,
     is_compatible,
     missing_face,
-    realize,
 )
 from .complexes import (
     PolyComplex,
@@ -41,8 +40,7 @@ from .grid import (
     is_grid_starconvex,
     join_of_paths,
 )
-from .sampling import choice_vector
-from .topology import ShellingOrder, certify, verify_shelling
+from .topology import certify, verify_shelling
 
 
 @dataclass(frozen=True)
@@ -164,25 +162,6 @@ def _assert_missing_faces_distinct(manifest: FillManifest) -> None:
     faces = [cell.f_part for cell in manifest.free_cells]
     if len(set(faces)) != len(faces):
         raise InternalInvariantViolation("missing faces collide across holes")
-
-
-def sample_realization_certificates(
-    manifest: FillManifest, count: int, seed: int = 0, expect: str = "sphere"
-) -> list[tuple[int, ...]]:
-    """Certify deterministic seeded realizations; return the sampled vectors."""
-    vectors = []
-    expected_dim = manifest.result.dim
-    for t in range(count):
-        bits = choice_vector(seed, t, manifest.n_free_cells)
-        cert = certify(realize(manifest, bits))
-        ok = cert.kind == expect and cert.dim == expected_dim
-        if not ok:
-            raise InternalInvariantViolation(
-                f"realization {bits} certified as {cert.kind}({cert.dim}), "
-                f"expected {expect}({expected_dim})"
-            )
-        vectors.append(bits)
-    return vectors
 
 
 def _band_manifest(lengths: tuple[int, ...]) -> FillManifest:
@@ -401,7 +380,7 @@ def build_cyclic(n: int) -> ConstructionReport:
         # every ridge of the host lies in two facets, so the hole is a
         # pseudomanifold, and a shelling that never meets a facet's whole
         # boundary makes it a PL ball (Danaraj-Klee, Duke Math. J. 41, 1974)
-        order = ShellingOrder(tuple(facet_of[c] for c in cell_order))
+        order = tuple(facet_of[c] for c in cell_order)
         if not verify_shelling(ball.subcomplex, order):
             raise InternalInvariantViolation(f"hole {k} shelling rejected")
         members = [

@@ -31,9 +31,9 @@ Point = tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class LiftedConfiguration:
-    """Exact rational points, each listed once, at distinct coordinates
-    and kept in vertex order, with a height for every point and for
-    nothing else."""
+    """Exact rational points, each listed once, all with the same
+    positive number of coordinates, at distinct coordinates and kept in
+    vertex order, with a height for every point and for nothing else."""
 
     points: tuple[tuple[VertexId, Point], ...]
     heights: dict[VertexId, Fraction]
@@ -50,11 +50,16 @@ class LiftedConfiguration:
         extra = sorted(set(self.heights) - set(ids))
         if extra:
             raise DegenerateInput(f"height for {extra[0].label}, which is not a point")
-        # a point without coordinates is left to the dimension check of
-        # the command that reads it
         at: dict[Point, VertexId] = {}
         for v, p in points:
-            if p and at.setdefault(p, v) != v:
+            if not p:
+                raise DegenerateInput(f"point {v.label} has no coordinates")
+            if len(p) != len(points[0][1]):
+                first, q = points[0]
+                raise DegenerateInput(
+                    f"points {first.label} and {v.label} have {len(q)} and {len(p)} coordinates"
+                )
+            if at.setdefault(p, v) != v:
                 coords = ",".join(str(c) for c in p)
                 raise DegenerateInput(f"points {at[p].label} and {v.label} are both at ({coords})")
         object.__setattr__(self, "points", points)
@@ -340,27 +345,6 @@ def standard_coordinates(n: int, m: int) -> dict[VertexId, Point]:
         out[VertexId.path(1, i)] = (Fraction(i), Fraction(0), Fraction(1))
     for j in range(1, m + 1):
         out[VertexId.path(2, j)] = (Fraction(0), Fraction(j), Fraction(-1))
-    return out
-
-
-def paths_coordinates(lengths) -> dict[VertexId, Point]:
-    """Recursive embedding of d paths in dimension 2d-1: re-embed the
-    first d-1 paths by x -> (x, 0, -1) and place path d on (0,..,0,t,1)."""
-    lengths = tuple(lengths)
-    if not lengths or any(n < 2 for n in lengths):
-        raise DegenerateInput("each path needs at least 2 vertices")
-    out: dict[VertexId, Point] = {
-        VertexId.path(1, i): (Fraction(i),) for i in range(1, lengths[0] + 1)
-    }
-    for axis, n in enumerate(lengths[1:], start=2):
-        pad = (Fraction(0), Fraction(-1))
-        out = {v: p + pad for v, p in out.items()}
-        dim = 2 * axis - 1
-        for i in range(1, n + 1):
-            p = [Fraction(0)] * dim
-            p[-2] = Fraction(i)
-            p[-1] = Fraction(1)
-            out[VertexId.path(axis, i)] = tuple(p)
     return out
 
 
@@ -781,11 +765,6 @@ def convex_hull(pts: list[tuple[VertexId, Point]]) -> list[HullFacet]:
     ]
     facets.sort(key=lambda f: _cell_key(f.vertices))
     return facets
-
-
-def lower_facets(facets: list[HullFacet]) -> list[HullFacet]:
-    """Facets whose outward normal points downward in the last coordinate."""
-    return [f for f in facets if f.normal[-1] < 0]
 
 
 def hull_with_apex(

@@ -2,10 +2,9 @@
 
 A join of d paths triangulates a product-of-segments polytope; its
 full-dimensional simplices correspond to the cells of a d-dimensional box
-of cubes.  This module provides the region predicates (connected,
-starconvex, unimodal), diagonal bands with their constructive shelling
-orders, and the Aztec-diamond / Aztec-crosspolytope shapes with their
-Ehrhart counts.
+of cubes.  This module provides the starconvexity predicate, diagonal
+bands with their constructive shelling orders, and the Aztec
+crosspolytope shapes with their Ehrhart counts.
 
 Cube indices are 1-based throughout.
 """
@@ -19,7 +18,6 @@ from math import comb
 
 from .complexes import Simplex, SimplicialComplex, VertexId
 from .errors import DegenerateInput, FaceNotFound, HypothesisNotSatisfied
-from .topology import ShellingOrder
 
 
 @dataclass(frozen=True)
@@ -74,12 +72,6 @@ def cell_simplex(cell: tuple[int, ...]) -> Simplex:
     return Simplex(verts)
 
 
-def region_complex(r: GridRegion) -> SimplicialComplex:
-    if not r.cells:
-        raise DegenerateInput("empty region has no complex")
-    return SimplicialComplex.from_facets(cell_simplex(c) for c in r.cells)
-
-
 @dataclass(frozen=True)
 class JoinOfPaths:
     """The join of d paths, with the cube-index to facet bijection."""
@@ -124,22 +116,6 @@ def _neighbors(cell: tuple[int, ...]):
             yield cell[:axis] + (cell[axis] + step,) + cell[axis + 1:]
 
 
-def is_grid_connected(r: GridRegion) -> bool:
-    """Connectivity of the one-step axis adjacency graph on the cells."""
-    if not r.cells:
-        return True
-    start = min(r.cells)
-    seen = {start}
-    stack = [start]
-    while stack:
-        c = stack.pop()
-        for nb in _neighbors(c):
-            if nb in r.cells and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(r.cells)
-
-
 def is_grid_starconvex(r: GridRegion, center: tuple[int, ...]) -> bool:
     """Box-interval condition from a center cell toward every region cell."""
     center = tuple(center)
@@ -151,31 +127,6 @@ def is_grid_starconvex(r: GridRegion, center: tuple[int, ...]) -> bool:
         ]
         for between in product(*ranges):
             if between not in r.cells:
-                return False
-    return True
-
-
-def _slice_region(r: GridRegion, axis: int, value: int) -> GridRegion:
-    dims = r.box.dims[:axis] + r.box.dims[axis + 1:]
-    cells = [
-        c[:axis] + c[axis + 1:] for c in r.cells if c[axis] == value
-    ]
-    return GridRegion.of(GridBox(dims), cells)
-
-
-def is_grid_unimodal(r: GridRegion) -> bool:
-    """Interval condition in 1-d; recursively sliced plus connected above."""
-    if not r.cells:
-        return True
-    if r.box.d == 1:
-        vals = sorted(c[0] for c in r.cells)
-        return vals == list(range(vals[0], vals[-1] + 1))
-    if not is_grid_connected(r):
-        return False
-    for axis in range(r.box.d):
-        for value in range(1, r.box.dims[axis] + 1):
-            sub = _slice_region(r, axis, value)
-            if sub.cells and not is_grid_unimodal(sub):
                 return False
     return True
 
@@ -229,7 +180,7 @@ def _band_order(dims: tuple[int, ...], m1: int, m2: int) -> list[tuple[int, ...]
 
 
 def band_cell_order(r: GridRegion) -> list[tuple[int, ...]]:
-    """Cube order underlying the band shelling; see shelling_order_band."""
+    """The cubes of a diagonal band in a shelling order of their simplices."""
     if not r.shellable_guaranteed:
         raise HypothesisNotSatisfied(
             "band does not meet the sufficient condition; no order claimed"
@@ -240,11 +191,6 @@ def band_cell_order(r: GridRegion) -> list[tuple[int, ...]]:
     if set(order) != r.cells:
         raise HypothesisNotSatisfied("region is not a full diagonal band")
     return order
-
-
-def shelling_order_band(r: GridRegion) -> ShellingOrder:
-    """Constructive shelling order for a diagonal band region."""
-    return ShellingOrder(tuple(cell_simplex(c) for c in band_cell_order(r)))
 
 
 def ehrhart_crosspolytope(d: int, x: int) -> int:
@@ -267,11 +213,6 @@ def aztec_crosspolytope(d: int, k: int) -> GridRegion:
         c for c in box.all_cells() if sum(abs(i - center) for i in c) <= radius
     ]
     return GridRegion.of(box, cells)
-
-
-def aztec_diamond(k: int) -> GridRegion:
-    """Two-dimensional Aztec crosspolytope."""
-    return aztec_crosspolytope(2, k)
 
 
 def boundary_members(r: GridRegion, host: JoinOfPaths | None = None) -> set[Simplex]:

@@ -11,7 +11,7 @@ import functools
 import json
 import re
 from fractions import Fraction
-from typing import Any
+from typing import Any, Sequence
 
 from .carvefill import FillManifest
 from .complexes import (
@@ -24,7 +24,7 @@ from .complexes import (
 from .constructions import ConstructionReport
 from .errors import InputParseError, SphereforgeError
 from .geometry import HullFacet, LiftedConfiguration, Point, RegularAztecLift, Subdivision
-from .topology import ShellingOrder, TopologyCertificate
+from .topology import TopologyCertificate
 
 
 def _labels(verts) -> list[str]:
@@ -248,16 +248,16 @@ def certificate_to_obj(c: TopologyCertificate) -> dict:
 # shelling orders
 
 
-def order_to_obj(s: ShellingOrder) -> dict:
-    return {"order": [_labels(f.verts) for f in s.order]}
+def order_to_obj(order: Sequence[Simplex]) -> dict:
+    return {"order": [_labels(f.verts) for f in order]}
 
 
 @_decoder("shelling order")
-def order_from_obj(obj: dict) -> ShellingOrder:
-    return ShellingOrder(tuple(Simplex(_parse_verts(v)) for v in obj["order"]))
+def order_from_obj(obj: dict) -> tuple[Simplex, ...]:
+    return tuple(Simplex(_parse_verts(v)) for v in obj["order"])
 
 
-def load_order(path: str) -> ShellingOrder:
+def load_order(path: str) -> tuple[Simplex, ...]:
     return order_from_obj(_load_json(path))
 
 

@@ -31,7 +31,7 @@ def choice_vector(seed: int, vector_index: int, length: int) -> tuple[int, ...]:
 def parse_hex_choices(text: str, length: int) -> tuple[int, ...]:
     """Bit j of the hex integer (value >> j & 1) selects cell j."""
     value = int(text, 16)
-    if value < 0 or value >= 1 << max(length, 1):
+    if value < 0 or value >= 1 << length:
         raise ValueError(f"choice value {text} out of range for {length} cells")
     return tuple((value >> j) & 1 for j in range(length))
 

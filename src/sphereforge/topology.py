@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 from .complexes import Simplex, SimplicialComplex
 from .errors import DegenerateInput, InvalidOrder
@@ -29,16 +30,6 @@ LINK_RECURSION_MAX_DIM = 5
 SPHERE = "sphere"
 BALL = "ball"
 NEITHER = "neither"
-
-
-@dataclass(frozen=True)
-class ShellingOrder:
-    """Facets in a proposed shelling sequence."""
-
-    order: tuple[Simplex, ...]
-
-    def __len__(self) -> int:
-        return len(self.order)
 
 
 @dataclass(frozen=True)
@@ -316,7 +307,7 @@ def certify(x: SimplicialComplex) -> TopologyCertificate:
     return TopologyCertificate(*_classify(_indexed_facets(x), (), {}, top=True))
 
 
-def verify_shelling(x: SimplicialComplex, s: "ShellingOrder | list[Simplex]") -> bool:
+def verify_shelling(x: SimplicialComplex, order: Sequence[Simplex]) -> bool:
     """Check a facet order is a shelling of a ball.
 
     Each facet after the first must meet the union of its predecessors in
@@ -324,7 +315,6 @@ def verify_shelling(x: SimplicialComplex, s: "ShellingOrder | list[Simplex]") ->
     boundary (that would close a sphere inside a ball).
     """
     x._require_nonvoid()
-    order = list(s.order if isinstance(s, ShellingOrder) else s)
     if len(order) != x.n_facets or set(order) != set(x.facets):
         raise InvalidOrder("order is not a permutation of the facets")
     if len(order) == 1:

@@ -14,12 +14,8 @@ from sphereforge import (
     VertexId,
     boundary_complex,
     certify,
-    cone,
-    cyclic_polytope_facets,
     diagonal_band,
     realize,
-    region_complex,
-    shelling_order_band,
     verify_shelling,
 )
 from sphereforge.constructions import (
@@ -38,6 +34,8 @@ from sphereforge.geometry import (
     verify_regular,
 )
 from sphereforge.sampling import choice_vector
+
+from oracles import cone, cyclic_polytope_facets, region_complex, shelling_order_band
 
 
 def _stamp(number: int, name: str, t0: float, budget: float) -> None:

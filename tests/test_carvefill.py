@@ -12,7 +12,6 @@ from sphereforge import (
     VertexId,
     betti_gf2,
     boundary_complex,
-    boundary_restriction,
     carve_and_fill,
     certify,
     fill_ball,
@@ -32,6 +31,13 @@ from sphereforge.errors import (
     IncompatibleFamily,
     NoBoundaryContact,
     SingleSimplexBall,
+)
+
+from oracles import (
+    boundary_facets,
+    boundary_restriction,
+    poly_boundary,
+    validate_proper_intersections,
 )
 
 R = VertexId.raw
@@ -147,7 +153,7 @@ class TestFillBall:
         filled, free = fill_ball(fam, VertexId.hole(1))
         assert not free
         assert len(filled.simplex_cells) == ball.boundary.n_facets
-        assert filled.boundary().facets == ball.boundary.facets
+        assert poly_boundary(filled).facets == ball.boundary.facets
 
     def test_fill_preserves_boundary(self):
         host, ball = grid_ball(4, 4)
@@ -155,8 +161,8 @@ class TestFillBall:
         fam = CompatibleFamily.of(ball, members)
         filled, free = fill_ball(fam, VertexId.hole(1))
         assert len(free) == 2
-        assert filled.boundary().facets == ball.boundary.facets
-        filled.validate_proper_intersections()
+        assert poly_boundary(filled).facets == ball.boundary.facets
+        validate_proper_intersections(filled)
 
     def test_incompatible_rejected(self):
         host, ball = glued_tetrahedra()
@@ -203,7 +209,7 @@ class TestCarveAndFill:
         assert manifest.n_free_cells == 2
         assert [len(manifest.free_cells_by_ball[k]) for k in manifest.hole_keys] == [1, 1]
         assert manifest.apex_of_ball[1] == VertexId.hole(1)
-        manifest.result.validate_proper_intersections()
+        validate_proper_intersections(manifest.result)
 
     def test_manifest_holes_must_list_each_free_cell_once(self):
         _, m = small_two_hole_manifest()
@@ -254,7 +260,7 @@ class TestTriangulateCell:
         cell = FreeSumCell(rs(1, 2), rs(3, 4, 5))
         for choice in (0, 1):
             tris = SimplicialComplex.from_facets(triangulate_cell(cell, choice))
-            assert boundary_complex(tris).facets == frozenset(cell.boundary_facets())
+            assert boundary_complex(tris).facets == frozenset(boundary_facets(cell))
 
 
 class TestRealize:

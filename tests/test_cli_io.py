@@ -9,7 +9,6 @@ import pytest
 
 from sphereforge import (
     PolyComplex,
-    cyclic_polytope_facets,
     join_of_paths,
 )
 from sphereforge import io as sfio
@@ -19,6 +18,8 @@ from sphereforge.constructions import build_aztec, build_holes4
 from sphereforge.geometry import build_aztec_lift
 from sphereforge.errors import InputParseError
 from sphereforge.sampling import choice_vector, format_hex_choices, parse_hex_choices
+
+from oracles import cyclic_polytope_facets, region_complex, shelling_order_band
 
 
 class TestSampling:
@@ -222,6 +223,23 @@ class TestCliPipelines:
         m = sfio.load_manifest(str(mpath))
         assert m.n_free_cells == 1
 
+    def test_realize_refuses_a_choice_bit_beyond_the_free_cells(self, tmp_path, capsys):
+        # a hole without members fills with cones alone: 0 free cells
+        host_path = tmp_path / "host.json"
+        sfio.save_complex(str(host_path), join_of_paths((4, 4)).complex)
+        block = [[f"a:1:{i}", f"a:1:{i+1}", f"a:2:{j}", f"a:2:{j+1}"] for i in (1, 2) for j in (1, 2)]
+        holes_path = tmp_path / "holes.json"
+        holes_path.write_text(json.dumps({"holes": [{"key": 1, "facets": block}]}))
+        mpath = tmp_path / "m.json"
+        assert run(tmp_path, "fill", "--input", host_path, "--holes", holes_path, "-o", mpath) == 0
+        assert sfio.load_manifest(str(mpath)).n_free_cells == 0
+        capsys.readouterr()
+        out = tmp_path / "r.json"
+        assert run(tmp_path, "realize", "--manifest", mpath, "--choices", "1", "-o", out) == 1
+        assert capsys.readouterr().err == "input error: choice value 1 out of range for 0 cells\n"
+        assert not out.exists()
+        assert run(tmp_path, "realize", "--manifest", mpath, "--choices", "0", "-o", out) == 0
+
     def test_export_off(self, tmp_path):
         lift = tmp_path / "lift.json"
         run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift)
@@ -241,7 +259,7 @@ class TestCliPipelines:
         assert (tmp_path / "mesh.off.exact.json").exists()
 
     def test_shelling_verify_cli(self, tmp_path):
-        from sphereforge import diagonal_band, GridBox, region_complex, shelling_order_band
+        from sphereforge import diagonal_band, GridBox
 
         band = diagonal_band(GridBox((4, 4)), 3, 6)
         cpath, opath = tmp_path / "band.json", tmp_path / "order.json"
@@ -425,8 +443,33 @@ class TestCliPipelines:
             ), argv
             assert captured.out == "", argv
 
-    @pytest.mark.parametrize("which, coords, n", [("every", [], 0), ("first", ["0", "1"], 2)])
-    def test_export_off_refuses_points_that_are_not_3d(self, tmp_path, capsys, which, coords, n):
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_export_off_refuses_points_that_are_not_3d(self, tmp_path, capsys, n):
+        lift = tmp_path / "lift.json"
+        assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0
+        assert run(tmp_path, "generate", "aztec", "--k", "3", "--l", "1", "-o", tmp_path / "a.json") == 0
+        obj = json.loads(lift.read_text())
+        points = obj["points"]
+        for point in points:
+            point[1] = (point[1] + ["0"])[:n]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        off = tmp_path / "mesh.off"
+        assert run(tmp_path, "export", "off", "--input", tmp_path / "a.realized.json", "--lift", bad, "-o", off) == 1
+        captured = capsys.readouterr()
+        label = points[0][0]
+        assert captured.err == f"input error: export off needs 3-D points; point {label} has {n} coordinates\n"
+        assert captured.out == ""
+        assert not off.exists()
+
+    @pytest.mark.parametrize("which, coords, message", [
+        ("every", [], "point a:1:1 has no coordinates"),
+        ("first", ["1", "0"], "points a:1:1 and a:1:2 have 2 and 3 coordinates"),
+    ])
+    def test_a_point_without_coordinates_or_of_another_dimension_is_rejected(
+        self, tmp_path, capsys, which, coords, message
+    ):
         lift = tmp_path / "lift.json"
         assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0
         assert run(tmp_path, "generate", "aztec", "--k", "3", "--l", "1", "-o", tmp_path / "a.json") == 0
@@ -438,11 +481,16 @@ class TestCliPipelines:
         bad.write_text(json.dumps(obj))
         capsys.readouterr()
         off = tmp_path / "mesh.off"
-        assert run(tmp_path, "export", "off", "--input", tmp_path / "a.realized.json", "--lift", bad, "-o", off) == 1
-        captured = capsys.readouterr()
-        label = points[0][0]
-        assert captured.err == f"input error: export off needs 3-D points; point {label} has {n} coordinates\n"
-        assert captured.out == ""
+        for argv in (
+            ("verify", "regular", bad),
+            ("hull", "--input", bad),
+            ("degree3", "--input", bad),
+            ("export", "off", "--input", tmp_path / "a.realized.json", "--lift", bad, "-o", off),
+        ):
+            assert run(tmp_path, *argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.err == f"input error: malformed lift file: {message}\n", argv
+            assert captured.out == "", argv
         assert not off.exists()
 
     def test_lift_file_listing_a_cell_or_a_cell_label_twice_is_rejected(self, tmp_path, capsys):

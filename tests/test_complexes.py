@@ -9,12 +9,22 @@ import pytest
 
 import sphereforge
 from sphereforge import (
-    EMPTY_SIMPLEX,
     FreeSumCell,
     Simplex,
     SimplicialComplex,
     VertexId,
     boundary_complex,
+)
+from sphereforge.errors import (
+    DegenerateInput,
+    DisjointnessViolation,
+    FaceNotFound,
+    NotPseudomanifold,
+)
+
+from oracles import (
+    EMPTY_SIMPLEX,
+    boundary_facets,
     cone,
     cyclic_polytope_facets,
     empty_complex,
@@ -22,12 +32,6 @@ from sphereforge import (
     join,
     link,
     star,
-)
-from sphereforge.errors import (
-    DegenerateInput,
-    DisjointnessViolation,
-    FaceNotFound,
-    NotPseudomanifold,
 )
 
 
@@ -341,7 +345,7 @@ class TestFreeSumCell:
                 bf = boundary_complex(SimplicialComplex.from_facets([f]))
                 bg = boundary_complex(SimplicialComplex.from_facets([g]))
                 expected = join(bf, bg).facets
-                assert frozenset(cell.boundary_facets()) == expected
+                assert frozenset(boundary_facets(cell)) == expected
 
     def test_part_size_validation(self):
         with pytest.raises(DegenerateInput):

@@ -4,8 +4,9 @@ from itertools import product
 
 import pytest
 
-from sphereforge import betti_gf2, certify, constructions, realize
+from sphereforge import Simplex, VertexId, betti_gf2, certify, constructions, realize
 from sphereforge import io as sfio
+from sphereforge.cli import main
 from sphereforge.constructions import (
     build_aztec,
     build_aztec_highd,
@@ -13,14 +14,22 @@ from sphereforge.constructions import (
     build_highd,
     build_holes3,
     build_holes4,
-    sample_realization_certificates,
 )
 from sphereforge.errors import DegenerateInput, InternalInvariantViolation
 from sphereforge.grid import ehrhart_crosspolytope
 
+from oracles import cyclic_polytope_facets, f_vector
+
 
 def manifest_bytes(report):
     return sfio.dumps(sfio.manifest_to_obj(report.manifest))
+
+
+def generate_samples(tmp_path, *argv):
+    """Exit code of ``generate`` with ``--samples``: 0 when the zero
+    realization and every seeded sample certify as the kind's expected
+    sphere or ball."""
+    return main(["generate", *map(str, argv), "-o", str(tmp_path / "g.json")])
 
 
 def interior_point_count(lengths, width, residues):
@@ -57,13 +66,10 @@ class TestHoles4:
         cert = certify(realize(manifest, (0,) * manifest.n_free_cells))
         assert cert.is_sphere(3)
 
-    def test_sampled_realizations_certify(self):
-        report = build_holes4(6, 6)
-        sample_realization_certificates(report.manifest, 4, seed=7)
+    def test_sampled_realizations_certify(self, tmp_path):
+        assert generate_samples(tmp_path, "holes4", "--n", 6, "--m", 6, "--samples", 4, "--seed", 7) == 0
 
     def test_euler_characteristic_zero(self):
-        from sphereforge import f_vector
-
         report = build_holes4(5, 5)
         assert f_vector(report.manifest.result).euler_characteristic == 0
 
@@ -95,9 +101,8 @@ class TestHoles3:
         assert report.claimed_bounds["candidate_cells"] == 2 * points
         assert report.free_cell_count == points
 
-    def test_small_instance_is_sphere(self):
-        report = build_holes3(4, 4)
-        sample_realization_certificates(report.manifest, 2, seed=3)
+    def test_small_instance_is_sphere(self, tmp_path):
+        assert generate_samples(tmp_path, "holes3", "--n", 4, "--m", 4, "--samples", 2, "--seed", 3) == 0
 
 
 class TestAztec:
@@ -113,9 +118,8 @@ class TestAztec:
         assert report.vertex_count == 2 * 3 * 1 + 2 + 1
         assert report.free_cell_count == 4
 
-    def test_output_is_ball(self):
-        report = build_aztec(3, 2)
-        sample_realization_certificates(report.manifest, 2, seed=1, expect="ball")
+    def test_output_is_ball(self, tmp_path):
+        assert generate_samples(tmp_path, "aztec", "--k", 3, "--l", 2, "--samples", 2, "--seed", 1) == 0
 
     def test_per_hole_counts(self):
         report = build_aztec(5, 2)
@@ -136,9 +140,18 @@ class TestCyclic:
         assert report.vertex_count == 15
         assert report.flags["vertex_count_alternatives"] == [15, 16]
 
-    def test_realizations_certify_sphere(self):
-        report = build_cyclic(3)
-        sample_realization_certificates(report.manifest, 2, seed=5)
+    def test_realizations_certify_sphere(self, tmp_path):
+        assert generate_samples(tmp_path, "cyclic", "--n", 3, "--samples", 2, "--seed", 5) == 0
+
+    def test_host_is_the_gale_cyclic_polytope(self):
+        # two definitions of the cyclic 4-polytope: the host's cyclically
+        # adjacent pairs on 0..4n-1, and Gale evenness on 1..4n
+        for n, facets in ((3, 54), (4, 104), (5, 170), (6, 252)):
+            host = constructions._cyclic_host(n)
+            gale = cyclic_polytope_facets(4 * n, 4)
+            relabelled = {Simplex(VertexId.raw(v.data[0] - 1) for v in f) for f in gale.facets}
+            assert host.facets == relabelled, n
+            assert host.n_facets == facets
 
     def test_ratio_at_n10(self):
         report = build_cyclic(10)
@@ -169,9 +182,8 @@ class TestHighd:
             assert len(cell.f_part) + len(cell.g_part) == 7
             assert sorted((len(cell.f_part), len(cell.g_part))) == [3, 4]
 
-    def test_small_d3_realization_is_sphere(self):
-        report = build_highd(3, 6)
-        sample_realization_certificates(report.manifest, 1, seed=11)
+    def test_small_d3_realization_is_sphere(self, tmp_path):
+        assert generate_samples(tmp_path, "highd", "--d", 3, "--n", 6, "--samples", 1, "--seed", 11) == 0
 
 
 class TestAztecHighd:

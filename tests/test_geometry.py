@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from sphereforge import VertexId, cyclic_polytope_facets, geometry
+from sphereforge import VertexId, geometry
 from sphereforge.errors import (
     DegenerateCell,
     DegenerateInput,
@@ -28,14 +28,14 @@ from sphereforge.geometry import (
     detect_bipyramid_facets,
     eps_search,
     hull_with_apex,
-    lower_facets,
-    paths_coordinates,
     raise_centers,
     raised_center_target,
     standard_coordinates,
     verify_regular,
 )
 from sphereforge.geometry import _cell_walls, _hyperplane, _int_config, _rank_and_nullvector
+
+from oracles import cyclic_polytope_facets, lower_facets, paths_coordinates
 
 R = VertexId.raw
 F = Fraction

@@ -8,17 +8,12 @@ from sphereforge import (
     GridBox,
     GridRegion,
     aztec_crosspolytope,
-    aztec_diamond,
     boundary_members,
     certify,
     diagonal_band,
     ehrhart_crosspolytope,
-    is_grid_connected,
     is_grid_starconvex,
-    is_grid_unimodal,
     join_of_paths,
-    region_complex,
-    shelling_order_band,
     verify_shelling,
 )
 from sphereforge.errors import (
@@ -26,6 +21,8 @@ from sphereforge.errors import (
     FaceNotFound,
     HypothesisNotSatisfied,
 )
+
+from oracles import is_grid_connected, is_grid_unimodal, region_complex, shelling_order_band
 
 
 def region(dims, cells):
@@ -99,12 +96,12 @@ class TestPredicates:
 
     def test_aztec_starconvex_from_center(self):
         for k in (3, 5, 7):
-            r = aztec_diamond(k)
+            r = aztec_crosspolytope(2, k)
             assert is_grid_starconvex(r, ((k + 1) // 2, (k + 1) // 2))
 
     def test_starconvex_survives_subbox_intersection(self):
         k = 5
-        r = aztec_diamond(k)
+        r = aztec_crosspolytope(2, k)
         center = (3, 3)
         for lo1, hi1, lo2, hi2 in ((2, 5, 1, 4), (3, 5, 3, 5), (1, 3, 2, 4)):
             cells = [
@@ -119,7 +116,7 @@ class TestPredicates:
         band = diagonal_band(GridBox((4, 4)), 3, 6)
         assert is_grid_unimodal(band)
         assert not is_grid_unimodal(region((3, 3), [(1, 1), (1, 3)]))
-        assert is_grid_unimodal(aztec_diamond(5))
+        assert is_grid_unimodal(aztec_crosspolytope(2, 5))
 
     def test_unimodal_implies_ball_dim2(self):
         state = 999
@@ -222,13 +219,13 @@ class TestBandShelling:
 
 class TestAztec:
     def test_small_diamonds(self):
-        assert len(aztec_diamond(3)) == 5
-        assert len(aztec_diamond(5)) == 13
+        assert len(aztec_crosspolytope(2, 3)) == 5
+        assert len(aztec_crosspolytope(2, 5)) == 13
         assert len(aztec_crosspolytope(1, 3)) == 3
 
     def test_even_k_rejected(self):
         with pytest.raises(DegenerateInput):
-            aztec_diamond(4)
+            aztec_crosspolytope(2, 4)
 
     def test_counts_match_ehrhart(self):
         for d in (1, 2, 3, 4):
@@ -261,7 +258,7 @@ class TestEhrhart:
 class TestBoundaryMembers:
     def test_aztec3_in_grid(self):
         host = join_of_paths((4, 4))
-        r = aztec_diamond(3)
+        r = aztec_crosspolytope(2, 3)
         members = boundary_members(r, host)
         assert len(members) == 4  # 2k - 2
 

@@ -7,23 +7,22 @@ from sphereforge import (
     betti_gf2,
     boundary_complex,
     certify,
-    cone,
     diagonal_band,
     realize,
-    region_complex,
-    shelling_order_band,
     verify_shelling,
 )
 from sphereforge.cli import main
 from sphereforge.constructions import build_aztec, build_holes4
 
+from oracles import cone, region_complex, shelling_order_band, validate_proper_intersections
+
 
 class TestProperIntersections:
     def test_holes4_output(self):
-        build_holes4(6, 6).manifest.result.validate_proper_intersections()
+        validate_proper_intersections(build_holes4(6, 6).manifest.result)
 
     def test_aztec_output(self):
-        build_aztec(3, 2).manifest.result.validate_proper_intersections()
+        validate_proper_intersections(build_aztec(3, 2).manifest.result)
 
 
 class TestShellableImpliesBall:

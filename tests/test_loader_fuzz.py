@@ -16,9 +16,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sphereforge import GridBox, diagonal_band, join_of_paths, region_complex, shelling_order_band
+from sphereforge import GridBox, diagonal_band, join_of_paths
 from sphereforge import io as sfio
 from sphereforge.cli import main
+
+from oracles import region_complex, shelling_order_band
 
 # file -> the commands that read it ({f} is the mutated file, {d} the
 # directory holding the valid files)

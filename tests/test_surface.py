@@ -1,0 +1,38 @@
+"""The package holds what its commands and builders run: a public
+top-level function or class of ``src/sphereforge`` that no package code
+names must be one of the few listed here, each for its stated reason.
+Reference code that only the tests run belongs in ``tests/oracles.py``."""
+
+import ast
+from pathlib import Path
+
+import sphereforge
+
+UNCALLED = {
+    "geometry.convex_hull_brute": "the test oracle of convex_hull; perfbench traces it",
+    "geometry.raise_centers": "certifies a given center raise for criterion 06; perfbench traces it",
+    "io.order_to_obj": "the encoder of the shelling-order file, kept next to its decoder",
+    "sampling.format_hex_choices": "the encoder of --choices, kept next to its parser",
+    "topology.betti_gf2": "the full elimination that the counted ranks of certify are tested against",
+}
+
+
+def test_every_public_member_is_used_by_the_package_or_listed():
+    """Names are matched as identifiers and attributes in the package's
+    code, outside the member's own definition and the ``__init__``
+    re-exports; docstrings and comments do not count."""
+    members, named = set(), set()
+    for path in sorted(Path(sphereforge.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                own = top.name
+                if not own.startswith("_"):
+                    members.add(f"{path.stem}.{own}")
+            names = {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute)}
+            named |= names - {own}
+    uncalled = {m for m in members if m.split(".")[1] not in named}
+    assert uncalled == set(UNCALLED)
