@@ -31,15 +31,18 @@ Point = tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class LiftedConfiguration:
-    """Exact rational points, each listed once, all with the same
-    positive number of coordinates, at distinct coordinates and kept in
-    vertex order, with a height for every point and for nothing else."""
+    """Exact rational points, at least one, each listed once, all with
+    the same positive number of coordinates, at distinct coordinates and
+    kept in vertex order, with a height for every point and for nothing
+    else."""
 
     points: tuple[tuple[VertexId, Point], ...]
     heights: dict[VertexId, Fraction]
 
     def __post_init__(self) -> None:
         points = tuple(sorted(self.points))
+        if not points:
+            raise DegenerateInput("no points")
         ids = [v for v, _ in points]
         twice = [u for u, v in zip(ids, ids[1:]) if u == v]
         if twice:

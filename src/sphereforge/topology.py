@@ -14,13 +14,26 @@ sphere iff it is closed with Euler characteristic 2 and a disk iff it
 has a boundary with Euler characteristic 1, so it needs no Betti numbers
 and no links.  ``betti_gf2`` eliminates every boundary map and is the
 reference the counted ranks are tested against.
+
+Links are read from the parent's index.  One pass over the ridges of a
+complex gives its pseudomanifold flags and dual graph and files under
+each vertex v what lk(v) is read from.  The link of a vertex of a
+dual-connected 3-dimensional pseudomanifold is never built: it is a
+pseudomanifold, closed iff every ridge through v lies in two facets; its
+dual graph is the parent's dual graph induced on star(v); and its Euler
+characteristic is #edges - #ridges + #facets at v.  A closed complex of
+dimension 4 or 5 certifies its links first.  If they all certify as
+spheres it is a closed connected GF(2) homology manifold, so
+b_k = b_(d-k) and only d_2 .. d_ceil(d/2) are eliminated; if one fails,
+its Betti numbers are eliminated as before.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .complexes import Simplex, SimplicialComplex
 from .errors import DegenerateInput, InvalidOrder
@@ -113,12 +126,15 @@ def _betti_from_indexed(facets: list[tuple[int, ...]]) -> tuple[int, ...]:
 
 def _betti_pm_connected(
     facets: list[tuple[int, ...]],
+    faces: list[list[tuple[int, ...]]],
     ridges: dict[tuple[int, ...], list[int]],
     closed: bool,
     n_vertices: int,
+    manifold: bool = False,
 ) -> tuple[int, ...]:
     """Reduced GF(2) Betti numbers of a dual-connected pseudomanifold of
-    dimension d >= 2, eliminating only d_2 .. d_(d-1).
+    dimension d >= 2, given its sorted faces of dimensions 1 .. d-2,
+    eliminating at most d_2 .. d_(d-1).
 
     Top rank.  A GF(2) d-chain is a set S of facets, and it is a cycle
     iff every ridge lies in an even number of facets of S.  Every ridge
@@ -134,17 +150,30 @@ def _betti_pm_connected(
     dual-connected, so the 1-skeleton is connected and
     rank d_1 = f_0 - 1.
 
-    The (d-1)-faces are the keys of ``ridges``, so only the faces of
-    dimensions 1 .. d-2 are enumerated.  They are sorted like those:
+    Duality.  A ``manifold`` is closed and its vertex links certify as
+    spheres, so it is a closed connected GF(2) homology manifold and
+    b_k = b_(d-k).  Only d_2 .. d_ceil(d/2) are eliminated then, and
+    rank d_k for k = d-1 down to ceil(d/2)+1 is f_k - rank d_(k+1) -
+    b_(d-k), where b_(d-k) already follows from the lower ranks.
+
+    The (d-1)-faces are the keys of ``ridges``.  The faces are sorted:
     in insertion order the elimination fills in more, and certifying
     holes4(81) peaks about 6 MB higher.
     """
     d = len(facets[0]) - 1
-    middle = _faces_by_dim(facets, range(1, d - 1)) + [sorted(ridges)]
-    ranks = [n_vertices - 1]
-    ranks += [_boundary_rank(lower, upper) for lower, upper in zip(middle, middle[1:])]
-    ranks.append(len(facets) - 1 if closed else len(facets))
-    return _betti_from_ranks([n_vertices, *map(len, middle), len(facets)], ranks)
+    counts = [n_vertices, *map(len, faces), len(ridges), len(facets)]
+    last = (d + 1) // 2 if manifold else d - 1
+    if last == d - 1 > 1:
+        faces = [*faces, sorted(ridges)]
+    ranks = [0] * (d + 2)
+    ranks[1] = n_vertices - 1
+    ranks[d] = len(facets) - 1 if closed else len(facets)
+    for k in range(2, last + 1):
+        ranks[k] = _boundary_rank(faces[k - 2], faces[k - 1])
+    for k in range(d - 1, last, -1):
+        j = d - k
+        ranks[k] = counts[k] - ranks[k + 1] - (counts[j] - ranks[j] - ranks[j + 1])
+    return _betti_from_ranks(counts, ranks[1:d + 1])
 
 
 def betti_gf2(x: SimplicialComplex) -> tuple[int, ...]:
@@ -155,34 +184,56 @@ def betti_gf2(x: SimplicialComplex) -> tuple[int, ...]:
     return _betti_from_indexed(_indexed_facets(x))
 
 
-def _ridge_counts(facets: list[tuple[int, ...]]) -> dict[tuple[int, ...], list[int]]:
-    """Map each codimension-1 face to the indices of facets containing it."""
-    out: dict[tuple[int, ...], list[int]] = {}
+def _ridges(
+    facets: list[tuple[int, ...]], star: dict[int, list] | None = None
+) -> dict[tuple[int, ...], list[int]]:
+    """Map each codimension-1 face to the indices of the facets that
+    contain it.
+
+    The ridge of a facet that omits the vertex v is that facet's face in
+    lk(v), so with ``star`` the same pass files under each vertex what
+    its link is read from: the indices of the facets at it when the
+    facets are tetrahedra, whose links are read off the index, and the
+    facets of its link otherwise.
+    """
+    d = len(facets[0]) - 1
+    ridges: dict[tuple[int, ...], list[int]] = {}
+    if star is None:
+        for i, f in enumerate(facets):
+            for r in combinations(f, d):
+                ridges.setdefault(r, []).append(i)
+        return ridges
+    by_index = d == 3
     for i, f in enumerate(facets):
-        for j in range(len(f)):
-            r = f[:j] + f[j + 1:]
-            out.setdefault(r, []).append(i)
-    return out
+        for v, r in zip(reversed(f), combinations(f, d)):
+            ridges.setdefault(r, []).append(i)
+            star[v].append(i if by_index else r)
+    return ridges
 
 
-def _dual_connected(n_facets: int, ridges: dict[tuple[int, ...], list[int]]) -> bool:
-    if n_facets <= 1:
-        return True
-    parent = list(range(n_facets))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+def _adjacency(n_facets: int, ridges: dict[tuple[int, ...], list[int]]) -> list[list[int]]:
+    """The dual graph: for each facet, the facets it shares a ridge with."""
+    adjacency: list[list[int]] = [[] for _ in range(n_facets)]
     for owners in ridges.values():
+        a = owners[0]
         for b in owners[1:]:
-            ra, rb = find(owners[0]), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    root = find(0)
-    return all(find(i) == root for i in range(n_facets))
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+    return adjacency
+
+
+def _connected(adjacency: list[list[int]], nodes: "range | set[int]") -> bool:
+    """Whether the facets ``nodes`` induce a connected subgraph of the
+    dual graph."""
+    start = next(iter(nodes))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for j in adjacency[stack.pop()]:
+            if j not in seen and j in nodes:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(nodes)
 
 
 def _sphere_pattern(d: int) -> tuple[int, ...]:
@@ -194,18 +245,47 @@ def _kind_low_dim(facets: list[tuple[int, ...]]) -> str:
     d = len(facets[0]) - 1
     if d == 0:
         return SPHERE if len(facets) == 2 else BALL if len(facets) == 1 else NEITHER
-    degree: dict[int, int] = {}
-    for e in facets:
-        for v in e:
-            degree[v] = degree.get(v, 0) + 1
-    if any(c > 2 for c in degree.values()):
+    ridges = _ridges(facets)
+    if any(len(owners) > 2 for owners in ridges.values()):
         return NEITHER
-    if not _dual_connected(len(facets), _ridge_counts(facets)):
+    if not _connected(_adjacency(len(facets), ridges), range(len(facets))):
         return NEITHER
-    ends = sum(1 for c in degree.values() if c == 1)
+    ends = sum(1 for owners in ridges.values() if len(owners) == 1)
     if ends == 0:
         return SPHERE
     return BALL if ends == 2 else NEITHER
+
+
+def _surface_links(
+    edges: list[tuple[int, ...]],
+    ridges: dict[tuple[int, ...], list[int]],
+    star: dict[int, list[int]],
+    adjacency: list[list[int]],
+    bd_verts: set[int],
+) -> Callable[[int], tuple]:
+    """For a dual-connected pseudomanifold of dimension 3, a function
+    giving the classification of the surface lk(v) without building it.
+    Each ridge through v lies in one or two facets, so lk(v) is a
+    pseudomanifold, closed iff v is not on the boundary.  Its dual graph
+    is the dual graph induced on star(v), and its vertices, edges and
+    triangles are the edges, ridges and facets at v, which gives chi."""
+    chi = {v: len(at) for v, at in star.items()}
+    for e in edges:
+        for v in e:
+            chi[v] += 1
+    for r in ridges:
+        for v in r:
+            chi[v] -= 1
+
+    def link(v: int) -> tuple:
+        closed = v not in bd_verts
+        connected = _connected(adjacency, set(star[v]))
+        kind = NEITHER
+        if connected and chi[v] == (2 if closed else 1):
+            kind = SPHERE if closed else BALL
+        return kind, 2, None, True, closed, connected, True
+
+    return link
 
 
 def _classify(
@@ -225,6 +305,12 @@ def _classify(
     one being certified, reports the full evidence: a link or a ball's
     boundary is read for its kind and dim only, stops at its first failed
     test and gets Betti numbers only when it needs them.
+
+    The complex is indexed once: one pass over the ridges of its facets
+    gives the pseudomanifold flags and the dual graph, and files under
+    each vertex what its link is read from.  A closed complex of
+    dimension 4 or 5 checks its links first, so that its Betti numbers
+    can use Poincare duality.
     """
     d = len(facets[0]) - 1
     if d <= 1:
@@ -233,16 +319,22 @@ def _classify(
         kind = _kind_low_dim(facets)
         return kind, d, _betti_from_indexed(facets), kind != NEITHER, kind == SPHERE, True, True
 
-    ridges = _ridge_counts(facets)
-    pm = all(len(owners) <= 2 for owners in ridges.values())
-    closed = pm and all(len(owners) == 2 for owners in ridges.values())
-    connected = (pm or top) and _dual_connected(len(facets), ridges)
+    check_links = 3 <= d <= LINK_RECURSION_MAX_DIM
+    star: dict[int, list] = defaultdict(list)
+    ridges = _ridges(facets, star if check_links else None)
+    sizes = set(map(len, ridges.values()))
+    pm = max(sizes) <= 2
+    closed = sizes == {2}
+    connected = False
+    if pm or top:
+        adjacency = _adjacency(len(facets), ridges)
+        connected = _connected(adjacency, range(len(facets)))
     if not pm or not connected:
         # The rank facts of _betti_pm_connected need both flags.
         betti = _betti_from_indexed(facets) if top else None
         return NEITHER, d, betti, pm, closed, connected, True
-    vertices = sorted({v for f in facets for v in f})
-    betti = _betti_pm_connected(facets, ridges, closed, len(vertices)) if top or d > 2 else None
+    vertices = sorted(star) if check_links else sorted({v for f in facets for v in f})
+    faces = _faces_by_dim(facets, range(1, d - 1)) if top or d > 2 else []
     if d == 2:
         # Split each vertex into one copy per connected component of its
         # link.  Every edge lies in one or two triangles, so each link is
@@ -255,12 +347,34 @@ def _classify(
         # So chi = 2 (closed) or 1 (with boundary) iff S is a sphere or
         # a disk and no vertex was split, which is exactly when the
         # Betti pattern and every vertex link check out.
+        betti = _betti_pm_connected(facets, faces, ridges, closed, len(vertices)) if top else None
         chi = len(vertices) - len(ridges) + len(facets)
         if chi == (2 if closed else 1):
             kind = SPHERE if closed else BALL
         else:
             kind = NEITHER
         return kind, d, betti, pm, closed, connected, True
+
+    def links_certify(bd_verts: set[int]) -> bool:
+        """Whether every vertex link is a (d-1)-ball on the boundary and
+        a (d-1)-sphere elsewhere."""
+        if d == 3:
+            surface_link = _surface_links(faces[0], ridges, star, adjacency, bd_verts)
+        for v in vertices:
+            sub_face = tuple(sorted(face + (v,)))
+            link = memo.get(sub_face)
+            if link is None:
+                link = surface_link(v) if d == 3 else _classify(star[v], sub_face, memo)
+                memo[sub_face] = link
+            if link[:2] != (BALL if v in bd_verts else SPHERE, d - 1):
+                return False
+        return True
+
+    manifold = closed and d >= 4 and check_links
+    if manifold and not links_certify(set()):
+        betti = _betti_pm_connected(facets, faces, ridges, closed, len(vertices)) if top else None
+        return NEITHER, d, betti, pm, closed, connected, True
+    betti = _betti_pm_connected(facets, faces, ridges, closed, len(vertices), manifold)
     neither = NEITHER, d, betti, pm, closed, connected, True
     bd_verts: set[int] = set()
     if closed:
@@ -273,20 +387,8 @@ def _classify(
         if _classify(boundary, (), {})[:2] != (SPHERE, d - 1):
             return neither
         bd_verts = {v for r in boundary for v in r}
-    check_links = d <= LINK_RECURSION_MAX_DIM
-    if check_links:
-        star: dict[int, list[tuple[int, ...]]] = {v: [] for v in vertices}
-        for f in facets:
-            for v in f:
-                star[v].append(f)
-        for v in vertices:
-            sub_face = tuple(sorted(face + (v,)))
-            link = memo.get(sub_face)
-            if link is None:
-                sub = [tuple(w for w in f if w != v) for f in star[v]]
-                link = memo[sub_face] = _classify(sub, sub_face, memo)
-            if link[:2] != (BALL if v in bd_verts else SPHERE, d - 1):
-                return neither
+    if check_links and not manifold and not links_certify(bd_verts):
+        return neither
     return SPHERE if closed else BALL, d, betti, pm, closed, connected, check_links
 
 

@@ -493,6 +493,20 @@ class TestCliPipelines:
             assert captured.out == "", argv
         assert not off.exists()
 
+    def test_a_lift_file_without_points_is_rejected(self, tmp_path, capsys):
+        lift = tmp_path / "lift.json"
+        assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0
+        obj = json.loads(lift.read_text())
+        obj.update(points=[], heights={}, coarse={}, fine={})
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        for argv in (("verify", "regular", bad), ("hull", "--input", bad), ("degree3", "--input", bad)):
+            assert run(tmp_path, *argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.err == "input error: malformed lift file: no points\n", argv
+            assert captured.out == "", argv
+
     def test_lift_file_listing_a_cell_or_a_cell_label_twice_is_rejected(self, tmp_path, capsys):
         lift = tmp_path / "lift.json"
         assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0

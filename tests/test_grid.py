@@ -65,7 +65,7 @@ class TestPredicates:
 
     def test_connected_matches_dual_graph(self):
         # oracle: dual-graph connectivity of the corresponding simplices
-        from sphereforge.topology import _dual_connected, _indexed_facets, _ridge_counts
+        from sphereforge.topology import _adjacency, _connected, _indexed_facets, _ridges
 
         state = 12345
         for trial in range(40):
@@ -79,7 +79,7 @@ class TestPredicates:
             r = region((3, 3), cells)
             cx = region_complex(r)
             facets = _indexed_facets(cx)
-            dual = _dual_connected(len(facets), _ridge_counts(facets))
+            dual = _connected(_adjacency(len(facets), _ridges(facets)), range(len(facets)))
             assert dual == is_grid_connected(r)
 
     def test_starconvex_l_shape(self):

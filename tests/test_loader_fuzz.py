@@ -4,7 +4,9 @@ Valid lift, manifest, complex, holes and shelling-order files are
 edited at random: a value
 replaced, an entry dropped or a list entry listed twice.  Whatever the
 edits, no exception may escape, the exit code must be 0, 1 or 2, and an
-exit 1 must come with an ``input error: `` or ``error: `` message.
+exit 1 must come with an ``input error: `` or ``error: `` message.  A
+lift file emptied of its points is refused as malformed by every command
+that reads it.
 """
 
 import contextlib
@@ -68,6 +70,10 @@ EDITS = st.lists(
     max_size=3,
 )
 
+# the edits that empty the points of a lift file and the three height
+# tables that would have to match them: points, heights, coarse and fine
+EMPTIED = [([7], "set", []), ([3], "set", {}), ([0], "set", {}), ([2], "set", {})]
+
 
 def mutate(obj, edits):
     root = [copy.deepcopy(obj)]
@@ -117,15 +123,30 @@ def valid(tmp_path_factory):
 @example(name="lift.json", edits=[([3, 0], "set", 2.0)])
 # a:1:2 moved onto the point of a:1:1
 @example(name="lift.json", edits=[([7, 1, 1], "set", ["1", "0", "1"])])
+# points, heights, coarse and fine all emptied
+@example(name="lift.json", edits=EMPTIED)
 def test_a_mutated_file_never_escapes_the_cli(valid, name, edits):
     d, objs = valid
+    for argv, code, err in run_mutated(d, name, mutate(objs[name], edits)):
+        assert code in (0, 1, 2), argv
+        if code == 1:
+            assert err.startswith(("input error: ", "error: ")), (argv, err)
+
+
+def test_a_lift_file_emptied_of_points_is_malformed(valid):
+    d, objs = valid
+    for argv, code, err in run_mutated(d, "lift.json", mutate(objs["lift.json"], EMPTIED)):
+        assert (code, err) == (1, "input error: malformed lift file: no points\n"), argv
+
+
+def run_mutated(d, name, obj):
+    """Run every command that reads the file ``name`` on ``obj`` in its
+    place, and yield its argv, exit code and standard error."""
     path = d / "mutated.json"
-    path.write_text(json.dumps(mutate(objs[name], edits)))
+    path.write_text(json.dumps(obj))
     for template in COMMANDS[name]:
         argv = [a.format(f=path, d=d) for a in template]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        assert code in (0, 1, 2), argv
-        if code == 1:
-            assert err.getvalue().startswith(("input error: ", "error: ")), (argv, err.getvalue())
+        yield argv, code, err.getvalue()

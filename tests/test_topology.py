@@ -1,5 +1,8 @@
 """Homology and certification oracles on hand-checked complexes."""
 
+from collections import defaultdict
+from itertools import combinations
+
 import pytest
 
 from sphereforge import (
@@ -13,11 +16,25 @@ from sphereforge import (
 )
 from sphereforge import topology
 from sphereforge.carvefill import realize
-from sphereforge.constructions import build_aztec, build_cyclic, build_highd, build_holes4
+from sphereforge.constructions import (
+    build_aztec,
+    build_aztec_highd,
+    build_cyclic,
+    build_highd,
+    build_holes4,
+)
 from sphereforge.errors import InvalidOrder
 from sphereforge.sampling import choice_vector
 
-from oracles import cone, cyclic_polytope_facets, join
+import oracles
+from oracles import (
+    certify_reference,
+    circle_times_sphere,
+    cone,
+    cyclic_polytope_facets,
+    join,
+    suspended_prism,
+)
 
 R = VertexId.raw
 
@@ -240,15 +257,146 @@ class TestCountingCertificates:
     def test_a_3_sphere_takes_one_elimination(self, monkeypatch):
         # top rank and bottom rank are counted, so only d_2 is eliminated,
         # and the 2-dimensional vertex links are classified by chi alone
-        calls = []
-        rank_gf2 = topology._rank_gf2
-
-        def counting(columns):
-            calls.append(len(columns))
-            return rank_gf2(columns)
-
         manifest = build_holes4(9).manifest
         x = realize(manifest, (0,) * manifest.n_free_cells)
-        monkeypatch.setattr(topology, "_rank_gf2", counting)
+        calls = count_eliminations(monkeypatch)
         assert certify(x).is_sphere(3)
         assert len(calls) == 1
+
+    def test_a_5_sphere_reads_its_upper_ranks_off_duality(self, monkeypatch):
+        # the top eliminates d_2 and d_3 but not d_4, and each 4-dimensional
+        # link eliminates only d_2 of its own
+        manifest = build_highd(3, 6).manifest
+        x = realize(manifest, (0,) * manifest.n_free_cells)
+        facets = topology._indexed_facets(x)
+        f2, f3, f4 = (len(faces) for faces in topology._faces_by_dim(facets, range(2, 5)))
+        calls = count_eliminations(monkeypatch)
+        assert certify(x).is_sphere(5)
+        assert f2 in calls and f3 in calls and f4 not in calls
+        assert len(calls) == ELIMINATIONS_HIGHD_3_6
+
+
+# Eliminations made to certify the zero realization of highd(3,6): 2 by
+# the top, 1 by each of the 4-dimensional links of its 22 vertices and 1
+# by each of the 3-dimensional links of its 186 edges.  Eliminating every
+# rank but the outer two takes 233 = 3 + 2 * 22 + 186.
+ELIMINATIONS_HIGHD_3_6 = 2 + 22 + 186
+
+
+def count_eliminations(monkeypatch):
+    """Make ``topology._rank_gf2`` record the number of columns of each
+    matrix it eliminates, and return that record."""
+    calls = []
+    rank_gf2 = topology._rank_gf2
+
+    def counting(columns):
+        calls.append(len(columns))
+        return rank_gf2(columns)
+
+    monkeypatch.setattr(topology, "_rank_gf2", counting)
+    return calls
+
+
+class TestDuality:
+    """A closed 4- or 5-complex whose links certify takes its upper ranks
+    from Poincare duality; one whose link fails is eliminated in full."""
+
+    @pytest.mark.parametrize("d, n_facets, betti", [
+        (3, 36, (0, 1, 1, 1)),
+        (4, 60, (0, 1, 0, 1, 1)),
+        (5, 90, (0, 1, 0, 0, 1, 1)),
+    ])
+    def test_circle_times_a_sphere_is_a_manifold_but_neither(self, d, n_facets, betti):
+        x = circle_times_sphere(d)
+        assert x.n_facets == n_facets
+        cert = certify(x)
+        assert (cert.kind, cert.dim, cert.betti) == ("neither", d, betti)
+        assert cert.pseudomanifold and cert.closed and cert.dual_connected
+        assert cert.links_verified
+        assert betti_gf2(x) == betti
+        assert cert == certify_reference(x)
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_a_sphere_with_two_far_vertices_identified_is_neither(self, d):
+        assert certify(suspended_prism(d)).is_sphere(d)
+        x = suspended_prism(d, pinched=True)
+        cert = certify(x)
+        # S^d with two points identified is S^d wedge S^1; b_(d-1) = 0
+        # differs from b_1 = 1, so duality would give a wrong b_(d-1)
+        betti = (0, 1) + (0,) * (d - 2) + (1,)
+        assert (cert.kind, cert.betti) == ("neither", betti)
+        assert cert.pseudomanifold and cert.closed and cert.dual_connected
+        assert betti_gf2(x) == betti
+        assert cert == certify_reference(x)
+
+
+def realization_and_controls(build, args, seed):
+    """A seeded realization, less its first facet and less its first and
+    last facets."""
+    manifest = build(*args).manifest
+    x = realize(manifest, choice_vector(seed, 1, manifest.n_free_cells))
+    facets = x.sorted_facets
+    return (x, SimplicialComplex.from_facets(facets[1:]),
+            SimplicialComplex.from_facets(facets[1:-1]))
+
+
+class TestReferenceClassifier:
+    """``certify`` reads links off the parent's index; the reference
+    builds each link as its own complex.  Their certificates agree field
+    for field."""
+
+    @pytest.mark.parametrize("build, args", [
+        (build_holes4, (9,)),
+        (build_cyclic, (10,)),
+        (build_highd, (3, 6)),
+        (build_aztec, (3, 2)),
+        (build_aztec_highd, (3, 3, 1)),
+    ], ids=["holes4-9", "cyclic-10", "highd-3-6", "aztec-3-2", "aztec-hd-3-3-1"])
+    def test_realizations_and_their_controls(self, build, args):
+        for seed in (3, 4):
+            for y in realization_and_controls(build, args, seed):
+                assert certify(y) == certify_reference(y)
+
+    @pytest.mark.parametrize("name", NOT_SPHERES_OR_DISKS)
+    def test_surfaces_their_cones_and_suspensions(self, name):
+        x = NOT_SPHERES_OR_DISKS[name][0]
+        for y in (x, cone(x, VertexId.cone()), join(x, sphere0(900, 901))):
+            assert certify(y) == certify_reference(y)
+
+
+def pseudomanifolds_of_dimension_3():
+    # the apex link is a 2-sphere and a torus: closed with chi 2, but
+    # not connected
+    torus = NOT_SPHERES_OR_DISKS["torus"][0]
+    tetrahedron = surface(*combinations(range(101, 105), 3))
+    apart = SimplicialComplex.from_facets(list(torus.facets) + list(tetrahedron.facets))
+    yield "torus-and-tetrahedron-coned", cone(apart, VertexId.cone())
+    for name, (x, *_) in NOT_SPHERES_OR_DISKS.items():
+        yield f"{name}-coned", cone(x, VertexId.cone())
+    yield "circle-times-sphere", circle_times_sphere(3)
+    for y in realization_and_controls(build_holes4, (9,), 3):
+        yield f"holes4-9-{y.n_facets}", y
+
+
+class TestSurfaceLinks:
+    """A 3-dimensional pseudomanifold reads the classification of each
+    vertex link off its own index: flags from the ridges through the
+    vertex, the dual graph induced on its star, and chi from the edges,
+    ridges and facets at it.  Each equals the reference's classification
+    of the link built as its own complex."""
+
+    @pytest.mark.parametrize("x", [
+        pytest.param(x, id=name) for name, x in pseudomanifolds_of_dimension_3()
+    ])
+    def test_read_off_links_match_built_links(self, x):
+        facets = topology._indexed_facets(x)
+        star = defaultdict(list)
+        ridges = topology._ridges(facets, star)
+        assert all(len(owners) <= 2 for owners in ridges.values())
+        edges = topology._faces_by_dim(facets, range(1, 2))[0]
+        bd_verts = {v for r, owners in ridges.items() if len(owners) == 1 for v in r}
+        adjacency = topology._adjacency(len(facets), ridges)
+        read_off = topology._surface_links(edges, ridges, star, adjacency, bd_verts)
+        for v, at in star.items():
+            built = [tuple(w for w in facets[i] if w != v) for i in at]
+            assert read_off(v) == oracles._classify(built, (v,), {}), v
