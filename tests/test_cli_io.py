@@ -154,6 +154,47 @@ def test_geometry_golden_bytes(tmp_path):
     assert digests == GOLDEN_GEOMETRY
 
 
+# SHA-256 of the files written by realize (--choices and --random), fill,
+# verify sphere --report and export off (the mesh and its exact sidecar).
+# Like GOLDEN_ARTIFACTS, never re-recorded.
+GOLDEN_PIPELINE = {
+    "choices.json": "c4f66a886a7d4f2ef5b58829e5d5fe255bd22fafee2268293559dbebf8a6b46d",
+    "random.json": "ed12e1750b3fd2a6d0a68f04ec8b6b0e08430bee20453780283fc96d7b049b95",
+    "filled.json": "2ba65f8ba792f998423848ceb82611f979a31e86f108cc94464396fe3511a4b7",
+    "sphere.report.json": "9795c79b5ef7123907ec8adaef26d40d33290abb9e6730d7460c5a791004b40c",
+    "mesh.off": "14857184bb2236e3ee5051764020774f3b061923fc983e27fef9c75a2e825a72",
+    "mesh.off.exact.json": "692c93f3eb25675e85c6ce10d36941ce7a53ed1d422bc9dd850615c4e1872f62",
+}
+
+
+def test_pipeline_golden_bytes(tmp_path):
+    assert run(tmp_path, "generate", "holes4", "--n", 5, "--m", 7, "-o", tmp_path / "h.json") == 0
+    manifest = tmp_path / "h.manifest.json"
+    assert run(tmp_path, "realize", "--manifest", manifest, "--choices", "0x5a",
+               "-o", tmp_path / "choices.json") == 0
+    assert run(tmp_path, "verify", "sphere", tmp_path / "choices.json",
+               "--report", tmp_path / "sphere.report.json") == 0
+
+    host = tmp_path / "host.json"
+    sfio.save_complex(str(host), join_of_paths((4, 4)).complex)
+    block = [[f"a:1:{i}", f"a:1:{i+1}", f"a:2:{j}", f"a:2:{j+1}"] for i in (1, 2) for j in (1, 2)]
+    holes = tmp_path / "holes.json"
+    holes.write_text(json.dumps({"holes": [{"key": 1, "facets": block, "members": [block[0]]}]}))
+    assert run(tmp_path, "fill", "--input", host, "--holes", holes, "-o", tmp_path / "filled.json") == 0
+
+    assert run(tmp_path, "generate", "aztec", "--k", 3, "--l", 1, "-o", tmp_path / "a.json") == 0
+    assert run(tmp_path, "realize", "--manifest", tmp_path / "a.manifest.json", "--random",
+               "--seed", 3, "--index", 2, "-o", tmp_path / "random.json") == 0
+    assert run(tmp_path, "lift", "aztec", "--k", 3, "--l", 1, "-o", tmp_path / "lift.json") == 0
+    assert run(tmp_path, "export", "off", "--input", tmp_path / "random.json",
+               "--lift", tmp_path / "lift.json", "-o", tmp_path / "mesh.off") == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_PIPELINE
+    }
+    assert digests == GOLDEN_PIPELINE
+
+
 class TestCliPipelines:
     def test_generate_and_verify_sphere(self, tmp_path, capsys):
         out = tmp_path / "s.json"
