@@ -126,7 +126,7 @@ class CompatibleFamily:
 
     @cached_property
     def sorted_members(self) -> tuple[Simplex, ...]:
-        return tuple(sorted(self.members))
+        return tuple(sorted(self.members, key=VertexId.order_key))
 
 
 def is_compatible(fam: CompatibleFamily) -> bool:
@@ -161,7 +161,7 @@ def fill_ball(
         for t in ball.boundary_facet_set
         if t not in covered
     ]
-    free.sort()
+    free.sort(key=FreeSumCell.order_key)
     if not cones and not free:
         raise DegenerateInput("fill produced no cells")
     result = PolyComplex.from_cells(cones, free)
@@ -271,10 +271,10 @@ def triangulate_cell(c: FreeSumCell, choice: int) -> list[Simplex]:
         raise DegenerateInput("choice must be 0 or 1")
     if choice == 0:
         return sorted(
-            c.f_part.union(c.g_part.without(w)) for w in c.g_part
+            (c.f_part.union(c.g_part.without(w)) for w in c.g_part), key=VertexId.order_key
         )
     return sorted(
-        c.g_part.union(c.f_part.without(u)) for u in c.f_part
+        (c.g_part.union(c.f_part.without(u)) for u in c.f_part), key=VertexId.order_key
     )
 
 

@@ -52,6 +52,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _count(text: str) -> int:
+    """The value of a count option: an integer that is not negative."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {n}")
+    return n
+
+
 def _base_path(out: str) -> str:
     return out[:-5] if out.endswith(".json") else out
 
@@ -231,7 +242,7 @@ def build_parser() -> _Parser:
             g.add_argument(f"--{flag}", type=int, required=flag != "m")
         g.add_argument("-o", "--output", required=True)
         g.add_argument("--seed", type=int, default=0)
-        g.add_argument("--samples", type=int, default=0,
+        g.add_argument("--samples", type=_count, default=0,
                        help="additionally certify this many seeded realizations")
         g.set_defaults(func=_cmd_generate)
 

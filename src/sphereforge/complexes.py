@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from operator import attrgetter
+from typing import Callable, ClassVar, Iterable, Iterator
 
 from .errors import (
     DegenerateInput,
@@ -98,6 +99,16 @@ class VertexId:
     def __lt__(self, other: "VertexId") -> bool:
         return self.sort_key < other.sort_key
 
+    # ``sorted(vertices, key=VertexId.key)`` gives the order of ``<`` with
+    # every comparison made in C.
+    key: ClassVar[Callable[["VertexId"], tuple]] = attrgetter("sort_key")
+
+    @staticmethod
+    def order_key(verts: Iterable["VertexId"]) -> tuple:
+        """The key of a sorted vertex sequence, such as a ``Simplex``:
+        keys compare as the sequences do by ``<``, but in C."""
+        return tuple(map(VertexId.key, verts))
+
     @classmethod
     def from_label(cls, text: str) -> "VertexId":
         """The vertex of a canonical label: ``v.label == text`` holds for
@@ -145,7 +156,7 @@ class Simplex:
     _vset: frozenset[VertexId] | None = field(repr=False)
 
     def __init__(self, verts: Iterable[VertexId]) -> None:
-        vs = tuple(sorted(verts))
+        vs = tuple(sorted(verts, key=VertexId.key))
         for u, w in zip(vs, vs[1:]):
             if u == w:
                 raise DegenerateInput(f"repeated vertex {u.label} in simplex")
@@ -255,7 +266,7 @@ class SimplicialComplex:
 
     @cached_property
     def sorted_facets(self) -> tuple[Simplex, ...]:
-        return tuple(sorted(self.facets))
+        return tuple(sorted(self.facets, key=VertexId.order_key))
 
     @cached_property
     def vertex_set(self) -> frozenset[VertexId]:
@@ -263,7 +274,7 @@ class SimplicialComplex:
 
     @cached_property
     def vertices(self) -> tuple[VertexId, ...]:
-        return tuple(sorted(self.vertex_set))
+        return tuple(sorted(self.vertex_set, key=VertexId.key))
 
     @cached_property
     def _facets_of(self) -> dict[VertexId, list[Simplex]]:
@@ -326,10 +337,14 @@ class FreeSumCell:
 
     @cached_property
     def vertices(self) -> tuple[VertexId, ...]:
-        return tuple(sorted(self.vset))
+        return tuple(sorted(self.vset, key=VertexId.key))
 
     def __lt__(self, other: "FreeSumCell") -> bool:
         return (self.f_part, self.g_part) < (other.f_part, other.g_part)
+
+    def order_key(self) -> tuple:
+        """The key that sorts cells as ``<`` does, comparing in C."""
+        return (VertexId.order_key(self.f_part.verts), VertexId.order_key(self.g_part.verts))
 
     def __repr__(self) -> str:
         return f"FS({self.f_part!r}+{self.g_part!r})"
@@ -374,12 +389,12 @@ class PolyComplex:
 
     @cached_property
     def vertices(self) -> tuple[VertexId, ...]:
-        return tuple(sorted(self.vertex_set))
+        return tuple(sorted(self.vertex_set, key=VertexId.key))
 
     @cached_property
     def sorted_simplex_cells(self) -> tuple[Simplex, ...]:
-        return tuple(sorted(self.simplex_cells))
+        return tuple(sorted(self.simplex_cells, key=VertexId.order_key))
 
     @cached_property
     def sorted_free_cells(self) -> tuple[FreeSumCell, ...]:
-        return tuple(sorted(self.free_cells))
+        return tuple(sorted(self.free_cells, key=FreeSumCell.order_key))

@@ -33,7 +33,7 @@ def _labels(verts) -> list[str]:
 
 
 def _sorted_labels(verts) -> list[str]:
-    return [v.label for v in sorted(verts)]
+    return [v.label for v in sorted(verts, key=VertexId.key)]
 
 
 def _parse_verts(labels) -> list[VertexId]:
@@ -61,20 +61,67 @@ def _decoder(file: str):
     return wrap
 
 
+_string = json.encoder.encode_basestring_ascii
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json.dumps`` spells it: bool, None, int and float
+    keys become the text of the value."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _encode(obj: Any, newline: str) -> str:
+    """``obj`` as the standard library's JSON encoder writes it with an
+    indent of 1 and sorted keys, at the depth whose line break and indent
+    is ``newline``.  Strings and lists of strings go through its C string
+    encoder, and every other scalar through ``json.dumps``, so the bytes
+    are its own; with an indent, ``json.dumps`` itself would fall back to
+    its pure-Python encoder."""
+    if isinstance(obj, str):
+        return _string(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + " "
+        sep = "," + inner
+        try:
+            body = sep.join(map(_string, obj))
+        except TypeError:
+            body = sep.join([_encode(v, inner) for v in obj])
+        return "[" + inner + body + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + " "
+        items = sorted(obj.items())
+        body = ("," + inner).join(
+            [_string(_json_key(k)) + ": " + _encode(v, inner) for k, v in items]
+        )
+        return "{" + inner + body + newline + "}"
+    return json.dumps(obj)
+
+
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+    """The artifact text of ``obj``: its JSON with an indent of 1 and
+    sorted keys, as the standard library writes it, and a final newline."""
+    return _encode(obj, "\n") + "\n"
 
 
 def _load_json(path: str) -> Any:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         raise InputParseError(f"cannot read JSON from {path}: {exc}") from exc
 
 
 def write_text(path: str, text: str) -> None:
-    with open(path, "w") as fh:
+    """Write ``text.encode()`` to ``path``, with no newline translation."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 

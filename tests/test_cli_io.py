@@ -6,6 +6,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sphereforge import (
     PolyComplex,
@@ -13,9 +15,18 @@ from sphereforge import (
 )
 from sphereforge import io as sfio
 from sphereforge import cli
+from sphereforge.carvefill import realize
 from sphereforge.cli import main
-from sphereforge.constructions import build_aztec, build_holes4
-from sphereforge.geometry import build_aztec_lift
+from sphereforge.complexes import VertexId
+from sphereforge.constructions import BUILDERS, build_aztec, build_holes4
+from sphereforge.geometry import (
+    build_aztec_lift,
+    count_degree3_edges,
+    delta_search,
+    detect_bipyramid_facets,
+    hull_with_apex,
+)
+from sphereforge.topology import certify
 from sphereforge.errors import InputParseError
 from sphereforge.sampling import choice_vector, format_hex_choices, parse_hex_choices
 
@@ -72,6 +83,101 @@ class TestComplexIO:
         assert sfio.lift_data_from_obj(obj)["eps"] == Fraction(obj["eps"])
         with pytest.raises(InputParseError, match=f"^malformed lift file: bad rational {eps!r}$"):
             sfio.lift_data_from_obj(dict(obj, eps=eps))
+
+
+def stdlib_dumps(obj) -> str:
+    """The reference for ``io.dumps``: the standard library's indent-1,
+    key-sorted encoding."""
+    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+
+
+# quotes, backslashes, control characters, non-ASCII and a lone surrogate
+TEXT = st.text(
+    st.sampled_from('az"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600 '), max_size=6
+) | st.text(max_size=4)
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2 ** 200), 2 ** 200),
+    st.floats(),
+    st.sampled_from([-0.0, 1e16, float("nan"), float("-inf"), 0.1, 5e-324]),
+    TEXT,
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=3).map(tuple)
+    | st.lists(TEXT, max_size=4)
+    | st.dictionaries(TEXT, kids, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestDumps:
+    """``io.dumps`` writes the bytes of ``stdlib_dumps`` for every value."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(obj=JSON_VALUES)
+    @example(obj={"": [], "a": {}, "b": [[], {}, [[]], [{}]], "c": ({"d": ()},)})
+    @example(obj=["a", 1, "b", ["c"], None, True, -0.0])
+    @example(obj=[1e16, float("nan"), float("inf"), 2 ** 100, -(2 ** 100), "\\\"\x00\u00e9"])
+    def test_equals_the_standard_library(self, obj):
+        assert sfio.dumps(obj) == stdlib_dumps(obj)
+
+    @pytest.mark.parametrize("obj", [
+        {2: "a", 10: ["b"], -1: {}},
+        {True: 1, False: [2], 3: 4},
+        {1.5: 0, -0.0: 1, 1e16: 2, float("inf"): 3},
+        {"x": {None: {0: []}}},
+    ])
+    def test_keys_that_are_not_strings_are_spelled_as_the_standard_library_spells_them(self, obj):
+        assert sfio.dumps(obj) == stdlib_dumps(obj)
+
+    @pytest.mark.parametrize("obj", [
+        {1: 0, "a": 1},
+        {(1, 2): 0},
+        [1, {2, 3}],
+        {"a": Fraction(1, 2)},
+    ])
+    def test_what_the_standard_library_refuses_is_refused(self, obj):
+        with pytest.raises(TypeError):
+            stdlib_dumps(obj)
+        with pytest.raises(TypeError):
+            sfio.dumps(obj)
+
+    @pytest.mark.parametrize("kind", list(BUILDERS))
+    def test_every_generate_artifact(self, kind):
+        argv = next(a for a in GOLDEN_ARTIFACTS if a[0] == kind)
+        report = BUILDERS[kind](*(int(x) for x in argv[2::2]))
+        manifest = report.manifest
+        realized = realize(manifest, (0,) * manifest.n_free_cells)
+        for obj in (
+            sfio.complex_to_obj(manifest.result),
+            sfio.manifest_to_obj(manifest),
+            sfio.complex_to_obj(realized),
+            sfio.report_to_obj(report),
+            sfio.certificate_to_obj(certify(realized)),
+        ):
+            assert sfio.dumps(obj) == stdlib_dumps(obj)
+
+    def test_every_geometry_artifact(self):
+        lift = build_aztec_lift(3, 1)
+        points = [(v, p + (lift.config.heights[v],)) for v, p in lift.config.points]
+        facets, apex_point = hull_with_apex(points, VertexId.cone())
+        _, kinds = detect_bipyramid_facets(facets, points + [(VertexId.cone(), apex_point)])
+        lift51 = build_aztec_lift(5, 1)
+        delta, heights = delta_search(lift51)
+        degree3 = count_degree3_edges(lift51.manifest)
+        realized = realize(build_aztec(3, 1).manifest, (1, 0, 0, 1))
+        _, sidecar = sfio.off_export(realized, dict(lift.config.points))
+        for obj in (
+            sfio.lift_to_obj(lift),
+            sfio.hull_to_obj(facets, kinds),
+            sfio.degree3_to_obj(delta, degree3, (2 * lift51.k - 6) * lift51.l ** 2, heights),
+            sidecar,
+        ):
+            assert sfio.dumps(obj) == stdlib_dumps(obj)
 
 
 def run(tmp_path, *argv):
@@ -721,6 +827,14 @@ class TestCliPipelines:
         assert capsys.readouterr().err.startswith("usage error")
         assert not (tmp_path / "g.json").exists()
 
+    def test_a_negative_sample_count_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert run(tmp_path, "generate", "holes4", "--n", 5, "--samples", -2, "-o", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: argument --samples: must not be negative, got -2\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_aztec_hd_dimension_bound(self, tmp_path, capsys):
         code = run(tmp_path, "generate", "aztec-hd", "--d", "1", "--k", "3", "--l", "1", "-o", tmp_path / "a.json")
         assert code == 1
@@ -748,3 +862,34 @@ def test_cli_reads_no_private_io_member():
         and node.attr.startswith("_")
     )
     assert private == []
+
+
+def test_files_are_utf8_and_newlines_are_not_translated(tmp_path, monkeypatch, capsys):
+    """Emulate a platform whose text files default to "\\r\\n" line ends
+    and the cp1252 code page, as Windows does: ``write_text`` must still
+    write ``text.encode()``, and a UTF-8 file must still read as UTF-8."""
+    real_open = open
+
+    def platform_open(file, mode="r", *args, encoding=None, newline=None, **kwargs):
+        if "b" not in mode:
+            encoding = encoding or "cp1252"
+            if newline is None and set(mode) & set("wax+"):
+                newline = "\r\n"
+        return real_open(file, mode, *args, encoding=encoding, newline=newline, **kwargs)
+
+    monkeypatch.setattr(sfio, "open", platform_open, raising=False)
+    text = 'OFF\n{\n "v": "\u00e9"\n}\n'
+    path = tmp_path / "t.txt"
+    sfio.write_text(str(path), text)
+    assert path.read_bytes() == text.encode()
+
+    label = "r:\u0663"
+    edges = [["r:1", "r:2"], ["r:2", label]]
+    complex_path = tmp_path / "path.json"
+    complex_path.write_bytes(
+        json.dumps({"dim": 1, "cells": [{"t": "s", "v": e} for e in edges]}, ensure_ascii=False).encode()
+    )
+    assert run(tmp_path, "verify", "sphere", complex_path) == 1
+    assert capsys.readouterr().err == (
+        f"input error: malformed complex: bad vertex label {label!r}: the canonical spelling is 'r:3'\n"
+    )

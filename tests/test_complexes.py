@@ -6,6 +6,8 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sphereforge
 from sphereforge import (
@@ -423,3 +425,43 @@ def test_only_vertexid_reads_sort_key():
             and id(node) not in allowed
         ]
     assert readers == []
+
+
+# Few labels of each kind, so that random simplices share prefixes and
+# the order of kinds decides many comparisons.
+VERTICES = st.one_of(
+    st.builds(VertexId.path, st.integers(1, 3), st.integers(1, 3)),
+    st.builds(VertexId.hole, st.integers(0, 3)),
+    st.just(VertexId.cone()),
+    st.builds(VertexId.raw, st.integers(0, 3)),
+)
+SIMPLICES = st.sets(VERTICES, max_size=5).map(Simplex)
+
+
+@st.composite
+def free_cells(draw):
+    verts = draw(st.lists(VERTICES, min_size=4, max_size=7, unique=True))
+    cut = draw(st.integers(2, len(verts) - 2))
+    return FreeSumCell(Simplex(verts[:cut]), Simplex(verts[cut:]))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(
+    vertices=st.lists(VERTICES, max_size=12),
+    simplices=st.lists(SIMPLICES, max_size=12),
+    cells=st.lists(free_cells(), max_size=8),
+)
+def test_the_sort_keys_give_the_order_of_lt(vertices, simplices, cells):
+    """Sorting by ``VertexId.key``, ``VertexId.order_key`` and
+    ``FreeSumCell.order_key`` gives the order that ``<`` gives."""
+    for items, key in (
+        (vertices, VertexId.key),
+        (simplices, VertexId.order_key),
+        (cells, FreeSumCell.order_key),
+    ):
+        assert sorted(items, key=key) == sorted(items)
+        for x, y in combinations(items, 2):
+            assert (key(x) < key(y)) == (x < y), (x, y)
+            assert (key(x) == key(y)) == (x == y), (x, y)
+    for s in simplices:
+        assert all(u < w for u, w in zip(s.verts, s.verts[1:])), s
