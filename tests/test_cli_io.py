@@ -238,21 +238,28 @@ def test_generate_golden_bytes(tmp_path, argv):
 
 
 # SHA-256 of the geometry artifacts: the lift files of two Aztec lifts, the
-# hull (normals, offsets and facet kinds) of the (3,1) lift and the raised
-# heights of the (5,1) lift.  Like GOLDEN_ARTIFACTS, never re-recorded.
+# hulls (normals, offsets and facet kinds) of the (3,1), (3,3) and (5,3)
+# lifts and the raised heights of the (5,1) and (5,3) lifts.  Like
+# GOLDEN_ARTIFACTS, never re-recorded.
 GOLDEN_GEOMETRY = {
     "lift31.json": "9d08f3a32a5beeb17b09f3d81ba67cf3f23acac1be9b945c5b460d1cabf60d3a",
     "lift51.json": "9dc9ae8891ba094449fbf9d53aff41963e2638e483e2edf409cf77582ff7db4a",
     "hull31.json": "f108bea353f13bbf2efda0dedcbd69a1013f69d795a9ce6d0259f388cd2f35fd",
     "degree3_51.json": "e2f05b43d2ae76b0388824239a7e107d55f08ba4b5ca7ec9c6ce7e4eb5c9e1dd",
+    "hull33.json": "b870dd426dd343722a2bd19305e5fbf6e333b9dd6f5a846390c3e2cf5628803c",
+    "hull53.json": "6191aa0ae1788eb1abf677d902c2033704c19c118e331a9012281e1e402e87b3",
+    "degree3_53.json": "5ac771bb8a993fea7647bd86af10df63a505f380d3ff8fbc7f2657129cd1ad39",
 }
 
 
 def test_geometry_golden_bytes(tmp_path):
     for k in (3, 5):
-        assert run(tmp_path, "lift", "aztec", "--k", k, "--l", 1, "-o", tmp_path / f"lift{k}1.json") == 0
-    assert run(tmp_path, "hull", "--input", tmp_path / "lift31.json", "-o", tmp_path / "hull31.json") == 0
-    assert run(tmp_path, "degree3", "--input", tmp_path / "lift51.json", "-o", tmp_path / "degree3_51.json") == 0
+        for l in (1, 3):
+            assert run(tmp_path, "lift", "aztec", "--k", k, "--l", l, "-o", tmp_path / f"lift{k}{l}.json") == 0
+    for name in ("31", "33", "53"):
+        assert run(tmp_path, "hull", "--input", tmp_path / f"lift{name}.json", "-o", tmp_path / f"hull{name}.json") == 0
+    for name in ("51", "53"):
+        assert run(tmp_path, "degree3", "--input", tmp_path / f"lift{name}.json", "-o", tmp_path / f"degree3_{name}.json") == 0
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in GOLDEN_GEOMETRY
