@@ -95,6 +95,17 @@ class Subdivision:
     def __len__(self) -> int:
         return len(self.cells)
 
+    def check_points(self, config: LiftedConfiguration) -> "Subdivision":
+        """This subdivision, if its cells use only points of config;
+        otherwise DegenerateInput names the first cell that does not."""
+        ids = frozenset(config.heights)
+        for cell in self.cells:
+            if not cell <= ids:
+                labels = ",".join(v.label for v in _cell_key(cell))
+                stray = min(cell - ids).label
+                raise DegenerateInput(f"cell {{{labels}}} uses {stray}, which is not a point")
+        return self
+
 
 def _cell_key(cell: frozenset[VertexId]) -> tuple[VertexId, ...]:
     """Canonical order of vertex sets: by their sorted vertex tuples."""
@@ -201,25 +212,54 @@ def _cell_walls(
 ) -> dict[frozenset[int], tuple[int, ...]]:
     """Supporting (dim-1)-hyperplanes of a projected cell, as onsets (the
     indices into cell_rows of the points on each), each mapped to the
-    first dim affinely independent points found to span it.
+    first dim affinely independent points, in subset order, that span it.
 
     rank is the rank of the rows (p[:dim], 1), which every caller has
     already established.  A full-dimensional simplex (dim+1 rows of rank
-    dim+1) has exactly its dim-subsets as walls, each spanned by itself,
-    so only other cells are searched subset by subset.
+    dim+1) has exactly its dim-subsets as walls, each spanned by itself.
+    A full-dimensional circuit (dim+2 rows, any dim+1 of them affinely
+    independent) has its walls read off its affine dependence.  Other
+    cells are searched by testing every dim-subset of their points that
+    does not lie on a plane already computed.
     """
-    if len(cell_rows) == dim + 1 and rank == dim + 1:
-        return {frozenset(s): s for s in combinations(range(dim + 1), dim)}
-    hom = [row[:dim] + (1,) for row in cell_rows]
+    n = len(cell_rows)
+    if n == dim + 1 and rank == dim + 1:
+        return {frozenset(s): s for s in combinations(range(n), dim)}
     walls: dict[frozenset[int], tuple[int, ...]] = {}
-    for subset in combinations(range(len(hom)), dim):
+    if n == dim + 2 and rank == dim + 1:
+        # The one affine dependence sum(lam_i * (p_i, 1)) = 0.  If no lam_i
+        # is 0, any dim+1 of the points are affinely independent, so a
+        # wall holds exactly dim points: all but some i and j.  Applying
+        # the plane h through them to the dependence gives
+        # h(p_i)*lam_i + h(p_j)*lam_j = 0, and neither h value is 0, or
+        # dim+1 points would lie on h.  So p_i and p_j lie on the same
+        # side of h, and h is a wall, exactly when lam_i*lam_j < 0.  Each
+        # wall is spanned by itself.
+        transposed = list(zip(*cell_rows))[:dim] + [(1,) * n]
+        lam = _rank_and_nullvector(transposed, n)[1]
+        if all(lam):
+            for s in combinations(range(n), dim):
+                i, j = (t for t in range(n) if t not in s)
+                if (lam[i] < 0) != (lam[j] < 0):
+                    walls[frozenset(s)] = s
+            return walls
+    hom = [row[:dim] + (1,) for row in cell_rows]
+    # the dim-subsets of every plane found to hold more than dim points:
+    # such a subset is dependent or spans that plane again
+    known: set[tuple[int, ...]] = set()
+    for subset in combinations(range(n), dim):
+        if subset in known:
+            continue
         nu = _rank_and_nullvector([hom[i] for i in subset], dim + 1)[1]
         if nu is None:
             continue
         sides = [sum(map(mul, nu, h)) for h in hom]
+        onset = tuple(i for i, s in enumerate(sides) if s == 0)
+        if len(onset) > dim:
+            known.update(combinations(onset, dim))
         if any(s > 0 for s in sides) and any(s < 0 for s in sides):
             continue
-        walls.setdefault(frozenset(i for i, s in enumerate(sides) if s == 0), subset)
+        walls[frozenset(onset)] = subset
     return walls
 
 
@@ -236,9 +276,9 @@ def verify_regular(
     cover: every interior wall is shared by exactly two cells and every
     other wall supports the convex hull of the configuration.  One
     elimination of the lifted rows (x, h, 1) settles (a) and the cell's
-    full dimension together; a simplex cell's walls are its dim-subsets,
-    read off without a search, and other cells' walls are found by
-    testing every dim-subset of their points.
+    full dimension together; the walls of a simplex cell are read off,
+    those of a circuit cell take one more elimination, and only other
+    cells are searched (see _cell_walls).
     """
     ids, rows, dim = _int_config(list(pts), heights)
     index = {v: i for i, v in enumerate(ids)}
@@ -683,23 +723,35 @@ def _pivot(
     rows: list[tuple[int, ...]],
     basis: list[tuple[int, ...]],
     ref: tuple[int, ...],
-    skip: frozenset[int],
+    h1: tuple[int, ...],
 ) -> tuple[tuple[int, ...], int]:
-    """Turn a hyperplane about the ridge spanned by basis, away from ref,
-    until it supports every point.
+    """Turn the supporting hyperplane h1 about the ridge spanned by basis,
+    away from ref (a point on h1 off the ridge), until it supports every
+    point again.  Returns the new hyperplane and a point on it off the
+    ridge.
 
-    Every candidate contains the ridge and has ref strictly on its
-    negative side, and a point strictly outside one candidate turns the
-    next one further from ref, so the points passed stay inside and one
-    pass suffices.  Returns the hyperplane and the last point that set it.
+    The hyperplanes through the ridge that have ref on their negative side
+    are h2 + s*h1 for rational s, where h2 is the one through the ridge and
+    the first point q0 off h1.  Every point q off h1 has h1(q) < 0 and lies
+    on the member with s = h2(q) / -h1(q), and no point on h1 is on the
+    positive side of any member.  So one pass for the largest s, compared
+    by cross-multiplying, and one elimination give the new hyperplane.
     """
-    best, last = None, -1
+    h2: tuple[int, ...] | None = None
     for i, row in enumerate(rows):
-        if i in skip or (best is not None and _dot_h(best, row) <= 0):
+        below = -_dot_h(h1, row)
+        if not below:
             continue
-        nu = _hyperplane(basis + [row])
-        best, last = (nu if _dot_h(nu, ref) < 0 else tuple(-x for x in nu)), i
-    return best, last
+        if h2 is None:
+            h2 = _hyperplane(basis + [row])
+            if _dot_h(h2, ref) > 0:
+                h2 = tuple(-x for x in h2)
+            top, top_below, last = 0, below, i
+            continue
+        above = _dot_h(h2, row)
+        if above * top_below > top * below:
+            top, top_below, last = above, below, i
+    return _primitive([top_below * a + top * b for a, b in zip(h2, h1)]), last
 
 
 def _first_facet(
@@ -725,7 +777,7 @@ def _first_facet(
     if extra is not None:
         return vertical, basis + [extra]
     up = span[0][:-1] + (span[0][-1] + 1,)
-    nu, extra = _pivot(rows, span, up, on)
+    nu, extra = _pivot(rows, span, up, vertical)
     return nu, basis + [extra]
 
 
@@ -733,8 +785,11 @@ def convex_hull(pts: list[tuple[VertexId, Point]]) -> list[HullFacet]:
     """Exact gift-wrapping hull (Chand-Kapur, J. ACM 17, 1970): from one
     facet, pivot about each ridge to the facet on its other side.
 
-    The work grows with the facets found, not with the C(n, dim) subsets
-    that convex_hull_brute scans; the facet list is the same.
+    A facet's ridges are the walls of its points in a chart of its
+    hyperplane (_cell_walls), and one pass over the points turns a
+    hyperplane about a ridge (_pivot).  The work grows with the facets
+    found, not with the C(n, dim) subsets that convex_hull_brute scans;
+    the facet list is the same.
     """
     ids, rows, dim = _int_config(list(pts), None)
     rank, _ = _rank_and_nullvector([r + (1,) for r in rows], dim + 1)
@@ -761,7 +816,7 @@ def convex_hull(pts: list[tuple[VertexId, Point]]) -> list[HullFacet]:
                 continue  # already crossed from the facet on its other side
             ridges.add(ridge)
             ref = next(rows[i] for j, i in enumerate(local) if j not in wall)
-            todo.append(_pivot(rows, [rows[local[j]] for j in span], ref, onset)[0])
+            todo.append(_pivot(rows, [rows[local[j]] for j in span], ref, nu)[0])
     facets = [
         HullFacet(frozenset(ids[i] for i in onset), nu[:-1], -nu[-1])
         for onset, nu in found.items()

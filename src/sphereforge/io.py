@@ -379,11 +379,12 @@ def _cells_from_obj(obj) -> list[frozenset[VertexId]]:
 @_decoder("lift file")
 def lift_data_from_obj(obj: dict) -> dict:
     """Decode the parts of a lift file needed by the verifier and hull."""
+    config = LiftedConfiguration(
+        _points_from_obj(obj["points"]), _heights_from_obj(obj["heights"])
+    )
     return {
-        "config": LiftedConfiguration(
-            _points_from_obj(obj["points"]), _heights_from_obj(obj["heights"])
-        ),
-        "subdivision": Subdivision.of(_cells_from_obj(obj["subdivision"])),
+        "config": config,
+        "subdivision": Subdivision.of(_cells_from_obj(obj["subdivision"])).check_points(config),
         "eps": _frac_parse(obj["eps"]),
         "kind": obj.get("kind"),
         "k": obj.get("k"),

@@ -23,7 +23,7 @@ from sphereforge.errors import (
     InternalInvariantViolation,
     NotPseudomanifold,
 )
-from sphereforge.geometry import HullFacet, Point
+from sphereforge.geometry import HullFacet, Point, _dot_h, _hyperplane
 from sphereforge.grid import GridBox, GridRegion, _neighbors, band_cell_order, cell_simplex
 from sphereforge.topology import (
     BALL,
@@ -364,6 +364,29 @@ def paths_coordinates(lengths) -> dict[VertexId, Point]:
 def lower_facets(facets: list[HullFacet]) -> list[HullFacet]:
     """Facets whose outward normal points downward in the last coordinate."""
     return [f for f in facets if f.normal[-1] < 0]
+
+
+def pivot_reference(
+    rows: list[tuple[int, ...]],
+    basis: list[tuple[int, ...]],
+    ref: tuple[int, ...],
+    skip: frozenset[int],
+) -> tuple[tuple[int, ...], int]:
+    """Turn a hyperplane about the ridge spanned by basis, away from ref,
+    until it supports every point.
+
+    Every candidate contains the ridge and has ref strictly on its
+    negative side, and a point strictly outside one candidate turns the
+    next one further from ref, so the points passed stay inside and one
+    pass suffices.  Returns the hyperplane and the last point that set it.
+    """
+    best, last = None, -1
+    for i, row in enumerate(rows):
+        if i in skip or (best is not None and _dot_h(best, row) <= 0):
+            continue
+        nu = _hyperplane(basis + [row])
+        best, last = (nu if _dot_h(nu, ref) < 0 else tuple(-x for x in nu)), i
+    return best, last
 
 
 # --------------------------------------------------------------------------

@@ -567,6 +567,7 @@ class TestCliPipelines:
         obj = json.loads(lift.read_text())
         obj["points"] = [["c" if label == "a:1:1" else label, coords] for label, coords in obj["points"]]
         obj["heights"]["c"] = obj["heights"].pop("a:1:1")
+        obj["subdivision"] = [["c" if label == "a:1:1" else label for label in cell] for cell in obj["subdivision"]]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
         capsys.readouterr()
@@ -804,6 +805,31 @@ class TestCliPipelines:
             captured = capsys.readouterr()
             assert captured.err == "input error: malformed lift file: height for a:9:9, which is not a point\n"
             assert captured.out == ""
+        assert not off.exists()
+
+    def test_a_cell_that_uses_a_label_which_is_not_a_point_is_rejected(self, tmp_path, capsys):
+        lift = tmp_path / "lift.json"
+        assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0
+        assert run(tmp_path, "generate", "aztec", "--k", "3", "--l", "1", "-o", tmp_path / "a.json") == 0
+        obj = json.loads(lift.read_text())
+        obj["subdivision"][0].append("r:77")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        off = tmp_path / "mesh.off"
+        for argv in (
+            ("verify", "regular", bad),
+            ("hull", "--input", bad),
+            ("degree3", "--input", bad),
+            ("export", "off", "--input", tmp_path / "a.realized.json", "--lift", bad, "-o", off),
+        ):
+            assert run(tmp_path, *argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.err == (
+                "input error: malformed lift file: "
+                "cell {a:1:1,a:1:2,a:2:1,a:2:2,r:77} uses r:77, which is not a point\n"
+            ), argv
+            assert captured.out == "", argv
         assert not off.exists()
 
     @pytest.mark.parametrize("content", [b'{"cells": "\xff"}', b"[" * 100000 + b"]" * 100000],

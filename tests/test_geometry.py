@@ -2,8 +2,8 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from itertools import combinations, product
+from math import comb, gcd
 
 import pytest
 
@@ -35,7 +35,7 @@ from sphereforge.geometry import (
 )
 from sphereforge.geometry import _cell_walls, _hyperplane, _int_config, _rank_and_nullvector
 
-from oracles import cyclic_polytope_facets, lower_facets, paths_coordinates
+from oracles import cyclic_polytope_facets, lower_facets, paths_coordinates, pivot_reference
 
 R = VertexId.raw
 F = Fraction
@@ -108,6 +108,15 @@ class TestSubdivision:
         with pytest.raises(DegenerateInput, match=r"cell \{r:0,r:1,r:2\} appears twice"):
             Subdivision.of([{R(2), R(1), R(0)}, {R(1), R(2), R(3)}, {R(0), R(1), R(2)}])
 
+    def test_a_cell_that_uses_a_vertex_which_is_not_a_point_is_rejected(self):
+        pts = square_points()
+        config = LiftedConfiguration(tuple(pts), paraboloid(pts))
+        stray = Subdivision.of([{R(0), R(1), R(2)}, {R(1), R(9), R(7), R(2)}])
+        with pytest.raises(DegenerateInput, match=r"^cell \{r:1,r:2,r:7,r:9\} uses r:7, which is not a point$"):
+            stray.check_points(config)
+        sub = Subdivision.of([{R(0), R(1), R(2)}, {R(1), R(2), R(3)}])
+        assert sub.check_points(config) is sub
+
 
 class TestVerifyRegular:
     def test_delaunay_pair_accepted(self):
@@ -164,10 +173,11 @@ class TestVerifyRegular:
         monkeypatch.setattr(geometry, "_rank_and_nullvector", counting)
         assert verify_regular(list(lift.config.points), lift.heights, lift.subdivision)
         # 72 cells, one elimination each; the walls of the 36 simplices are
-        # read off, the 36 five-point cells try C(5, 3) = 10 subsets each,
-        # and each of the 36 unmatched walls on the boundary takes one more
+        # read off, the 36 five-point cells are circuits whose walls one
+        # elimination of their affine dependence gives, and each of the 36
+        # unmatched walls on the boundary takes one more
         assert (len(cells), sum(len(c) == 4 for c in cells)) == (72, 36)
-        assert len(calls) == 72 + 36 * 10 + 36 == 468
+        assert len(calls) == 72 + 36 + 36 == 144
 
 
 def reference_cell_walls(cell_rows, dim):
@@ -308,6 +318,80 @@ class TestVerifyRegularDifferential:
         assert _cell_walls(rows, 2, rank) == reference_cell_walls(rows, 2) == {
             frozenset({0, 1, 2}): (0, 1)
         }
+
+
+def grid_cell(rng, dim, n, bound):
+    """n distinct points of the grid {-bound..bound}^dim that span it, each
+    with a trailing height, as verify_regular passes its rows."""
+    grid = list(product(range(-bound, bound + 1), repeat=dim))
+    while True:
+        rows = [p + (rng.randint(-3, 3),) for p in sorted(rng.sample(grid, n))]
+        if fraction_rank([row[:dim] + (1,) for row in rows], dim + 1) == dim + 1:
+            return rows
+
+
+def counting_kernel(monkeypatch):
+    """Route geometry's kernel through a counter; returns the call list."""
+    calls = []
+    kernel = geometry._rank_and_nullvector
+
+    def counting(rows, ncols):
+        calls.append(len(rows))
+        return kernel(rows, ncols)
+
+    monkeypatch.setattr(geometry, "_rank_and_nullvector", counting)
+    return calls
+
+
+class TestCellWallsDifferential:
+    """_cell_walls against the plain subset search, reference_cell_walls."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_circuit_walls_read_off_match_the_subset_search(self, dim, monkeypatch):
+        rng = random.Random(2010 + dim)
+        cells = [grid_cell(rng, dim, dim + 2, rng.choice((1, 3))) for _ in range(300)]
+        # a zero entry in the affine dependence: dim+1 points on a
+        # hyperplane (3 on a line, 4 on a square) and one point off it
+        flat = {2: [(0, 0), (1, 1), (2, 2), (0, 1)],
+                3: [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]}[dim]
+        cells.append([p + (0,) for p in flat])
+        calls = counting_kernel(monkeypatch)
+        circuits = []
+        for rows in cells:
+            del calls[:]
+            walls = _cell_walls(rows, dim, dim + 1)
+            made = len(calls)
+            assert set(walls) == set(reference_cell_walls(rows, dim)), rows
+            for onset, span in walls.items():
+                nu = _hyperplane([rows[i][:dim] for i in span])
+                assert nu is not None and len(span) == dim, rows
+                assert {i for i, row in enumerate(rows) if dot(nu, row[:dim]) + nu[-1] == 0} == onset
+            circuit = all(
+                fraction_rank([rows[i][:dim] + (1,) for i in s], dim + 1) == dim + 1
+                for s in combinations(range(dim + 2), dim + 1)
+            )
+            if circuit:
+                assert made == 1 and all(len(onset) == dim for onset in walls), rows
+            else:
+                assert made > 1, rows
+            circuits.append(circuit)
+        assert not circuits[-1]  # the cell with a zero entry took the search
+        assert circuits.count(True) >= 100 and circuits.count(False) >= 20, circuits.count(True)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_the_search_that_skips_known_planes_matches_the_subset_search(self, dim, monkeypatch):
+        rng = random.Random(1970 + dim)
+        calls = counting_kernel(monkeypatch)
+        subsets = made = 0
+        for _ in range(150):
+            rows = grid_cell(rng, dim, rng.randint(dim + 3, 9), 1)
+            del calls[:]
+            walls = _cell_walls(rows, dim, dim + 1)
+            subsets += comb(len(rows), dim)
+            made += len(calls)
+            assert list(walls.items()) == list(reference_cell_walls(rows, dim).items()), rows
+        # on a 3^dim grid many subsets lie on a plane found before them
+        assert made < subsets * 3 // 4, (made, subsets)
 
 
 class TestAztecLift:
@@ -633,6 +717,55 @@ class TestGiftWrap:
         count, kinds = detect_bipyramid_facets(facets, pts + [(VertexId.cone(), apex_pt)])
         assert (len(facets), count) == (136, 64)
         assert (kinds.count("simplex"), kinds.count("other")) == (68, 4)
+
+
+class TestPivot:
+    """_pivot against the reference loop that computed a new hyperplane for
+    every point outside the current one."""
+
+    def test_the_pencil_gives_the_reference_normal(self):
+        rng = random.Random(1970)
+        compared = {dim: 0 for dim in (2, 3, 4)}
+        for _ in range(120):
+            dim = rng.choice((2, 3, 4))
+            pts = random_rational_points(rng, dim)
+            try:
+                facets = convex_hull_brute(pts)
+            except DegenerateInput:
+                continue
+            _, rows, _ = _int_config(pts, None)
+            for f in facets:
+                h1 = f.normal + (-f.offset,)
+                onset = [i for i, row in enumerate(rows) if dot(h1, row) + h1[-1] == 0]
+                drop = next(a for a, n in enumerate(f.normal) if n)
+                chart = [rows[i][:drop] + rows[i][drop + 1:] for i in onset]
+                for wall, span in reference_cell_walls(chart, dim - 1).items():
+                    basis = [rows[onset[j]] for j in span]
+                    ref = next(rows[i] for j, i in enumerate(onset) if j not in wall)
+                    expected, _ = pivot_reference(rows, basis, ref, frozenset(onset))
+                    nu, last = geometry._pivot(rows, basis, ref, h1)
+                    assert nu == expected, (pts, f)
+                    # the point returned is on the new facet and off the old one
+                    assert dot(nu, rows[last]) + nu[-1] == 0 != dot(h1, rows[last]) + h1[-1]
+                    compared[dim] += 1
+        assert min(compared.values()) >= 100, compared
+
+    def test_one_elimination_per_ridge_crossed(self, monkeypatch):
+        pts = lifted_points(3, 1)
+        calls = counting_kernel(monkeypatch)
+        pivot = geometry._pivot
+        per_ridge = []
+
+        def pivoting(*args):
+            before = len(calls)
+            out = pivot(*args)
+            per_ridge.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(geometry, "_pivot", pivoting)
+        facets, _ = hull_with_apex(pts, VertexId.cone())
+        # a 4-polytope has at least twice as many ridges as facets
+        assert len(per_ridge) >= 2 * len(facets) and set(per_ridge) == {1}
 
 
 class TestRaiseCenters:
