@@ -3,8 +3,12 @@
 Each ball is replaced by a cone from a fresh apex over its boundary,
 except that the boundary pieces contributed by a compatible family of
 simplices are merged, which turns the corresponding cones into free sums
-of two simplices.  Every free sum can later be triangulated in two ways
-without new vertices, independently of all the others.
+of two simplices.  A member sigma is recorded by its missing face, read
+off in one pass: f = {v in sigma : sigma - v lies on the ball boundary}.
+Its fill cell is f + ((sigma - f) | {apex}), and the boundary facets it
+covers are sigma - v for v in f.  Every free sum can later be
+triangulated in two ways without new vertices, independently of all the
+others.
 """
 
 from __future__ import annotations
@@ -70,24 +74,25 @@ class BallInComplex:
         return self.boundary.facets
 
 
-def _contact_facets(b: BallInComplex, sigma: Simplex) -> list[Simplex]:
-    return [t for t in sigma.facets() if t in b.boundary_facet_set]
-
-
 def missing_face(b: BallInComplex, sigma: Simplex) -> Simplex:
     """The unique minimal non-face of the cell's boundary restriction:
-    the cell minus the common intersection of its boundary facets."""
+    the vertices v of sigma whose opposite facet sigma - v lies on the
+    ball boundary.
+
+    This is sigma minus the common intersection of its boundary facets:
+    those facets are exactly sigma - v for v in f, and they meet in
+    sigma - f.  Facet i of ``sigma.facets()`` omits ``sigma.verts[i]``,
+    so f is read off in one pass, already sorted.
+    """
     if sigma not in b.ball_facets:
         raise FaceNotFound(f"{sigma!r} is not a facet of the ball")
-    contact = _contact_facets(b, sigma)
-    if not contact:
+    bd = b.boundary_facet_set
+    f = tuple(v for v, t in zip(sigma.verts, sigma.facets()) if t in bd)
+    if not f:
         raise NoBoundaryContact(f"{sigma!r} has no facet on the ball boundary")
-    if len(contact) == len(sigma):
+    if len(f) == len(sigma):
         raise SingleSimplexBall("boundary restriction is the whole cell boundary")
-    shared = contact[0].vset
-    for t in contact[1:]:
-        shared &= t.vset
-    return Simplex(sigma.vset - shared)
+    return Simplex._face(f)
 
 
 @dataclass(frozen=True)
@@ -109,11 +114,8 @@ class CompatibleFamily:
             missing = next(iter(ms - ball.ball_facets))
             raise FaceNotFound(f"member {missing!r} is not a facet of the ball")
         fam = cls(ball, ms)
-        for m in fam.sorted_members:
-            contact = _contact_facets(ball, m)
-            if not contact:
-                raise NoBoundaryContact(f"member {m!r} has no boundary facet")
-            if len(contact) < 2:
+        for m, f in fam.missing_faces.items():
+            if len(f) < 2:
                 raise IncompatibleFamily(
                     f"member {m!r} has a single boundary facet; its fill "
                     "cell would degenerate to a simplex"
@@ -151,11 +153,10 @@ def fill_ball(
         raise DisjointnessViolation(f"apex {apex.label} already used")
     free: list[FreeSumCell] = []
     covered: set[Simplex] = set()
-    for m in fam.sorted_members:
-        f_part = fam.missing_faces[m]
+    for m, f_part in fam.missing_faces.items():
         g_part = Simplex((m.vset - f_part.vset) | {apex})
         free.append(FreeSumCell(f_part, g_part))
-        covered.update(_contact_facets(ball, m))
+        covered.update(m.without(v) for v in f_part)
     cones = [
         t.with_vertex(apex)
         for t in ball.boundary_facet_set

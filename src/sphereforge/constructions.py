@@ -18,7 +18,6 @@ from .carvefill import (
     FillManifest,
     carve_and_fill,
     is_compatible,
-    missing_face,
 )
 from .complexes import (
     PolyComplex,
@@ -103,24 +102,23 @@ def _band_regions(box: GridBox, width: int) -> list[tuple[int, GridRegion]]:
     return out
 
 
-def _extreme_members(box: GridBox, region: GridRegion, width: int) -> list[Simplex]:
-    """Cells on the extreme diagonals of a band whose missing face stays
-    off the grid boundary.
+def _extreme_members(host: JoinOfPaths, region: GridRegion, width: int) -> list[Simplex]:
+    """Host facets of the cells on the extreme diagonals of a band whose
+    missing face stays off the grid boundary.
 
     Bottom cells (index sum divisible by the width) need all upper
     neighbors inside the box; top cells (sum = width-1 mod width) need all
     lower neighbors inside.  Each then has exactly d boundary facets and
     its fill cell is a free sum with 2d+1 vertices.
     """
-    from .grid import cell_simplex
-
+    dims = host.box.dims
     members = []
     for c in sorted(region.cells):
         s = sum(c)
-        if s % width == 0 and all(i + 1 <= n for i, n in zip(c, box.dims)):
-            members.append(cell_simplex(c))
+        if s % width == 0 and all(i + 1 <= n for i, n in zip(c, dims)):
+            members.append(host.facet_of(c))
         elif s % width == width - 1 and all(i >= 2 for i in c):
-            members.append(cell_simplex(c))
+            members.append(host.facet_of(c))
     return members
 
 
@@ -143,7 +141,7 @@ def _grid_band_families(
             raise InternalInvariantViolation(f"band {q} is not a ball")
         keys.append(q)
         balls.append(ball)
-        member_lists.append(_extreme_members(host.box, region, width))
+        member_lists.append(_extreme_members(host, region, width))
     return keys, balls, member_lists
 
 
@@ -230,8 +228,7 @@ def build_holes3(n: int, m: int | None = None) -> ConstructionReport:
         seen_faces = set()
         kept = []
         bd = ball.boundary
-        for mbr in sorted(members):
-            f = missing_face(ball, mbr)
+        for mbr, f in full.missing_faces.items():
             if f in seen_faces or bd.has_face(f):
                 continue
             seen_faces.add(f)

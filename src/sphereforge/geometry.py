@@ -14,7 +14,7 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
-from .carvefill import FillManifest, realize, triangulate_cell
+from .carvefill import FillManifest, realize
 from .complexes import VertexId
 from .errors import (
     DegenerateCell,
@@ -576,15 +576,9 @@ class RegularAztecLift:
         return self.config.heights
 
 
-def _coarse_breakpoint_value(i: int) -> Fraction:
-    return Fraction(i) ** 2
-
-
 def _coarse_path_height(i: int, k: int, l: int) -> Fraction:
-    r = min((i - 2) // k if i >= 2 else 0, l - 1)
-    t0 = r * k + 1
-    t1 = t0 + k
-    v0, v1 = _coarse_breakpoint_value(t0), _coarse_breakpoint_value(t1)
+    t0 = (_subgrid_of(i, k, l) - 1) * k + 1
+    v0, v1 = Fraction(t0) ** 2, Fraction(t0 + k) ** 2
     return v0 + (v1 - v0) * Fraction(i - t0, k)
 
 
@@ -911,10 +905,8 @@ def _is_bipyramid(points: list[Point], normal: tuple[int, ...]) -> bool:
 def raised_center_target(manifest: FillManifest) -> Subdivision:
     """The refinement produced by lifting every hole center: each free
     cell is replaced by the triangulation that inserts its first part."""
-    cells = [s.vset for s in manifest.result.simplex_cells]
-    for cell in manifest.free_cells:
-        cells.extend(s.vset for s in triangulate_cell(cell, 0))
-    return Subdivision.of(cells)
+    zeros = (0,) * manifest.n_free_cells
+    return Subdivision.of(f.vset for f in realize(manifest, zeros).facets)
 
 
 def count_degree3_edges(manifest: FillManifest) -> int:

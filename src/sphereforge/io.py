@@ -121,8 +121,11 @@ def _load_json(path: str) -> Any:
 
 def write_text(path: str, text: str) -> None:
     """Write ``text.encode()`` to ``path``, with no newline translation."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputParseError(f"cannot write {path}: {exc}") from exc
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,9 @@ from sphereforge.errors import (
     DisjointnessViolation,
     FaceNotFound,
     InternalInvariantViolation,
+    NoBoundaryContact,
     NotPseudomanifold,
+    SingleSimplexBall,
 )
 from sphereforge.geometry import HullFacet, Point, _dot_h, _hyperplane
 from sphereforge.grid import GridBox, GridRegion, _neighbors, band_cell_order, cell_simplex
@@ -401,6 +403,17 @@ def boundary_restriction(b: BallInComplex, sigma: Simplex) -> SimplicialComplex:
     return SimplicialComplex.from_facets(
         t for t in sigma.facets() if t in b.boundary_facet_set
     )
+
+
+def missing_face_reference(b: BallInComplex, sigma: Simplex) -> Simplex:
+    """The missing face as first defined: the cell minus the common
+    intersection of its facets on the ball boundary."""
+    contact = boundary_restriction(b, sigma).facets
+    if not contact:
+        raise NoBoundaryContact(f"{sigma!r} has no facet on the ball boundary")
+    if len(contact) == len(sigma):
+        raise SingleSimplexBall("boundary restriction is the whole cell boundary")
+    return Simplex(sigma.vset - frozenset.intersection(*(t.vset for t in contact)))
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Ball carving, missing faces, compatible families, filling, realization."""
 
+import random
 from itertools import product
 
 import pytest
@@ -21,7 +22,9 @@ from sphereforge import (
     realize,
     triangulate_cell,
 )
+from sphereforge import constructions
 from sphereforge.carvefill import FillManifest, FreeSumCell
+from sphereforge.constructions import BUILDERS
 from sphereforge.errors import (
     BallOverlap,
     ChoiceLengthMismatch,
@@ -36,6 +39,7 @@ from sphereforge.errors import (
 from oracles import (
     boundary_facets,
     boundary_restriction,
+    missing_face_reference,
     poly_boundary,
     validate_proper_intersections,
 )
@@ -125,6 +129,111 @@ class TestMissingFace:
         host, ball = grid_ball(4, 4)
         with pytest.raises(NoBoundaryContact):
             missing_face(ball, host.facet_of((2, 2)))
+
+
+def _families_of(kind, *params):
+    """The compatible families a builder fills, as handed to carve_and_fill."""
+    seen = []
+    real = constructions.carve_and_fill
+
+    def recording(host, fams, keys=None):
+        seen.extend(fams)
+        return real(host, fams, keys=keys)
+
+    constructions.carve_and_fill = recording
+    try:
+        BUILDERS[kind](*params)
+    finally:
+        constructions.carve_and_fill = real
+    return seen
+
+
+# Each builder's parameters are drawn from a seeded generator within
+# ranges that build in well under a second.
+PARAM_RANGES = {
+    "holes4": lambda rng: (rng.randint(4, 9), rng.randint(4, 9)),
+    "holes3": lambda rng: (rng.randint(4, 8), rng.randint(4, 8)),
+    "aztec": lambda rng: (rng.choice((3, 5)), rng.randint(1, 2)),
+    "cyclic": lambda rng: (rng.randint(3, 5),),
+    "highd": lambda rng: (3, rng.randint(4, 6)),
+    "aztec-hd": lambda rng: (rng.choice((2, 3)), 3, 1),
+}
+
+
+class TestMissingFaceDifferential:
+    @pytest.mark.parametrize("kind", list(PARAM_RANGES))
+    def test_read_off_matches_the_intersection_on_every_ball_facet(self, kind):
+        rng = random.Random(f"missing-face-{kind}")
+        for _ in range(2):
+            fams = _families_of(kind, *PARAM_RANGES[kind](rng))
+            assert fams
+            for fam in fams:
+                ball = fam.ball
+                for m in fam.members:
+                    assert fam.missing_faces[m] == missing_face(ball, m) == missing_face_reference(ball, m)
+                for sigma in ball.ball_facets:
+                    try:
+                        want = missing_face_reference(ball, sigma)
+                    except (NoBoundaryContact, SingleSimplexBall) as exc:
+                        with pytest.raises(type(exc)):
+                            missing_face(ball, sigma)
+                    else:
+                        got = missing_face(ball, sigma)
+                        assert got == want and got.verts == want.verts
+
+
+class TestBoundaryReads:
+    """Once the ball boundary is built, each member's boundary facets are
+    read once, by ``CompatibleFamily.of``; compatibility and filling reuse
+    the missing faces it recorded."""
+
+    @pytest.mark.parametrize("width", [3, 4])
+    def test_one_facet_list_per_member(self, monkeypatch, width):
+        host = join_of_paths((9, 7))
+        _, balls, member_lists = constructions._grid_band_families(host, width)
+        for ball in balls:
+            ball.boundary
+        reads = []
+        real = Simplex.facets
+
+        def counting(self):
+            reads.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Simplex, "facets", counting)
+        outcomes = set()
+        for ball, members in zip(balls, member_lists):
+            reads.clear()
+            fam = CompatibleFamily.of(ball, members)
+            assert sorted(reads) == sorted(members)
+            compatible = is_compatible(fam)
+            if compatible:
+                fill_ball(fam, VertexId.hole(1))
+            assert len(reads) == len(members)
+            outcomes.add(compatible)
+        # every width-3 band here has two members sharing a missing face,
+        # so both outcomes of is_compatible are read-free
+        assert outcomes == {width == 4}
+
+
+class TestFamilyErrors:
+    def test_a_member_without_a_boundary_facet(self):
+        host, ball = grid_ball(4, 4)
+        with pytest.raises(NoBoundaryContact, match="has no facet on the ball boundary"):
+            CompatibleFamily.of(ball, [host.facet_of((2, 2))])
+
+    def test_a_member_with_one_boundary_facet(self):
+        host, ball = grid_ball(4, 4)
+        with pytest.raises(IncompatibleFamily, match="single boundary facet"):
+            CompatibleFamily.of(ball, [host.facet_of((2, 1))])
+
+    def test_a_member_whose_every_facet_is_on_the_boundary(self):
+        # two triangles meeting in a vertex: each one's three edges all
+        # lie on the ball boundary
+        host = SimplicialComplex.from_facets([rs(1, 2, 3), rs(3, 4, 5)])
+        ball = BallInComplex.of(host, host.facets)
+        with pytest.raises(SingleSimplexBall):
+            CompatibleFamily.of(ball, [rs(1, 2, 3)])
 
 
 class TestCompatibility:

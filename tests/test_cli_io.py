@@ -926,3 +926,46 @@ def test_files_are_utf8_and_newlines_are_not_translated(tmp_path, monkeypatch, c
     assert capsys.readouterr().err == (
         f"input error: malformed complex: bad vertex label {label!r}: the canonical spelling is 'r:3'\n"
     )
+
+
+@pytest.fixture(scope="module")
+def writer_inputs(tmp_path_factory):
+    """Inputs for every command that writes a file: an Aztec (3,1)
+    manifest, its realization, the (3,1) lift, and a host with one hole."""
+    d = tmp_path_factory.mktemp("inputs")
+    assert run(d, "generate", "aztec", "--k", 3, "--l", 1, "-o", d / "a.json") == 0
+    assert run(d, "lift", "aztec", "--k", 3, "--l", 1, "-o", d / "lift.json") == 0
+    sfio.save_complex(str(d / "host.json"), join_of_paths((4, 4)).complex)
+    block = [[f"a:1:{i}", f"a:1:{i+1}", f"a:2:{j}", f"a:2:{j+1}"] for i in (1, 2) for j in (1, 2)]
+    (d / "holes.json").write_text(json.dumps({"holes": [{"key": 1, "facets": block, "members": [block[0]]}]}))
+    return d
+
+
+WRITERS = {
+    "generate": lambda d, out: ("generate", "holes4", "--n", 5, "-o", out),
+    "fill": lambda d, out: ("fill", "--input", d / "host.json", "--holes", d / "holes.json", "-o", out),
+    "realize": lambda d, out: ("realize", "--manifest", d / "a.manifest.json", "-o", out),
+    "verify-report": lambda d, out: ("verify", "sphere", d / "a.realized.json", "--report", out),
+    "lift": lambda d, out: ("lift", "aztec", "--k", 3, "--l", 1, "-o", out),
+    "hull": lambda d, out: ("hull", "--input", d / "lift.json", "-o", out),
+    "degree3": lambda d, out: ("degree3", "--input", d / "lift.json", "-o", out),
+    "export-off": lambda d, out: ("export", "off", "--input", d / "a.realized.json",
+                                  "--lift", d / "lift.json", "-o", out),
+}
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "is-a-directory"])
+@pytest.mark.parametrize("command", list(WRITERS))
+def test_an_output_path_that_cannot_be_written_is_an_input_error(
+    tmp_path, capsys, writer_inputs, command, where
+):
+    if where == "missing-directory":
+        out = tmp_path / "nonexistent" / "out.json"
+    else:
+        out = tmp_path / "out.json"
+        out.mkdir()
+    capsys.readouterr()
+    assert run(tmp_path, *WRITERS[command](writer_inputs, out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot write {out}: "), err
+    assert err.count("\n") == 1, err
