@@ -23,6 +23,7 @@ from .geometry import (
     delta_search,
     detect_bipyramid_facets,
     hull_with_apex,
+    raised_center_target,
     verify_regular,
 )
 from .sampling import choice_vector, parse_hex_choices
@@ -196,8 +197,9 @@ def _cmd_degree3(args) -> int:
     regenerated = (lift.config, lift.subdivision, lift.eps)
     if regenerated != (data["config"], data["subdivision"], data["eps"]):
         raise mismatch
-    delta, heights = delta_search(lift)
-    degree3 = count_degree3_edges(lift.manifest)
+    target = raised_center_target(lift.manifest)
+    delta, heights = delta_search(lift, target)
+    degree3 = count_degree3_edges(target)
     guaranteed = (2 * lift.k - 6) * lift.l * lift.l
     print(f"degree-3 edges: {degree3} (guaranteed {guaranteed}), delta={delta}")
     if args.output:

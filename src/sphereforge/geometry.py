@@ -909,15 +909,13 @@ def raised_center_target(manifest: FillManifest) -> Subdivision:
     return Subdivision.of(f.vset for f in realize(manifest, zeros).facets)
 
 
-def count_degree3_edges(manifest: FillManifest) -> int:
-    """Edges of the center-raised triangulation lying in exactly three
-    full-dimensional simplices."""
-    realized = realize(manifest, (0,) * manifest.n_free_cells)
-    counts: dict[frozenset, int] = {}
-    for f in realized.facets:
-        for e in combinations(sorted(f), 2):
-            key = frozenset(e)
-            counts[key] = counts.get(key, 0) + 1
+def count_degree3_edges(target: Subdivision) -> int:
+    """Edges of the center-raised triangulation, ``raised_center_target``,
+    lying in exactly three of its simplices."""
+    counts: dict[tuple[VertexId, ...], int] = {}
+    for cell in target.cells:
+        for e in combinations(sorted(cell, key=VertexId.key), 2):
+            counts[e] = counts.get(e, 0) + 1
     return sum(1 for c in counts.values() if c == 3)
 
 
@@ -935,16 +933,19 @@ def raise_centers(
     target = raised_center_target(lift.manifest)
     if not verify_regular(list(lift.config.points), heights, target):
         raise DeltaTooLarge(f"raising centers by {delta} breaks regularity")
-    return heights, count_degree3_edges(lift.manifest)
+    return heights, count_degree3_edges(target)
 
 
 def delta_search(
-    lift: RegularAztecLift,
+    lift: RegularAztecLift, target: Subdivision | None = None
 ) -> tuple[Fraction, dict[VertexId, Fraction]]:
     """Certified center-raising amount, found by halving from the lift's
     own perturbation scale, and the raised heights it certified: the
-    ones raise_centers(lift, delta) computes."""
-    target = raised_center_target(lift.manifest)
+    ones raise_centers(lift, delta) computes.  ``target`` is
+    ``raised_center_target(lift.manifest)``, built here unless the
+    caller has built it already."""
+    if target is None:
+        target = raised_center_target(lift.manifest)
     bump = _center_bump(lift, lift.eps)
     t = eps_search(list(lift.config.points), lift.heights, bump, target)
     return lift.eps * t, compose_lift(lift.heights, bump, t)

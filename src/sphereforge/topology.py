@@ -2,52 +2,55 @@
 
 These are the independent checks the rest of the package is validated
 against.  Homology is computed over the 2-element field with bitset
-Gaussian elimination, which is exact; sphere and ball certificates
-combine the Betti pattern with pseudomanifold flags and recursive vertex
-link certification (depth-limited to dimension 5).
+Gaussian elimination, which is exact.
 
-Certification counts where counting is exact.  For a dual-connected
-pseudomanifold of dimension d, rank d_d is f_d - 1 when it is closed and
-f_d when it has a boundary ridge, and rank d_1 is f_0 - 1, so only
-d_2 .. d_(d-1) are eliminated.  Such a complex of dimension 2 is a
-sphere iff it is closed with Euler characteristic 2 and a disk iff it
-has a boundary with Euler characteristic 1, so it needs no Betti numbers
-and no links.  ``betti_gf2`` eliminates every boundary map and is the
-reference the counted ranks are tested against.
+``certify`` makes one pass over the ridges of a complex, which gives its
+pseudomanifold flags and its dual graph.  A dual-connected
+pseudomanifold of dimension 2 is a sphere iff it is closed with Euler
+characteristic 2 and a disk iff it has a boundary with Euler
+characteristic 1.  From dimension 3 on, one greedy search looks for a
+canonical shelling, and a shellable pseudomanifold is a PL sphere when
+it is closed and a PL ball otherwise (Danaraj-Klee, Duke Math. J. 41,
+1974), so no link is examined in any dimension.  A search that gets
+stuck proves nothing: the GF(2) Betti numbers then tell a homology
+sphere or a homology ball from neither.
 
-Links are read from the parent's index.  One pass over the ridges of a
-complex gives its pseudomanifold flags and dual graph and files under
-each vertex v what lk(v) is read from.  The link of a vertex of a
-dual-connected 3-dimensional pseudomanifold is never built: it is a
-pseudomanifold, closed iff every ridge through v lies in two facets; its
-dual graph is the parent's dual graph induced on star(v); and its Euler
-characteristic is #edges - #ridges + #facets at v.  A closed complex of
-dimension 4 or 5 certifies its links first.  If they all certify as
-spheres it is a closed connected GF(2) homology manifold, so
-b_k = b_(d-k) and only d_2 .. d_ceil(d/2) are eliminated; if one fails,
-its Betti numbers are eliminated as before.
+Those Betti numbers are counted where counting is exact.  For a
+dual-connected pseudomanifold of dimension d, rank d_d is f_d - 1 when
+it is closed and f_d when it has a boundary ridge, and rank d_1 is
+f_0 - 1, so only d_2 .. d_(d-1) are eliminated.  ``betti_gf2``
+eliminates every boundary map and is the reference the counted ranks
+are tested against.
+
+A facet order is checked by restrictions.  The restriction of a facet s
+is R(s) = {v in s : s - v lies in an earlier facet}.  s meets the union
+of the earlier facets in a nonempty union of its ridges iff R(s) is
+nonempty and no earlier facet contains R(s), and in its whole boundary
+iff R(s) = s (Ziegler, Lectures on Polytopes, Lecture 8).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .complexes import Simplex, SimplicialComplex
 from .errors import DegenerateInput, InvalidOrder
 
-LINK_RECURSION_MAX_DIM = 5
-
 SPHERE = "sphere"
 BALL = "ball"
+HOMOLOGY_SPHERE = "homology-sphere"
+HOMOLOGY_BALL = "homology-ball"
 NEITHER = "neither"
 
 
 @dataclass(frozen=True)
 class TopologyCertificate:
-    """Outcome of certification plus the evidence it rests on."""
+    """Outcome of certification plus the evidence it rests on.
+    ``links_verified`` is false only for the ``homology-*`` kinds, which
+    rest on GF(2) homology alone."""
 
     kind: str
     dim: int
@@ -65,10 +68,11 @@ class TopologyCertificate:
 
 
 def _indexed_facets(x: SimplicialComplex) -> list[tuple[int, ...]]:
-    """Facets as sorted tuples of vertex indices.  ``x.vertices`` and
-    each ``f.verts`` are sorted, so the indices come out in order."""
+    """Facets as sorted tuples of vertex indices, in the order of
+    ``x.sorted_facets``.  ``x.vertices`` and each ``f.verts`` are
+    sorted, so the indices come out in order."""
     index = {v: i for i, v in enumerate(x.vertices)}
-    return [tuple([index[v] for v in f.verts]) for f in x.facets]
+    return sorted([tuple([index[v] for v in f.verts]) for f in x.facets])
 
 
 def _faces_by_dim(facets: list[tuple[int, ...]], dims: range) -> list[list[tuple[int, ...]]]:
@@ -126,15 +130,12 @@ def _betti_from_indexed(facets: list[tuple[int, ...]]) -> tuple[int, ...]:
 
 def _betti_pm_connected(
     facets: list[tuple[int, ...]],
-    faces: list[list[tuple[int, ...]]],
     ridges: dict[tuple[int, ...], list[int]],
     closed: bool,
     n_vertices: int,
-    manifold: bool = False,
 ) -> tuple[int, ...]:
     """Reduced GF(2) Betti numbers of a dual-connected pseudomanifold of
-    dimension d >= 2, given its sorted faces of dimensions 1 .. d-2,
-    eliminating at most d_2 .. d_(d-1).
+    dimension d >= 2, eliminating only d_2 .. d_(d-1).
 
     Top rank.  A GF(2) d-chain is a set S of facets, and it is a cycle
     iff every ridge lies in an even number of facets of S.  Every ridge
@@ -150,30 +151,17 @@ def _betti_pm_connected(
     dual-connected, so the 1-skeleton is connected and
     rank d_1 = f_0 - 1.
 
-    Duality.  A ``manifold`` is closed and its vertex links certify as
-    spheres, so it is a closed connected GF(2) homology manifold and
-    b_k = b_(d-k).  Only d_2 .. d_ceil(d/2) are eliminated then, and
-    rank d_k for k = d-1 down to ceil(d/2)+1 is f_k - rank d_(k+1) -
-    b_(d-k), where b_(d-k) already follows from the lower ranks.
-
     The (d-1)-faces are the keys of ``ridges``.  The faces are sorted:
     in insertion order the elimination fills in more, and certifying
     holes4(81) peaks about 6 MB higher.
     """
     d = len(facets[0]) - 1
-    counts = [n_vertices, *map(len, faces), len(ridges), len(facets)]
-    last = (d + 1) // 2 if manifold else d - 1
-    if last == d - 1 > 1:
-        faces = [*faces, sorted(ridges)]
-    ranks = [0] * (d + 2)
-    ranks[1] = n_vertices - 1
-    ranks[d] = len(facets) - 1 if closed else len(facets)
-    for k in range(2, last + 1):
-        ranks[k] = _boundary_rank(faces[k - 2], faces[k - 1])
-    for k in range(d - 1, last, -1):
-        j = d - k
-        ranks[k] = counts[k] - ranks[k + 1] - (counts[j] - ranks[j] - ranks[j + 1])
-    return _betti_from_ranks(counts, ranks[1:d + 1])
+    # in dimension 2 the ridges are the edges, and nothing is eliminated
+    middle = _faces_by_dim(facets, range(1, d - 1)) + [sorted(ridges) if d > 2 else ridges]
+    ranks = [n_vertices - 1]
+    ranks += [_boundary_rank(lower, upper) for lower, upper in zip(middle, middle[1:])]
+    ranks.append(len(facets) - 1 if closed else len(facets))
+    return _betti_from_ranks([n_vertices, *map(len, middle), len(facets)], ranks)
 
 
 def betti_gf2(x: SimplicialComplex) -> tuple[int, ...]:
@@ -184,30 +172,14 @@ def betti_gf2(x: SimplicialComplex) -> tuple[int, ...]:
     return _betti_from_indexed(_indexed_facets(x))
 
 
-def _ridges(
-    facets: list[tuple[int, ...]], star: dict[int, list] | None = None
-) -> dict[tuple[int, ...], list[int]]:
+def _ridges(facets: list[tuple[int, ...]]) -> dict[tuple[int, ...], list[int]]:
     """Map each codimension-1 face to the indices of the facets that
-    contain it.
-
-    The ridge of a facet that omits the vertex v is that facet's face in
-    lk(v), so with ``star`` the same pass files under each vertex what
-    its link is read from: the indices of the facets at it when the
-    facets are tetrahedra, whose links are read off the index, and the
-    facets of its link otherwise.
-    """
+    contain it."""
     d = len(facets[0]) - 1
     ridges: dict[tuple[int, ...], list[int]] = {}
-    if star is None:
-        for i, f in enumerate(facets):
-            for r in combinations(f, d):
-                ridges.setdefault(r, []).append(i)
-        return ridges
-    by_index = d == 3
     for i, f in enumerate(facets):
-        for v, r in zip(reversed(f), combinations(f, d)):
+        for r in combinations(f, d):
             ridges.setdefault(r, []).append(i)
-            star[v].append(i if by_index else r)
     return ridges
 
 
@@ -222,7 +194,7 @@ def _adjacency(n_facets: int, ridges: dict[tuple[int, ...], list[int]]) -> list[
     return adjacency
 
 
-def _connected(adjacency: list[list[int]], nodes: "range | set[int]") -> bool:
+def _connected(adjacency: list[list[int]], nodes: range) -> bool:
     """Whether the facets ``nodes`` induce a connected subgraph of the
     dual graph."""
     start = next(iter(nodes))
@@ -256,85 +228,116 @@ def _kind_low_dim(facets: list[tuple[int, ...]]) -> str:
     return BALL if ends == 2 else NEITHER
 
 
-def _surface_links(
-    edges: list[tuple[int, ...]],
-    ridges: dict[tuple[int, ...], list[int]],
-    star: dict[int, list[int]],
-    adjacency: list[list[int]],
-    bd_verts: set[int],
-) -> Callable[[int], tuple]:
-    """For a dual-connected pseudomanifold of dimension 3, a function
-    giving the classification of the surface lk(v) without building it.
-    Each ridge through v lies in one or two facets, so lk(v) is a
-    pseudomanifold, closed iff v is not on the boundary.  Its dual graph
-    is the dual graph induced on star(v), and its vertices, edges and
-    triangles are the edges, ridges and facets at v, which gives chi."""
-    chi = {v: len(at) for v, at in star.items()}
-    for e in edges:
-        for v in e:
-            chi[v] += 1
-    for r in ridges:
-        for v in r:
-            chi[v] -= 1
-
-    def link(v: int) -> tuple:
-        closed = v not in bd_verts
-        connected = _connected(adjacency, set(star[v]))
-        kind = NEITHER
-        if connected and chi[v] == (2 if closed else 1):
-            kind = SPHERE if closed else BALL
-        return kind, 2, None, True, closed, connected, True
-
-    return link
+def _shells(
+    facet: tuple[int, ...], restriction: list[int], at: list[set[int]], closing: bool
+) -> bool:
+    """Whether a facet with this restriction extends a shelling of the
+    facets before it: the restriction is nonempty and no earlier facet
+    contains it, where ``at`` maps each vertex to the earlier facets at
+    it, and it is the whole facet only when the facet is ``closing`` a
+    sphere."""
+    if len(restriction) == len(facet):
+        return closing
+    return bool(restriction) and not set.intersection(*[at[v] for v in restriction])
 
 
-def _classify(
+def _shelling(
     facets: list[tuple[int, ...]],
-    face: tuple[int, ...],
-    memo: dict[tuple[int, ...], tuple],
-    top: bool = False,
-) -> tuple:
-    """The fields of the TopologyCertificate of a complex given by
-    indexed facets, in order: kind, dim, betti, pseudomanifold, closed,
-    dual_connected, links_verified.  A plain tuple, because links are
-    classified by the thousand and a certificate object for each one
-    costs a few percent of ``certify``.
+    ridges: dict[tuple[int, ...], list[int]],
+    closed: bool,
+    n_vertices: int,
+) -> list[int] | None:
+    """The canonical shelling order of a pseudomanifold, as facet
+    indices, or None when the greedy search gets stuck.
 
-    ``face`` is the face whose iterated vertex link the complex is, and
-    ``memo`` caches those links by face.  Only the ``top`` complex, the
-    one being certified, reports the full evidence: a link or a ball's
-    boundary is read for its kind and dim only, stops at its first failed
-    test and gets Betti numbers only when it needs them.
-
-    The complex is indexed once: one pass over the ridges of its facets
-    gives the pseudomanifold flags and the dual graph, and files under
-    each vertex what its link is read from.  A closed complex of
-    dimension 4 or 5 checks its links first, so that its Betti numbers
-    can use Poincare duality.
+    The search starts from facet 0 and then adds, at each step, the
+    smallest facet across a ridge from the added ones whose restriction
+    extends the shelling; the last facet of a closed complex may close
+    it.  A facet's restriction is read off its added ridge neighbours.
+    It grows only when a neighbour is added, which queues the facet
+    again, so a refused facet is dropped until then.  Adding any facet
+    can invalidate a restriction that has not grown, so each candidate
+    is checked when it is popped.
     """
-    d = len(facets[0]) - 1
-    if d <= 1:
-        # Only the top complex gets here: a 2-complex is classified by
-        # its Euler characteristic below and does not recurse.
-        kind = _kind_low_dim(facets)
-        return kind, d, _betti_from_indexed(facets), kind != NEITHER, kind == SPHERE, True, True
+    # across[i]: a pair (j, v) for each facet j that shares a ridge with
+    # facet i, v the vertex of i that the ridge omits (the facet's
+    # vertex sum less the ridge's)
+    sums = list(map(sum, facets))
+    across: list[list[tuple[int, int]]] = [[] for _ in facets]
+    for r, owners in ridges.items():
+        if len(owners) == 2:
+            a, b = owners
+            s = sum(r)
+            across[a].append((b, sums[a] - s))
+            across[b].append((a, sums[b] - s))
+    n = len(facets)
+    added = [False] * n
+    queued = [False] * n
+    at: list[set[int]] = [set() for _ in range(n_vertices)]
+    order: list[int] = []
+    heap = [0]
+    while heap:
+        i = heappop(heap)
+        queued[i] = False
+        if order:
+            restriction = [v for j, v in across[i] if added[j]]
+            if not _shells(facets[i], restriction, at, closed and len(order) == n - 1):
+                continue
+        order.append(i)
+        added[i] = True
+        for v in facets[i]:
+            at[v].add(i)
+        for j, _ in across[i]:
+            if not added[j] and not queued[j]:
+                queued[j] = True
+                heappush(heap, j)
+    return order if len(order) == n else None
 
-    check_links = 3 <= d <= LINK_RECURSION_MAX_DIM
-    star: dict[int, list] = defaultdict(list)
-    ridges = _ridges(facets, star if check_links else None)
+
+def certify(x: SimplicialComplex) -> TopologyCertificate:
+    """Certify a pure complex as a sphere, a ball, a GF(2) homology
+    sphere or ball, or neither.
+
+    Every certified complex is a pseudomanifold (each ridge in at most
+    two facets) with a connected dual graph; a sphere is closed and a
+    ball is not.  Dimensions 0 and 1 are classified directly, and
+    dimension 2 by the Euler characteristic.  From dimension 3 on,
+    ``_shelling`` searches for a canonical shelling, and one that is
+    found makes the complex a PL sphere or ball (Danaraj-Klee); the
+    Betti numbers reported are then those of a sphere or a ball, which
+    is a theorem.  If the search gets stuck, the counted GF(2) Betti
+    numbers decide: a closed complex with the Betti numbers of a d-sphere
+    is a ``homology-sphere``, and an acyclic one whose boundary has the
+    Betti numbers of a (d-1)-sphere is a ``homology-ball``, both with
+    ``links_verified`` false.
+    """
+    x._require_nonvoid()
+    if x.dim < 0:
+        raise DegenerateInput("cannot certify the empty-facet complex")
+    facets = _indexed_facets(x)
+    d = x.dim
+    if d <= 1:
+        kind = _kind_low_dim(facets)
+        return TopologyCertificate(
+            kind, d, _betti_from_indexed(facets), kind != NEITHER, kind == SPHERE, True, True
+        )
+    ridges = _ridges(facets)
     sizes = set(map(len, ridges.values()))
     pm = max(sizes) <= 2
     closed = sizes == {2}
-    connected = False
-    if pm or top:
-        adjacency = _adjacency(len(facets), ridges)
-        connected = _connected(adjacency, range(len(facets)))
+    n_vertices = len(x.vertices)
+    kind = SPHERE if closed else BALL
+    if pm and d >= 3 and _shelling(facets, ridges, closed, n_vertices) is not None:
+        # the shelling reaches every facet across ridges, so the dual
+        # graph is connected
+        betti = _sphere_pattern(d) if closed else (0,) * (d + 1)
+        return TopologyCertificate(kind, d, betti, pm, closed, True, True)
+    connected = _connected(_adjacency(len(facets), ridges), range(len(facets)))
     if not pm or not connected:
         # The rank facts of _betti_pm_connected need both flags.
-        betti = _betti_from_indexed(facets) if top else None
-        return NEITHER, d, betti, pm, closed, connected, True
-    vertices = sorted(star) if check_links else sorted({v for f in facets for v in f})
-    faces = _faces_by_dim(facets, range(1, d - 1)) if top or d > 2 else []
+        betti = _betti_from_indexed(facets)
+        return TopologyCertificate(NEITHER, d, betti, pm, closed, connected, True)
+    betti = _betti_pm_connected(facets, ridges, closed, n_vertices)
     if d == 2:
         # Split each vertex into one copy per connected component of its
         # link.  Every edge lies in one or two triangles, so each link is
@@ -347,66 +350,17 @@ def _classify(
         # So chi = 2 (closed) or 1 (with boundary) iff S is a sphere or
         # a disk and no vertex was split, which is exactly when the
         # Betti pattern and every vertex link check out.
-        betti = _betti_pm_connected(facets, faces, ridges, closed, len(vertices)) if top else None
-        chi = len(vertices) - len(ridges) + len(facets)
-        if chi == (2 if closed else 1):
-            kind = SPHERE if closed else BALL
-        else:
+        chi = n_vertices - len(ridges) + len(facets)
+        if chi != (2 if closed else 1):
             kind = NEITHER
-        return kind, d, betti, pm, closed, connected, True
-
-    def links_certify(bd_verts: set[int]) -> bool:
-        """Whether every vertex link is a (d-1)-ball on the boundary and
-        a (d-1)-sphere elsewhere."""
-        if d == 3:
-            surface_link = _surface_links(faces[0], ridges, star, adjacency, bd_verts)
-        for v in vertices:
-            sub_face = tuple(sorted(face + (v,)))
-            link = memo.get(sub_face)
-            if link is None:
-                link = surface_link(v) if d == 3 else _classify(star[v], sub_face, memo)
-                memo[sub_face] = link
-            if link[:2] != (BALL if v in bd_verts else SPHERE, d - 1):
-                return False
-        return True
-
-    manifold = closed and d >= 4 and check_links
-    if manifold and not links_certify(set()):
-        betti = _betti_pm_connected(facets, faces, ridges, closed, len(vertices)) if top else None
-        return NEITHER, d, betti, pm, closed, connected, True
-    betti = _betti_pm_connected(facets, faces, ridges, closed, len(vertices), manifold)
-    neither = NEITHER, d, betti, pm, closed, connected, True
-    bd_verts: set[int] = set()
-    if closed:
-        if betti != _sphere_pattern(d):
-            return neither
-    else:
-        if any(b != 0 for b in betti):
-            return neither
+        return TopologyCertificate(kind, d, betti, pm, closed, connected, True)
+    if closed and betti == _sphere_pattern(d):
+        return TopologyCertificate(HOMOLOGY_SPHERE, d, betti, pm, closed, connected, False)
+    if not closed and not any(betti):
         boundary = [r for r, owners in ridges.items() if len(owners) == 1]
-        if _classify(boundary, (), {})[:2] != (SPHERE, d - 1):
-            return neither
-        bd_verts = {v for r in boundary for v in r}
-    if check_links and not manifold and not links_certify(bd_verts):
-        return neither
-    return SPHERE if closed else BALL, d, betti, pm, closed, connected, check_links
-
-
-def certify(x: SimplicialComplex) -> TopologyCertificate:
-    """Certify a pure complex as a sphere, a ball, or neither.
-
-    Sphere(d): closed pseudomanifold, connected dual graph, GF(2) Betti
-    pattern of a d-sphere, and all vertex links certify as (d-1)-spheres.
-    Ball(d): pseudomanifold with nonempty boundary certifying as a
-    (d-1)-sphere, vanishing reduced homology, interior vertex links
-    spheres and boundary vertex links balls.  In dimension 2 the Betti
-    pattern and the links are read off the Euler characteristic.  Above
-    dimension 5 the link recursion is skipped and flagged.
-    """
-    x._require_nonvoid()
-    if x.dim < 0:
-        raise DegenerateInput("cannot certify the empty-facet complex")
-    return TopologyCertificate(*_classify(_indexed_facets(x), (), {}, top=True))
+        if _betti_from_indexed(boundary) == _sphere_pattern(d - 1):
+            return TopologyCertificate(HOMOLOGY_BALL, d, betti, pm, closed, connected, False)
+    return TopologyCertificate(NEITHER, d, betti, pm, closed, connected, True)
 
 
 def verify_shelling(x: SimplicialComplex, order: Sequence[Simplex]) -> bool:
@@ -414,25 +368,27 @@ def verify_shelling(x: SimplicialComplex, order: Sequence[Simplex]) -> bool:
 
     Each facet after the first must meet the union of its predecessors in
     a nonempty union of its codimension-1 faces, and never in its whole
-    boundary (that would close a sphere inside a ball).
+    boundary (that would close a sphere inside a ball).  The restriction
+    of each facet is read off one set of the earlier facets' ridges and
+    tested by ``_shells``, as the search of ``certify`` tests it.
     """
     x._require_nonvoid()
     if len(order) != x.n_facets or set(order) != set(x.facets):
         raise InvalidOrder("order is not a permutation of the facets")
     if len(order) == 1:
         return True
-    d = x.dim
-    by_vertex: dict[object, list[int]] = {}
+    index = {v: i for i, v in enumerate(x.vertices)}
+    at: list[set[int]] = [set() for _ in index]
+    earlier: set[tuple[int, ...]] = set()
     for j, sigma in enumerate(order):
+        f = tuple([index[v] for v in sigma.verts])
+        # combinations omits the vertices from the last to the first
+        ridges = list(combinations(f, len(f) - 1))
         if j > 0:
-            earlier = sorted({i for v in sigma for i in by_vertex.get(v, ())})
-            inters = [sigma.vset & order[i].vset for i in earlier]
-            shared_ridges = {f for f in inters if len(f) == d}
-            if not shared_ridges or len(shared_ridges) == d + 1:
+            restriction = [v for v, r in zip(reversed(f), ridges) if r in earlier]
+            if not _shells(f, restriction, at, False):
                 return False
-            for inter in inters:
-                if not any(inter <= r for r in shared_ridges):
-                    return False
-        for v in sigma:
-            by_vertex.setdefault(v, []).append(j)
+        earlier.update(ridges)
+        for v in f:
+            at[v].add(j)
     return True

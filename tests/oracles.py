@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable, Iterator
 
 from sphereforge.carvefill import BallInComplex
@@ -21,6 +21,7 @@ from sphereforge.errors import (
     DisjointnessViolation,
     FaceNotFound,
     InternalInvariantViolation,
+    InvalidOrder,
     NoBoundaryContact,
     NotPseudomanifold,
     SingleSimplexBall,
@@ -29,7 +30,6 @@ from sphereforge.geometry import HullFacet, Point, _dot_h, _hyperplane
 from sphereforge.grid import GridBox, GridRegion, _neighbors, band_cell_order, cell_simplex
 from sphereforge.topology import (
     BALL,
-    LINK_RECURSION_MAX_DIM,
     NEITHER,
     SPHERE,
     TopologyCertificate,
@@ -38,6 +38,8 @@ from sphereforge.topology import (
     _boundary_rank,
     _faces_by_dim,
     _indexed_facets,
+    _ridges,
+    _shelling,
     _sphere_pattern,
 )
 
@@ -418,11 +420,55 @@ def missing_face_reference(b: BallInComplex, sigma: Simplex) -> Simplex:
 
 # --------------------------------------------------------------------------
 # topology
-#
-# The classifier of ``topology.certify`` as it was before links were read
-# off the parent's index: every link is built as its own facet list, and
-# dual connectivity is a union-find.  ``certify_reference`` is the
-# certificate it gives, which ``certify`` must match field for field.
+
+
+def verify_shelling_reference(x: SimplicialComplex, order) -> bool:
+    """``topology.verify_shelling`` as it was before it read restrictions:
+    each facet after the first is intersected with every earlier facet
+    that shares a vertex with it.  The intersections of d vertices are
+    the shared ridges; there must be one and not d + 1 of them, and every
+    other intersection must lie in one of them."""
+    if len(order) != x.n_facets or set(order) != set(x.facets):
+        raise InvalidOrder("order is not a permutation of the facets")
+    if len(order) == 1:
+        return True
+    d = x.dim
+    by_vertex: dict[object, list[int]] = {}
+    for j, sigma in enumerate(order):
+        if j > 0:
+            earlier = sorted({i for v in sigma for i in by_vertex.get(v, ())})
+            inters = [sigma.vset & order[i].vset for i in earlier]
+            shared_ridges = {f for f in inters if len(f) == d}
+            if not shared_ridges or len(shared_ridges) == d + 1:
+                return False
+            for inter in inters:
+                if not any(inter <= r for r in shared_ridges):
+                    return False
+        for v in sigma:
+            by_vertex.setdefault(v, []).append(j)
+    return True
+
+
+def canonical_shelling(x: SimplicialComplex) -> tuple[Simplex, ...] | None:
+    """The order in which the search of ``certify`` shells a
+    pseudomanifold, or None when it gets stuck."""
+    facets = _indexed_facets(x)
+    ridges = _ridges(facets)
+    closed = all(len(owners) == 2 for owners in ridges.values())
+    order = _shelling(facets, ridges, closed, len(x.vertices))
+    return None if order is None else tuple(x.sorted_facets[i] for i in order)
+
+
+# The classifier of ``topology.certify`` as it was before spheres and
+# balls were certified by a shelling: the GF(2) Betti pattern plus vertex
+# links, each built as its own facet list and classified recursively up
+# to dimension LINK_DEPTH_MAX_DIM, and dual connectivity by union-find.
+# ``certify_reference`` is the certificate it gives.  ``certify`` matches
+# it field for field except where the shelling proves more: a lens space
+# passes every test here, and a sphere above LINK_DEPTH_MAX_DIM has its
+# links unchecked here.
+
+LINK_DEPTH_MAX_DIM = 5
 
 
 def certify_reference(x: SimplicialComplex) -> TopologyCertificate:
@@ -579,7 +625,7 @@ def _classify(
         if _classify(boundary, (), {})[:2] != (SPHERE, d - 1):
             return neither
         bd_verts = {v for r in boundary for v in r}
-    check_links = d <= LINK_RECURSION_MAX_DIM
+    check_links = d <= LINK_DEPTH_MAX_DIM
     if check_links:
         star: dict[int, list[tuple[int, ...]]] = {v: [] for v in vertices}
         for f in facets:
@@ -594,3 +640,33 @@ def _classify(
             if link[:2] != (BALL if v in bd_verts else SPHERE, d - 1):
                 return neither
     return SPHERE if closed else BALL, d, betti, pm, closed, connected, check_links
+
+
+def lens_space(p: int, q: int) -> SimplicialComplex:
+    """The lens space L(p, q), for p odd and q prime to p: the barycentric
+    subdivision of C_2p * C_2p, the join of two cycles of length 2p,
+    divided by the free Z/p action (i, j) -> (i + 2, j + 2q) on the
+    vertices of the two cycles.  A vertex of the subdivision is a face
+    of the join, and a facet is a flag of faces of one tetrahedron, so
+    the quotient's vertices are the orbits of faces, each named by its
+    least image, and its facets are the images of the flags."""
+    m = 2 * p
+
+    def name(face: frozenset) -> tuple:
+        return min(
+            tuple(sorted((c, (i + 2 * k * (q if c else 1)) % m) for c, i in face))
+            for k in range(p)
+        )
+
+    names: dict[tuple, VertexId] = {}
+    facets = set()
+    for i in range(m):
+        for j in range(m):
+            tetrahedron = [(0, i), (0, (i + 1) % m), (1, j), (1, (j + 1) % m)]
+            for perm in permutations(tetrahedron):
+                flag = []
+                for n in range(1, 5):
+                    key = name(frozenset(perm[:n]))
+                    flag.append(names.setdefault(key, VertexId.raw(len(names))))
+                facets.add(Simplex(flag))
+    return SimplicialComplex.from_facets(facets)

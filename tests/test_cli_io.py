@@ -14,7 +14,7 @@ from sphereforge import (
     join_of_paths,
 )
 from sphereforge import io as sfio
-from sphereforge import cli
+from sphereforge import cli, geometry
 from sphereforge.carvefill import realize
 from sphereforge.cli import main
 from sphereforge.complexes import VertexId
@@ -25,6 +25,7 @@ from sphereforge.geometry import (
     delta_search,
     detect_bipyramid_facets,
     hull_with_apex,
+    raised_center_target,
 )
 from sphereforge.topology import certify
 from sphereforge.errors import InputParseError
@@ -168,7 +169,7 @@ class TestDumps:
         _, kinds = detect_bipyramid_facets(facets, points + [(VertexId.cone(), apex_point)])
         lift51 = build_aztec_lift(5, 1)
         delta, heights = delta_search(lift51)
-        degree3 = count_degree3_edges(lift51.manifest)
+        degree3 = count_degree3_edges(raised_center_target(lift51.manifest))
         realized = realize(build_aztec(3, 1).manifest, (1, 0, 0, 1))
         _, sidecar = sfio.off_export(realized, dict(lift.config.points))
         for obj in (
@@ -357,6 +358,22 @@ class TestCliPipelines:
         run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift)
         assert run(tmp_path, "degree3", "--input", lift) == 0
         assert "degree-3 edges:" in capsys.readouterr().out
+
+    def test_degree3_realizes_the_zero_vector_once(self, tmp_path, capsys, monkeypatch):
+        lift = tmp_path / "lift.json"
+        assert run(tmp_path, "lift", "aztec", "--k", "5", "--l", "3", "-o", lift) == 0
+        capsys.readouterr()
+        calls = []
+        unwrapped = geometry.realize
+
+        def counting(manifest, bits):
+            calls.append(bits)
+            return unwrapped(manifest, bits)
+
+        monkeypatch.setattr(geometry, "realize", counting)
+        assert run(tmp_path, "degree3", "--input", lift) == 0
+        assert capsys.readouterr().out == "degree-3 edges: 72 (guaranteed 36), delta=1/8\n"
+        assert len(calls) == 1 and not any(calls[0])
 
     def test_count(self, tmp_path, capsys):
         out = tmp_path / "a.json"

@@ -1,7 +1,7 @@
 """Homology and certification oracles on hand-checked complexes."""
 
-from collections import defaultdict
-from itertools import combinations
+import random
+from itertools import permutations
 
 import pytest
 
@@ -14,26 +14,34 @@ from sphereforge import (
     certify,
     verify_shelling,
 )
-from sphereforge import topology
+from sphereforge import constructions, topology
+from sphereforge import io as sfio
 from sphereforge.carvefill import realize
+from sphereforge.cli import main
 from sphereforge.constructions import (
     build_aztec,
     build_aztec_highd,
     build_cyclic,
     build_highd,
+    build_holes3,
     build_holes4,
 )
 from sphereforge.errors import InvalidOrder
+from sphereforge.grid import GridBox, band_cell_order, diagonal_band
 from sphereforge.sampling import choice_vector
 
-import oracles
 from oracles import (
+    canonical_shelling,
     certify_reference,
     circle_times_sphere,
     cone,
     cyclic_polytope_facets,
     join,
+    lens_space,
+    region_complex,
+    shelling_order_band,
     suspended_prism,
+    verify_shelling_reference,
 )
 
 R = VertexId.raw
@@ -254,33 +262,22 @@ class TestCountingCertificates:
                   SimplicialComplex.from_facets(facets[1:-1])):
             assert certify(y).betti == betti_gf2(y)
 
-    def test_a_3_sphere_takes_one_elimination(self, monkeypatch):
-        # top rank and bottom rank are counted, so only d_2 is eliminated,
-        # and the 2-dimensional vertex links are classified by chi alone
+    def test_a_shelled_3_sphere_takes_no_elimination(self, monkeypatch):
+        # the shelling proves a sphere, whose Betti numbers are a theorem
         manifest = build_holes4(9).manifest
         x = realize(manifest, (0,) * manifest.n_free_cells)
         calls = count_eliminations(monkeypatch)
-        assert certify(x).is_sphere(3)
-        assert len(calls) == 1
+        cert = certify(x)
+        assert cert.is_sphere(3) and cert.betti == (0, 0, 0, 1)
+        assert calls == []
 
-    def test_a_5_sphere_reads_its_upper_ranks_off_duality(self, monkeypatch):
-        # the top eliminates d_2 and d_3 but not d_4, and each 4-dimensional
-        # link eliminates only d_2 of its own
+    def test_a_shelled_5_sphere_takes_no_elimination(self, monkeypatch):
         manifest = build_highd(3, 6).manifest
         x = realize(manifest, (0,) * manifest.n_free_cells)
-        facets = topology._indexed_facets(x)
-        f2, f3, f4 = (len(faces) for faces in topology._faces_by_dim(facets, range(2, 5)))
         calls = count_eliminations(monkeypatch)
-        assert certify(x).is_sphere(5)
-        assert f2 in calls and f3 in calls and f4 not in calls
-        assert len(calls) == ELIMINATIONS_HIGHD_3_6
-
-
-# Eliminations made to certify the zero realization of highd(3,6): 2 by
-# the top, 1 by each of the 4-dimensional links of its 22 vertices and 1
-# by each of the 3-dimensional links of its 186 edges.  Eliminating every
-# rank but the outer two takes 233 = 3 + 2 * 22 + 186.
-ELIMINATIONS_HIGHD_3_6 = 2 + 22 + 186
+        cert = certify(x)
+        assert cert.is_sphere(5) and cert.betti == (0, 0, 0, 0, 0, 1)
+        assert calls == []
 
 
 def count_eliminations(monkeypatch):
@@ -298,8 +295,11 @@ def count_eliminations(monkeypatch):
 
 
 class TestDuality:
-    """A closed 4- or 5-complex whose links certify takes its upper ranks
-    from Poincare duality; one whose link fails is eliminated in full."""
+    """Closed complexes that are not spheres: a manifold, S^1 x S^(d-1),
+    and a sphere with two far vertices identified, which is no manifold
+    and on which Poincare duality fails.  The shelling search gets stuck
+    on each, and the counted Betti numbers, which match the full
+    elimination and the reference, make each neither."""
 
     @pytest.mark.parametrize("d, n_facets, betti", [
         (3, 36, (0, 1, 1, 1)),
@@ -322,7 +322,7 @@ class TestDuality:
         x = suspended_prism(d, pinched=True)
         cert = certify(x)
         # S^d with two points identified is S^d wedge S^1; b_(d-1) = 0
-        # differs from b_1 = 1, so duality would give a wrong b_(d-1)
+        # differs from b_1 = 1, which duality would not allow
         betti = (0, 1) + (0,) * (d - 2) + (1,)
         assert (cert.kind, cert.betti) == ("neither", betti)
         assert cert.pseudomanifold and cert.closed and cert.dual_connected
@@ -341,9 +341,9 @@ def realization_and_controls(build, args, seed):
 
 
 class TestReferenceClassifier:
-    """``certify`` reads links off the parent's index; the reference
-    builds each link as its own complex.  Their certificates agree field
-    for field."""
+    """``certify`` shells spheres and balls; the reference checks the
+    Betti pattern and builds each vertex link as its own complex.  Their
+    certificates agree field for field."""
 
     @pytest.mark.parametrize("build, args", [
         (build_holes4, (9,)),
@@ -364,39 +364,145 @@ class TestReferenceClassifier:
             assert certify(y) == certify_reference(y)
 
 
-def pseudomanifolds_of_dimension_3():
-    # the apex link is a 2-sphere and a torus: closed with chi 2, but
-    # not connected
-    torus = NOT_SPHERES_OR_DISKS["torus"][0]
-    tetrahedron = surface(*combinations(range(101, 105), 3))
-    apart = SimplicialComplex.from_facets(list(torus.facets) + list(tetrahedron.facets))
-    yield "torus-and-tetrahedron-coned", cone(apart, VertexId.cone())
-    for name, (x, *_) in NOT_SPHERES_OR_DISKS.items():
-        yield f"{name}-coned", cone(x, VertexId.cone())
-    yield "circle-times-sphere", circle_times_sphere(3)
-    for y in realization_and_controls(build_holes4, (9,), 3):
-        yield f"holes4-9-{y.n_facets}", y
+class TestShellingCertificates:
+    """From dimension 3 on, a sphere or a ball is certified by the
+    canonical shelling that ``certify`` finds; a complex it cannot shell
+    is at best a GF(2) homology sphere or ball."""
+
+    @pytest.mark.parametrize("p, q, n_vertices, n_facets", [
+        (3, 1, 56, 288),
+        (5, 2, 88, 480),
+    ], ids=["L(3,1)", "L(5,2)"])
+    def test_lens_spaces_are_homology_spheres(self, tmp_path, capsys, p, q, n_vertices, n_facets):
+        x = lens_space(p, q)
+        assert (len(x.vertices), x.n_facets) == (n_vertices, n_facets)
+        cert = certify(x)
+        assert (cert.kind, cert.dim, cert.betti) == ("homology-sphere", 3, (0, 0, 0, 1))
+        assert cert.pseudomanifold and cert.closed and cert.dual_connected
+        assert not cert.links_verified
+        assert betti_gf2(x) == cert.betti
+        # a closed shellable pseudomanifold is a sphere, so no search can
+        # shell a lens space
+        assert canonical_shelling(x) is None
+        path = tmp_path / "lens.json"
+        sfio.save_complex(str(path), x)
+        assert main(["verify", "sphere", str(path)]) == 2
+        assert '"kind": "homology-sphere"' in capsys.readouterr().out
+
+    def test_a_lens_space_less_a_facet_is_a_homology_ball(self, tmp_path):
+        x = lens_space(3, 1)
+        y = SimplicialComplex.from_facets(x.sorted_facets[1:])
+        cert = certify(y)
+        assert (cert.kind, cert.dim, cert.betti) == ("homology-ball", 3, (0, 0, 0, 0))
+        assert cert.pseudomanifold and not cert.closed and cert.dual_connected
+        assert not cert.links_verified
+        path = tmp_path / "lens-ball.json"
+        sfio.save_complex(str(path), y)
+        assert main(["verify", "ball", str(path)]) == 2
+
+    def test_the_zero_realization_of_highd_4_7_is_a_pl_7_sphere(self):
+        manifest = build_highd(4, 7).manifest
+        x = realize(manifest, (0,) * manifest.n_free_cells)
+        cert = certify(x)
+        assert cert.is_sphere(7) and cert.links_verified
+        assert cert.betti == (0,) * 7 + (1,)
+
+    def test_ties_break_by_sorted_facet_index(self):
+        # the same complex built from its facets in two orders stores
+        # them in two set orders; certificate and shelling agree
+        manifest = build_holes4(9).manifest
+        x = realize(manifest, choice_vector(3, 1, manifest.n_free_cells))
+        facets = list(x.sorted_facets)
+        random.Random(7).shuffle(facets)
+        y = SimplicialComplex.from_facets(facets[1:])
+        z = SimplicialComplex.from_facets(facets[:0:-1])
+        assert list(y.facets) != list(z.facets)
+        assert certify(y) == certify(z) == certify(y)
+        order = canonical_shelling(y)
+        assert order is not None and order == canonical_shelling(z)
+        assert order[0] == y.sorted_facets[0]
 
 
-class TestSurfaceLinks:
-    """A 3-dimensional pseudomanifold reads the classification of each
-    vertex link off its own index: flags from the ridges through the
-    vertex, the dual graph induced on its star, and chi from the edges,
-    ridges and facets at it.  Each equals the reference's classification
-    of the link built as its own complex."""
+def band_shelling(dims, m1, m2):
+    band = diagonal_band(GridBox(dims), m1, m2)
+    return region_complex(band), shelling_order_band(band)
 
-    @pytest.mark.parametrize("x", [
-        pytest.param(x, id=name) for name, x in pseudomanifolds_of_dimension_3()
-    ])
-    def test_read_off_links_match_built_links(self, x):
-        facets = topology._indexed_facets(x)
-        star = defaultdict(list)
-        ridges = topology._ridges(facets, star)
-        assert all(len(owners) <= 2 for owners in ridges.values())
-        edges = topology._faces_by_dim(facets, range(1, 2))[0]
-        bd_verts = {v for r, owners in ridges.items() if len(owners) == 1 for v in r}
-        adjacency = topology._adjacency(len(facets), ridges)
-        read_off = topology._surface_links(edges, ridges, star, adjacency, bd_verts)
-        for v, at in star.items():
-            built = [tuple(w for w in facets[i] if w != v) for i in at]
-            assert read_off(v) == oracles._classify(built, (v,), {}), v
+
+def cyclic_hole_shelling(n, k):
+    """Hole k of ``build_cyclic(n)`` and its cube-order shelling."""
+    region = diagonal_band(GridBox((2 * n - 1, 2 * n - 1)), 2 * n - 2, 2 * n + 1)
+    shift = (2 * k + 2 * n) % (4 * n)
+    order = tuple(constructions._cyclic_hole_facet(n, shift, c) for c in band_cell_order(region))
+    return SimplicialComplex.from_facets(order), order
+
+
+def searched_shelling(build, args, seed):
+    """A seeded realization less its last facet, and the order in which
+    ``certify`` shells it."""
+    manifest = build(*args).manifest
+    x = realize(manifest, choice_vector(seed, 1, manifest.n_free_cells))
+    y = SimplicialComplex.from_facets(x.sorted_facets[:-1])
+    return y, canonical_shelling(y)
+
+
+# Shellings of balls: diagonal bands in their cube order, the holes of
+# cyclic(5), and the orders that certify finds.
+ACCEPTED_SHELLINGS = [
+    *[pytest.param(band_shelling, spec, id=f"band-{spec}")
+      for spec in [((4, 4), 3, 6), ((5, 3), 2, 5), ((3, 3, 3), 3, 5),
+                   ((2, 3, 4), 4, 7), ((3, 2, 2, 3), 4, 8)]],
+    *[pytest.param(cyclic_hole_shelling, (5, k), id=f"cyclic-5-hole-{k}") for k in range(1, 6)],
+    *[pytest.param(searched_shelling, (build, args, seed), id=f"{build.__name__}-{args}-{seed}")
+      for build, args in [(build_holes4, (9,)), (build_holes3, (5,)), (build_cyclic, (6,)),
+                          (build_highd, (3, 6)), (build_highd, (2, 9))]
+      for seed in (1, 2)],
+]
+
+
+def verdicts(x, order):
+    return verify_shelling(x, order), verify_shelling_reference(x, order)
+
+
+class TestVerifyShellingAgainstReference:
+    """``verify_shelling`` reads each facet's restriction; the reference
+    intersects it with every earlier facet at one of its vertices.  Their
+    answers agree on shellings, their prefixes, and orders they refuse."""
+
+    @pytest.mark.parametrize("shelling, spec", ACCEPTED_SHELLINGS)
+    def test_shellings_their_prefixes_and_swaps(self, shelling, spec):
+        x, order = shelling(*spec)
+        assert order is not None
+        assert verdicts(x, order) == (True, True)
+        n = len(order)
+        for k in sorted({1, 2, 3, n // 3, n // 2, n - 1}):
+            prefix = order[:k]
+            assert verdicts(SimplicialComplex.from_facets(prefix), prefix) == (True, True)
+        refused = 0
+        for j in random.Random(n).sample(range(1, n - 1), min(n - 2, 12)):
+            swapped = list(order)
+            swapped[j], swapped[j + 1] = swapped[j + 1], swapped[j]
+            ours, reference = verdicts(x, swapped)
+            assert ours == reference, j
+            refused += not ours
+        assert refused > 0
+
+    @pytest.mark.parametrize("build, args", [
+        (build_holes4, (9,)),
+        (build_highd, (3, 6)),
+    ], ids=["holes4-9", "highd-3-6"])
+    def test_a_last_facet_that_closes_a_sphere_is_refused(self, build, args):
+        manifest = build(*args).manifest
+        x = realize(manifest, choice_vector(1, 1, manifest.n_free_cells))
+        order = canonical_shelling(x)
+        assert order is not None
+        assert verdicts(x, order) == (False, False)
+        assert verdicts(SimplicialComplex.from_facets(order[:-1]), order[:-1]) == (True, True)
+
+    def test_dimensions_0_and_1(self):
+        points = [rs(1), rs(2), rs(3)]
+        path = [rs(i, i + 1) for i in range(1, 5)]
+        for facets in (points[:1], points[:2], points, path, list(circle(0, 5).facets)):
+            x = SimplicialComplex.from_facets(facets)
+            for order in permutations(facets):
+                ours, reference = verdicts(x, order)
+                assert ours == reference, order
