@@ -937,15 +937,12 @@ def raise_centers(
 
 
 def delta_search(
-    lift: RegularAztecLift, target: Subdivision | None = None
+    lift: RegularAztecLift, target: Subdivision
 ) -> tuple[Fraction, dict[VertexId, Fraction]]:
     """Certified center-raising amount, found by halving from the lift's
     own perturbation scale, and the raised heights it certified: the
     ones raise_centers(lift, delta) computes.  ``target`` is
-    ``raised_center_target(lift.manifest)``, built here unless the
-    caller has built it already."""
-    if target is None:
-        target = raised_center_target(lift.manifest)
+    ``raised_center_target(lift.manifest)``."""
     bump = _center_bump(lift, lift.eps)
     t = eps_search(list(lift.config.points), lift.heights, bump, target)
     return lift.eps * t, compose_lift(lift.heights, bump, t)

@@ -9,11 +9,12 @@ pseudomanifold flags and its dual graph.  A dual-connected
 pseudomanifold of dimension 2 is a sphere iff it is closed with Euler
 characteristic 2 and a disk iff it has a boundary with Euler
 characteristic 1.  From dimension 3 on, one greedy search looks for a
-canonical shelling, and a shellable pseudomanifold is a PL sphere when
-it is closed and a PL ball otherwise (Danaraj-Klee, Duke Math. J. 41,
-1974), so no link is examined in any dimension.  A search that gets
-stuck proves nothing: the GF(2) Betti numbers then tell a homology
-sphere or a homology ball from neither.
+canonical shelling, with the facets ranked by index and, if it gets
+stuck, once more by vertex degree.  A shellable pseudomanifold is a PL
+sphere when it is closed and a PL ball otherwise (Danaraj-Klee, Duke
+Math. J. 41, 1974), so no link is examined in any dimension.  A search
+that gets stuck proves nothing: the GF(2) Betti numbers then tell a
+homology sphere or a homology ball from neither.
 
 Those Betti numbers are counted where counting is exact.  For a
 dual-connected pseudomanifold of dimension d, rank d_d is f_d - 1 when
@@ -49,8 +50,12 @@ NEITHER = "neither"
 @dataclass(frozen=True)
 class TopologyCertificate:
     """Outcome of certification plus the evidence it rests on.
-    ``links_verified`` is false only for the ``homology-*`` kinds, which
-    rest on GF(2) homology alone."""
+
+    No link is examined.  ``links_verified`` is true when the kind rests
+    on a PL certificate (a shelling, which makes every link a PL sphere
+    or ball, or the direct rules of dimensions 0 to 2) and for
+    ``neither``; it is false for the ``homology-*`` kinds, which rest on
+    GF(2) homology alone."""
 
     kind: str
     dim: int
@@ -194,18 +199,16 @@ def _adjacency(n_facets: int, ridges: dict[tuple[int, ...], list[int]]) -> list[
     return adjacency
 
 
-def _connected(adjacency: list[list[int]], nodes: range) -> bool:
-    """Whether the facets ``nodes`` induce a connected subgraph of the
-    dual graph."""
-    start = next(iter(nodes))
-    seen = {start}
-    stack = [start]
+def _connected(adjacency: list[list[int]]) -> bool:
+    """Whether the dual graph is connected."""
+    seen = {0}
+    stack = [0]
     while stack:
         for j in adjacency[stack.pop()]:
-            if j not in seen and j in nodes:
+            if j not in seen:
                 seen.add(j)
                 stack.append(j)
-    return len(seen) == len(nodes)
+    return len(seen) == len(adjacency)
 
 
 def _sphere_pattern(d: int) -> tuple[int, ...]:
@@ -220,7 +223,7 @@ def _kind_low_dim(facets: list[tuple[int, ...]]) -> str:
     ridges = _ridges(facets)
     if any(len(owners) > 2 for owners in ridges.values()):
         return NEITHER
-    if not _connected(_adjacency(len(facets), ridges), range(len(facets))):
+    if not _connected(_adjacency(len(facets), ridges)):
         return NEITHER
     ends = sum(1 for owners in ridges.values() if len(owners) == 1)
     if ends == 0:
@@ -241,43 +244,39 @@ def _shells(
     return bool(restriction) and not set.intersection(*[at[v] for v in restriction])
 
 
-def _shelling(
+def _by_degree(facets: list[tuple[int, ...]], n_vertices: int) -> list[int]:
+    """The facet indices ranked by their vertices, the vertices ranked by
+    descending degree (the number of facets at them), ties by index."""
+    degree = [0] * n_vertices
+    for f in facets:
+        for v in f:
+            degree[v] += 1
+    vrank = [0] * n_vertices
+    for r, v in enumerate(sorted(range(n_vertices), key=lambda v: (-degree[v], v))):
+        vrank[v] = r
+    return sorted(range(len(facets)), key=lambda i: sorted([vrank[v] for v in facets[i]]))
+
+
+def _greedy(
     facets: list[tuple[int, ...]],
-    ridges: dict[tuple[int, ...], list[int]],
+    across: list[list[tuple[int, int]]],
     closed: bool,
     n_vertices: int,
+    ranked: Sequence[int],
 ) -> list[int] | None:
-    """The canonical shelling order of a pseudomanifold, as facet
-    indices, or None when the greedy search gets stuck.
-
-    The search starts from facet 0 and then adds, at each step, the
-    smallest facet across a ridge from the added ones whose restriction
-    extends the shelling; the last facet of a closed complex may close
-    it.  A facet's restriction is read off its added ridge neighbours.
-    It grows only when a neighbour is added, which queues the facet
-    again, so a refused facet is dropped until then.  Adding any facet
-    can invalidate a restriction that has not grown, so each candidate
-    is checked when it is popped.
-    """
-    # across[i]: a pair (j, v) for each facet j that shares a ridge with
-    # facet i, v the vertex of i that the ridge omits (the facet's
-    # vertex sum less the ridge's)
-    sums = list(map(sum, facets))
-    across: list[list[tuple[int, int]]] = [[] for _ in facets]
-    for r, owners in ridges.items():
-        if len(owners) == 2:
-            a, b = owners
-            s = sum(r)
-            across[a].append((b, sums[a] - s))
-            across[b].append((a, sums[b] - s))
+    """The greedy search of ``_shelling`` with the facets in the ranking
+    ``ranked``, or None when it gets stuck."""
     n = len(facets)
+    rank = [0] * n
+    for k, i in enumerate(ranked):
+        rank[i] = k
     added = [False] * n
     queued = [False] * n
     at: list[set[int]] = [set() for _ in range(n_vertices)]
     order: list[int] = []
     heap = [0]
     while heap:
-        i = heappop(heap)
+        i = ranked[heappop(heap)]
         queued[i] = False
         if order:
             restriction = [v for j, v in across[i] if added[j]]
@@ -290,8 +289,49 @@ def _shelling(
         for j, _ in across[i]:
             if not added[j] and not queued[j]:
                 queued[j] = True
-                heappush(heap, j)
+                heappush(heap, rank[j])
     return order if len(order) == n else None
+
+
+def _shelling(
+    facets: list[tuple[int, ...]],
+    ridges: dict[tuple[int, ...], list[int]],
+    closed: bool,
+    n_vertices: int,
+) -> list[int] | None:
+    """The canonical shelling order of a pseudomanifold, as facet
+    indices, or None when the greedy search gets stuck in both of its
+    rankings: the facets by index, then ``_by_degree``.
+
+    The search starts from the first facet of the ranking and then adds,
+    at each step, the first facet across a ridge from the added ones
+    whose restriction extends the shelling; the last facet of a closed
+    complex may close it.  A facet's restriction is read off its added
+    ridge neighbours.  It grows only when a neighbour is added, which
+    queues the facet again, so a refused facet is dropped until then.
+    Adding any facet can invalidate a restriction that has not grown, so
+    each candidate is checked when it is popped.
+
+    Ranked by index, the search depends on the vertex labels: it shells
+    the builders' spheres in their own labels but gets stuck on many of
+    them relabelled at random, and the degree ranking shells most of
+    those.
+    """
+    # across[i]: a pair (j, v) for each facet j that shares a ridge with
+    # facet i, v the vertex of i that the ridge omits (the facet's
+    # vertex sum less the ridge's)
+    sums = list(map(sum, facets))
+    across: list[list[tuple[int, int]]] = [[] for _ in facets]
+    for r, owners in ridges.items():
+        if len(owners) == 2:
+            a, b = owners
+            s = sum(r)
+            across[a].append((b, sums[a] - s))
+            across[b].append((a, sums[b] - s))
+    order = _greedy(facets, across, closed, n_vertices, range(len(facets)))
+    if order is None:
+        order = _greedy(facets, across, closed, n_vertices, _by_degree(facets, n_vertices))
+    return order
 
 
 def certify(x: SimplicialComplex) -> TopologyCertificate:
@@ -305,11 +345,11 @@ def certify(x: SimplicialComplex) -> TopologyCertificate:
     ``_shelling`` searches for a canonical shelling, and one that is
     found makes the complex a PL sphere or ball (Danaraj-Klee); the
     Betti numbers reported are then those of a sphere or a ball, which
-    is a theorem.  If the search gets stuck, the counted GF(2) Betti
-    numbers decide: a closed complex with the Betti numbers of a d-sphere
-    is a ``homology-sphere``, and an acyclic one whose boundary has the
-    Betti numbers of a (d-1)-sphere is a ``homology-ball``, both with
-    ``links_verified`` false.
+    is a theorem.  If the search gets stuck in both of its rankings, the
+    counted GF(2) Betti numbers decide: a closed complex with the Betti
+    numbers of a d-sphere is a ``homology-sphere``, and an acyclic one
+    whose boundary has the Betti numbers of a (d-1)-sphere is a
+    ``homology-ball``, both with ``links_verified`` false.
     """
     x._require_nonvoid()
     if x.dim < 0:
@@ -332,7 +372,7 @@ def certify(x: SimplicialComplex) -> TopologyCertificate:
         # graph is connected
         betti = _sphere_pattern(d) if closed else (0,) * (d + 1)
         return TopologyCertificate(kind, d, betti, pm, closed, True, True)
-    connected = _connected(_adjacency(len(facets), ridges), range(len(facets)))
+    connected = _connected(_adjacency(len(facets), ridges))
     if not pm or not connected:
         # The rank facts of _betti_pm_connected need both flags.
         betti = _betti_from_indexed(facets)

@@ -31,6 +31,7 @@ from sphereforge.geometry import (
     detect_bipyramid_facets,
     hull_with_apex,
     raise_centers,
+    raised_center_target,
     verify_regular,
 )
 from sphereforge.sampling import choice_vector
@@ -137,7 +138,7 @@ def test_criterion_05_hull_bipyramid_facets():
 def test_criterion_06_degree3_edges():
     t0 = time.time()
     lift = build_aztec_lift(5, 2)
-    delta, _ = delta_search(lift)
+    delta, _ = delta_search(lift, raised_center_target(lift.manifest))
     heights, degree3 = raise_centers(lift, delta)
     assert degree3 >= (2 * 5 - 6) * 4 == 16
     realized = realize(lift.manifest, (0,) * lift.manifest.n_free_cells)

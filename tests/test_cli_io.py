@@ -168,8 +168,9 @@ class TestDumps:
         facets, apex_point = hull_with_apex(points, VertexId.cone())
         _, kinds = detect_bipyramid_facets(facets, points + [(VertexId.cone(), apex_point)])
         lift51 = build_aztec_lift(5, 1)
-        delta, heights = delta_search(lift51)
-        degree3 = count_degree3_edges(raised_center_target(lift51.manifest))
+        target = raised_center_target(lift51.manifest)
+        delta, heights = delta_search(lift51, target)
+        degree3 = count_degree3_edges(target)
         realized = realize(build_aztec(3, 1).manifest, (1, 0, 0, 1))
         _, sidecar = sfio.off_export(realized, dict(lift.config.points))
         for obj in (

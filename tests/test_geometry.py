@@ -771,7 +771,7 @@ class TestPivot:
 class TestRaiseCenters:
     def test_k3_vacuous_quad_guarantee(self):
         lift = build_aztec_lift(3, 1)
-        delta, _ = delta_search(lift)
+        delta, _ = delta_search(lift, raised_center_target(lift.manifest))
         heights, degree3 = raise_centers(lift, delta)
         assert degree3 >= 0  # 2k-6 = 0 quadrilaterals, nothing guaranteed
         assert heights[lift.manifest.apex_of_ball[(1, 1)]] > lift.heights[
@@ -780,18 +780,17 @@ class TestRaiseCenters:
 
     def test_k5_degree3_guarantee(self):
         lift = build_aztec_lift(5, 1)
-        delta, _ = delta_search(lift)
+        delta, _ = delta_search(lift, raised_center_target(lift.manifest))
         _, degree3 = raise_centers(lift, delta)
         assert degree3 >= (2 * 5 - 6) * 1
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_delta_search_hands_back_the_heights_raise_centers_certifies(self, k):
         lift = build_aztec_lift(k, 1)
-        delta, heights = delta_search(lift)
+        target = raised_center_target(lift.manifest)
+        delta, heights = delta_search(lift, target)
         assert heights == raise_centers(lift, delta)[0]
-        assert verify_regular(
-            list(lift.config.points), heights, raised_center_target(lift.manifest)
-        )
+        assert verify_regular(list(lift.config.points), heights, target)
 
     def test_huge_delta_rejected(self):
         lift = build_aztec_lift(3, 1)

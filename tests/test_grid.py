@@ -79,7 +79,7 @@ class TestPredicates:
             r = region((3, 3), cells)
             cx = region_complex(r)
             facets = _indexed_facets(cx)
-            dual = _connected(_adjacency(len(facets), _ridges(facets)), range(len(facets)))
+            dual = _connected(_adjacency(len(facets), _ridges(facets)))
             assert dual == is_grid_connected(r)
 
     def test_starconvex_l_shape(self):

@@ -364,6 +364,14 @@ class TestReferenceClassifier:
             assert certify(y) == certify_reference(y)
 
 
+def relabelled(x, seed):
+    """x with its vertices renamed 0 .. n-1 in a seeded random order."""
+    names = list(range(len(x.vertices)))
+    random.Random(seed).shuffle(names)
+    new = dict(zip(x.vertices, map(R, names)))
+    return SimplicialComplex.from_facets(Simplex([new[v] for v in f.verts]) for f in x.facets)
+
+
 class TestShellingCertificates:
     """From dimension 3 on, a sphere or a ball is certified by the
     canonical shelling that ``certify`` finds; a complex it cannot shell
@@ -421,6 +429,27 @@ class TestShellingCertificates:
         order = canonical_shelling(y)
         assert order is not None and order == canonical_shelling(z)
         assert order[0] == y.sorted_facets[0]
+
+    @pytest.mark.parametrize("build, args, seed", [
+        (build_cyclic, (6,), 1),
+        (build_holes4, (17,), 0),
+    ], ids=["cyclic-6", "holes4-17"])
+    def test_a_relabelled_sphere_and_ball_are_shelled_by_degree(
+        self, tmp_path, capsys, monkeypatch, build, args, seed
+    ):
+        manifest = build(*args).manifest
+        x = relabelled(realize(manifest, choice_vector(1, 1, manifest.n_free_cells)), seed)
+        y = SimplicialComplex.from_facets(x.sorted_facets[1:])
+        for z, kind in ((x, "sphere"), (y, "ball")):
+            path = tmp_path / f"{kind}.json"
+            sfio.save_complex(str(path), z)
+            assert main(["verify", kind, str(path)]) == 0
+            assert f'"kind": "{kind}"' in capsys.readouterr().out
+        # with the facets ranked by index only, the search gets stuck on
+        # both, and certify falls back to GF(2) homology
+        monkeypatch.setattr(topology, "_by_degree", lambda facets, n_vertices: range(len(facets)))
+        assert certify(x).kind == "homology-sphere"
+        assert certify(y).kind == "homology-ball"
 
 
 def band_shelling(dims, m1, m2):
