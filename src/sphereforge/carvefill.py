@@ -130,6 +130,13 @@ class CompatibleFamily:
     def sorted_members(self) -> tuple[Simplex, ...]:
         return tuple(sorted(self.members, key=VertexId.order_key))
 
+    def subfamily(self, members: Iterable[Simplex]) -> "CompatibleFamily":
+        """The family of some of these members, its ``missing_faces``
+        cache filled from this one's instead of read again."""
+        sub = CompatibleFamily(self.ball, frozenset(members))
+        sub.__dict__["missing_faces"] = {m: self.missing_faces[m] for m in sub.sorted_members}
+        return sub
+
 
 def is_compatible(fam: CompatibleFamily) -> bool:
     """All missing faces pairwise distinct and none on the ball boundary."""

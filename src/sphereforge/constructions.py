@@ -127,9 +127,8 @@ def _grid_band_families(
 ) -> tuple[list[int], list[BallInComplex], list[list[Simplex]]]:
     """Band balls of the join, with the extreme members of each.
 
-    Every band must meet the shelling hypothesis; in the 3-dimensional
-    join (d = 2) each band is also certified as a ball, which is cheap
-    there but would dominate the build above it."""
+    Every band must meet the shelling hypothesis and is certified as a
+    ball."""
     keys, balls, member_lists = [], [], []
     for q, region in _band_regions(host.box, width):
         if not region.shellable_guaranteed:
@@ -137,7 +136,7 @@ def _grid_band_families(
         ball = BallInComplex.of(
             host.complex, [host.facet_of(c) for c in region.cells]
         )
-        if host.d == 2 and not certify(ball.subcomplex).is_ball(ball.dim):
+        if not certify(ball.subcomplex).is_ball(ball.dim):
             raise InternalInvariantViolation(f"band {q} is not a ball")
         keys.append(q)
         balls.append(ball)
@@ -233,7 +232,7 @@ def build_holes3(n: int, m: int | None = None) -> ConstructionReport:
                 continue
             seen_faces.add(f)
             kept.append(mbr)
-        fams.append(CompatibleFamily.of(ball, kept))
+        fams.append(full.subfamily(kept))
         fallback_sizes[q] = len(kept)
     manifest = _close_with_cone(
         host.complex, carve_and_fill(host.complex, fams, keys=keys)

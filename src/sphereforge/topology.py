@@ -5,16 +5,13 @@ against.  Homology is computed over the 2-element field with bitset
 Gaussian elimination, which is exact.
 
 ``certify`` makes one pass over the ridges of a complex, which gives its
-pseudomanifold flags and its dual graph.  A dual-connected
-pseudomanifold of dimension 2 is a sphere iff it is closed with Euler
-characteristic 2 and a disk iff it has a boundary with Euler
-characteristic 1.  From dimension 3 on, one greedy search looks for a
-canonical shelling, with the facets ranked by index and, if it gets
-stuck, once more by vertex degree.  A shellable pseudomanifold is a PL
-sphere when it is closed and a PL ball otherwise (Danaraj-Klee, Duke
-Math. J. 41, 1974), so no link is examined in any dimension.  A search
-that gets stuck proves nothing: the GF(2) Betti numbers then tell a
-homology sphere or a homology ball from neither.
+pseudomanifold flags and its dual graph.  Then, in every dimension, one
+greedy search looks for a canonical shelling, with the facets ranked by
+index and, if it gets stuck, once more by vertex degree.  A shellable
+pseudomanifold is a PL sphere when it is closed and a PL ball otherwise
+(Danaraj-Klee, Duke Math. J. 41, 1974), so no link is examined.  A
+search that gets stuck proves nothing: the GF(2) Betti numbers then
+tell a homology sphere or a homology ball from neither.
 
 Those Betti numbers are counted where counting is exact.  For a
 dual-connected pseudomanifold of dimension d, rank d_d is f_d - 1 when
@@ -53,9 +50,8 @@ class TopologyCertificate:
 
     No link is examined.  ``links_verified`` is true when the kind rests
     on a PL certificate (a shelling, which makes every link a PL sphere
-    or ball, or the direct rules of dimensions 0 to 2) and for
-    ``neither``; it is false for the ``homology-*`` kinds, which rest on
-    GF(2) homology alone."""
+    or ball) and for ``neither``; it is false for the ``homology-*``
+    kinds, which rest on GF(2) homology alone."""
 
     kind: str
     dim: int
@@ -161,8 +157,7 @@ def _betti_pm_connected(
     holes4(81) peaks about 6 MB higher.
     """
     d = len(facets[0]) - 1
-    # in dimension 2 the ridges are the edges, and nothing is eliminated
-    middle = _faces_by_dim(facets, range(1, d - 1)) + [sorted(ridges) if d > 2 else ridges]
+    middle = _faces_by_dim(facets, range(1, d - 1)) + [sorted(ridges)]
     ranks = [n_vertices - 1]
     ranks += [_boundary_rank(lower, upper) for lower, upper in zip(middle, middle[1:])]
     ranks.append(len(facets) - 1 if closed else len(facets))
@@ -213,22 +208,6 @@ def _connected(adjacency: list[list[int]]) -> bool:
 
 def _sphere_pattern(d: int) -> tuple[int, ...]:
     return (0,) * d + (1,)
-
-
-def _kind_low_dim(facets: list[tuple[int, ...]]) -> str:
-    """Sphere/ball/neither for dimensions 0 and 1, directly."""
-    d = len(facets[0]) - 1
-    if d == 0:
-        return SPHERE if len(facets) == 2 else BALL if len(facets) == 1 else NEITHER
-    ridges = _ridges(facets)
-    if any(len(owners) > 2 for owners in ridges.values()):
-        return NEITHER
-    if not _connected(_adjacency(len(facets), ridges)):
-        return NEITHER
-    ends = sum(1 for owners in ridges.values() if len(owners) == 1)
-    if ends == 0:
-        return SPHERE
-    return BALL if ends == 2 else NEITHER
 
 
 def _shells(
@@ -340,12 +319,13 @@ def certify(x: SimplicialComplex) -> TopologyCertificate:
 
     Every certified complex is a pseudomanifold (each ridge in at most
     two facets) with a connected dual graph; a sphere is closed and a
-    ball is not.  Dimensions 0 and 1 are classified directly, and
-    dimension 2 by the Euler characteristic.  From dimension 3 on,
-    ``_shelling`` searches for a canonical shelling, and one that is
-    found makes the complex a PL sphere or ball (Danaraj-Klee); the
-    Betti numbers reported are then those of a sphere or a ball, which
-    is a theorem.  If the search gets stuck in both of its rankings, the
+    ball is not.  In every dimension, ``_shelling`` searches for a
+    canonical shelling, and one that is found makes the complex a PL
+    sphere or ball (Danaraj-Klee); the Betti numbers reported are then
+    those of a sphere or a ball, which is a theorem.  Every 2-sphere is
+    extendably shellable (Danaraj-Klee, Ann. Discrete Math. 2, 1978), so
+    the search shells every sphere up to dimension 2, whatever its
+    labels.  If the search gets stuck in both of its rankings, the
     counted GF(2) Betti numbers decide: a closed complex with the Betti
     numbers of a d-sphere is a ``homology-sphere``, and an acyclic one
     whose boundary has the Betti numbers of a (d-1)-sphere is a
@@ -356,20 +336,15 @@ def certify(x: SimplicialComplex) -> TopologyCertificate:
         raise DegenerateInput("cannot certify the empty-facet complex")
     facets = _indexed_facets(x)
     d = x.dim
-    if d <= 1:
-        kind = _kind_low_dim(facets)
-        return TopologyCertificate(
-            kind, d, _betti_from_indexed(facets), kind != NEITHER, kind == SPHERE, True, True
-        )
     ridges = _ridges(facets)
     sizes = set(map(len, ridges.values()))
     pm = max(sizes) <= 2
     closed = sizes == {2}
     n_vertices = len(x.vertices)
-    kind = SPHERE if closed else BALL
-    if pm and d >= 3 and _shelling(facets, ridges, closed, n_vertices) is not None:
+    if pm and _shelling(facets, ridges, closed, n_vertices) is not None:
         # the shelling reaches every facet across ridges, so the dual
         # graph is connected
+        kind = SPHERE if closed else BALL
         betti = _sphere_pattern(d) if closed else (0,) * (d + 1)
         return TopologyCertificate(kind, d, betti, pm, closed, True, True)
     connected = _connected(_adjacency(len(facets), ridges))
@@ -377,23 +352,8 @@ def certify(x: SimplicialComplex) -> TopologyCertificate:
         # The rank facts of _betti_pm_connected need both flags.
         betti = _betti_from_indexed(facets)
         return TopologyCertificate(NEITHER, d, betti, pm, closed, connected, True)
+    # A point, S^0, a path and a cycle always shell, so d >= 2 here.
     betti = _betti_pm_connected(facets, ridges, closed, n_vertices)
-    if d == 2:
-        # Split each vertex into one copy per connected component of its
-        # link.  Every edge lies in one or two triangles, so each link is
-        # a disjoint union of cycles and paths, and the split complex S
-        # is a surface, connected because its dual graph is that of this
-        # complex.  Splitting adds vertices only, so chi = chi(S) - sum
-        # over the vertices of (components - 1).  A closed connected
-        # surface has chi <= 2, with equality only for the sphere; one
-        # with boundary has chi <= 1, with equality only for the disk.
-        # So chi = 2 (closed) or 1 (with boundary) iff S is a sphere or
-        # a disk and no vertex was split, which is exactly when the
-        # Betti pattern and every vertex link check out.
-        chi = n_vertices - len(ridges) + len(facets)
-        if chi != (2 if closed else 1):
-            kind = NEITHER
-        return TopologyCertificate(kind, d, betti, pm, closed, connected, True)
     if closed and betti == _sphere_pattern(d):
         return TopologyCertificate(HOMOLOGY_SPHERE, d, betti, pm, closed, connected, False)
     if not closed and not any(betti):

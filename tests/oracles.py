@@ -466,7 +466,11 @@ def canonical_shelling(x: SimplicialComplex) -> tuple[Simplex, ...] | None:
 # ``certify_reference`` is the certificate it gives.  ``certify`` matches
 # it field for field except where the shelling proves more: a lens space
 # passes every test here, and a sphere above LINK_DEPTH_MAX_DIM has its
-# links unchecked here.
+# links unchecked here.  They also differ on a disconnected 1-complex with
+# every vertex in at most two edges: ``_kind_low_dim`` here makes it no
+# pseudomanifold, not closed, with a connected dual graph, where
+# ``certify`` reads its flags off its ridges: a pseudomanifold, closed
+# when every component is a cycle, with a disconnected dual graph.
 
 LINK_DEPTH_MAX_DIM = 5
 

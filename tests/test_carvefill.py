@@ -215,6 +215,47 @@ class TestBoundaryReads:
         # so both outcomes of is_compatible are read-free
         assert outcomes == {width == 4}
 
+    def test_the_holes3_fallback_reuses_the_missing_faces(self, monkeypatch):
+        # build_holes3 makes a full family of each band and, when that is
+        # incompatible, a fallback family of some of its members; the two
+        # read each candidate member's boundary facets once in all
+        real_families = constructions._grid_band_families
+        candidates = []
+        reads = []
+
+        def families(host, width):
+            keys, balls, member_lists = real_families(host, width)
+            for ball in balls:
+                ball.boundary
+            candidates.extend(m for members in member_lists for m in members)
+            reads.clear()
+            return keys, balls, member_lists
+
+        class Built(Exception):
+            pass
+
+        def stop(host, fams, keys):
+            raise Built(fams)
+
+        real = Simplex.facets
+
+        def counting(self):
+            reads.append(self)
+            return real(self)
+
+        monkeypatch.setattr(constructions, "_grid_band_families", families)
+        monkeypatch.setattr(constructions, "carve_and_fill", stop)
+        monkeypatch.setattr(Simplex, "facets", counting)
+        with pytest.raises(Built) as built:
+            constructions.build_holes3(9, 7)
+        assert sorted(reads) == sorted(candidates)
+        monkeypatch.undo()
+        fams = built.value.args[0]
+        assert len(candidates) > sum(len(fam.members) for fam in fams)
+        for fam in fams:
+            assert is_compatible(fam)
+            assert fam.missing_faces == {m: missing_face(fam.ball, m) for m in fam.sorted_members}
+
 
 class TestFamilyErrors:
     def test_a_member_without_a_boundary_facet(self):

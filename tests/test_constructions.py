@@ -16,7 +16,7 @@ from sphereforge.constructions import (
     build_holes4,
 )
 from sphereforge.errors import DegenerateInput, InternalInvariantViolation
-from sphereforge.grid import ehrhart_crosspolytope
+from sphereforge.grid import ehrhart_crosspolytope, join_of_paths
 
 from oracles import cyclic_polytope_facets, f_vector
 
@@ -184,6 +184,23 @@ class TestHighd:
 
     def test_small_d3_realization_is_sphere(self, tmp_path):
         assert generate_samples(tmp_path, "highd", "--d", 3, "--n", 6, "--samples", 1, "--seed", 11) == 0
+
+    def test_every_band_is_certified_as_a_ball(self, monkeypatch):
+        # one certify call per band, in every dimension, and none elsewhere
+        calls = []
+        real = constructions.certify
+
+        def counting(x):
+            cert = real(x)
+            calls.append((cert.kind, cert.dim))
+            return cert
+
+        monkeypatch.setattr(constructions, "certify", counting)
+        build_highd(3, 6)
+        host = join_of_paths((6, 6, 6))
+        bands = constructions._band_regions(host.box, host.d + 2)
+        assert len(bands) > 1
+        assert calls == [("ball", host.complex.dim)] * len(bands)
 
 
 class TestAztecHighd:

@@ -138,6 +138,42 @@ class TestCertify:
         assert not certify(x).pseudomanifold
 
 
+def path(base, n):
+    return [rs(base + i, base + i + 1) for i in range(n)]
+
+
+def certificate_fields(facets):
+    cert = certify(SimplicialComplex.from_facets(facets))
+    assert cert.links_verified
+    return cert.kind, cert.dim, cert.betti, cert.pseudomanifold, cert.closed, cert.dual_connected
+
+
+class TestLowDimensionalCertificates:
+    """Dimensions 0 and 1 take the path of every dimension: the ridge
+    pass gives the flags, and the shelling search the kind."""
+
+    @pytest.mark.parametrize("facets, fields", [
+        ([rs(1)], ("ball", 0, (0,), True, False, True)),
+        ([rs(1), rs(2)], ("sphere", 0, (1,), True, True, True)),
+        ([rs(1), rs(2), rs(3)], ("neither", 0, (2,), False, False, True)),
+        (path(0, 4), ("ball", 1, (0, 0), True, False, True)),
+        (list(circle(0, 6).facets), ("sphere", 1, (0, 1), True, True, True)),
+    ], ids=["point", "S0", "three-points", "path", "cycle"])
+    def test_points_paths_and_cycles_keep_their_certificates(self, facets, fields):
+        assert certificate_fields(facets) == fields
+
+    # Each is a pseudomanifold (every vertex in at most two edges) whose
+    # dual graph is disconnected.
+    @pytest.mark.parametrize("facets, fields", [
+        (list(circle(0, 4).facets) + list(circle(10, 3).facets),
+         ("neither", 1, (1, 2), True, True, False)),
+        (path(0, 2) + path(10, 3), ("neither", 1, (1, 0), True, False, False)),
+        (list(circle(0, 4).facets) + path(10, 2), ("neither", 1, (1, 1), True, False, False)),
+    ], ids=["two-cycles", "two-paths", "cycle-and-path"])
+    def test_disjoint_cycles_and_paths_read_their_flags_off_the_ridges(self, facets, fields):
+        assert certificate_fields(facets) == fields
+
+
 class TestShelling:
     def test_single_facet(self):
         x = SimplicialComplex.from_facets([rs(1, 2, 3, 4)])
@@ -225,9 +261,10 @@ NOT_SPHERES_OR_DISKS = {
 
 
 class TestCountingCertificates:
-    """The certificate takes the outer GF(2) ranks and the kind of every
-    2-dimensional complex from face counts; these pin it against the full
-    elimination of ``betti_gf2``."""
+    """A complex that the search does not shell takes its outer GF(2)
+    ranks from face counts, and a shelled one its Betti numbers from the
+    theorem; these pin both against the full elimination of
+    ``betti_gf2``."""
 
     @pytest.mark.parametrize("name", NOT_SPHERES_OR_DISKS)
     def test_surfaces_their_cones_and_suspensions_are_neither(self, name):
@@ -373,7 +410,7 @@ def relabelled(x, seed):
 
 
 class TestShellingCertificates:
-    """From dimension 3 on, a sphere or a ball is certified by the
+    """In every dimension, a sphere or a ball is certified by the
     canonical shelling that ``certify`` finds; a complex it cannot shell
     is at best a GF(2) homology sphere or ball."""
 
@@ -450,6 +487,48 @@ class TestShellingCertificates:
         monkeypatch.setattr(topology, "_by_degree", lambda facets, n_vertices: range(len(facets)))
         assert certify(x).kind == "homology-sphere"
         assert certify(y).kind == "homology-ball"
+
+
+def stacked_sphere(seed, n):
+    """The boundary of a tetrahedron with n seeded facets each replaced
+    by the cone over its boundary from a new vertex."""
+    rng = random.Random(seed)
+    facets = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+    for v in range(5, 5 + n):
+        a, b, c = facets.pop(rng.randrange(len(facets)))
+        facets += [(a, b, v), (a, c, v), (b, c, v)]
+    return surface(*facets)
+
+
+class TestSurfaceShellings:
+    """Dimension 2 has no rule of its own.  Every 2-sphere is extendably
+    shellable (Danaraj-Klee 1978), so the search shells it and the disk
+    it is less a facet, whatever the labels; a 2-sphere it could not
+    shell would be a homology sphere only."""
+
+    @pytest.mark.parametrize("sphere", [
+        lambda: boundary_complex(paths_join(3, 4)),
+        lambda: boundary_complex(paths_join(5, 5)),
+        lambda: stacked_sphere(0, 8),
+        lambda: stacked_sphere(1, 15),
+        lambda: stacked_sphere(2, 25),
+    ], ids=["join-3-4", "join-5-5", "stacked-0", "stacked-1", "stacked-2"])
+    def test_relabelled_spheres_and_disks_are_shelled(self, sphere):
+        x = sphere()
+        for seed in range(20):
+            y = relabelled(x, seed)
+            z = SimplicialComplex.from_facets(y.sorted_facets[1:])
+            assert certify(y).is_sphere(2) and certify(z).is_ball(2), seed
+            assert canonical_shelling(y) is not None and canonical_shelling(z) is not None
+
+    def test_without_a_shelling_a_2_sphere_is_a_homology_sphere(self, monkeypatch):
+        x = boundary_complex(paths_join(4, 5))
+        monkeypatch.setattr(topology, "_shelling", lambda facets, ridges, closed, n_vertices: None)
+        cert = certify(x)
+        assert (cert.kind, cert.dim, cert.betti) == ("homology-sphere", 2, (0, 0, 1))
+        assert not cert.links_verified
+        cert = certify(SimplicialComplex.from_facets(x.sorted_facets[1:]))
+        assert (cert.kind, cert.dim, cert.betti) == ("homology-ball", 2, (0, 0, 0))
 
 
 def band_shelling(dims, m1, m2):
