@@ -13,9 +13,9 @@ import argparse
 import sys
 
 from . import io as sfio
-from .carvefill import BallInComplex, CompatibleFamily, carve_and_fill, realize
+from .carvefill import CompatibleFamily, carve_and_fill, realize
 from .complexes import VertexId
-from .constructions import BUILDERS
+from .constructions import BUILDERS, certified_hole
 from .errors import DegenerateInput, InputParseError, SphereforgeError
 from .geometry import (
     build_aztec_lift,
@@ -103,7 +103,8 @@ def _cmd_fill(args) -> int:
     keys, fams = [], []
     for key, facets, members in sfio.load_holes(args.holes):
         keys.append(key)
-        fams.append(CompatibleFamily.of(BallInComplex.of(host, facets), members))
+        ball = certified_hole(host, sfio.key_label(key), facets)
+        fams.append(CompatibleFamily.of(ball, members))
     manifest = carve_and_fill(host, fams, keys=keys)
     sfio.save_manifest(args.output, manifest)
     print(f"filled {len(fams)} holes, {manifest.n_free_cells} free cells")
@@ -259,7 +260,7 @@ def build_parser() -> _Parser:
     r.add_argument("--choices", help="hex bitstring, bit j selects cell j")
     r.add_argument("--random", action="store_true")
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--index", type=int, default=0)
+    r.add_argument("--index", type=_count, default=0)
     r.add_argument("-o", "--output", required=True)
     r.set_defaults(func=_cmd_realize)
 

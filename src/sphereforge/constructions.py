@@ -26,20 +26,18 @@ from .complexes import (
     VertexId,
     boundary_complex,
 )
-from .errors import DegenerateInput, InternalInvariantViolation
+from .errors import DegenerateInput, HypothesisNotSatisfied, InternalInvariantViolation
 from .grid import (
     GridBox,
     GridRegion,
     JoinOfPaths,
     aztec_crosspolytope,
-    band_cell_order,
     boundary_members,
     diagonal_band,
     ehrhart_crosspolytope,
-    is_grid_starconvex,
     join_of_paths,
 )
-from .topology import certify, verify_shelling
+from .topology import certify
 
 
 @dataclass(frozen=True)
@@ -80,6 +78,22 @@ def _close_with_cone(host: SimplicialComplex, manifest: FillManifest) -> FillMan
         list(manifest.result.simplex_cells) + cones, manifest.result.free_cells
     )
     return replace(manifest, result=result)
+
+
+def certified_hole(host: SimplicialComplex, key: Hashable, facets) -> BallInComplex:
+    """The ball of a hole's host facets, certified by ``certify``.
+
+    Carve-and-fill is sound only on balls.  A shellable pseudomanifold
+    that is not closed is a PL ball (Danaraj-Klee, Duke Math. J. 41,
+    1974), so the shelling that ``certify`` finds and checks is the
+    certificate of every hole, in every family and in ``fill``."""
+    ball = BallInComplex.of(host, facets)
+    cert = certify(ball.subcomplex)
+    if not cert.is_ball(ball.dim):
+        raise HypothesisNotSatisfied(
+            f"hole {key} is not a ball: certified {cert.kind}({cert.dim})"
+        )
+    return ball
 
 
 def _band_regions(box: GridBox, width: int) -> list[tuple[int, GridRegion]]:
@@ -125,19 +139,11 @@ def _extreme_members(host: JoinOfPaths, region: GridRegion, width: int) -> list[
 def _grid_band_families(
     host: JoinOfPaths, width: int
 ) -> tuple[list[int], list[BallInComplex], list[list[Simplex]]]:
-    """Band balls of the join, with the extreme members of each.
-
-    Every band must meet the shelling hypothesis and is certified as a
-    ball."""
+    """Band balls of the join, each certified as a hole, with the extreme
+    members of each."""
     keys, balls, member_lists = [], [], []
     for q, region in _band_regions(host.box, width):
-        if not region.shellable_guaranteed:
-            raise InternalInvariantViolation(f"band {q} misses the shelling hypothesis")
-        ball = BallInComplex.of(
-            host.complex, [host.facet_of(c) for c in region.cells]
-        )
-        if not certify(ball.subcomplex).is_ball(ball.dim):
-            raise InternalInvariantViolation(f"band {q} is not a ball")
+        ball = certified_hole(host.complex, q, [host.facet_of(c) for c in region.cells])
         keys.append(q)
         balls.append(ball)
         member_lists.append(_extreme_members(host, region, width))
@@ -266,10 +272,6 @@ def _aztec_regions(d: int, k: int, l: int) -> dict[tuple[int, ...], GridRegion]:
     return out
 
 
-def _aztec_center(key: tuple[int, ...], k: int) -> tuple[int, ...]:
-    return tuple((s - 1) * k + (k + 1) // 2 for s in key)
-
-
 def _aztec_cells_per_hole(d: int, k: int) -> int:
     """Boundary cubes of one Aztec crosspolytope: the lattice points of
     its outermost shell, E(d, r) - E(d, r-1) with r = (k-1)/2."""
@@ -279,8 +281,7 @@ def _aztec_cells_per_hole(d: int, k: int) -> int:
 def _aztec_manifest(d: int, k: int, l: int) -> FillManifest:
     """Aztec crosspolytope holes, one per k^d subgrid of the join of d
     paths on kl+1 vertices; the output is a ball of dimension 2d-1 with
-    l^d holes (no closing cone).  The holes are grid-starconvex from
-    their centers, so the filled cells are genuinely convex pieces."""
+    l^d holes (no closing cone).  Every hole is certified as a ball."""
     if k < 3 or k % 2 == 0 or l < 1:
         raise DegenerateInput("need odd k >= 3 and l >= 1")
     host = join_of_paths((k * l + 1,) * d)
@@ -288,9 +289,7 @@ def _aztec_manifest(d: int, k: int, l: int) -> FillManifest:
     keys, fams = [], []
     for key in sorted(regions):
         region = regions[key]
-        if not is_grid_starconvex(region, _aztec_center(key, k)):
-            raise InternalInvariantViolation(f"hole {key} is not starconvex")
-        ball = BallInComplex.of(host.complex, [host.facet_of(c) for c in region.cells])
+        ball = certified_hole(host.complex, key, [host.facet_of(c) for c in region.cells])
         members = sorted(boundary_members(region, host))
         keys.append(key)
         fams.append(CompatibleFamily.of(ball, members))
@@ -366,19 +365,12 @@ def build_cyclic(n: int) -> ConstructionReport:
     host = _cyclic_host(n)
     box = GridBox((2 * n - 1, 2 * n - 1))
     region = diagonal_band(box, 2 * n - 2, 2 * n + 1)
-    cell_order = band_cell_order(region)
     keys, fams = [], []
     covered: set[Simplex] = set()
     for k in range(1, n + 1):
         shift = (2 * k + 2 * n) % (4 * n)
         facet_of = {c: _cyclic_hole_facet(n, shift, c) for c in region.cells}
-        ball = BallInComplex.of(host, facet_of.values())
-        # every ridge of the host lies in two facets, so the hole is a
-        # pseudomanifold, and a shelling that never meets a facet's whole
-        # boundary makes it a PL ball (Danaraj-Klee, Duke Math. J. 41, 1974)
-        order = tuple(facet_of[c] for c in cell_order)
-        if not verify_shelling(ball.subcomplex, order):
-            raise InternalInvariantViolation(f"hole {k} shelling rejected")
+        ball = certified_hole(host, k, facet_of.values())
         members = [
             facet_of[c] for c in sorted(region.cells) if sum(c) in (2 * n - 2, 2 * n + 1)
         ]

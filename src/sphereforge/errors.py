@@ -46,7 +46,7 @@ class ChoiceLengthMismatch(SphereforgeError):
 
 
 class HypothesisNotSatisfied(SphereforgeError):
-    """A band does not meet the sufficient condition for the shelling order."""
+    """A hole is not a ball, or a band misses the condition for its shelling order."""
 
 
 class SymmetryViolation(SphereforgeError):

@@ -2,9 +2,10 @@
 
 A join of d paths triangulates a product-of-segments polytope; its
 full-dimensional simplices correspond to the cells of a d-dimensional box
-of cubes.  This module provides the starconvexity predicate, diagonal
-bands with their constructive shelling orders, and the Aztec
-crosspolytope shapes with their Ehrhart counts.
+of cubes.  This module provides diagonal bands, the Aztec crosspolytope
+shapes with their Ehrhart counts and, as test references that no builder
+uses, the paper's sufficient conditions for a hole to be a ball: the
+starconvexity predicate and the constructive band shelling orders.
 
 Cube indices are 1-based throughout.
 """

@@ -886,6 +886,35 @@ class TestCliPipelines:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_a_negative_index_is_a_usage_error(self, tmp_path, capsys):
+        assert run(tmp_path, "generate", "holes4", "--n", 5, "-o", tmp_path / "h.json") == 0
+        capsys.readouterr()
+        out = tmp_path / "r.json"
+        assert run(tmp_path, "realize", "--manifest", tmp_path / "h.manifest.json",
+                   "--random", "--index", -1, "-o", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: argument --index: must not be negative, got -1\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cubes, key", [
+        (((1, 1), (3, 3)), 1),
+        (((1, 1), (2, 2)), 1),
+        (((1, 1), (3, 3)), "2,5"),
+    ], ids=["disjoint", "edge-only", "key-as-spelled"])
+    def test_fill_refuses_a_hole_that_is_not_a_ball(self, tmp_path, capsys, cubes, key):
+        host_path = tmp_path / "host.json"
+        sfio.save_complex(str(host_path), join_of_paths((5, 5)).complex)
+        facets = [[f"a:1:{i}", f"a:1:{i+1}", f"a:2:{j}", f"a:2:{j+1}"] for i, j in cubes]
+        holes_path = tmp_path / "holes.json"
+        holes_path.write_text(json.dumps({"holes": [{"key": key, "facets": facets}]}))
+        mpath = tmp_path / "m.json"
+        assert run(tmp_path, "fill", "--input", host_path, "--holes", holes_path, "-o", mpath) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: hole {key} is not a ball: certified neither(3)\n"
+        assert captured.out == ""
+        assert not mpath.exists()
+
     def test_aztec_hd_dimension_bound(self, tmp_path, capsys):
         code = run(tmp_path, "generate", "aztec-hd", "--d", "1", "--k", "3", "--l", "1", "-o", tmp_path / "a.json")
         assert code == 1

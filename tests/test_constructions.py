@@ -1,5 +1,7 @@
 """The named constructions against independent counting oracles."""
 
+import re
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -15,7 +17,7 @@ from sphereforge.constructions import (
     build_holes3,
     build_holes4,
 )
-from sphereforge.errors import DegenerateInput, InternalInvariantViolation
+from sphereforge.errors import DegenerateInput, HypothesisNotSatisfied
 from sphereforge.grid import ehrhart_crosspolytope, join_of_paths
 
 from oracles import cyclic_polytope_facets, f_vector
@@ -158,12 +160,6 @@ class TestCyclic:
         ratio = report.free_cell_count / 100
         assert 3.4 <= ratio <= 4.0
 
-    def test_rejected_shelling_fails_the_build(self, monkeypatch):
-        # the verified shelling is each hole's only ball certificate
-        monkeypatch.setattr(constructions, "verify_shelling", lambda x, order: False)
-        with pytest.raises(InternalInvariantViolation, match="hole 1 shelling rejected"):
-            build_cyclic(3)
-
 
 class TestHighd:
     def test_reduces_to_holes4_in_dim2(self):
@@ -227,3 +223,46 @@ class TestAztecHighd:
         report = build_aztec_highd(3, 3, 1)
         bits = (0,) * report.free_cell_count
         assert all(b == 0 for b in betti_gf2(realize(report.manifest, bits)))
+
+
+def counting_certify(monkeypatch, failing=None):
+    """Record the kind and dimension of every ``certify`` call that
+    ``constructions`` makes; the call numbered ``failing`` reports
+    ``neither`` instead of its certificate."""
+    calls = []
+    real = constructions.certify
+
+    def counting(x):
+        cert = real(x)
+        calls.append((cert.kind, cert.dim))
+        return replace(cert, kind="neither") if len(calls) == failing else cert
+
+    monkeypatch.setattr(constructions, "certify", counting)
+    return calls
+
+
+class TestHoleCertificates:
+    # builder -> (small arguments, key of its first hole, dimension)
+    FIRST_HOLES = {
+        "holes4": ((5,), 0, 3),
+        "holes3": ((5,), 1, 3),
+        "aztec": ((3, 1), (1, 1), 3),
+        "cyclic": ((3,), 1, 3),
+        "highd": ((3, 6), 0, 5),
+        "aztec-hd": ((3, 3, 1), (1, 1, 1), 5),
+    }
+
+    @pytest.mark.parametrize("kind", list(FIRST_HOLES))
+    def test_a_hole_that_is_not_a_ball_fails_the_build(self, monkeypatch, kind):
+        # certify is each hole's only ball certificate, in every family
+        args, first_hole, dim = self.FIRST_HOLES[kind]
+        counting_certify(monkeypatch, failing=1)
+        message = f"hole {first_hole} is not a ball: certified neither({dim})"
+        with pytest.raises(HypothesisNotSatisfied, match=re.escape(message)):
+            constructions.BUILDERS[kind](*args)
+
+    def test_every_aztec_hole_is_certified_once(self, monkeypatch):
+        calls = counting_certify(monkeypatch)
+        report = build_aztec(3, 2)
+        assert len(report.manifest.hole_keys) == 4
+        assert calls == [("ball", 3)] * 4

@@ -11,6 +11,8 @@ import sphereforge
 UNCALLED = {
     "geometry.convex_hull_brute": "the test oracle of convex_hull; perfbench traces it",
     "geometry.raise_centers": "certifies a given center raise for criterion 06; perfbench traces it",
+    "grid.band_cell_order": "a sufficient hole condition of the paper, kept as a test reference; perfbench traces it",
+    "grid.is_grid_starconvex": "a sufficient hole condition of the paper, kept as a test reference; perfbench traces it",
     "io.order_to_obj": "the encoder of the shelling-order file, kept next to its decoder",
     "sampling.format_hex_choices": "the encoder of --choices, kept next to its parser",
     "topology.betti_gf2": "the full elimination that the counted ranks of certify are tested against",
@@ -36,3 +38,24 @@ def test_every_public_member_is_used_by_the_package_or_listed():
             named |= names - {own}
     uncalled = {m for m in members if m.split(".")[1] not in named}
     assert uncalled == set(UNCALLED)
+
+
+def test_every_imported_name_is_used_in_its_module():
+    """An import that its module no longer names is left behind.  The
+    ``__init__`` re-exports and ``from __future__`` imports aside, every
+    name a module imports must appear in its code as an identifier."""
+    unused = []
+    for path in sorted(Path(sphereforge.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - named)]
+    assert unused == []
