@@ -207,6 +207,14 @@ class FillManifest:
         return len(self.free_cells)
 
 
+def key_label(key: Hashable) -> str:
+    """A hole key as it appears in files, reports and messages: "3" or
+    "1,2"."""
+    if isinstance(key, tuple):
+        return ",".join(str(k) for k in key)
+    return str(key)
+
+
 def _apex_key(key: Hashable, rank: int) -> int:
     return key if isinstance(key, int) else rank
 
@@ -269,25 +277,36 @@ def carve_and_fill(
 
 
 def triangulate_cell(c: FreeSumCell, choice: int) -> list[Simplex]:
-    """The two triangulations of a free-sum cell without new vertices.
+    """The two triangulations of a free-sum cell without new vertices,
+    sorted.
 
     Choice 0 inserts the first part (one simplex per vertex of the second
     part); choice 1 inserts the second part.  Both leave the cell
-    boundary intact.
+    boundary intact.  Each simplex is the inserted part plus the other
+    part less one vertex, built straight from the sorted vertices.
     """
     if choice not in (0, 1):
         raise DegenerateInput("choice must be 0 or 1")
-    if choice == 0:
-        return sorted(
-            (c.f_part.union(c.g_part.without(w)) for w in c.g_part), key=VertexId.order_key
+    part, other = (c.f_part, c.g_part) if choice == 0 else (c.g_part, c.f_part)
+    part_vs, other_vs = part.verts, other.verts
+    # The parts are disjoint (FreeSumCell checks it), so each sorted
+    # tuple is strictly sorted.  Each simplex is S - b for S the cell's
+    # vertices and b a vertex of ``other``; for a < b, S - b holds a
+    # where S - a holds the next vertex of S, so S - b sorts first.
+    # Dropping the vertices of ``other`` from the last to the first thus
+    # gives the list in ``VertexId.order_key`` order.
+    return [
+        Simplex._face(
+            tuple(sorted(part_vs + other_vs[:i] + other_vs[i + 1:], key=VertexId.key))
         )
-    return sorted(
-        (c.g_part.union(c.f_part.without(u)) for u in c.f_part), key=VertexId.order_key
-    )
+        for i in range(len(other_vs) - 1, -1, -1)
+    ]
 
 
 def realize(m: FillManifest, choices: Sequence[int]) -> SimplicialComplex:
-    """Triangulate every free cell according to a choice vector."""
+    """Triangulate every free cell according to a choice vector.  The
+    realization has the manifest's vertices, so its ``vertex_set`` and
+    ``vertices`` are taken from ``m.result`` instead of counted again."""
     cells = m.free_cells
     if len(choices) != len(cells):
         raise ChoiceLengthMismatch(
@@ -296,4 +315,10 @@ def realize(m: FillManifest, choices: Sequence[int]) -> SimplicialComplex:
     facets: list[Simplex] = list(m.result.simplex_cells)
     for cell, bit in zip(cells, choices):
         facets.extend(triangulate_cell(cell, int(bit)))
-    return SimplicialComplex.from_facets(facets)
+    x = SimplicialComplex.from_facets(facets)
+    # Both triangulations of f + g use every vertex of f | g (each part
+    # has at least two vertices, so each is in some simplex) and add
+    # none, so the facets cover the cells' vertices exactly.
+    x.__dict__["vertex_set"] = m.result.vertex_set
+    x.__dict__["vertices"] = m.result.vertices
+    return x

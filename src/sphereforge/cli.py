@@ -103,7 +103,7 @@ def _cmd_fill(args) -> int:
     keys, fams = [], []
     for key, facets, members in sfio.load_holes(args.holes):
         keys.append(key)
-        ball = certified_hole(host, sfio.key_label(key), facets)
+        ball = certified_hole(host, key, facets)
         fams.append(CompatibleFamily.of(ball, members))
     manifest = carve_and_fill(host, fams, keys=keys)
     sfio.save_manifest(args.output, manifest)

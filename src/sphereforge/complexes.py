@@ -207,10 +207,6 @@ class Simplex:
     def __lt__(self, other: "Simplex") -> bool:
         return self.verts < other.verts
 
-    def union(self, other: "Simplex | Iterable[VertexId]") -> "Simplex":
-        other_vs = other.verts if isinstance(other, Simplex) else tuple(other)
-        return Simplex(self.vset | set(other_vs))
-
     def with_vertex(self, v: VertexId) -> "Simplex":
         return Simplex(self.verts + (v,))
 

@@ -18,6 +18,7 @@ from .carvefill import (
     FillManifest,
     carve_and_fill,
     is_compatible,
+    key_label,
 )
 from .complexes import (
     PolyComplex,
@@ -91,7 +92,7 @@ def certified_hole(host: SimplicialComplex, key: Hashable, facets) -> BallInComp
     cert = certify(ball.subcomplex)
     if not cert.is_ball(ball.dim):
         raise HypothesisNotSatisfied(
-            f"hole {key} is not a ball: certified {cert.kind}({cert.dim})"
+            f"hole {key_label(key)} is not a ball: certified {cert.kind}({cert.dim})"
         )
     return ball
 

@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .carvefill import FillManifest
+from .carvefill import FillManifest, key_label
 from .complexes import (
     FreeSumCell,
     PolyComplex,
@@ -182,13 +182,6 @@ def load_simplicial(path: str) -> SimplicialComplex:
 
 # --------------------------------------------------------------------------
 # manifests
-
-
-def key_label(key) -> str:
-    """A hole key as it appears in files and reports: "3" or "1,2"."""
-    if isinstance(key, tuple):
-        return ",".join(str(k) for k in key)
-    return str(key)
 
 
 def _key_parse(text: str):

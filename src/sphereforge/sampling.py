@@ -7,9 +7,12 @@ every platform and run.
 
 from __future__ import annotations
 
+import re
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _CELL_SALT = 0xC2B2AE3D27D4EB4F
+_HEX = re.compile(r"(0[xX])?[0-9a-fA-F]+")
 
 
 def _mix(z: int) -> int:
@@ -29,9 +32,14 @@ def choice_vector(seed: int, vector_index: int, length: int) -> tuple[int, ...]:
 
 
 def parse_hex_choices(text: str, length: int) -> tuple[int, ...]:
-    """Bit j of the hex integer (value >> j & 1) selects cell j."""
+    """Bit j of the hex integer (value >> j & 1) selects cell j.  Only
+    ASCII hex digits, after an optional ``0x``, are read: a sign, an
+    underscore, a space or a non-ASCII digit, which ``int`` would read,
+    is refused."""
+    if not _HEX.fullmatch(text):
+        raise ValueError(f"bad choice vector {text!r}: expected hex digits, optionally after 0x")
     value = int(text, 16)
-    if value < 0 or value >= 1 << length:
+    if value >= 1 << length:
         raise ValueError(f"choice value {text} out of range for {length} cells")
     return tuple((value >> j) & 1 for j in range(length))
 

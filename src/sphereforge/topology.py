@@ -217,10 +217,22 @@ def _shells(
     facets before it: the restriction is nonempty and no earlier facet
     contains it, where ``at`` maps each vertex to the earlier facets at
     it, and it is the whole facet only when the facet is ``closing`` a
-    sphere."""
-    if len(restriction) == len(facet):
+    sphere.  No set is copied: a facet at every vertex of the
+    restriction is one in the intersection of their ``at`` sets, so it
+    suffices that the last set is disjoint from the others' intersection,
+    and a one-vertex restriction needs its set empty."""
+    n = len(restriction)
+    if n == len(facet):
         return closing
-    return bool(restriction) and not set.intersection(*[at[v] for v in restriction])
+    if n == 0:
+        return False
+    last = at[restriction[-1]]
+    if n == 1:
+        return not last
+    common = at[restriction[0]]
+    if n > 2:
+        common = common.intersection(*[at[v] for v in restriction[1:-1]])
+    return common.isdisjoint(last)
 
 
 def _by_degree(facets: list[tuple[int, ...]], n_vertices: int) -> list[int]:

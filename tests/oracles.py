@@ -63,7 +63,7 @@ def join(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialComplex:
         labels = sorted(v.label for v in overlap)
         raise DisjointnessViolation(f"joined complexes share vertices {labels}")
     return SimplicialComplex.from_facets(
-        f.union(g) for f in x.facets for g in y.facets
+        Simplex(f.verts + g.verts) for f in x.facets for g in y.facets
     )
 
 
@@ -418,6 +418,24 @@ def missing_face_reference(b: BallInComplex, sigma: Simplex) -> Simplex:
     return Simplex(sigma.vset - frozenset.intersection(*(t.vset for t in contact)))
 
 
+def triangulate_cell_reference(c: FreeSumCell, choice: int) -> list[Simplex]:
+    """``carvefill.triangulate_cell`` as it was before it built its
+    simplices straight from sorted tuples: each simplex is made by
+    ``Simplex``, which sorts and checks its vertices, and the list is
+    sorted after."""
+    if choice not in (0, 1):
+        raise DegenerateInput("choice must be 0 or 1")
+    if choice == 0:
+        return sorted(
+            (Simplex(c.f_part.vset | c.g_part.without(w).vset) for w in c.g_part),
+            key=VertexId.order_key,
+        )
+    return sorted(
+        (Simplex(c.g_part.vset | c.f_part.without(u).vset) for u in c.f_part),
+        key=VertexId.order_key,
+    )
+
+
 # --------------------------------------------------------------------------
 # topology
 
@@ -447,6 +465,17 @@ def verify_shelling_reference(x: SimplicialComplex, order) -> bool:
         for v in sigma:
             by_vertex.setdefault(v, []).append(j)
     return True
+
+
+def shells_reference(
+    facet: tuple[int, ...], restriction: list[int], at: list[set[int]], closing: bool
+) -> bool:
+    """``topology._shells`` as it was before it stopped copying sets: the
+    intersection of the ``at`` sets of the whole restriction, which
+    copies a vertex's set when the restriction has one vertex."""
+    if len(restriction) == len(facet):
+        return closing
+    return bool(restriction) and not set.intersection(*[at[v] for v in restriction])
 
 
 def canonical_shelling(x: SimplicialComplex) -> tuple[Simplex, ...] | None:

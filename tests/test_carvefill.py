@@ -35,12 +35,14 @@ from sphereforge.errors import (
     NoBoundaryContact,
     SingleSimplexBall,
 )
+from sphereforge.sampling import choice_vector
 
 from oracles import (
     boundary_facets,
     boundary_restriction,
     missing_face_reference,
     poly_boundary,
+    triangulate_cell_reference,
     validate_proper_intersections,
 )
 
@@ -411,6 +413,46 @@ class TestTriangulateCell:
         for choice in (0, 1):
             tris = SimplicialComplex.from_facets(triangulate_cell(cell, choice))
             assert boundary_complex(tris).facets == frozenset(boundary_facets(cell))
+
+    def test_choice_must_be_a_bit(self):
+        cell = FreeSumCell(rs(1, 2), rs(3, 4, 5))
+        for choice in (-1, 2):
+            with pytest.raises(DegenerateInput):
+                triangulate_cell(cell, choice)
+
+
+# builder -> small arguments; every free cell of each is checked
+SMALL_BUILDS = {
+    "holes4": (9,),
+    "cyclic": (6,),
+    "highd": (3, 6),
+    "aztec": (3, 2),
+    "aztec-hd": (3, 3, 1),
+}
+
+
+@pytest.fixture(scope="module")
+def small_manifests():
+    return {kind: BUILDERS[kind](*args).manifest for kind, args in SMALL_BUILDS.items()}
+
+
+class TestRealizeAgainstReference:
+    @pytest.mark.parametrize("kind", list(SMALL_BUILDS))
+    def test_every_free_cell_triangulates_as_the_reference_in_order(self, small_manifests, kind):
+        cells = small_manifests[kind].free_cells
+        assert cells
+        for cell in cells:
+            for choice in (0, 1):
+                assert triangulate_cell(cell, choice) == triangulate_cell_reference(cell, choice)
+
+    @pytest.mark.parametrize("kind", list(SMALL_BUILDS))
+    def test_a_realization_has_the_vertices_of_a_recount(self, small_manifests, kind):
+        manifest = small_manifests[kind]
+        for seed in (1, 2):
+            x = realize(manifest, choice_vector(seed, 0, manifest.n_free_cells))
+            fresh = SimplicialComplex.from_facets(x.facets)
+            assert x.vertex_set == fresh.vertex_set
+            assert x.vertices == fresh.vertices
 
 
 class TestRealize:

@@ -412,6 +412,34 @@ class TestCliPipelines:
         assert not out.exists()
         assert run(tmp_path, "realize", "--manifest", mpath, "--choices", "0", "-o", out) == 0
 
+    @pytest.mark.parametrize("text", ["1_0", " 1a ", "-0", "+1", "\uff11", "0x", "", "0x-1", "1a\n"],
+                             ids=["underscore", "spaces", "minus", "plus", "fullwidth", "bare-0x",
+                                  "empty", "signed-after-0x", "newline"])
+    def test_realize_reads_only_canonical_hex(self, tmp_path, capsys, text):
+        # only an optional 0x or 0X and ASCII hex digits are read, as
+        # VertexId.from_label reads only canonical labels
+        run(tmp_path, "generate", "aztec", "--k", "3", "--l", "1", "-o", tmp_path / "a.json")
+        capsys.readouterr()
+        out = tmp_path / "r.json"
+        assert run(tmp_path, "realize", "--manifest", tmp_path / "a.manifest.json",
+                   "--choices", text, "-o", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"input error: bad choice vector {text!r}: expected hex digits, optionally after 0x\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["0x5", "0X5", "5", "0x05", "0xA", "0xa"])
+    def test_realize_reads_either_case_and_prefix(self, tmp_path, text):
+        run(tmp_path, "generate", "aztec", "--k", "3", "--l", "1", "-o", tmp_path / "a.json")
+        m = tmp_path / "a.manifest.json"
+        out, ref = tmp_path / "r.json", tmp_path / "ref.json"
+        assert run(tmp_path, "realize", "--manifest", m, "--choices", text, "-o", out) == 0
+        assert run(tmp_path, "realize", "--manifest", m, "--choices", hex(int(text, 16)),
+                   "-o", ref) == 0
+        assert out.read_bytes() == ref.read_bytes()
+
     def test_export_off(self, tmp_path):
         lift = tmp_path / "lift.json"
         run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift)

@@ -242,14 +242,15 @@ def counting_certify(monkeypatch, failing=None):
 
 
 class TestHoleCertificates:
-    # builder -> (small arguments, key of its first hole, dimension)
+    # builder -> (small arguments, key of its first hole as files spell
+    # it, so a tuple key reads "1,1", dimension)
     FIRST_HOLES = {
-        "holes4": ((5,), 0, 3),
-        "holes3": ((5,), 1, 3),
-        "aztec": ((3, 1), (1, 1), 3),
-        "cyclic": ((3,), 1, 3),
-        "highd": ((3, 6), 0, 5),
-        "aztec-hd": ((3, 3, 1), (1, 1, 1), 5),
+        "holes4": ((5,), "0", 3),
+        "holes3": ((5,), "1", 3),
+        "aztec": ((3, 1), "1,1", 3),
+        "cyclic": ((3,), "1", 3),
+        "highd": ((3, 6), "0", 5),
+        "aztec-hd": ((3, 3, 1), "1,1,1", 5),
     }
 
     @pytest.mark.parametrize("kind", list(FIRST_HOLES))

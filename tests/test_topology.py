@@ -40,6 +40,7 @@ from oracles import (
     lens_space,
     region_complex,
     shelling_order_band,
+    shells_reference,
     suspended_prism,
     verify_shelling_reference,
 )
@@ -614,3 +615,64 @@ class TestVerifyShellingAgainstReference:
             for order in permutations(facets):
                 ours, reference = verdicts(x, order)
                 assert ours == reference, order
+
+
+def checked_shells(monkeypatch):
+    """Make every ``_shells`` call of the search and of
+    ``verify_shelling`` also ask the reference, and record the length of
+    each restriction with the answer."""
+    seen = []
+    real = topology._shells
+
+    def checked(facet, restriction, at, closing):
+        got = real(facet, restriction, at, closing)
+        assert got == shells_reference(facet, restriction, at, closing), (facet, restriction)
+        seen.append((len(restriction), got))
+        return got
+
+    monkeypatch.setattr(topology, "_shells", checked)
+    return seen
+
+
+class TestShellsAgainstReference:
+    """``_shells`` copies no set; the reference intersects the ``at``
+    sets of the whole restriction.  They agree at every step of the
+    search and of ``verify_shelling``, and on random tables."""
+
+    @pytest.mark.parametrize("build, args", [
+        (build_holes4, (9,)),
+        (build_cyclic, (10,)),
+        (build_highd, (3, 6)),
+        (build_aztec, (3, 2)),
+        (build_aztec_highd, (3, 3, 1)),
+    ], ids=["holes4-9", "cyclic-10", "highd-3-6", "aztec-3-2", "aztec-hd-3-3-1"])
+    def test_every_step_of_the_search(self, monkeypatch, build, args):
+        seen = checked_shells(monkeypatch)
+        for seed in (3, 4):
+            x, ball, _ = realization_and_controls(build, args, seed)
+            # relabelled, the index ranking refuses more candidates
+            for y in (x, ball, relabelled(x, seed)):
+                certify(y)
+            order = canonical_shelling(ball)
+            assert verify_shelling(ball, order)
+            swapped = list(order)
+            swapped[1], swapped[-1] = swapped[-1], swapped[1]
+            verify_shelling(ball, swapped)
+        lengths = {n for n, _ in seen}
+        assert {1, 2} <= lengths and max(lengths) > 2
+        assert {got for _, got in seen} == {True, False}
+
+    def test_random_tables(self):
+        rng = random.Random("shells")
+        answers = {}
+        for _ in range(3000):
+            n_vertices = rng.randint(1, 7)
+            at = [set(rng.sample(range(6), rng.randint(0, 3))) for _ in range(n_vertices)]
+            facet = tuple(sorted(rng.sample(range(n_vertices), rng.randint(1, n_vertices))))
+            part = rng.sample(facet, rng.randint(0, len(facet)))
+            for restriction in ([], [rng.choice(facet)], list(facet), part):
+                for closing in (False, True):
+                    got = topology._shells(facet, restriction, at, closing)
+                    assert got == shells_reference(facet, restriction, at, closing)
+                    answers.setdefault(min(len(restriction), 3), set()).add(got)
+        assert answers == {0: {False}, 1: {True, False}, 2: {True, False}, 3: {True, False}}
