@@ -279,7 +279,7 @@ def certificate_to_obj(c: TopologyCertificate) -> dict:
     return {
         "kind": c.kind,
         "dim": c.dim,
-        "betti_gf2": list(c.betti) if c.betti is not None else None,
+        "betti_gf2": list(c.betti),
         "pseudomanifold": c.pseudomanifold,
         "closed": c.closed,
         "dual_connected": c.dual_connected,
@@ -424,13 +424,18 @@ def hull_to_obj(facets: list[HullFacet], kinds: list[str]) -> dict:
 def off_export(
     x: SimplicialComplex, coords: dict[VertexId, Point]
 ) -> tuple[str, dict]:
-    """Boundary surface of a 3-complex as an OFF mesh.
+    """A 2-complex, or the boundary surface of a 3-complex, as an OFF
+    mesh.
 
     Vertex coordinates are decimal approximations (lossy); the returned
     sidecar object records the exact rationals.
     """
     from .complexes import boundary_complex
 
+    if x.dim not in (2, 3):
+        raise InputParseError(
+            f"export off needs a 2- or 3-dimensional complex, got dimension {x.dim}"
+        )
     surface = x if x.dim == 2 else boundary_complex(x)
     if surface.is_void:
         raise InputParseError("complex is closed; no boundary surface to export")

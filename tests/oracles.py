@@ -33,7 +33,7 @@ from sphereforge.topology import (
     NEITHER,
     SPHERE,
     TopologyCertificate,
-    _betti_from_indexed,
+    _betti,
     _betti_from_ranks,
     _boundary_rank,
     _faces_by_dim,
@@ -508,6 +508,12 @@ def certify_reference(x: SimplicialComplex) -> TopologyCertificate:
     return TopologyCertificate(*_classify(_indexed_facets(x), (), {}, top=True))
 
 
+def _betti_of(facets: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Reduced GF(2) Betti numbers of indexed facets, every boundary map
+    eliminated."""
+    return _betti(facets, _ridges(facets))
+
+
 def _betti_pm_connected(
     facets: list[tuple[int, ...]],
     ridges: dict[tuple[int, ...], list[int]],
@@ -616,7 +622,7 @@ def _classify(
         # Only the top complex gets here: a 2-complex is classified by
         # its Euler characteristic below and does not recurse.
         kind = _kind_low_dim(facets)
-        return kind, d, _betti_from_indexed(facets), kind != NEITHER, kind == SPHERE, True, True
+        return kind, d, _betti_of(facets), kind != NEITHER, kind == SPHERE, True, True
 
     ridges = _ridge_counts(facets)
     pm = all(len(owners) <= 2 for owners in ridges.values())
@@ -624,7 +630,7 @@ def _classify(
     connected = (pm or top) and _dual_connected(len(facets), ridges)
     if not pm or not connected:
         # The rank facts of _betti_pm_connected need both flags.
-        betti = _betti_from_indexed(facets) if top else None
+        betti = _betti_of(facets) if top else None
         return NEITHER, d, betti, pm, closed, connected, True
     vertices = sorted({v for f in facets for v in f})
     betti = _betti_pm_connected(facets, ridges, closed, len(vertices)) if top or d > 2 else None

@@ -17,7 +17,7 @@ from sphereforge import io as sfio
 from sphereforge import cli, geometry
 from sphereforge.carvefill import realize
 from sphereforge.cli import main
-from sphereforge.complexes import VertexId
+from sphereforge.complexes import Simplex, SimplicialComplex, VertexId
 from sphereforge.constructions import BUILDERS, build_aztec, build_holes4
 from sphereforge.geometry import (
     build_aztec_lift,
@@ -663,6 +663,24 @@ class TestCliPipelines:
         assert captured.err == f"input error: export off needs 3-D points; point {label} has {n} coordinates\n"
         assert captured.out == ""
         assert not off.exists()
+
+    @pytest.mark.parametrize("dim", [0, 1, 4])
+    def test_export_off_refuses_a_complex_that_is_not_2d_or_3d(self, tmp_path, capsys, dim):
+        lift = tmp_path / "lift.json"
+        assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0
+        # a point, the path a:1:1 - a:1:2 - a:1:3, and a 4-simplex
+        v = [VertexId.from_label(f"a:{i // 4 + 1}:{i % 4 + 1}") for i in range(5)]
+        facets = {0: [v[:1]], 1: [v[:2], v[1:3]], 4: [v]}[dim]
+        sfio.save_complex(str(tmp_path / "x.json"), SimplicialComplex.from_facets(map(Simplex, facets)))
+        capsys.readouterr()
+        off = tmp_path / "mesh.off"
+        assert run(tmp_path, "export", "off", "--input", tmp_path / "x.json", "--lift", lift, "-o", off) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"input error: export off needs a 2- or 3-dimensional complex, got dimension {dim}\n"
+        )
+        assert captured.out == ""
+        assert not off.exists() and not (tmp_path / "mesh.off.exact.json").exists()
 
     @pytest.mark.parametrize("which, coords, message", [
         ("every", [], "point a:1:1 has no coordinates"),

@@ -15,7 +15,7 @@ UNCALLED = {
     "grid.is_grid_starconvex": "a sufficient hole condition of the paper, kept as a test reference; perfbench traces it",
     "io.order_to_obj": "the encoder of the shelling-order file, kept next to its decoder",
     "sampling.format_hex_choices": "the encoder of --choices, kept next to its parser",
-    "topology.betti_gf2": "the full elimination that the counted ranks of certify are tested against",
+    "topology.betti_gf2": "the Betti numbers of any complex, which the tests compare with those certify reports",
 }
 
 

@@ -262,9 +262,9 @@ NOT_SPHERES_OR_DISKS = {
 
 
 class TestCountingCertificates:
-    """A complex that the search does not shell takes its outer GF(2)
-    ranks from face counts, and a shelled one its Betti numbers from the
-    theorem; these pin both against the full elimination of
+    """A complex that the search does not shell takes its GF(2) Betti
+    numbers from one elimination of each boundary map, and a shelled one
+    from the theorem, with no elimination; these pin both against
     ``betti_gf2``."""
 
     @pytest.mark.parametrize("name", NOT_SPHERES_OR_DISKS)
@@ -317,6 +317,24 @@ class TestCountingCertificates:
         assert cert.is_sphere(5) and cert.betti == (0, 0, 0, 0, 0, 1)
         assert calls == []
 
+    def test_a_stuck_search_eliminates_each_boundary_map_once(self, monkeypatch):
+        # f = 12, 48, 72, 36; the ridges and facets come from certify's
+        # own ridge pass, so no face of dimension d - 1 or d is rebuilt
+        x = circle_times_sphere(3)
+        calls = count_eliminations(monkeypatch)
+        dims = []
+        faces_by_dim = topology._faces_by_dim
+
+        def spying(facets, ds):
+            dims.extend(ds)
+            return faces_by_dim(facets, ds)
+
+        monkeypatch.setattr(topology, "_faces_by_dim", spying)
+        cert = certify(x)
+        assert (cert.kind, cert.betti) == ("neither", (0, 1, 1, 1))
+        assert calls == [48, 72, 36]
+        assert sorted(set(dims)) == [0, 1]
+
 
 def count_eliminations(monkeypatch):
     """Make ``topology._rank_gf2`` record the number of columns of each
@@ -336,8 +354,8 @@ class TestDuality:
     """Closed complexes that are not spheres: a manifold, S^1 x S^(d-1),
     and a sphere with two far vertices identified, which is no manifold
     and on which Poincare duality fails.  The shelling search gets stuck
-    on each, and the counted Betti numbers, which match the full
-    elimination and the reference, make each neither."""
+    on each, and the Betti numbers of the fallback, which match
+    ``betti_gf2`` and the reference, make each neither."""
 
     @pytest.mark.parametrize("d, n_facets, betti", [
         (3, 36, (0, 1, 1, 1)),
