@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from operator import attrgetter
 from typing import Callable, ClassVar, Iterable, Iterator
 
@@ -292,17 +293,48 @@ class SimplicialComplex:
             raise DegenerateInput("void complex is not valid input")
 
 
+def _indexed_facets(x: SimplicialComplex) -> list[tuple[int, ...]]:
+    """Facets as sorted tuples of vertex indices, in the order of
+    ``x.sorted_facets``.  ``x.vertices`` and each ``f.verts`` are
+    sorted, so the indices come out in order."""
+    index = {v: i for i, v in enumerate(x.vertices)}
+    return sorted([tuple([index[v] for v in f.verts]) for f in x.facets])
+
+
+def _ridges(facets: list[tuple[int, ...]]) -> dict[tuple[int, ...], list[int]]:
+    """Map each codimension-1 face to the indices of the facets that
+    contain it: the one ridge pass, which ``boundary_complex`` and, in
+    ``topology``, ``certify`` and ``betti_gf2`` make."""
+    d = len(facets[0]) - 1
+    ridges: dict[tuple[int, ...], list[int]] = {}
+    for i, f in enumerate(facets):
+        for r in combinations(f, d):
+            ridges.setdefault(r, []).append(i)
+    return ridges
+
+
 def boundary_complex(x: SimplicialComplex) -> SimplicialComplex:
-    """Codimension-1 faces lying in exactly one facet; void if closed."""
+    """Codimension-1 faces lying in exactly one facet; void if closed.
+
+    The ridges are counted on vertex-index tuples by ``_ridges``, the
+    pass that ``certify`` makes, and a ``Simplex`` is built only for a
+    boundary ridge.  A ridge in three or more facets raises
+    ``NotPseudomanifold``, which names the least such ridge in vertex
+    order and its facet count.  The empty-facet complex has no ridge,
+    so its boundary is void."""
     x._require_nonvoid()
-    counts: dict[Simplex, int] = {}
-    for f in x.facets:
-        for r in f.facets():
-            counts[r] = counts.get(r, 0) + 1
-    bad = [r for r, c in counts.items() if c >= 3]
-    if bad:
-        raise NotPseudomanifold(f"face {bad[0]!r} lies in {counts[bad[0]]} facets")
-    return SimplicialComplex.from_facets(r for r, c in counts.items() if c == 1)
+    if x.dim < 0:
+        return SimplicialComplex.from_facets(())
+    ridges = _ridges(_indexed_facets(x))
+    vertex = x.vertices.__getitem__
+    if max(map(len, ridges.values())) > 2:
+        r = min(r for r, owners in ridges.items() if len(owners) > 2)
+        raise NotPseudomanifold(
+            f"face {Simplex._face(tuple(map(vertex, r)))!r} lies in {len(ridges[r])} facets"
+        )
+    return SimplicialComplex.from_facets(
+        [Simplex._face(tuple(map(vertex, r))) for r, owners in ridges.items() if len(owners) == 1]
+    )
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import functools
 import json
 import re
 from fractions import Fraction
+from operator import attrgetter
 from typing import Any, Sequence
 
 from .carvefill import FillManifest, key_label
@@ -80,7 +81,9 @@ def _encode(obj: Any, newline: str) -> str:
     is ``newline``.  Strings and lists of strings go through its C string
     encoder, and every other scalar through ``json.dumps``, so the bytes
     are its own; with an indent, ``json.dumps`` itself would fall back to
-    its pure-Python encoder."""
+    its pure-Python encoder.  A complex is written as ``complex_to_obj``
+    spells it and a free-sum cell as a hole cell of ``manifest_to_obj``,
+    straight from their sorted vertices, with no object per cell."""
     if isinstance(obj, str):
         return _string(obj)
     if isinstance(obj, (list, tuple)):
@@ -102,12 +105,62 @@ def _encode(obj: Any, newline: str) -> str:
             [_string(_json_key(k)) + ": " + _encode(v, inner) for k, v in items]
         )
         return "{" + inner + body + newline + "}"
+    if isinstance(obj, (SimplicialComplex, PolyComplex)):
+        return _complex_text(obj, newline)
+    if isinstance(obj, FreeSumCell):
+        return _free_cells_text([obj], newline, "")[0]
     return json.dumps(obj)
+
+
+_label = attrgetter("label")
+
+
+def _free_cells_text(cells, newline: str, tail: str) -> list[str]:
+    """Each cell as its ``"f"`` and ``"g"`` label lists at the depth of
+    ``newline``, then the text ``tail``."""
+    inner = newline + " "
+    sep = "," + inner + " "
+    f_head = "{" + inner + '"f": [' + inner + " "
+    g_head = inner + "]," + inner + '"g": [' + inner + " "
+    end = inner + "]" + tail + newline + "}"
+    return [
+        f_head + sep.join(map(_string, map(_label, c.f_part.verts)))
+        + g_head + sep.join(map(_string, map(_label, c.g_part.verts))) + end
+        for c in cells
+    ]
+
+
+def _complex_text(x: "SimplicialComplex | PolyComplex", newline: str) -> str:
+    """``_encode(complex_to_obj(x), newline)``, written from the sorted
+    cells with no object per cell."""
+    if x.dim < 0:
+        # the void and the empty-facet complex, which have no vertex
+        return _encode(complex_to_obj(x), newline)
+    inner = newline + " "
+    at_cell = inner + " "
+    in_cell = at_cell + " "
+    in_list = in_cell + " "
+    if isinstance(x, SimplicialComplex):
+        simplices, free = x.sorted_facets, ()
+    else:
+        simplices, free = x.sorted_simplex_cells, x.sorted_free_cells
+    head = "{" + in_cell + '"t": "s",' + in_cell + '"v": [' + in_list
+    sep = "," + in_list
+    end = in_cell + "]" + at_cell + "}"
+    cells = [head + sep.join(map(_string, map(_label, f.verts))) + end for f in simplices]
+    cells += _free_cells_text(free, at_cell, "," + in_cell + '"t": "fs"')
+    body = ("," + at_cell).join(cells)
+    # one f-string copies the long body once, where a chain of + would
+    # copy it at every step
+    return f'{{{inner}"cells": [{at_cell}{body}{inner}],{inner}"dim": {x.dim}{newline}}}'
 
 
 def dumps(obj: Any) -> str:
     """The artifact text of ``obj``: its JSON with an indent of 1 and
-    sorted keys, as the standard library writes it, and a final newline."""
+    sorted keys, as the standard library writes it, and a final newline.
+    A ``SimplicialComplex`` or ``PolyComplex`` in ``obj`` is written as
+    ``complex_to_obj`` would give it, and a ``FreeSumCell`` as its
+    ``"f"`` and ``"g"`` label lists."""
     return _encode(obj, "\n") + "\n"
 
 
@@ -164,7 +217,7 @@ def complex_from_obj(obj: dict) -> "SimplicialComplex | PolyComplex":
 
 
 def save_complex(path: str, x) -> None:
-    write_text(path, dumps(complex_to_obj(x)))
+    write_text(path, dumps(x))
 
 
 def load_complex(path: str) -> "SimplicialComplex | PolyComplex":
@@ -208,20 +261,21 @@ def load_holes(path: str) -> list[tuple[Any, list[Simplex], list[Simplex]]]:
     return holes_from_obj(_load_json(path))
 
 
+def _manifest(m: FillManifest, result, cells) -> dict:
+    """The manifest object with ``result`` as its complex and
+    ``cells(key)`` as the free cells of each hole."""
+    holes = [
+        {"key": key_label(key), "apex": m.apex_of_ball[key].label, "cells": cells(key)}
+        for key in m.hole_keys
+    ]
+    return {"dim": m.result.dim, "complex": result, "holes": holes}
+
+
 def manifest_to_obj(m: FillManifest) -> dict:
-    holes = []
-    for key in m.hole_keys:
-        holes.append(
-            {
-                "key": key_label(key),
-                "apex": m.apex_of_ball[key].label,
-                "cells": [
-                    {"f": _labels(c.f_part.verts), "g": _labels(c.g_part.verts)}
-                    for c in m.free_cells_by_ball[key]
-                ],
-            }
-        )
-    return {"dim": m.result.dim, "complex": complex_to_obj(m.result), "holes": holes}
+    return _manifest(m, complex_to_obj(m.result), lambda key: [
+        {"f": _labels(c.f_part.verts), "g": _labels(c.g_part.verts)}
+        for c in m.free_cells_by_ball[key]
+    ])
 
 
 @_decoder("manifest")
@@ -244,7 +298,9 @@ def manifest_from_obj(obj: dict) -> FillManifest:
 
 
 def save_manifest(path: str, m: FillManifest) -> None:
-    write_text(path, dumps(manifest_to_obj(m)))
+    """Write ``manifest_to_obj(m)``, with the complex and the free cells
+    encoded by ``dumps`` straight from the objects."""
+    write_text(path, dumps(_manifest(m, m.result, m.free_cells_by_ball.__getitem__)))
 
 
 def load_manifest(path: str) -> FillManifest:

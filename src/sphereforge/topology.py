@@ -28,7 +28,7 @@ from heapq import heappop, heappush
 from itertools import combinations
 from typing import Sequence
 
-from .complexes import Simplex, SimplicialComplex
+from .complexes import Simplex, SimplicialComplex, _indexed_facets, _ridges
 from .errors import DegenerateInput, InvalidOrder
 
 SPHERE = "sphere"
@@ -60,14 +60,6 @@ class TopologyCertificate:
 
     def is_ball(self, d: int | None = None) -> bool:
         return self.kind == BALL and (d is None or self.dim == d)
-
-
-def _indexed_facets(x: SimplicialComplex) -> list[tuple[int, ...]]:
-    """Facets as sorted tuples of vertex indices, in the order of
-    ``x.sorted_facets``.  ``x.vertices`` and each ``f.verts`` are
-    sorted, so the indices come out in order."""
-    index = {v: i for i, v in enumerate(x.vertices)}
-    return sorted([tuple([index[v] for v in f.verts]) for f in x.facets])
 
 
 def _faces_by_dim(facets: list[tuple[int, ...]], dims: range) -> list[list[tuple[int, ...]]]:
@@ -138,17 +130,6 @@ def betti_gf2(x: SimplicialComplex) -> tuple[int, ...]:
         raise DegenerateInput("the empty-facet complex has no homology to report")
     facets = _indexed_facets(x)
     return _betti(facets, _ridges(facets))
-
-
-def _ridges(facets: list[tuple[int, ...]]) -> dict[tuple[int, ...], list[int]]:
-    """Map each codimension-1 face to the indices of the facets that
-    contain it."""
-    d = len(facets[0]) - 1
-    ridges: dict[tuple[int, ...], list[int]] = {}
-    for i, f in enumerate(facets):
-        for r in combinations(f, d):
-            ridges.setdefault(r, []).append(i)
-    return ridges
 
 
 def _adjacency(n_facets: int, ridges: dict[tuple[int, ...], list[int]]) -> list[list[int]]:

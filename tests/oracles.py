@@ -9,6 +9,7 @@ proper-intersection check of a ``PolyComplex``.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -93,6 +94,30 @@ def cone(x: SimplicialComplex, apex: VertexId) -> SimplicialComplex:
     if apex in x.vertex_set:
         raise DisjointnessViolation(f"apex {apex.label} already a vertex")
     return SimplicialComplex.from_facets(f.with_vertex(apex) for f in x.facets)
+
+
+def boundary_reference(x: SimplicialComplex) -> SimplicialComplex:
+    """The boundary as first computed: every ridge of every facet is
+    counted as a ``Simplex``, and those in exactly one facet are kept.
+    A ridge in three or more facets is refused; the least one is named."""
+    x._require_nonvoid()
+    counts: dict[Simplex, int] = {}
+    for f in x.facets:
+        for r in f.facets():
+            counts[r] = counts.get(r, 0) + 1
+    bad = [r for r, c in counts.items() if c >= 3]
+    if bad:
+        r = min(bad)
+        raise NotPseudomanifold(f"face {r!r} lies in {counts[r]} facets")
+    return SimplicialComplex.from_facets(r for r, c in counts.items() if c == 1)
+
+
+def relabelled(x: SimplicialComplex, seed) -> SimplicialComplex:
+    """x with its vertices renamed r:0 .. r:n-1 in a seeded random order."""
+    names = list(range(len(x.vertices)))
+    random.Random(seed).shuffle(names)
+    new = dict(zip(x.vertices, map(VertexId.raw, names)))
+    return SimplicialComplex.from_facets(Simplex([new[v] for v in f.verts]) for f in x.facets)
 
 
 def boundary_facets(cell: FreeSumCell) -> list[Simplex]:

@@ -1,6 +1,7 @@
 """Ball carving, missing faces, compatible families, filling, realization."""
 
 import random
+import re
 from itertools import product
 
 import pytest
@@ -33,15 +34,18 @@ from sphereforge.errors import (
     FaceNotFound,
     IncompatibleFamily,
     NoBoundaryContact,
+    NotPseudomanifold,
     SingleSimplexBall,
 )
 from sphereforge.sampling import choice_vector
 
 from oracles import (
     boundary_facets,
+    boundary_reference,
     boundary_restriction,
     missing_face_reference,
     poly_boundary,
+    relabelled,
     triangulate_cell_reference,
     validate_proper_intersections,
 )
@@ -182,6 +186,57 @@ class TestMissingFaceDifferential:
                     else:
                         got = missing_face(ball, sigma)
                         assert got == want and got.verts == want.verts
+
+
+class TestBoundaryDifferential:
+    """``boundary_complex`` counts ridges on vertex-index tuples; the
+    reference counts every ridge as a ``Simplex``."""
+
+    @pytest.mark.parametrize("kind, params", [
+        ("holes4", (5, 7)),
+        ("holes3", (6,)),
+        ("aztec", (3, 2)),
+        ("cyclic", (3,)),
+        ("highd", (3, 6)),
+        ("aztec-hd", (3, 3, 1)),
+    ], ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else v)
+    def test_hosts_holes_and_realizations_match_the_reference(self, monkeypatch, kind, params):
+        balls = []
+        real = constructions.certified_hole
+
+        def recording(host, key, facets):
+            balls.append(real(host, key, facets))
+            return balls[-1]
+
+        monkeypatch.setattr(constructions, "certified_hole", recording)
+        manifest = BUILDERS[kind](*params).manifest
+        assert balls
+        for ball in balls:
+            assert ball.boundary == boundary_reference(ball.subcomplex)
+        xs = list({id(b.host): b.host for b in balls}.values())
+        xs += [b.subcomplex for b in balls]
+        for seed in (1, 2):
+            x = realize(manifest, choice_vector(seed, 0, manifest.n_free_cells))
+            xs += [x, SimplicialComplex.from_facets(x.sorted_facets[1:])]
+        for i, x in enumerate(xs):
+            for y in (x, relabelled(x, i)):
+                assert boundary_complex(y) == boundary_reference(y)
+
+    def test_random_complexes_match_the_reference_or_name_the_same_ridge(self):
+        rng = random.Random(21)
+        for _ in range(300):
+            k = rng.randint(1, 4)
+            pool = range(rng.randint(k, 8))
+            x = SimplicialComplex.from_facets(
+                {rs(*rng.sample(pool, k)) for _ in range(rng.randint(1, 10))}
+            )
+            try:
+                want = boundary_reference(x)
+            except NotPseudomanifold as exc:
+                with pytest.raises(NotPseudomanifold, match=f"^{re.escape(str(exc))}$"):
+                    boundary_complex(x)
+            else:
+                assert boundary_complex(x) == want
 
 
 class TestBoundaryReads:

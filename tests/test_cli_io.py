@@ -148,7 +148,7 @@ class TestDumps:
             sfio.dumps(obj)
 
     @pytest.mark.parametrize("kind", list(BUILDERS))
-    def test_every_generate_artifact(self, kind):
+    def test_every_generate_artifact(self, tmp_path, kind):
         argv = next(a for a in GOLDEN_ARTIFACTS if a[0] == kind)
         report = BUILDERS[kind](*(int(x) for x in argv[2::2]))
         manifest = report.manifest
@@ -161,6 +161,26 @@ class TestDumps:
             sfio.certificate_to_obj(certify(realized)),
         ):
             assert sfio.dumps(obj) == stdlib_dumps(obj)
+        # the writers encode the cells straight from the complex
+        sfio.save_manifest(str(tmp_path / "m.json"), manifest)
+        assert (tmp_path / "m.json").read_text() == stdlib_dumps(sfio.manifest_to_obj(manifest))
+        for x in (manifest.result, realized):
+            sfio.save_complex(str(tmp_path / "x.json"), x)
+            assert (tmp_path / "x.json").read_text() == stdlib_dumps(sfio.complex_to_obj(x))
+
+    @pytest.mark.parametrize("x", [
+        cyclic_polytope_facets(7, 4),
+        build_holes4(5, 5).manifest.result,
+        PolyComplex.from_simplicial(cyclic_polytope_facets(6, 2)),
+        SimplicialComplex.from_facets([Simplex([VertexId.raw(3)]), Simplex([VertexId.cone()])]),
+        SimplicialComplex.from_facets([Simplex(())]),
+        SimplicialComplex.from_facets([]),
+    ], ids=["simplicial", "free-cells", "from-simplicial", "0-dim", "empty-facet", "void"])
+    def test_a_complex_is_written_as_its_object(self, x):
+        assert sfio.dumps(x) == stdlib_dumps(sfio.complex_to_obj(x))
+        nested = {"b": [x, "c"], "a": x}
+        plain = {"b": [sfio.complex_to_obj(x), "c"], "a": sfio.complex_to_obj(x)}
+        assert sfio.dumps(nested) == stdlib_dumps(plain)
 
     def test_every_geometry_artifact(self):
         lift = build_aztec_lift(3, 1)
@@ -681,6 +701,21 @@ class TestCliPipelines:
         )
         assert captured.out == ""
         assert not off.exists() and not (tmp_path / "mesh.off.exact.json").exists()
+
+    def test_export_off_names_the_least_triangle_in_three_tetrahedra(self, tmp_path, capsys):
+        lift = tmp_path / "lift.json"
+        assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0
+        # the triangles {r:0,r:8,r:10} and {r:5,r:6,r:11} each lie in 3 tetrahedra
+        tets = [(0, 8, 10, k) for k in (1, 3, 9)] + [(5, 6, 11, k) for k in (2, 4, 7)]
+        x = SimplicialComplex.from_facets(Simplex(map(VertexId.raw, t)) for t in tets)
+        sfio.save_complex(str(tmp_path / "x.json"), x)
+        capsys.readouterr()
+        off = tmp_path / "mesh.off"
+        assert run(tmp_path, "export", "off", "--input", tmp_path / "x.json", "--lift", lift, "-o", off) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: face {r:0,r:8,r:10} lies in 3 facets\n"
+        assert captured.out == ""
+        assert not off.exists()
 
     @pytest.mark.parametrize("which, coords, message", [
         ("every", [], "point a:1:1 has no coordinates"),

@@ -306,6 +306,26 @@ class TestBoundary:
         with pytest.raises(NotPseudomanifold):
             boundary_complex(SimplicialComplex.from_facets(tris))
 
+    @pytest.mark.parametrize("low, high", [(3, 3), (4, 3), (3, 5)])
+    def test_the_least_overused_ridge_is_named_with_its_facet_count(self, low, high):
+        # two fans of triangles on the edges {r:0,r:1} and {r:5,r:6}
+        fans = [raw_simplex(0, 1, k) for k in (2, 3, 4, 10, 11)[:low]]
+        fans += [raw_simplex(5, 6, k) for k in (7, 8, 9, 12, 13)[:high]]
+        with pytest.raises(NotPseudomanifold, match=rf"^face \{{r:0,r:1\}} lies in {low} facets$"):
+            boundary_complex(SimplicialComplex.from_facets(fans))
+
+    def test_the_empty_facet_complex_has_a_void_boundary(self):
+        assert boundary_complex(empty_complex()).is_void
+
+    def test_a_point_has_the_empty_facet_as_its_boundary(self):
+        bd = boundary_complex(SimplicialComplex.from_facets([raw_simplex(0)]))
+        assert bd.facets == frozenset({EMPTY_SIMPLEX}) and bd.dim == -1
+
+    def test_three_points_put_the_empty_face_in_three_facets(self):
+        points = SimplicialComplex.from_facets([raw_simplex(k) for k in range(3)])
+        with pytest.raises(NotPseudomanifold, match=r"^face \{\} lies in 3 facets$"):
+            boundary_complex(points)
+
 
 class TestCone:
     def test_cone_over_triangle_boundary(self):

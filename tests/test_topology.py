@@ -39,6 +39,7 @@ from oracles import (
     join,
     lens_space,
     region_complex,
+    relabelled,
     shelling_order_band,
     shells_reference,
     suspended_prism,
@@ -418,14 +419,6 @@ class TestReferenceClassifier:
         x = NOT_SPHERES_OR_DISKS[name][0]
         for y in (x, cone(x, VertexId.cone()), join(x, sphere0(900, 901))):
             assert certify(y) == certify_reference(y)
-
-
-def relabelled(x, seed):
-    """x with its vertices renamed 0 .. n-1 in a seeded random order."""
-    names = list(range(len(x.vertices)))
-    random.Random(seed).shuffle(names)
-    new = dict(zip(x.vertices, map(R, names)))
-    return SimplicialComplex.from_facets(Simplex([new[v] for v in f.verts]) for f in x.facets)
 
 
 class TestShellingCertificates:
