@@ -129,14 +129,15 @@ def _cmd_realize(args) -> int:
     return OK
 
 
-def _cmd_verify_sphere(args, expected: str) -> int:
+def _cmd_verify_sphere(args) -> int:
+    """``verify sphere`` and ``verify ball``: ``args.what`` is the kind to certify."""
     x = sfio.load_simplicial(args.input)
     cert = certify(x)
     obj = sfio.certificate_to_obj(cert)
     print(sfio.dumps(obj).rstrip())
     if args.report:
         sfio.write_text(args.report, sfio.dumps(obj))
-    return OK if cert.kind == expected else VERIFY_FAILED
+    return OK if cert.kind == args.what else VERIFY_FAILED
 
 
 def _cmd_verify_shelling(args) -> int:
@@ -266,14 +267,11 @@ def build_parser() -> _Parser:
 
     v = sub.add_parser("verify", help="certify spheres, balls, shellings, lifts")
     vsub = v.add_subparsers(dest="what", required=True)
-    vs = vsub.add_parser("sphere")
-    vs.add_argument("input")
-    vs.add_argument("--report")
-    vs.set_defaults(func=lambda a: _cmd_verify_sphere(a, "sphere"))
-    vb = vsub.add_parser("ball")
-    vb.add_argument("input")
-    vb.add_argument("--report")
-    vb.set_defaults(func=lambda a: _cmd_verify_sphere(a, "ball"))
+    for kind in (SPHERE, BALL):
+        vs = vsub.add_parser(kind)
+        vs.add_argument("input")
+        vs.add_argument("--report")
+        vs.set_defaults(func=_cmd_verify_sphere)
     vk = vsub.add_parser("shelling")
     vk.add_argument("input")
     vk.add_argument("order")

@@ -17,7 +17,6 @@ from .carvefill import (
     CompatibleFamily,
     FillManifest,
     carve_and_fill,
-    is_compatible,
     key_label,
 )
 from .complexes import (
@@ -210,9 +209,9 @@ def build_holes4(n: int, m: int | None = None) -> ConstructionReport:
 def build_holes3(n: int, m: int | None = None) -> ConstructionReport:
     """Width-3 band variant: denser candidate families, but the members
     come in pairs sharing a missing edge, so most holes fail the
-    compatibility test.  Falls back to the maximal compatible subfamily
-    (greedy in lexicographic order) and reports what was dropped.  m
-    defaults to n."""
+    compatibility test.  Each hole keeps a maximal compatible subfamily
+    (greedy in lexicographic order, so all of a compatible family), and
+    the report lists the holes that drop members.  m defaults to n."""
     if m is None:
         m = n
     if n < 4 or m < 4:
@@ -226,11 +225,6 @@ def build_holes3(n: int, m: int | None = None) -> ConstructionReport:
     for q, ball, members in zip(keys, balls, member_lists):
         family_sizes[q] = len(members)
         full = CompatibleFamily.of(ball, members)
-        if is_compatible(full):
-            fams.append(full)
-            fallback_sizes[q] = len(members)
-            continue
-        incompatible.append(q)
         seen_faces = set()
         kept = []
         bd = ball.boundary
@@ -241,6 +235,8 @@ def build_holes3(n: int, m: int | None = None) -> ConstructionReport:
             kept.append(mbr)
         fams.append(full.subfamily(kept))
         fallback_sizes[q] = len(kept)
+        if len(kept) < len(members):
+            incompatible.append(q)
     manifest = _close_with_cone(
         host.complex, carve_and_fill(host.complex, fams, keys=keys)
     )

@@ -81,9 +81,9 @@ def _encode(obj: Any, newline: str) -> str:
     is ``newline``.  Strings and lists of strings go through its C string
     encoder, and every other scalar through ``json.dumps``, so the bytes
     are its own; with an indent, ``json.dumps`` itself would fall back to
-    its pure-Python encoder.  A complex is written as ``complex_to_obj``
-    spells it and a free-sum cell as a hole cell of ``manifest_to_obj``,
-    straight from their sorted vertices, with no object per cell."""
+    its pure-Python encoder.  A complex and a free-sum cell are written
+    by ``_complex_text`` and ``_free_cells_text``, straight from their
+    sorted vertices, with no object per cell."""
     if isinstance(obj, str):
         return _string(obj)
     if isinstance(obj, (list, tuple)):
@@ -131,19 +131,20 @@ def _free_cells_text(cells, newline: str, tail: str) -> list[str]:
 
 
 def _complex_text(x: "SimplicialComplex | PolyComplex", newline: str) -> str:
-    """``_encode(complex_to_obj(x), newline)``, written from the sorted
-    cells with no object per cell."""
-    if x.dim < 0:
-        # the void and the empty-facet complex, which have no vertex
-        return _encode(complex_to_obj(x), newline)
-    inner = newline + " "
-    at_cell = inner + " "
-    in_cell = at_cell + " "
-    in_list = in_cell + " "
+    """The complex file: ``"dim"`` and the ``"cells"``, sorted simplices
+    ``{"t": "s", "v"}`` and then free-sum cells ``{"t": "fs", "f", "g"}``
+    of vertex labels, written from the sorted cells with no object each."""
     if isinstance(x, SimplicialComplex):
         simplices, free = x.sorted_facets, ()
     else:
         simplices, free = x.sorted_simplex_cells, x.sorted_free_cells
+    if x.dim < 0:
+        # the void and the empty-facet complex, which have no vertex
+        return _encode({"cells": [{"t": "s", "v": []}] * len(simplices), "dim": -1}, newline)
+    inner = newline + " "
+    at_cell = inner + " "
+    in_cell = at_cell + " "
+    in_list = in_cell + " "
     head = "{" + in_cell + '"t": "s",' + in_cell + '"v": [' + in_list
     sep = "," + in_list
     end = in_cell + "]" + at_cell + "}"
@@ -158,8 +159,8 @@ def _complex_text(x: "SimplicialComplex | PolyComplex", newline: str) -> str:
 def dumps(obj: Any) -> str:
     """The artifact text of ``obj``: its JSON with an indent of 1 and
     sorted keys, as the standard library writes it, and a final newline.
-    A ``SimplicialComplex`` or ``PolyComplex`` in ``obj`` is written as
-    ``complex_to_obj`` would give it, and a ``FreeSumCell`` as its
+    A ``SimplicialComplex`` or ``PolyComplex`` in ``obj`` is written in
+    the complex format of ``_complex_text``, and a ``FreeSumCell`` as its
     ``"f"`` and ``"g"`` label lists."""
     return _encode(obj, "\n") + "\n"
 
@@ -183,18 +184,6 @@ def write_text(path: str, text: str) -> None:
 
 # --------------------------------------------------------------------------
 # complexes
-
-
-def complex_to_obj(x: "SimplicialComplex | PolyComplex") -> dict:
-    if isinstance(x, SimplicialComplex):
-        cells = [{"t": "s", "v": _labels(f.verts)} for f in x.sorted_facets]
-        return {"dim": x.dim, "cells": cells}
-    cells = [{"t": "s", "v": _labels(f.verts)} for f in x.sorted_simplex_cells]
-    cells.extend(
-        {"t": "fs", "f": _labels(c.f_part.verts), "g": _labels(c.g_part.verts)}
-        for c in x.sorted_free_cells
-    )
-    return {"dim": x.dim, "cells": cells}
 
 
 def _free_cell(obj: dict) -> FreeSumCell:
@@ -261,23 +250,6 @@ def load_holes(path: str) -> list[tuple[Any, list[Simplex], list[Simplex]]]:
     return holes_from_obj(_load_json(path))
 
 
-def _manifest(m: FillManifest, result, cells) -> dict:
-    """The manifest object with ``result`` as its complex and
-    ``cells(key)`` as the free cells of each hole."""
-    holes = [
-        {"key": key_label(key), "apex": m.apex_of_ball[key].label, "cells": cells(key)}
-        for key in m.hole_keys
-    ]
-    return {"dim": m.result.dim, "complex": result, "holes": holes}
-
-
-def manifest_to_obj(m: FillManifest) -> dict:
-    return _manifest(m, complex_to_obj(m.result), lambda key: [
-        {"f": _labels(c.f_part.verts), "g": _labels(c.g_part.verts)}
-        for c in m.free_cells_by_ball[key]
-    ])
-
-
 @_decoder("manifest")
 def manifest_from_obj(obj: dict) -> FillManifest:
     result = complex_from_obj.__wrapped__(obj["complex"])
@@ -298,9 +270,13 @@ def manifest_from_obj(obj: dict) -> FillManifest:
 
 
 def save_manifest(path: str, m: FillManifest) -> None:
-    """Write ``manifest_to_obj(m)``, with the complex and the free cells
-    encoded by ``dumps`` straight from the objects."""
-    write_text(path, dumps(_manifest(m, m.result, m.free_cells_by_ball.__getitem__)))
+    """Write the dimension, the complex and each hole's key, apex and free
+    cells, which ``dumps`` encodes straight from the objects."""
+    holes = [
+        {"key": key_label(key), "apex": m.apex_of_ball[key].label, "cells": m.free_cells_by_ball[key]}
+        for key in m.hole_keys
+    ]
+    write_text(path, dumps({"dim": m.result.dim, "complex": m.result, "holes": holes}))
 
 
 def load_manifest(path: str) -> FillManifest:

@@ -328,13 +328,16 @@ def verify_shelling(x: SimplicialComplex, order: Sequence[Simplex]) -> bool:
     a nonempty union of its codimension-1 faces, and never in its whole
     boundary (that would close a sphere inside a ball).  The restriction
     of each facet is read off one set of the earlier facets' ridges and
-    tested by ``_shells``, as the search of ``certify`` tests it.
+    tested by ``_shells``, as the search of ``certify`` tests it.  A
+    ridge in three or more facets, which no ball has, is refused.
     """
     x._require_nonvoid()
     if len(order) != x.n_facets or set(order) != set(x.facets):
         raise InvalidOrder("order is not a permutation of the facets")
     if len(order) == 1:
         return True
+    if max(map(len, _ridges(_indexed_facets(x)).values())) > 2:
+        return False
     index = {v: i for i, v in enumerate(x.vertices)}
     at: list[set[int]] = [set() for _ in index]
     earlier: set[tuple[int, ...]] = set()

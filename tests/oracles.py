@@ -10,12 +10,13 @@ proper-intersection check of a ``PolyComplex``.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterable, Iterator
 
-from sphereforge.carvefill import BallInComplex
+from sphereforge.carvefill import BallInComplex, FillManifest, key_label
 from sphereforge.complexes import FreeSumCell, PolyComplex, Simplex, SimplicialComplex, VertexId
 from sphereforge.errors import (
     DegenerateInput,
@@ -470,11 +471,14 @@ def verify_shelling_reference(x: SimplicialComplex, order) -> bool:
     each facet after the first is intersected with every earlier facet
     that shares a vertex with it.  The intersections of d vertices are
     the shared ridges; there must be one and not d + 1 of them, and every
-    other intersection must lie in one of them."""
+    other intersection must lie in one of them.  A complex with a ridge
+    in three or more facets is refused."""
     if len(order) != x.n_facets or set(order) != set(x.facets):
         raise InvalidOrder("order is not a permutation of the facets")
     if len(order) == 1:
         return True
+    if max(Counter(f.vset - {v} for f in x.facets for v in f.vset).values()) > 2:
+        return False
     d = x.dim
     by_vertex: dict[object, list[int]] = {}
     for j, sigma in enumerate(order):
@@ -734,3 +738,42 @@ def lens_space(p: int, q: int) -> SimplicialComplex:
                     flag.append(names.setdefault(key, VertexId.raw(len(names))))
                 facets.add(Simplex(flag))
     return SimplicialComplex.from_facets(facets)
+
+
+# --------------------------------------------------------------------------
+# io
+
+
+def _labels(verts) -> list[str]:
+    return [v.label for v in verts]
+
+
+def complex_to_obj(x: "SimplicialComplex | PolyComplex") -> dict:
+    """The complex file as plain JSON, built cell by cell: the reference
+    for the text ``io.dumps`` writes and the input of the decoder."""
+    if isinstance(x, SimplicialComplex):
+        cells = [{"t": "s", "v": _labels(f.verts)} for f in x.sorted_facets]
+        return {"dim": x.dim, "cells": cells}
+    cells = [{"t": "s", "v": _labels(f.verts)} for f in x.sorted_simplex_cells]
+    cells.extend(
+        {"t": "fs", "f": _labels(c.f_part.verts), "g": _labels(c.g_part.verts)}
+        for c in x.sorted_free_cells
+    )
+    return {"dim": x.dim, "cells": cells}
+
+
+def manifest_to_obj(m: FillManifest) -> dict:
+    """The manifest file as plain JSON, the reference for the text
+    ``io.save_manifest`` writes."""
+    holes = [
+        {
+            "key": key_label(key),
+            "apex": m.apex_of_ball[key].label,
+            "cells": [
+                {"f": _labels(c.f_part.verts), "g": _labels(c.g_part.verts)}
+                for c in m.free_cells_by_ball[key]
+            ],
+        }
+        for key in m.hole_keys
+    ]
+    return {"dim": m.result.dim, "complex": complex_to_obj(m.result), "holes": holes}

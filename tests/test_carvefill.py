@@ -161,7 +161,7 @@ PARAM_RANGES = {
     "holes3": lambda rng: (rng.randint(4, 8), rng.randint(4, 8)),
     "aztec": lambda rng: (rng.choice((3, 5)), rng.randint(1, 2)),
     "cyclic": lambda rng: (rng.randint(3, 5),),
-    "highd": lambda rng: (3, rng.randint(4, 6)),
+    "highd": lambda rng: (3, rng.randint(6, 7)),
     "aztec-hd": lambda rng: (rng.choice((2, 3)), 3, 1),
 }
 
@@ -273,9 +273,9 @@ class TestBoundaryReads:
         assert outcomes == {width == 4}
 
     def test_the_holes3_fallback_reuses_the_missing_faces(self, monkeypatch):
-        # build_holes3 makes a full family of each band and, when that is
-        # incompatible, a fallback family of some of its members; the two
-        # read each candidate member's boundary facets once in all
+        # build_holes3 makes a full family of each band and then the
+        # subfamily of the members it keeps; the two read each candidate
+        # member's boundary facets once in all
         real_families = constructions._grid_band_families
         candidates = []
         reads = []

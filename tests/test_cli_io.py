@@ -1,6 +1,7 @@
 """Serialization round trips, CLI pipelines, determinism, exit codes."""
 
 import ast
+import functools
 import hashlib
 import json
 from fractions import Fraction
@@ -31,7 +32,13 @@ from sphereforge.topology import certify
 from sphereforge.errors import InputParseError
 from sphereforge.sampling import choice_vector, format_hex_choices, parse_hex_choices
 
-from oracles import cyclic_polytope_facets, region_complex, shelling_order_band
+from oracles import (
+    complex_to_obj,
+    cyclic_polytope_facets,
+    manifest_to_obj,
+    region_complex,
+    shelling_order_band,
+)
 
 
 class TestSampling:
@@ -53,26 +60,56 @@ class TestSampling:
             parse_hex_choices("0x100", 8)
 
 
+@functools.cache
+def golden_report(kind):
+    """The report of ``kind`` built with the parameters of its golden
+    artifacts."""
+    argv = next(a for a in GOLDEN_ARTIFACTS if a[0] == kind)
+    return BUILDERS[kind](*(int(x) for x in argv[2::2]))
+
+
+def written(x):
+    """``x`` as ``io.dumps`` writes it, read back as JSON."""
+    return json.loads(sfio.dumps(x))
+
+
+def saved_manifest(m, tmp_path):
+    """The manifest file ``io.save_manifest`` writes, read back as JSON."""
+    path = tmp_path / "m.manifest.json"
+    sfio.save_manifest(str(path), m)
+    return json.loads(path.read_text())
+
+
+# each round trip reads the plain-JSON reference and the file that ships
+COMPLEX_ENCODERS = pytest.mark.parametrize("encode", [complex_to_obj, written], ids=["oracle", "dumps"])
+MANIFEST_ENCODERS = pytest.mark.parametrize(
+    "encode", [lambda m, _: manifest_to_obj(m), saved_manifest], ids=["oracle", "save_manifest"]
+)
+
+
 class TestComplexIO:
-    def test_simplicial_round_trip(self):
-        x = cyclic_polytope_facets(7, 4)
-        obj = sfio.complex_to_obj(x)
-        assert sfio.complex_from_obj(obj).facets == x.facets
+    @COMPLEX_ENCODERS
+    @pytest.mark.parametrize("kind", ["cyclic-7-4", *BUILDERS])
+    def test_simplicial_round_trip(self, encode, kind):
+        # a builder's complex is its zero realization, as generate writes it
+        if kind == "cyclic-7-4":
+            x = cyclic_polytope_facets(7, 4)
+        else:
+            manifest = golden_report(kind).manifest
+            x = realize(manifest, (0,) * manifest.n_free_cells)
+        assert sfio.complex_from_obj(encode(x)) == x
 
-    def test_poly_round_trip(self):
-        report = build_holes4(5, 5)
-        x = report.manifest.result
-        y = sfio.complex_from_obj(sfio.complex_to_obj(x))
-        assert isinstance(y, PolyComplex)
-        assert y.simplex_cells == x.simplex_cells
-        assert y.free_cells == x.free_cells
+    @COMPLEX_ENCODERS
+    @pytest.mark.parametrize("kind", list(BUILDERS))
+    def test_poly_round_trip(self, encode, kind):
+        x = golden_report(kind).manifest.result
+        assert sfio.complex_from_obj(encode(x)) == x
 
-    def test_manifest_round_trip(self):
-        m = build_aztec(3, 2).manifest
-        m2 = sfio.manifest_from_obj(sfio.manifest_to_obj(m))
-        assert m2.hole_keys == m.hole_keys
-        assert m2.free_cells == m.free_cells
-        assert m2.apex_of_ball == m.apex_of_ball
+    @MANIFEST_ENCODERS
+    @pytest.mark.parametrize("kind", list(BUILDERS))
+    def test_manifest_round_trip(self, tmp_path, encode, kind):
+        m = golden_report(kind).manifest
+        assert sfio.manifest_from_obj(encode(m, tmp_path)) == m
 
     def test_malformed_rejected(self):
         with pytest.raises(InputParseError):
@@ -149,24 +186,23 @@ class TestDumps:
 
     @pytest.mark.parametrize("kind", list(BUILDERS))
     def test_every_generate_artifact(self, tmp_path, kind):
-        argv = next(a for a in GOLDEN_ARTIFACTS if a[0] == kind)
-        report = BUILDERS[kind](*(int(x) for x in argv[2::2]))
+        report = golden_report(kind)
         manifest = report.manifest
         realized = realize(manifest, (0,) * manifest.n_free_cells)
         for obj in (
-            sfio.complex_to_obj(manifest.result),
-            sfio.manifest_to_obj(manifest),
-            sfio.complex_to_obj(realized),
+            complex_to_obj(manifest.result),
+            manifest_to_obj(manifest),
+            complex_to_obj(realized),
             sfio.report_to_obj(report),
             sfio.certificate_to_obj(certify(realized)),
         ):
             assert sfio.dumps(obj) == stdlib_dumps(obj)
         # the writers encode the cells straight from the complex
         sfio.save_manifest(str(tmp_path / "m.json"), manifest)
-        assert (tmp_path / "m.json").read_text() == stdlib_dumps(sfio.manifest_to_obj(manifest))
+        assert (tmp_path / "m.json").read_text() == stdlib_dumps(manifest_to_obj(manifest))
         for x in (manifest.result, realized):
             sfio.save_complex(str(tmp_path / "x.json"), x)
-            assert (tmp_path / "x.json").read_text() == stdlib_dumps(sfio.complex_to_obj(x))
+            assert (tmp_path / "x.json").read_text() == stdlib_dumps(complex_to_obj(x))
 
     @pytest.mark.parametrize("x", [
         cyclic_polytope_facets(7, 4),
@@ -177,9 +213,9 @@ class TestDumps:
         SimplicialComplex.from_facets([]),
     ], ids=["simplicial", "free-cells", "from-simplicial", "0-dim", "empty-facet", "void"])
     def test_a_complex_is_written_as_its_object(self, x):
-        assert sfio.dumps(x) == stdlib_dumps(sfio.complex_to_obj(x))
+        assert sfio.dumps(x) == stdlib_dumps(complex_to_obj(x))
         nested = {"b": [x, "c"], "a": x}
-        plain = {"b": [sfio.complex_to_obj(x), "c"], "a": sfio.complex_to_obj(x)}
+        plain = {"b": [complex_to_obj(x), "c"], "a": complex_to_obj(x)}
         assert sfio.dumps(nested) == stdlib_dumps(plain)
 
     def test_every_geometry_artifact(self):
@@ -486,6 +522,15 @@ class TestCliPipelines:
         sfio.save_complex(str(cpath), region_complex(band))
         sfio.write_text(str(opath), sfio.dumps(sfio.order_to_obj(shelling_order_band(band))))
         assert run(tmp_path, "verify", "shelling", cpath, opath) == 0
+
+    def test_shelling_verify_cli_rejects_a_ridge_in_three_facets(self, tmp_path, capsys):
+        order = [Simplex([VertexId.raw(1), VertexId.raw(2), VertexId.raw(i)]) for i in (3, 4, 5)]
+        cpath, opath = tmp_path / "book.json", tmp_path / "order.json"
+        sfio.save_complex(str(cpath), SimplicialComplex.from_facets(order))
+        sfio.write_text(str(opath), sfio.dumps(sfio.order_to_obj(order)))
+        capsys.readouterr()
+        assert run(tmp_path, "verify", "shelling", cpath, opath) == 2
+        assert capsys.readouterr().out == "shelling rejected\n"
 
     def test_fill_rejects_non_integer_hole_key(self, tmp_path, capsys):
         host_path = tmp_path / "host.json"

@@ -20,11 +20,11 @@ from sphereforge.constructions import (
 from sphereforge.errors import DegenerateInput, HypothesisNotSatisfied
 from sphereforge.grid import ehrhart_crosspolytope, join_of_paths
 
-from oracles import cyclic_polytope_facets, f_vector
+from oracles import cyclic_polytope_facets, f_vector, manifest_to_obj
 
 
 def manifest_bytes(report):
-    return sfio.dumps(sfio.manifest_to_obj(report.manifest))
+    return sfio.dumps(manifest_to_obj(report.manifest))
 
 
 def generate_samples(tmp_path, *argv):

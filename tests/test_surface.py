@@ -13,7 +13,6 @@ UNCALLED = {
     "geometry.raise_centers": "certifies a given center raise for criterion 06; perfbench traces it",
     "grid.band_cell_order": "a sufficient hole condition of the paper, kept as a test reference; perfbench traces it",
     "grid.is_grid_starconvex": "a sufficient hole condition of the paper, kept as a test reference; perfbench traces it",
-    "io.manifest_to_obj": "the manifest as plain JSON, which the decoder and the round-trip and byte tests read; save_manifest writes its text through dumps",
     "io.order_to_obj": "the encoder of the shelling-order file, kept next to its decoder",
     "sampling.format_hex_choices": "the encoder of --choices, kept next to its parser",
     "topology.betti_gf2": "the Betti numbers of any complex, which the tests compare with those certify reports",

@@ -210,6 +210,15 @@ class TestShelling:
         x = cyclic_polytope_facets(5, 4)
         assert not verify_shelling(x, sorted(x.facets))
 
+    def test_a_ridge_in_three_facets_rejected(self):
+        # three triangles on one edge: each meets the ones before it in
+        # that edge, but the complex is no pseudomanifold, so no ball
+        order = [rs(1, 2, 3), rs(1, 2, 4), rs(1, 2, 5)]
+        x = SimplicialComplex.from_facets(order)
+        assert certify(x).kind == topology.NEITHER
+        assert not verify_shelling(x, order)
+        assert verify_shelling(SimplicialComplex.from_facets(order[:2]), order[:2])
+
 
 class TestBoundaryCertificates:
     def test_ball_boundary_is_sphere(self):
@@ -617,6 +626,19 @@ class TestVerifyShellingAgainstReference:
         assert order is not None
         assert verdicts(x, order) == (False, False)
         assert verdicts(SimplicialComplex.from_facets(order[:-1]), order[:-1]) == (True, True)
+
+    def test_a_ridge_in_three_facets_is_refused_in_every_order(self):
+        # a book of three or four pages on the edge 12, and one on the
+        # triangle 123 inside a ball of three tetrahedra
+        books = [
+            [rs(1, 2, 3), rs(1, 2, 4), rs(1, 2, 5)],
+            [rs(1, 2, 3), rs(1, 2, 4), rs(1, 2, 5), rs(1, 2, 6)],
+            [rs(1, 2, 3, 4), rs(1, 2, 3, 5), rs(1, 2, 3, 6), rs(1, 2, 4, 7)],
+        ]
+        for facets in books:
+            x = SimplicialComplex.from_facets(facets)
+            for order in permutations(facets):
+                assert verdicts(x, order) == (False, False), order
 
     def test_dimensions_0_and_1(self):
         points = [rs(1), rs(2), rs(3)]
