@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Sequence
+from itertools import combinations, compress
+from operator import attrgetter
+from typing import Collection, Hashable, Iterable, Sequence
 
 from .complexes import (
     FreeSumCell,
@@ -49,8 +51,7 @@ class BallInComplex:
     def of(cls, host: SimplicialComplex, facets: Iterable[Simplex]) -> "BallInComplex":
         fs = frozenset(facets)
         if not fs <= host.facets:
-            missing = next(iter(fs - host.facets))
-            raise FaceNotFound(f"{missing!r} is not a facet of the host")
+            raise FaceNotFound(f"{min(fs - host.facets)!r} is not a facet of the host")
         if len(fs) == 0:
             raise DegenerateInput("ball needs at least one facet")
         if len(fs) == 1:
@@ -70,8 +71,29 @@ class BallInComplex:
         return boundary_complex(self.subcomplex)
 
     @cached_property
-    def boundary_facet_set(self) -> frozenset[Simplex]:
-        return self.boundary.facets
+    def vertex_index(self) -> dict[VertexId, int]:
+        """Each ball vertex's index in ``subcomplex.vertices``.  Those are
+        sorted, so the indices of a simplex's vertices come out sorted."""
+        return {v: i for i, v in enumerate(self.subcomplex.vertices)}
+
+    def indices(self, s: Simplex) -> tuple[int, ...]:
+        index = self.vertex_index
+        return tuple([index[v] for v in s.verts])
+
+    @cached_property
+    def boundary_ridges(self) -> frozenset[tuple[int, ...]]:
+        """The facets of ``boundary``, as vertex-index tuples."""
+        return frozenset(map(self.indices, self.boundary.facets))
+
+    def faces_on_boundary(self, faces: Collection[Simplex]) -> set[Simplex]:
+        """Those of a collection of faces of the ball that lie in a
+        boundary ridge, tested on vertex-index tuples: the subsets of the
+        ridges of each size asked for are listed once."""
+        on: set[tuple[int, ...]] = set()
+        for k in {len(f) for f in faces}:
+            for r in self.boundary_ridges:
+                on.update(combinations(r, k))
+        return {f for f in faces if self.indices(f) in on}
 
 
 def missing_face(b: BallInComplex, sigma: Simplex) -> Simplex:
@@ -81,13 +103,17 @@ def missing_face(b: BallInComplex, sigma: Simplex) -> Simplex:
 
     This is sigma minus the common intersection of its boundary facets:
     those facets are exactly sigma - v for v in f, and they meet in
-    sigma - f.  Facet i of ``sigma.facets()`` omits ``sigma.verts[i]``,
-    so f is read off in one pass, already sorted.
+    sigma - f.  The facets are read as vertex-index tuples against
+    ``b.boundary_ridges``; ``combinations`` leaves out the last vertex
+    first and the first vertex last, so f is read off in one pass,
+    already sorted.
     """
     if sigma not in b.ball_facets:
         raise FaceNotFound(f"{sigma!r} is not a facet of the ball")
-    bd = b.boundary_facet_set
-    f = tuple(v for v, t in zip(sigma.verts, sigma.facets()) if t in bd)
+    ridges = b.boundary_ridges
+    s = b.indices(sigma)
+    on = [r in ridges for r in combinations(s, len(s) - 1)]
+    f = tuple(compress(sigma.verts, reversed(on)))
     if not f:
         raise NoBoundaryContact(f"{sigma!r} has no facet on the ball boundary")
     if len(f) == len(sigma):
@@ -111,8 +137,7 @@ class CompatibleFamily:
     def of(cls, ball: BallInComplex, members: Iterable[Simplex]) -> "CompatibleFamily":
         ms = frozenset(members)
         if not ms <= ball.ball_facets:
-            missing = next(iter(ms - ball.ball_facets))
-            raise FaceNotFound(f"member {missing!r} is not a facet of the ball")
+            raise FaceNotFound(f"member {min(ms - ball.ball_facets)!r} is not a facet of the ball")
         fam = cls(ball, ms)
         for m, f in fam.missing_faces.items():
             if len(f) < 2:
@@ -128,7 +153,7 @@ class CompatibleFamily:
 
     @cached_property
     def sorted_members(self) -> tuple[Simplex, ...]:
-        return tuple(sorted(self.members, key=VertexId.order_key))
+        return tuple(sorted(self.members, key=attrgetter("verts")))
 
     def subfamily(self, members: Iterable[Simplex]) -> "CompatibleFamily":
         """The family of some of these members, its ``missing_faces``
@@ -143,8 +168,7 @@ def is_compatible(fam: CompatibleFamily) -> bool:
     faces = list(fam.missing_faces.values())
     if len(set(faces)) != len(faces):
         return False
-    bd = fam.ball.boundary
-    return not any(bd.has_face(f) for f in faces)
+    return not fam.ball.faces_on_boundary(faces)
 
 
 def fill_ball(
@@ -159,15 +183,20 @@ def fill_ball(
     if apex in ball.host.vertex_set:
         raise DisjointnessViolation(f"apex {apex.label} already used")
     free: list[FreeSumCell] = []
-    covered: set[Simplex] = set()
+    # The ridges of the members, as vertex-index tuples.  Those on the
+    # boundary are the ones the free cells cover: m - v for v in f.
+    covered: set[tuple[int, ...]] = set()
     for m, f_part in fam.missing_faces.items():
-        g_part = Simplex((m.vset - f_part.vset) | {apex})
+        f = f_part.vset
+        g_part = Simplex([v for v in m.verts if v not in f] + [apex])
         free.append(FreeSumCell(f_part, g_part))
-        covered.update(m.without(v) for v in f_part)
+        s = ball.indices(m)
+        covered.update(combinations(s, len(s) - 1))
+    vertex = ball.subcomplex.vertices.__getitem__
     cones = [
-        t.with_vertex(apex)
-        for t in ball.boundary_facet_set
-        if t not in covered
+        Simplex([*map(vertex, r), apex])
+        for r in ball.boundary_ridges
+        if r not in covered
     ]
     free.sort(key=FreeSumCell.order_key)
     if not cones and not free:
@@ -243,7 +272,7 @@ def carve_and_fill(
     for i in order:
         overlap = seen & fams[i].ball.ball_facets
         if overlap:
-            raise BallOverlap(f"balls share the simplex {next(iter(overlap))!r}")
+            raise BallOverlap(f"balls share the simplex {min(overlap)!r}")
         seen |= fams[i].ball.ball_facets
 
     kept = [f for f in host.facets if f not in seen]
@@ -294,11 +323,9 @@ def triangulate_cell(c: FreeSumCell, choice: int) -> list[Simplex]:
     # vertices and b a vertex of ``other``; for a < b, S - b holds a
     # where S - a holds the next vertex of S, so S - b sorts first.
     # Dropping the vertices of ``other`` from the last to the first thus
-    # gives the list in ``VertexId.order_key`` order.
+    # gives the list in the order of ``verts``.
     return [
-        Simplex._face(
-            tuple(sorted(part_vs + other_vs[:i] + other_vs[i + 1:], key=VertexId.key))
-        )
+        Simplex._face(tuple(sorted(part_vs + other_vs[:i] + other_vs[i + 1:])))
         for i in range(len(other_vs) - 1, -1, -1)
     ]
 

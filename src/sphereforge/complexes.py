@@ -11,12 +11,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from operator import attrgetter
-from typing import Callable, ClassVar, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import (
     DegenerateInput,
     DisjointnessViolation,
-    FaceNotFound,
     NotPseudomanifold,
 )
 
@@ -24,8 +23,7 @@ _KIND_RANK = {"a": 0, "h": 1, "c": 2, "r": 3}
 _ARITY = {"a": 2, "h": 1, "c": 0, "r": 1}
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class VertexId:
+class VertexId(tuple):
     """Structured vertex label.
 
     Kinds: ``a`` path vertex (path index, position), ``h`` hole apex
@@ -33,36 +31,45 @@ class VertexId:
     integer.  Labels serialize as ``a:<path>:<pos>``, ``h:<key>``, ``c``
     and ``r:<int>``; only the canonical spelling of a label is read.
 
-    Every vertex is immutable, so ``sort_key``, ``label`` and the hash
-    are computed once, at construction, from ``kind`` and ``data``.  The
-    factories (``path``, ``hole``, ``cone``, ``raw``, ``from_label``)
-    return one shared instance per label, so equal vertices from them are
-    identical and compare at the speed of ``is``; a vertex built directly
-    equals and hashes like the shared one, by its key.
+    A vertex is the tuple ``(rank of kind, *data)``: ``a:1:2`` is
+    ``(0, 1, 2)`` and ``h:-3`` is ``(1, -3)``.  Each kind has a fixed
+    arity, so the tuple order is the order of ``sort_key``, and hashing,
+    equality and ``<`` are the tuple's own, made in C from integers only
+    (set order does not depend on ``PYTHONHASHSEED``).  A vertex thus
+    equals the plain tuple of its items, so no dict or set may hold
+    both.  ``kind``, ``data`` and ``label`` are set once, at
+    construction.  The factories (``path``, ``hole``, ``cone``, ``raw``,
+    ``from_label``) return one shared instance per label, and so do copy
+    and pickle; a vertex built directly equals the shared one.
     """
 
     kind: str
     data: tuple[int, ...]
-    sort_key: tuple[int, tuple[int, ...]] = field(init=False, repr=False)
-    label: str = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
+    label: str
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KIND_RANK:
-            raise DegenerateInput(f"unknown vertex kind {self.kind!r}")
-        arity = _ARITY[self.kind]
-        if len(self.data) != arity:
-            raise DegenerateInput(f"vertex kind {self.kind!r} needs {arity} fields")
-        if self.kind == "a" and (self.data[0] < 1 or self.data[1] < 1):
+    def __new__(cls, kind: str, data: tuple[int, ...]) -> "VertexId":
+        if kind not in _KIND_RANK:
+            raise DegenerateInput(f"unknown vertex kind {kind!r}")
+        arity = _ARITY[kind]
+        if len(data) != arity:
+            raise DegenerateInput(f"vertex kind {kind!r} needs {arity} fields")
+        if kind == "a" and (data[0] < 1 or data[1] < 1):
             raise DegenerateInput("path vertices are 1-based")
-        if self.kind == "r" and self.data[0] < 0:
+        if kind == "r" and data[0] < 0:
             raise DegenerateInput("raw vertex ids are nonnegative")
-        key = (_KIND_RANK[self.kind], self.data)
-        label = ":".join([self.kind] + [str(x) for x in self.data])
-        object.__setattr__(self, "sort_key", key)
-        object.__setattr__(self, "label", label)
-        # from integers only, so set order does not depend on PYTHONHASHSEED
-        object.__setattr__(self, "_hash", hash(key))
+        v = tuple.__new__(cls, (_KIND_RANK[kind], *data))
+        v.__dict__.update(kind=kind, data=data, label=":".join([kind] + [str(x) for x in data]))
+        return v
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"vertex {self.label} is immutable")
+
+    def __reduce__(self):
+        return (VertexId.from_label, (self.label,))
+
+    @property
+    def sort_key(self) -> tuple[int, tuple[int, ...]]:
+        return (self[0], self.data)
 
     @classmethod
     def _interned(cls, kind: str, data: tuple[int, ...]) -> "VertexId":
@@ -86,29 +93,6 @@ class VertexId:
     @classmethod
     def raw(cls, n: int) -> "VertexId":
         return cls._interned("r", (n,))
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, VertexId):
-            return NotImplemented
-        return self.sort_key == other.sort_key
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "VertexId") -> bool:
-        return self.sort_key < other.sort_key
-
-    # ``sorted(vertices, key=VertexId.key)`` gives the order of ``<`` with
-    # every comparison made in C.
-    key: ClassVar[Callable[["VertexId"], tuple]] = attrgetter("sort_key")
-
-    @staticmethod
-    def order_key(verts: Iterable["VertexId"]) -> tuple:
-        """The key of a sorted vertex sequence, such as a ``Simplex``:
-        keys compare as the sequences do by ``<``, but in C."""
-        return tuple(map(VertexId.key, verts))
 
     @classmethod
     def from_label(cls, text: str) -> "VertexId":
@@ -157,7 +141,7 @@ class Simplex:
     _vset: frozenset[VertexId] | None = field(repr=False)
 
     def __init__(self, verts: Iterable[VertexId]) -> None:
-        vs = tuple(sorted(verts, key=VertexId.key))
+        vs = tuple(sorted(verts))
         for u, w in zip(vs, vs[1:]):
             if u == w:
                 raise DegenerateInput(f"repeated vertex {u.label} in simplex")
@@ -211,19 +195,6 @@ class Simplex:
     def with_vertex(self, v: VertexId) -> "Simplex":
         return Simplex(self.verts + (v,))
 
-    def without(self, v: VertexId) -> "Simplex":
-        vs = self.verts
-        try:
-            i = vs.index(v)
-        except ValueError:
-            raise FaceNotFound(f"{v.label} not in simplex") from None
-        return Simplex._face(vs[:i] + vs[i + 1:])
-
-    def facets(self) -> list["Simplex"]:
-        """All codimension-1 faces."""
-        vs = self.verts
-        return [Simplex._face(vs[:i] + vs[i + 1:]) for i in range(len(vs))]
-
     def __repr__(self) -> str:
         return "{" + ",".join(v.label for v in self.verts) + "}"
 
@@ -263,7 +234,7 @@ class SimplicialComplex:
 
     @cached_property
     def sorted_facets(self) -> tuple[Simplex, ...]:
-        return tuple(sorted(self.facets, key=VertexId.order_key))
+        return tuple(sorted(self.facets, key=attrgetter("verts")))
 
     @cached_property
     def vertex_set(self) -> frozenset[VertexId]:
@@ -271,22 +242,7 @@ class SimplicialComplex:
 
     @cached_property
     def vertices(self) -> tuple[VertexId, ...]:
-        return tuple(sorted(self.vertex_set, key=VertexId.key))
-
-    @cached_property
-    def _facets_of(self) -> dict[VertexId, list[Simplex]]:
-        """The facets containing each vertex."""
-        out: dict[VertexId, list[Simplex]] = {}
-        for f in self.facets:
-            for v in f.verts:
-                out.setdefault(v, []).append(f)
-        return out
-
-    def has_face(self, s: Simplex) -> bool:
-        if not s.verts:
-            return bool(self.facets)
-        vs = s.vset
-        return any(vs <= f.vset for f in self._facets_of.get(s.verts[0], ()))
+        return tuple(sorted(self.vertex_set))
 
     def _require_nonvoid(self) -> None:
         if self.is_void:
@@ -350,7 +306,7 @@ class FreeSumCell:
     g_part: Simplex
 
     def __post_init__(self) -> None:
-        if self.f_part.vset & self.g_part.vset:
+        if not self.f_part.vset.isdisjoint(self.g_part.verts):
             raise DisjointnessViolation("free sum parts must be disjoint")
         if len(self.f_part) < 2 or len(self.g_part) < 2:
             raise DegenerateInput("each free sum part needs at least 2 vertices")
@@ -363,16 +319,12 @@ class FreeSumCell:
     def vset(self) -> frozenset[VertexId]:
         return self.f_part.vset | self.g_part.vset
 
-    @cached_property
-    def vertices(self) -> tuple[VertexId, ...]:
-        return tuple(sorted(self.vset, key=VertexId.key))
-
     def __lt__(self, other: "FreeSumCell") -> bool:
         return (self.f_part, self.g_part) < (other.f_part, other.g_part)
 
     def order_key(self) -> tuple:
         """The key that sorts cells as ``<`` does, comparing in C."""
-        return (VertexId.order_key(self.f_part.verts), VertexId.order_key(self.g_part.verts))
+        return (self.f_part.verts, self.g_part.verts)
 
     def __repr__(self) -> str:
         return f"FS({self.f_part!r}+{self.g_part!r})"
@@ -410,18 +362,19 @@ class PolyComplex:
     def vertex_set(self) -> frozenset[VertexId]:
         vs: set[VertexId] = set()
         for s in self.simplex_cells:
-            vs |= s.vset
+            vs.update(s.verts)
         for c in self.free_cells:
-            vs |= c.vset
+            vs.update(c.f_part.verts)
+            vs.update(c.g_part.verts)
         return frozenset(vs)
 
     @cached_property
     def vertices(self) -> tuple[VertexId, ...]:
-        return tuple(sorted(self.vertex_set, key=VertexId.key))
+        return tuple(sorted(self.vertex_set))
 
     @cached_property
     def sorted_simplex_cells(self) -> tuple[Simplex, ...]:
-        return tuple(sorted(self.simplex_cells, key=VertexId.order_key))
+        return tuple(sorted(self.simplex_cells, key=attrgetter("verts")))
 
     @cached_property
     def sorted_free_cells(self) -> tuple[FreeSumCell, ...]:

@@ -227,9 +227,9 @@ def build_holes3(n: int, m: int | None = None) -> ConstructionReport:
         full = CompatibleFamily.of(ball, members)
         seen_faces = set()
         kept = []
-        bd = ball.boundary
+        on_boundary = ball.faces_on_boundary(full.missing_faces.values())
         for mbr, f in full.missing_faces.items():
-            if f in seen_faces or bd.has_face(f):
+            if f in seen_faces or f in on_boundary:
                 continue
             seen_faces.add(f)
             kept.append(mbr)

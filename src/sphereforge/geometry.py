@@ -914,7 +914,7 @@ def count_degree3_edges(target: Subdivision) -> int:
     lying in exactly three of its simplices."""
     counts: dict[tuple[VertexId, ...], int] = {}
     for cell in target.cells:
-        for e in combinations(sorted(cell, key=VertexId.key), 2):
+        for e in combinations(sorted(cell), 2):
             counts[e] = counts.get(e, 0) + 1
     return sum(1 for c in counts.values() if c == 3)
 

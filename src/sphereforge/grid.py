@@ -65,12 +65,13 @@ class GridRegion:
 
 
 def cell_simplex(cell: tuple[int, ...]) -> Simplex:
-    """The (2d-1)-simplex of a cube: both path vertices on every axis."""
+    """The (2d-1)-simplex of a cube: both path vertices on every axis,
+    which come out sorted, axis by axis."""
     verts = []
     for axis, i in enumerate(cell, start=1):
         verts.append(VertexId.path(axis, i))
         verts.append(VertexId.path(axis, i + 1))
-    return Simplex(verts)
+    return Simplex._face(tuple(verts))
 
 
 @dataclass(frozen=True)
@@ -145,9 +146,22 @@ def diagonal_band(box: GridBox, m1: int, m2: int) -> GridRegion:
         raise DegenerateInput(
             f"need {d} <= m1 <= m2 <= {total}, got [{m1}, {m2}]"
         )
-    cells = [c for c in box.all_cells() if m1 <= sum(c) <= m2]
     guaranteed = (m2 - m1 >= d) or (m1 == d) or (m2 == total)
-    return GridRegion.of(box, cells, shellable_guaranteed=guaranteed)
+    return GridRegion(box, frozenset(_cells_with_sum(box.dims, m1, m2)), guaranteed)
+
+
+def _cells_with_sum(dims: tuple[int, ...], lo: int, hi: int):
+    """The cells of a box whose index sum lies in [lo, hi], enumerated
+    directly: each index ranges only over the values that the remaining
+    axes can still complete to such a sum."""
+    if not dims:
+        yield ()
+        return
+    rest = dims[1:]
+    least, most = len(rest), sum(rest)
+    for i in range(max(1, lo - most), min(dims[0], hi - least) + 1):
+        for tail in _cells_with_sum(rest, lo - i, hi - i):
+            yield (i,) + tail
 
 
 def _band_order(dims: tuple[int, ...], m1: int, m2: int) -> list[tuple[int, ...]]:

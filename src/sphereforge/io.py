@@ -34,7 +34,7 @@ def _labels(verts) -> list[str]:
 
 
 def _sorted_labels(verts) -> list[str]:
-    return [v.label for v in sorted(verts, key=VertexId.key)]
+    return [v.label for v in sorted(verts)]
 
 
 def _parse_verts(labels) -> list[VertexId]:

@@ -51,6 +51,12 @@ from sphereforge.topology import (
 EMPTY_SIMPLEX = Simplex(())
 
 
+def simplex_facets(s: Simplex) -> list[Simplex]:
+    """All codimension-1 faces of a simplex; face i omits ``s.verts[i]``."""
+    vs = s.verts
+    return [Simplex._face(vs[:i] + vs[i + 1:]) for i in range(len(vs))]
+
+
 def empty_complex() -> SimplicialComplex:
     """The join identity: one empty facet."""
     return SimplicialComplex.from_facets([EMPTY_SIMPLEX])
@@ -104,7 +110,7 @@ def boundary_reference(x: SimplicialComplex) -> SimplicialComplex:
     x._require_nonvoid()
     counts: dict[Simplex, int] = {}
     for f in x.facets:
-        for r in f.facets():
+        for r in simplex_facets(f):
             counts[r] = counts.get(r, 0) + 1
     bad = [r for r, c in counts.items() if c >= 3]
     if bad:
@@ -188,7 +194,7 @@ def poly_boundary(x: PolyComplex) -> SimplicialComplex:
     """Codimension-1 faces lying in exactly one cell."""
     counts: dict[Simplex, int] = {}
     for s in x.simplex_cells:
-        for r in s.facets():
+        for r in simplex_facets(s):
             counts[r] = counts.get(r, 0) + 1
     for c in x.free_cells:
         for r in boundary_facets(c):
@@ -429,7 +435,7 @@ def boundary_restriction(b: BallInComplex, sigma: Simplex) -> SimplicialComplex:
     if sigma not in b.ball_facets:
         raise FaceNotFound(f"{sigma!r} is not a facet of the ball")
     return SimplicialComplex.from_facets(
-        t for t in sigma.facets() if t in b.boundary_facet_set
+        t for t in simplex_facets(sigma) if t in b.boundary.facets
     )
 
 
@@ -452,14 +458,8 @@ def triangulate_cell_reference(c: FreeSumCell, choice: int) -> list[Simplex]:
     if choice not in (0, 1):
         raise DegenerateInput("choice must be 0 or 1")
     if choice == 0:
-        return sorted(
-            (Simplex(c.f_part.vset | c.g_part.without(w).vset) for w in c.g_part),
-            key=VertexId.order_key,
-        )
-    return sorted(
-        (Simplex(c.g_part.vset | c.f_part.without(u).vset) for u in c.f_part),
-        key=VertexId.order_key,
-    )
+        return sorted(Simplex(c.f_part.vset | (c.g_part.vset - {w})) for w in c.g_part)
+    return sorted(Simplex(c.g_part.vset | (c.f_part.vset - {u})) for u in c.f_part)
 
 
 # --------------------------------------------------------------------------

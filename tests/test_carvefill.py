@@ -1,5 +1,7 @@
 """Ball carving, missing faces, compatible families, filling, realization."""
 
+import copy
+import pickle
 import random
 import re
 from itertools import product
@@ -23,7 +25,7 @@ from sphereforge import (
     realize,
     triangulate_cell,
 )
-from sphereforge import constructions
+from sphereforge import carvefill, constructions
 from sphereforge.carvefill import FillManifest, FreeSumCell
 from sphereforge.constructions import BUILDERS
 from sphereforge.errors import (
@@ -240,32 +242,58 @@ class TestBoundaryDifferential:
 
 
 class TestBoundaryReads:
-    """Once the ball boundary is built, each member's boundary facets are
-    read once, by ``CompatibleFamily.of``; compatibility and filling reuse
-    the missing faces it recorded."""
+    """Once the ball boundary is built, each member's missing face is read
+    once, by ``CompatibleFamily.of``; compatibility and filling reuse the
+    missing faces it recorded.  None of them builds a ``Simplex`` for a
+    ridge: the ridges are read as vertex-index tuples."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        """Record each missing-face read and count the simplices built."""
+        reads, built = [], []
+        real_read = carvefill.missing_face
+        real_init = Simplex.__init__
+        real_face = Simplex._face.__func__
+
+        def read(ball, sigma):
+            reads.append(sigma)
+            return real_read(ball, sigma)
+
+        def init(self, verts):
+            built.append(None)
+            real_init(self, verts)
+
+        def face(cls, verts):
+            built.append(None)
+            return real_face(cls, verts)
+
+        monkeypatch.setattr(carvefill, "missing_face", read)
+        monkeypatch.setattr(Simplex, "__init__", init)
+        monkeypatch.setattr(Simplex, "_face", classmethod(face))
+        return reads, built
 
     @pytest.mark.parametrize("width", [3, 4])
-    def test_one_facet_list_per_member(self, monkeypatch, width):
+    def test_one_missing_face_read_per_member(self, monkeypatch, width):
         host = join_of_paths((9, 7))
         _, balls, member_lists = constructions._grid_band_families(host, width)
         for ball in balls:
-            ball.boundary
-        reads = []
-        real = Simplex.facets
-
-        def counting(self):
-            reads.append(self)
-            return real(self)
-
-        monkeypatch.setattr(Simplex, "facets", counting)
+            ball.boundary_ridges
+        reads, built = self._counting(monkeypatch)
         outcomes = set()
         for ball, members in zip(balls, member_lists):
             reads.clear()
+            built.clear()
             fam = CompatibleFamily.of(ball, members)
             assert sorted(reads) == sorted(members)
+            # one simplex per member: its missing face
+            assert len(built) == len(members)
+            built.clear()
             compatible = is_compatible(fam)
+            assert not built
             if compatible:
-                fill_ball(fam, VertexId.hole(1))
+                filled, _ = fill_ball(fam, VertexId.hole(1))
+                # one per g part and one per cone
+                assert len(built) == len(members) + len(filled.simplex_cells)
             assert len(reads) == len(members)
             outcomes.add(compatible)
         # every width-3 band here has two members sharing a missing face,
@@ -275,15 +303,14 @@ class TestBoundaryReads:
     def test_the_holes3_fallback_reuses_the_missing_faces(self, monkeypatch):
         # build_holes3 makes a full family of each band and then the
         # subfamily of the members it keeps; the two read each candidate
-        # member's boundary facets once in all
+        # member's missing face once in all
         real_families = constructions._grid_band_families
         candidates = []
-        reads = []
 
         def families(host, width):
             keys, balls, member_lists = real_families(host, width)
             for ball in balls:
-                ball.boundary
+                ball.boundary_ridges
             candidates.extend(m for members in member_lists for m in members)
             reads.clear()
             return keys, balls, member_lists
@@ -294,15 +321,9 @@ class TestBoundaryReads:
         def stop(host, fams, keys):
             raise Built(fams)
 
-        real = Simplex.facets
-
-        def counting(self):
-            reads.append(self)
-            return real(self)
-
         monkeypatch.setattr(constructions, "_grid_band_families", families)
         monkeypatch.setattr(constructions, "carve_and_fill", stop)
-        monkeypatch.setattr(Simplex, "facets", counting)
+        reads, _ = self._counting(monkeypatch)
         with pytest.raises(Built) as built:
             constructions.build_holes3(9, 7)
         assert sorted(reads) == sorted(candidates)
@@ -334,6 +355,40 @@ class TestFamilyErrors:
             CompatibleFamily.of(ball, [rs(1, 2, 3)])
 
 
+class TestTheLeastOffenderIsNamed:
+    """An error about a set of simplices names the least of them by
+    ``verts``, not whichever the set's hash order gives first."""
+
+    def test_facets_outside_the_host(self):
+        host = join_of_paths((5, 5))
+        wider = join_of_paths((7, 7))
+        foreign = [wider.facet_of(c) for c in ((5, 1), (6, 6), (2, 5), (5, 2), (1, 5), (6, 3))]
+        least = wider.facet_of((1, 5))
+        assert least == min(foreign)
+        with pytest.raises(FaceNotFound, match=f"^{re.escape(repr(least))} is not a facet of the host$"):
+            BallInComplex.of(host.complex, [host.facet_of((1, 1)), *foreign])
+
+    def test_members_outside_the_ball(self):
+        host = join_of_paths((5, 5))
+        inside = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2)]
+        ball = BallInComplex.of(host.complex, [host.facet_of(c) for c in inside])
+        outside = [host.facet_of(c) for c in host.box.all_cells() if c not in inside]
+        least = host.facet_of((2, 3))
+        assert least == min(outside)
+        with pytest.raises(FaceNotFound, match=f"^member {re.escape(repr(least))} is not a facet of the ball$"):
+            CompatibleFamily.of(ball, [host.facet_of((1, 1)), *outside])
+
+    def test_balls_that_overlap(self):
+        host = join_of_paths((5, 5))
+        facets = host.complex.sorted_facets
+        fams = [
+            CompatibleFamily.of(BallInComplex.of(host.complex, part), [])
+            for part in (facets[:8], facets[2:12])
+        ]
+        with pytest.raises(BallOverlap, match=f"^balls share the simplex {re.escape(repr(facets[2]))}$"):
+            carve_and_fill(host.complex, fams)
+
+
 class TestCompatibility:
     def test_empty_family(self):
         host, ball = grid_ball(3, 3)
@@ -351,6 +406,36 @@ class TestCompatibility:
             ball, [host.facet_of((1, 1)), host.facet_of((3, 3))]
         )
         assert is_compatible(fam)
+
+    def test_a_missing_face_on_the_boundary(self):
+        # in a strip of three cubes the middle one's missing face is an
+        # edge of the strip's boundary; the end ones' are interior
+        host = join_of_paths((3, 5))
+        ball = BallInComplex.of(host.complex, [host.facet_of((1, j)) for j in (1, 2, 3)])
+        middle = CompatibleFamily.of(ball, [host.facet_of((1, 2))])
+        assert middle.missing_faces[host.facet_of((1, 2))] == Simplex([VertexId.path(1, 1), VertexId.path(1, 2)])
+        assert not is_compatible(middle)
+        with pytest.raises(IncompatibleFamily):
+            fill_ball(middle, VertexId.hole(1))
+        assert is_compatible(CompatibleFamily.of(ball, [host.facet_of((1, 1)), host.facet_of((1, 3))]))
+
+    @pytest.mark.parametrize("kind", ["holes4", "cyclic", "aztec-hd"])
+    def test_faces_on_boundary_agree_with_a_scan_of_every_ridge(self, kind):
+        rng = random.Random(f"faces-on-boundary-{kind}")
+        for fam in _families_of(kind, *PARAM_RANGES[kind](rng)):
+            ball = fam.ball
+            ridges = [t.vset for t in ball.boundary.facets]
+            faces = [
+                Simplex(rng.sample(sigma.verts, k))
+                for sigma in rng.sample(sorted(ball.ball_facets), min(6, len(ball.ball_facets)))
+                for k in range(1, len(sigma) + 1)
+            ]
+            want = {f for f in faces if any(f.vset <= r for r in ridges)}
+            assert ball.faces_on_boundary(faces) == want
+            assert want and want != set(faces)
+            for k in {len(f) for f in faces}:
+                of_size = [f for f in faces if len(f) == k]
+                assert ball.faces_on_boundary(of_size) == want.intersection(of_size)
 
 
 class TestFillBall:
@@ -431,6 +516,14 @@ class TestCarveAndFill:
                 FillManifest(m.result, keys, by_ball, m.apex_of_ball)
         # only the cover is checked, not which hole holds a cell
         FillManifest(m.result, (2, 1), {1: (), 2: (cell2, cell1)}, m.apex_of_ball)
+
+    def test_a_built_manifest_survives_pickle_and_deepcopy(self):
+        m = BUILDERS["holes4"](6).manifest
+        zeros = (0,) * m.n_free_cells
+        for copied in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+            assert copied == m and copied is not m
+            assert copied.free_cells == m.free_cells and copied.apex_of_ball == m.apex_of_ball
+            assert realize(copied, zeros) == realize(m, zeros)
 
     def test_overlapping_balls_rejected(self):
         host = join_of_paths((5, 5))

@@ -4,12 +4,17 @@ import ast
 import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sphereforge
 from sphereforge import (
     PolyComplex,
     join_of_paths,
@@ -364,6 +369,44 @@ def test_pipeline_golden_bytes(tmp_path):
         for name in GOLDEN_PIPELINE
     }
     assert digests == GOLDEN_PIPELINE
+
+
+# Generate a sphere, then fill holes whose facets are not in the host, so
+# that the error names one of several simplices.
+HASH_SEED_SCRIPT = """
+import sys
+from sphereforge.cli import main
+out, host, holes = sys.argv[1:]
+assert main(["generate", "cyclic", "--n", "5", "-o", out + "/c.json"]) == 0
+assert main(["fill", "--input", host, "--holes", holes, "-o", out + "/m.json"]) == 1
+"""
+
+
+def test_artifacts_and_messages_do_not_depend_on_the_hash_seed(tmp_path):
+    host = tmp_path / "host.json"
+    sfio.save_complex(str(host), join_of_paths((5, 5)).complex)
+    cubes = [(1, 1), (5, 1), (6, 6), (2, 5), (5, 2), (1, 5), (6, 3)]
+    facets = [[f"a:1:{i}", f"a:1:{i+1}", f"a:2:{j}", f"a:2:{j+1}"] for i, j in cubes]
+    holes = tmp_path / "holes.json"
+    holes.write_text(json.dumps({"holes": [{"key": 1, "facets": facets}]}))
+    src = str(Path(sphereforge.__file__).resolve().parents[1])
+    runs = []
+    for seed in ("0", "987"):
+        out = tmp_path / f"seed{seed}"
+        out.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT, str(out), str(host), str(holes)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        files = {
+            name: (out / f"c{name}.json").read_bytes()
+            for name in ("", ".manifest", ".realized", ".report")
+        }
+        runs.append((files, proc.stdout, proc.stderr))
+    assert runs[0] == runs[1]
+    assert runs[0][2].startswith("error: {a:1:") and runs[0][2].endswith("} is not a facet of the host\n")
 
 
 class TestCliPipelines:

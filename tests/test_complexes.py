@@ -1,8 +1,11 @@
 """Core complex machinery against small hand-checked and brute-force oracles."""
 
 import ast
+import copy
+import pickle
 import random
 from itertools import combinations
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -33,6 +36,7 @@ from oracles import (
     f_vector,
     join,
     link,
+    simplex_facets,
     star,
 )
 
@@ -135,6 +139,29 @@ class TestVertexId:
         assert sorted(shuffled) == expected
         assert all(u < w and not w < u for u, w in zip(expected, expected[1:]))
 
+    def test_a_vertex_is_the_tuple_of_its_rank_and_data(self):
+        assert (a(2), VertexId.hole(-3), VertexId.cone(), VertexId.raw(5)) == (
+            (0, 1, 2), (1, -3), (2,), (3, 5),
+        )
+        assert hash(b(7)) == hash((0, 2, 7))
+        # hash, equality and order are the tuple's own, made in C
+        assert not {"__eq__", "__hash__", "__lt__", "key", "order_key"} & set(vars(VertexId))
+
+    def test_a_vertex_is_immutable(self):
+        v = a(1)
+        for name in ("kind", "data", "label", "sort_key", "other"):
+            with pytest.raises(AttributeError):
+                setattr(v, name, None)
+        assert (v.kind, v.data, v.label, v.sort_key) == ("a", (1, 1), "a:1:1", (0, (1, 1)))
+
+    def test_copy_and_pickle_give_the_shared_vertex(self):
+        for v in (a(1), VertexId.hole(-3), VertexId.cone(), VertexId.raw(0), VertexId("a", (2, 5))):
+            shared = VertexId.from_label(v.label)
+            assert copy.copy(v) is shared and copy.deepcopy(v) is shared
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(v, protocol)) is shared
+        assert pickle.loads(pickle.dumps([a(1), a(1)])) == [a(1), a(1)]
+
     @pytest.mark.parametrize("label", [7, None, ["a:1:1"]], ids=["int", "null", "list"])
     def test_a_label_that_is_not_a_string_is_rejected(self, label):
         with pytest.raises(DegenerateInput, match="bad vertex label"):
@@ -150,15 +177,6 @@ class TestSimplex:
         with pytest.raises(DegenerateInput):
             Simplex([a(1), a(1)])
 
-    def test_facets_of_triangle(self):
-        t = raw_simplex(1, 2, 3)
-        assert sorted(f.verts for f in t.facets()) == [
-            (VertexId.raw(1), VertexId.raw(2)),
-            (VertexId.raw(1), VertexId.raw(3)),
-            (VertexId.raw(2), VertexId.raw(3)),
-        ]
-
-
     def test_faces_match_simplices_built_from_shuffled_input(self):
         rng = random.Random(2014)
         pool = [a(i) for i in range(1, 6)] + [b(j) for j in range(1, 4)]
@@ -166,8 +184,7 @@ class TestSimplex:
         built, faces = [], []
         for _ in range(30):
             s = Simplex(rng.sample(pool, rng.randint(1, 7)))
-            cut = [s.without(v) for v in s] + s.facets()
-            for f in cut:
+            for f in simplex_facets(s):
                 vs = list(f.verts)
                 rng.shuffle(vs)
                 g = Simplex(vs)
@@ -179,33 +196,12 @@ class TestSimplex:
         order = sorted(range(len(faces)), key=lambda i: built[i].verts)
         assert [faces[i] for i in order] == sorted(faces)
 
-    def test_without_a_vertex_not_in_the_simplex(self):
-        with pytest.raises(FaceNotFound):
-            raw_simplex(1, 2).without(VertexId.raw(3))
-        assert raw_simplex(1, 2).without(VertexId("r", (2,))) == raw_simplex(1)
-
-
-class TestHasFace:
-    def test_agrees_with_a_scan_of_every_facet(self):
-        rng = random.Random(7)
-        pool = [VertexId.raw(n) for n in range(9)]
-        for _ in range(25):
-            k = rng.randint(1, 5)
-            x = SimplicialComplex.from_facets(
-                {Simplex(rng.sample(pool, k)) for _ in range(rng.randint(1, 12))}
-            )
-            queries = [EMPTY_SIMPLEX] + [
-                Simplex(rng.sample(pool, rng.randint(1, k + 1))) for _ in range(40)
-            ]
-            queries += [g for f in x.facets for g in f.facets()] + list(x.facets)
-            for q in queries:
-                assert x.has_face(q) == any(q.vset <= f.vset for f in x.facets), q
-            assert any(not x.has_face(q) for q in queries)
-
-    def test_empty_simplex(self):
-        assert empty_complex().has_face(EMPTY_SIMPLEX)
-        assert SimplicialComplex.from_facets([raw_simplex(1, 2)]).has_face(EMPTY_SIMPLEX)
-        assert not SimplicialComplex.from_facets([]).has_face(EMPTY_SIMPLEX)
+    def test_pickle_and_deepcopy_keep_a_simplex(self):
+        s = Simplex([VertexId.raw(3), a(2), VertexId.hole(-1), VertexId.cone()])
+        for t in [pickle.loads(pickle.dumps(s, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]:
+            assert t == s and hash(t) == hash(s) and t.verts == s.verts
+            assert all(u is w for u, w in zip(t.verts, s.verts))
+        assert copy.deepcopy(s) == s and copy.deepcopy(s).vset == s.vset
 
 
 class TestJoin:
@@ -472,16 +468,21 @@ def free_cells(draw):
     cells=st.lists(free_cells(), max_size=8),
 )
 def test_the_sort_keys_give_the_order_of_lt(vertices, simplices, cells):
-    """Sorting by ``VertexId.key``, ``VertexId.order_key`` and
-    ``FreeSumCell.order_key`` gives the order that ``<`` gives."""
-    for items, key in (
-        (vertices, VertexId.key),
-        (simplices, VertexId.order_key),
-        (cells, FreeSumCell.order_key),
+    """``sorted`` of vertices, of simplices by ``verts`` and of free cells
+    by ``FreeSumCell.order_key`` gives the order of ``VertexId.sort_key``,
+    which is also the order of ``<``."""
+
+    def simplex_ref(s):
+        return tuple(v.sort_key for v in s.verts)
+
+    for items, key, ref in (
+        (vertices, None, lambda v: v.sort_key),
+        (simplices, attrgetter("verts"), simplex_ref),
+        (cells, FreeSumCell.order_key, lambda c: (simplex_ref(c.f_part), simplex_ref(c.g_part))),
     ):
-        assert sorted(items, key=key) == sorted(items)
+        assert sorted(items, key=key) == sorted(items, key=ref) == sorted(items)
         for x, y in combinations(items, 2):
-            assert (key(x) < key(y)) == (x < y), (x, y)
-            assert (key(x) == key(y)) == (x == y), (x, y)
+            assert (ref(x) < ref(y)) == (x < y), (x, y)
+            assert (ref(x) == ref(y)) == (x == y), (x, y)
     for s in simplices:
         assert all(u < w for u, w in zip(s.verts, s.verts[1:])), s

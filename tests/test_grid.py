@@ -1,5 +1,6 @@
 """Grid regions, band shellings, Aztec shapes, Ehrhart counts."""
 
+import random
 from itertools import product
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from sphereforge import (
     GridBox,
     GridRegion,
+    Simplex,
+    VertexId,
     aztec_crosspolytope,
     boundary_members,
     certify,
@@ -16,6 +19,7 @@ from sphereforge import (
     join_of_paths,
     verify_shelling,
 )
+from sphereforge.grid import cell_simplex
 from sphereforge.errors import (
     DegenerateInput,
     FaceNotFound,
@@ -56,6 +60,12 @@ class TestJoinOfPaths:
     def test_degenerate(self):
         with pytest.raises(DegenerateInput):
             join_of_paths((1, 3))
+
+    def test_a_cell_simplex_is_the_simplex_of_its_vertices(self):
+        for cell in product(range(1, 4), (1, 5), range(2, 4)):
+            verts = [VertexId.path(axis, i + k) for axis, i in enumerate(cell, 1) for k in (1, 0)]
+            s = cell_simplex(cell)
+            assert s == Simplex(verts) and s.verts == Simplex(verts).verts
 
 
 class TestPredicates:
@@ -147,6 +157,19 @@ class TestDiagonalBand:
             if 3 <= i + j + k <= 6
         }
         assert band.cells == expected
+
+    def test_random_boxes_match_a_filter_of_every_cell(self):
+        # the band is enumerated directly; the reference scans the box
+        rng = random.Random(23)
+        for d in (1, 2, 3, 4):
+            for _ in range(6):
+                box = GridBox(tuple(rng.randint(1, 6 - d) for _ in range(d)))
+                total = sum(box.dims)
+                for m1 in range(d, total + 1):
+                    for m2 in range(m1, total + 1):
+                        cells = [c for c in box.all_cells() if m1 <= sum(c) <= m2]
+                        flag = m2 - m1 >= d or m1 == d or m2 == total
+                        assert diagonal_band(box, m1, m2) == GridRegion.of(box, cells, flag)
 
     def test_single_corner_cell(self):
         band = diagonal_band(GridBox((3, 3)), 2, 2)
