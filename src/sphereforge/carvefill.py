@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress
-from operator import attrgetter
 from typing import Collection, Hashable, Iterable, Sequence
 
 from .complexes import (
@@ -78,7 +77,7 @@ class BallInComplex:
 
     def indices(self, s: Simplex) -> tuple[int, ...]:
         index = self.vertex_index
-        return tuple([index[v] for v in s.verts])
+        return tuple([index[v] for v in s])
 
     @cached_property
     def boundary_ridges(self) -> frozenset[tuple[int, ...]]:
@@ -113,7 +112,7 @@ def missing_face(b: BallInComplex, sigma: Simplex) -> Simplex:
     ridges = b.boundary_ridges
     s = b.indices(sigma)
     on = [r in ridges for r in combinations(s, len(s) - 1)]
-    f = tuple(compress(sigma.verts, reversed(on)))
+    f = tuple(compress(sigma, reversed(on)))
     if not f:
         raise NoBoundaryContact(f"{sigma!r} has no facet on the ball boundary")
     if len(f) == len(sigma):
@@ -153,7 +152,7 @@ class CompatibleFamily:
 
     @cached_property
     def sorted_members(self) -> tuple[Simplex, ...]:
-        return tuple(sorted(self.members, key=attrgetter("verts")))
+        return tuple(sorted(self.members))
 
     def subfamily(self, members: Iterable[Simplex]) -> "CompatibleFamily":
         """The family of some of these members, its ``missing_faces``
@@ -187,8 +186,7 @@ def fill_ball(
     # boundary are the ones the free cells cover: m - v for v in f.
     covered: set[tuple[int, ...]] = set()
     for m, f_part in fam.missing_faces.items():
-        f = f_part.vset
-        g_part = Simplex([v for v in m.verts if v not in f] + [apex])
+        g_part = Simplex([v for v in m if v not in f_part] + [apex])
         free.append(FreeSumCell(f_part, g_part))
         s = ball.indices(m)
         covered.update(combinations(s, len(s) - 1))
@@ -198,7 +196,7 @@ def fill_ball(
         for r in ball.boundary_ridges
         if r not in covered
     ]
-    free.sort(key=FreeSumCell.order_key)
+    free.sort()
     if not cones and not free:
         raise DegenerateInput("fill produced no cells")
     result = PolyComplex.from_cells(cones, free)
@@ -317,16 +315,15 @@ def triangulate_cell(c: FreeSumCell, choice: int) -> list[Simplex]:
     if choice not in (0, 1):
         raise DegenerateInput("choice must be 0 or 1")
     part, other = (c.f_part, c.g_part) if choice == 0 else (c.g_part, c.f_part)
-    part_vs, other_vs = part.verts, other.verts
     # The parts are disjoint (FreeSumCell checks it), so each sorted
     # tuple is strictly sorted.  Each simplex is S - b for S the cell's
     # vertices and b a vertex of ``other``; for a < b, S - b holds a
     # where S - a holds the next vertex of S, so S - b sorts first.
     # Dropping the vertices of ``other`` from the last to the first thus
-    # gives the list in the order of ``verts``.
+    # gives the list in sorted order.
     return [
-        Simplex._face(tuple(sorted(part_vs + other_vs[:i] + other_vs[i + 1:])))
-        for i in range(len(other_vs) - 1, -1, -1)
+        Simplex._face(sorted(part + other[:i] + other[i + 1:]))
+        for i in range(len(other) - 1, -1, -1)
     ]
 
 

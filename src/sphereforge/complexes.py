@@ -7,11 +7,11 @@ runs.  All types are immutable; the operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from operator import attrgetter
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Iterable
 
 from .errors import (
     DegenerateInput,
@@ -125,78 +125,38 @@ class VertexId(tuple):
 _INTERNED: dict[tuple[str, tuple[int, ...]], VertexId] = {}
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
-class Simplex:
-    """An abstract simplex: a strictly sorted tuple of vertex ids.
+class Simplex(tuple):
+    """An abstract simplex: the strictly sorted tuple of its vertex ids.
 
-    ``verts`` never changes, so its hash is computed once, at
-    construction, and ``vset`` once, on first use.  ``Simplex(...)``
-    sorts its input and refuses a repeated vertex; ``_face`` trusts its
-    input, and is only given sub-tuples of the ``verts`` of an existing
-    simplex, which are strictly sorted because ``verts`` is.
+    Hashing, equality and ``<`` are the tuple's own, made in C.  A
+    simplex thus equals the plain tuple of its vertices, so no dict or
+    set may hold both.  ``Simplex(...)`` sorts its input and refuses a
+    repeated vertex; ``_face`` trusts its input, and is only given
+    sub-tuples of an existing simplex, or their sorted unions, which are
+    strictly sorted because a simplex is.
     """
 
-    verts: tuple[VertexId, ...]
-    _hash: int = field(repr=False)
-    _vset: frozenset[VertexId] | None = field(repr=False)
+    __slots__ = ()
 
-    def __init__(self, verts: Iterable[VertexId]) -> None:
-        vs = tuple(sorted(verts))
+    def __new__(cls, verts: Iterable[VertexId]) -> "Simplex":
+        vs = sorted(verts)
         for u, w in zip(vs, vs[1:]):
             if u == w:
                 raise DegenerateInput(f"repeated vertex {u.label} in simplex")
-        object.__setattr__(self, "verts", vs)
-        object.__setattr__(self, "_hash", hash(vs))
-        object.__setattr__(self, "_vset", None)
+        return tuple.__new__(cls, vs)
 
     @classmethod
-    def _face(cls, verts: tuple[VertexId, ...]) -> "Simplex":
-        """A simplex on a strictly sorted tuple, taken as it is."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "verts", verts)
-        object.__setattr__(s, "_hash", hash(verts))
-        object.__setattr__(s, "_vset", None)
-        return s
+    def _face(cls, verts: Iterable[VertexId]) -> "Simplex":
+        """A simplex on strictly sorted vertices, taken as they are."""
+        return tuple.__new__(cls, verts)
 
     @property
     def vset(self) -> frozenset[VertexId]:
-        vs = self._vset
-        if vs is None:
-            vs = frozenset(self.verts)
-            object.__setattr__(self, "_vset", vs)
-        return vs
-
-    @property
-    def dim(self) -> int:
-        return len(self.verts) - 1
-
-    def __len__(self) -> int:
-        return len(self.verts)
-
-    def __iter__(self) -> Iterator[VertexId]:
-        return iter(self.verts)
-
-    def __contains__(self, v: VertexId) -> bool:
-        return v in self.vset
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Simplex):
-            return NotImplemented
-        return self._hash == other._hash and self.verts == other.verts
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "Simplex") -> bool:
-        return self.verts < other.verts
-
-    def with_vertex(self, v: VertexId) -> "Simplex":
-        return Simplex(self.verts + (v,))
+        """The vertex set, which the perfbench workloads read."""
+        return frozenset(self)
 
     def __repr__(self) -> str:
-        return "{" + ",".join(v.label for v in self.verts) + "}"
+        return "{" + ",".join(v.label for v in self) + "}"
 
 
 @dataclass(frozen=True)
@@ -219,10 +179,10 @@ class SimplicialComplex:
             fs.add(f if isinstance(f, Simplex) else Simplex(f))
         if not fs:
             return cls(frozenset(), -1)
-        dims = {f.dim for f in fs}
-        if len(dims) != 1:
-            raise DegenerateInput(f"facets of mixed dimensions {sorted(dims)}")
-        return cls(frozenset(fs), dims.pop())
+        sizes = {len(f) for f in fs}
+        if len(sizes) != 1:
+            raise DegenerateInput(f"facets of mixed dimensions {sorted(n - 1 for n in sizes)}")
+        return cls(frozenset(fs), sizes.pop() - 1)
 
     @property
     def is_void(self) -> bool:
@@ -234,7 +194,7 @@ class SimplicialComplex:
 
     @cached_property
     def sorted_facets(self) -> tuple[Simplex, ...]:
-        return tuple(sorted(self.facets, key=attrgetter("verts")))
+        return tuple(sorted(self.facets))
 
     @cached_property
     def vertex_set(self) -> frozenset[VertexId]:
@@ -251,10 +211,10 @@ class SimplicialComplex:
 
 def _indexed_facets(x: SimplicialComplex) -> list[tuple[int, ...]]:
     """Facets as sorted tuples of vertex indices, in the order of
-    ``x.sorted_facets``.  ``x.vertices`` and each ``f.verts`` are
-    sorted, so the indices come out in order."""
+    ``x.sorted_facets``.  ``x.vertices`` and each facet are sorted, so
+    the indices come out in order."""
     index = {v: i for i, v in enumerate(x.vertices)}
-    return sorted([tuple([index[v] for v in f.verts]) for f in x.facets])
+    return sorted([tuple([index[v] for v in f]) for f in x.facets])
 
 
 def _ridges(facets: list[tuple[int, ...]]) -> dict[tuple[int, ...], list[int]]:
@@ -286,45 +246,46 @@ def boundary_complex(x: SimplicialComplex) -> SimplicialComplex:
     if max(map(len, ridges.values())) > 2:
         r = min(r for r, owners in ridges.items() if len(owners) > 2)
         raise NotPseudomanifold(
-            f"face {Simplex._face(tuple(map(vertex, r)))!r} lies in {len(ridges[r])} facets"
+            f"face {Simplex._face(map(vertex, r))!r} lies in {len(ridges[r])} facets"
         )
     return SimplicialComplex.from_facets(
-        [Simplex._face(tuple(map(vertex, r))) for r, owners in ridges.items() if len(owners) == 1]
+        [Simplex._face(map(vertex, r)) for r, owners in ridges.items() if len(owners) == 1]
     )
 
 
-@dataclass(frozen=True)
-class FreeSumCell:
+class FreeSumCell(tuple):
     """A non-simplex cell recorded by its two minimal non-faces.
 
-    The cell is the free sum of the simplex on ``f_part`` and the simplex
-    on ``g_part`` (the latter includes the fill apex).  Its proper faces
-    are exactly the unions of a proper subset of each part.
+    The cell is the free sum of the simplex ``f_part`` and the simplex
+    ``g_part`` (the latter includes the fill apex).  Its proper faces
+    are exactly the unions of a proper subset of each part.  A cell is
+    the pair ``(f_part, g_part)``: hashing, equality and ``<`` are the
+    tuple's own, so a cell equals its plain pair, and no dict or set
+    may hold both.
     """
 
-    f_part: Simplex
-    g_part: Simplex
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.f_part.vset.isdisjoint(self.g_part.verts):
+    def __new__(cls, f_part: Simplex, g_part: Simplex) -> "FreeSumCell":
+        if not set(f_part).isdisjoint(g_part):
             raise DisjointnessViolation("free sum parts must be disjoint")
-        if len(self.f_part) < 2 or len(self.g_part) < 2:
+        if len(f_part) < 2 or len(g_part) < 2:
             raise DegenerateInput("each free sum part needs at least 2 vertices")
+        return tuple.__new__(cls, (f_part, g_part))
+
+    f_part = property(itemgetter(0))
+    g_part = property(itemgetter(1))
+
+    def __getnewargs__(self) -> tuple[Simplex, Simplex]:
+        return tuple(self)
 
     @property
     def dim(self) -> int:
         return len(self.f_part) + len(self.g_part) - 2
 
-    @cached_property
+    @property
     def vset(self) -> frozenset[VertexId]:
-        return self.f_part.vset | self.g_part.vset
-
-    def __lt__(self, other: "FreeSumCell") -> bool:
-        return (self.f_part, self.g_part) < (other.f_part, other.g_part)
-
-    def order_key(self) -> tuple:
-        """The key that sorts cells as ``<`` does, comparing in C."""
-        return (self.f_part.verts, self.g_part.verts)
+        return frozenset(self.f_part + self.g_part)
 
     def __repr__(self) -> str:
         return f"FS({self.f_part!r}+{self.g_part!r})"
@@ -346,7 +307,7 @@ class PolyComplex:
     ) -> "PolyComplex":
         ss = frozenset(simplex_cells)
         fs = frozenset(free_cells)
-        dims = {s.dim for s in ss} | {c.dim for c in fs}
+        dims = {len(s) - 1 for s in ss} | {len(f) + len(g) - 2 for f, g in fs}
         if not dims:
             raise DegenerateInput("a polyhedral complex needs at least one cell")
         if len(dims) != 1:
@@ -362,10 +323,10 @@ class PolyComplex:
     def vertex_set(self) -> frozenset[VertexId]:
         vs: set[VertexId] = set()
         for s in self.simplex_cells:
-            vs.update(s.verts)
-        for c in self.free_cells:
-            vs.update(c.f_part.verts)
-            vs.update(c.g_part.verts)
+            vs.update(s)
+        for f_part, g_part in self.free_cells:
+            vs.update(f_part)
+            vs.update(g_part)
         return frozenset(vs)
 
     @cached_property
@@ -374,8 +335,8 @@ class PolyComplex:
 
     @cached_property
     def sorted_simplex_cells(self) -> tuple[Simplex, ...]:
-        return tuple(sorted(self.simplex_cells, key=attrgetter("verts")))
+        return tuple(sorted(self.simplex_cells))
 
     @cached_property
     def sorted_free_cells(self) -> tuple[FreeSumCell, ...]:
-        return tuple(sorted(self.free_cells, key=FreeSumCell.order_key))
+        return tuple(sorted(self.free_cells))

@@ -73,7 +73,7 @@ def _close_with_cone(host: SimplicialComplex, manifest: FillManifest) -> FillMan
     """Cone the host boundary to a fresh apex, closing the ball to a sphere."""
     bd = boundary_complex(host)
     apex = VertexId.cone()
-    cones = [t.with_vertex(apex) for t in bd.facets]
+    cones = [Simplex((*t, apex)) for t in bd.facets]
     result = PolyComplex.from_cells(
         list(manifest.result.simplex_cells) + cones, manifest.result.free_cells
     )

@@ -88,7 +88,7 @@ class Subdivision:
 
     @classmethod
     def from_manifest(cls, manifest: FillManifest) -> "Subdivision":
-        cells = [s.vset for s in manifest.result.simplex_cells]
+        cells = [frozenset(s) for s in manifest.result.simplex_cells]
         cells.extend(c.vset for c in manifest.result.free_cells)
         return cls.of(cells)
 
@@ -906,7 +906,7 @@ def raised_center_target(manifest: FillManifest) -> Subdivision:
     """The refinement produced by lifting every hole center: each free
     cell is replaced by the triangulation that inserts its first part."""
     zeros = (0,) * manifest.n_free_cells
-    return Subdivision.of(f.vset for f in realize(manifest, zeros).facets)
+    return Subdivision.of(realize(manifest, zeros).facets)
 
 
 def count_degree3_edges(target: Subdivision) -> int:

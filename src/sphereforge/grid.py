@@ -71,7 +71,7 @@ def cell_simplex(cell: tuple[int, ...]) -> Simplex:
     for axis, i in enumerate(cell, start=1):
         verts.append(VertexId.path(axis, i))
         verts.append(VertexId.path(axis, i + 1))
-    return Simplex._face(tuple(verts))
+    return Simplex._face(verts)
 
 
 @dataclass(frozen=True)

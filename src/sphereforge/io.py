@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 from operator import attrgetter
 from typing import Any, Sequence
@@ -29,7 +30,7 @@ from .topology import TopologyCertificate
 
 
 def _labels(verts) -> list[str]:
-    """The labels of vertices already in order, such as ``Simplex.verts``."""
+    """The labels of vertices already in order, such as a ``Simplex``."""
     return [v.label for v in verts]
 
 
@@ -86,6 +87,9 @@ def _encode(obj: Any, newline: str) -> str:
     sorted vertices, with no object per cell."""
     if isinstance(obj, str):
         return _string(obj)
+    if isinstance(obj, FreeSumCell):
+        # before the tuple branch: a cell is a pair of simplices
+        return _free_cells_text([obj], newline, "")[0]
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -107,8 +111,6 @@ def _encode(obj: Any, newline: str) -> str:
         return "{" + inner + body + newline + "}"
     if isinstance(obj, (SimplicialComplex, PolyComplex)):
         return _complex_text(obj, newline)
-    if isinstance(obj, FreeSumCell):
-        return _free_cells_text([obj], newline, "")[0]
     return json.dumps(obj)
 
 
@@ -124,9 +126,9 @@ def _free_cells_text(cells, newline: str, tail: str) -> list[str]:
     g_head = inner + "]," + inner + '"g": [' + inner + " "
     end = inner + "]" + tail + newline + "}"
     return [
-        f_head + sep.join(map(_string, map(_label, c.f_part.verts)))
-        + g_head + sep.join(map(_string, map(_label, c.g_part.verts))) + end
-        for c in cells
+        f_head + sep.join(map(_string, map(_label, f)))
+        + g_head + sep.join(map(_string, map(_label, g))) + end
+        for f, g in cells
     ]
 
 
@@ -148,7 +150,7 @@ def _complex_text(x: "SimplicialComplex | PolyComplex", newline: str) -> str:
     head = "{" + in_cell + '"t": "s",' + in_cell + '"v": [' + in_list
     sep = "," + in_list
     end = in_cell + "]" + at_cell + "}"
-    cells = [head + sep.join(map(_string, map(_label, f.verts))) + end for f in simplices]
+    cells = [head + sep.join(map(_string, map(_label, f))) + end for f in simplices]
     cells += _free_cells_text(free, at_cell, "," + in_cell + '"t": "fs"')
     body = ("," + at_cell).join(cells)
     # one f-string copies the long body once, where a chain of + would
@@ -190,8 +192,15 @@ def _free_cell(obj: dict) -> FreeSumCell:
     return FreeSumCell(Simplex(_parse_verts(obj["f"])), Simplex(_parse_verts(obj["g"])))
 
 
+def _check_dim(obj: dict, dim: int) -> None:
+    if type(obj["dim"]) is not int or obj["dim"] != dim:
+        raise ValueError(f"dim {obj['dim']!r} but the cells have dimension {dim}")
+
+
 @_decoder("complex")
 def complex_from_obj(obj: dict) -> "SimplicialComplex | PolyComplex":
+    """A complex file, refusing a cell listed twice, which a set would
+    merge, and a ``"dim"`` that is not the dimension of the cells."""
     simplices, free = [], []
     for c in obj["cells"]:
         if c["t"] == "s":
@@ -200,9 +209,13 @@ def complex_from_obj(obj: dict) -> "SimplicialComplex | PolyComplex":
             free.append(_free_cell(c))
         else:
             raise ValueError(f"unknown cell type {c['t']!r}")
-    if free:
-        return PolyComplex.from_cells(simplices, free)
-    return SimplicialComplex.from_facets(simplices)
+    for cells in (simplices, free):
+        twice = next((c for c, n in Counter(cells).items() if n > 1), None)
+        if twice is not None:
+            raise ValueError(f"cell {twice!r} appears twice")
+    x = PolyComplex.from_cells(simplices, free) if free else SimplicialComplex.from_facets(simplices)
+    _check_dim(obj, x.dim)
+    return x
 
 
 def save_complex(path: str, x) -> None:
@@ -235,8 +248,9 @@ def _key_parse(text: str):
 @_decoder("holes file")
 def holes_from_obj(obj: dict) -> list[tuple[Any, list[Simplex], list[Simplex]]]:
     """Decode a ``fill --holes`` file: one ``(key, ball facets, family
-    members)`` triple per hole, in file order."""
-    return [
+    members)`` triple per hole, in file order.  The keys are sorted, so
+    all are integers, such as "3", or all are tuples, such as "1,2"."""
+    holes = [
         (
             _key_parse(str(hole["key"])),
             [Simplex(_parse_verts(v)) for v in hole["facets"]],
@@ -244,6 +258,9 @@ def holes_from_obj(obj: dict) -> list[tuple[Any, list[Simplex], list[Simplex]]]:
         )
         for hole in obj["holes"]
     ]
+    if len({type(key) for key, _, _ in holes}) > 1:
+        raise ValueError("hole keys mix integers and tuples")
+    return holes
 
 
 def load_holes(path: str) -> list[tuple[Any, list[Simplex], list[Simplex]]]:
@@ -253,6 +270,7 @@ def load_holes(path: str) -> list[tuple[Any, list[Simplex], list[Simplex]]]:
 @_decoder("manifest")
 def manifest_from_obj(obj: dict) -> FillManifest:
     result = complex_from_obj.__wrapped__(obj["complex"])
+    _check_dim(obj, result.dim)
     if isinstance(result, SimplicialComplex):
         result = PolyComplex.from_simplicial(result)
     keys, by_ball, apex_of = [], {}, {}
@@ -324,7 +342,7 @@ def certificate_to_obj(c: TopologyCertificate) -> dict:
 
 
 def order_to_obj(order: Sequence[Simplex]) -> dict:
-    return {"order": [_labels(f.verts) for f in order]}
+    return {"order": [_labels(f) for f in order]}
 
 
 @_decoder("shelling order")
@@ -480,12 +498,12 @@ def off_export(
     for v in verts:
         lines.append(" ".join(f"{float(c):.12g}" for c in coords[v][:3]))
     for f in surface.sorted_facets:
-        lines.append("3 " + " ".join(str(index[v]) for v in f.verts))
+        lines.append("3 " + " ".join(str(index[v]) for v in f))
     sidecar = {
         "lossy": True,
         "vertices": [
             [v.label, [_frac_str(c) for c in coords[v][:3]]] for v in verts
         ],
-        "faces": [_labels(f.verts) for f in surface.sorted_facets],
+        "faces": [_labels(f) for f in surface.sorted_facets],
     }
     return "\n".join(lines) + "\n", sidecar

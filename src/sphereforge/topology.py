@@ -342,7 +342,7 @@ def verify_shelling(x: SimplicialComplex, order: Sequence[Simplex]) -> bool:
     at: list[set[int]] = [set() for _ in index]
     earlier: set[tuple[int, ...]] = set()
     for j, sigma in enumerate(order):
-        f = tuple([index[v] for v in sigma.verts])
+        f = tuple([index[v] for v in sigma])
         # combinations omits the vertices from the last to the first
         ridges = list(combinations(f, len(f) - 1))
         if j > 0:

@@ -52,9 +52,8 @@ EMPTY_SIMPLEX = Simplex(())
 
 
 def simplex_facets(s: Simplex) -> list[Simplex]:
-    """All codimension-1 faces of a simplex; face i omits ``s.verts[i]``."""
-    vs = s.verts
-    return [Simplex._face(vs[:i] + vs[i + 1:]) for i in range(len(vs))]
+    """All codimension-1 faces of a simplex; face i omits ``s[i]``."""
+    return [Simplex._face(s[:i] + s[i + 1:]) for i in range(len(s))]
 
 
 def empty_complex() -> SimplicialComplex:
@@ -71,25 +70,25 @@ def join(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialComplex:
         labels = sorted(v.label for v in overlap)
         raise DisjointnessViolation(f"joined complexes share vertices {labels}")
     return SimplicialComplex.from_facets(
-        Simplex(f.verts + g.verts) for f in x.facets for g in y.facets
+        Simplex(f + g) for f in x.facets for g in y.facets
     )
 
 
 def link(x: SimplicialComplex, f: Simplex) -> SimplicialComplex:
     """Link of a face: residues of the facets containing it."""
     x._require_nonvoid()
-    cofacets = [s for s in x.facets if f.vset <= s.vset]
+    cofacets = [s for s in x.facets if frozenset(f) <= frozenset(s)]
     if not cofacets:
         raise FaceNotFound(f"{f!r} is not a face")
     return SimplicialComplex.from_facets(
-        Simplex(s.vset - f.vset) for s in cofacets
+        Simplex(frozenset(s) - frozenset(f)) for s in cofacets
     )
 
 
 def star(x: SimplicialComplex, f: Simplex) -> SimplicialComplex:
     """Closed star of a face: the subcomplex generated by its cofacets."""
     x._require_nonvoid()
-    cofacets = [s for s in x.facets if f.vset <= s.vset]
+    cofacets = [s for s in x.facets if frozenset(f) <= frozenset(s)]
     if not cofacets:
         raise FaceNotFound(f"{f!r} is not a face")
     return SimplicialComplex.from_facets(cofacets)
@@ -100,7 +99,7 @@ def cone(x: SimplicialComplex, apex: VertexId) -> SimplicialComplex:
     x._require_nonvoid()
     if apex in x.vertex_set:
         raise DisjointnessViolation(f"apex {apex.label} already a vertex")
-    return SimplicialComplex.from_facets(f.with_vertex(apex) for f in x.facets)
+    return SimplicialComplex.from_facets(Simplex((*f, apex)) for f in x.facets)
 
 
 def boundary_reference(x: SimplicialComplex) -> SimplicialComplex:
@@ -124,7 +123,7 @@ def relabelled(x: SimplicialComplex, seed) -> SimplicialComplex:
     names = list(range(len(x.vertices)))
     random.Random(seed).shuffle(names)
     new = dict(zip(x.vertices, map(VertexId.raw, names)))
-    return SimplicialComplex.from_facets(Simplex([new[v] for v in f.verts]) for f in x.facets)
+    return SimplicialComplex.from_facets(Simplex([new[v] for v in f]) for f in x.facets)
 
 
 def boundary_facets(cell: FreeSumCell) -> list[Simplex]:
@@ -140,13 +139,12 @@ def is_proper_face(cell: FreeSumCell, verts: frozenset[VertexId]) -> bool:
     """True iff the vertex set spans a proper face of the cell."""
     if not verts <= cell.vset:
         return False
-    return not (cell.f_part.vset <= verts) and not (cell.g_part.vset <= verts)
+    return not (frozenset(cell.f_part) <= verts) and not (frozenset(cell.g_part) <= verts)
 
 
 def proper_faces(cell: FreeSumCell) -> Iterator[Simplex]:
     """All nonempty proper faces (not the full cell)."""
-    f = cell.f_part.verts
-    g = cell.g_part.verts
+    f, g = cell.f_part, cell.g_part
     for kf in range(len(f)):
         for cf in combinations(f, kf):
             for kg in range(len(g)):
@@ -163,7 +161,7 @@ def validate_proper_intersections(x: PolyComplex) -> None:
     """
     cells: list[tuple[frozenset[VertexId], object]] = []
     for s in x.sorted_simplex_cells:
-        cells.append((s.vset, s))
+        cells.append((frozenset(s), s))
     for c in x.sorted_free_cells:
         cells.append((c.vset, c))
     by_vertex: dict[VertexId, list[int]] = {}
@@ -226,14 +224,14 @@ def f_vector(x: "PolyComplex | SimplicialComplex") -> FVector:
         x = PolyComplex.from_simplicial(x)
     faces: set[frozenset[VertexId]] = set()
     for s in x.simplex_cells:
-        for k in range(1, len(s.verts) + 1):
-            for c in combinations(s.verts, k):
+        for k in range(1, len(s) + 1):
+            for c in combinations(s, k):
                 faces.add(frozenset(c))
     full_cells: set[frozenset[VertexId]] = set()
     for cell in x.free_cells:
         full_cells.add(cell.vset)
         for f in proper_faces(cell):
-            faces.add(f.vset)
+            faces.add(frozenset(f))
     counts = [0] * (x.dim + 1)
     for f in faces:
         counts[len(f) - 1] += 1
@@ -447,7 +445,7 @@ def missing_face_reference(b: BallInComplex, sigma: Simplex) -> Simplex:
         raise NoBoundaryContact(f"{sigma!r} has no facet on the ball boundary")
     if len(contact) == len(sigma):
         raise SingleSimplexBall("boundary restriction is the whole cell boundary")
-    return Simplex(sigma.vset - frozenset.intersection(*(t.vset for t in contact)))
+    return Simplex(frozenset(sigma) - frozenset.intersection(*map(frozenset, contact)))
 
 
 def triangulate_cell_reference(c: FreeSumCell, choice: int) -> list[Simplex]:
@@ -458,8 +456,8 @@ def triangulate_cell_reference(c: FreeSumCell, choice: int) -> list[Simplex]:
     if choice not in (0, 1):
         raise DegenerateInput("choice must be 0 or 1")
     if choice == 0:
-        return sorted(Simplex(c.f_part.vset | (c.g_part.vset - {w})) for w in c.g_part)
-    return sorted(Simplex(c.g_part.vset | (c.f_part.vset - {u})) for u in c.f_part)
+        return sorted(Simplex(frozenset(c.f_part) | (frozenset(c.g_part) - {w})) for w in c.g_part)
+    return sorted(Simplex(frozenset(c.g_part) | (frozenset(c.f_part) - {u})) for u in c.f_part)
 
 
 # --------------------------------------------------------------------------
@@ -477,14 +475,14 @@ def verify_shelling_reference(x: SimplicialComplex, order) -> bool:
         raise InvalidOrder("order is not a permutation of the facets")
     if len(order) == 1:
         return True
-    if max(Counter(f.vset - {v} for f in x.facets for v in f.vset).values()) > 2:
+    if max(Counter(frozenset(f) - {v} for f in x.facets for v in f).values()) > 2:
         return False
     d = x.dim
     by_vertex: dict[object, list[int]] = {}
     for j, sigma in enumerate(order):
         if j > 0:
             earlier = sorted({i for v in sigma for i in by_vertex.get(v, ())})
-            inters = [sigma.vset & order[i].vset for i in earlier]
+            inters = [frozenset(sigma) & frozenset(order[i]) for i in earlier]
             shared_ridges = {f for f in inters if len(f) == d}
             if not shared_ridges or len(shared_ridges) == d + 1:
                 return False
@@ -752,11 +750,11 @@ def complex_to_obj(x: "SimplicialComplex | PolyComplex") -> dict:
     """The complex file as plain JSON, built cell by cell: the reference
     for the text ``io.dumps`` writes and the input of the decoder."""
     if isinstance(x, SimplicialComplex):
-        cells = [{"t": "s", "v": _labels(f.verts)} for f in x.sorted_facets]
+        cells = [{"t": "s", "v": _labels(f)} for f in x.sorted_facets]
         return {"dim": x.dim, "cells": cells}
-    cells = [{"t": "s", "v": _labels(f.verts)} for f in x.sorted_simplex_cells]
+    cells = [{"t": "s", "v": _labels(f)} for f in x.sorted_simplex_cells]
     cells.extend(
-        {"t": "fs", "f": _labels(c.f_part.verts), "g": _labels(c.g_part.verts)}
+        {"t": "fs", "f": _labels(c.f_part), "g": _labels(c.g_part)}
         for c in x.sorted_free_cells
     )
     return {"dim": x.dim, "cells": cells}
@@ -770,7 +768,7 @@ def manifest_to_obj(m: FillManifest) -> dict:
             "key": key_label(key),
             "apex": m.apex_of_ball[key].label,
             "cells": [
-                {"f": _labels(c.f_part.verts), "g": _labels(c.g_part.verts)}
+                {"f": _labels(c.f_part), "g": _labels(c.g_part)}
                 for c in m.free_cells_by_ball[key]
             ],
         }

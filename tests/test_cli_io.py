@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import sphereforge
 from sphereforge import (
     PolyComplex,
+    diagonal_band,
     join_of_paths,
 )
 from sphereforge import io as sfio
@@ -117,7 +118,7 @@ class TestComplexIO:
         assert sfio.manifest_from_obj(encode(m, tmp_path)) == m
 
     def test_malformed_rejected(self):
-        with pytest.raises(InputParseError):
+        with pytest.raises(InputParseError, match="unknown cell type 'weird'"):
             sfio.complex_from_obj({"cells": [{"t": "weird", "v": []}]})
 
     @pytest.mark.parametrize("eps", ["0.5", "1e3", " 1/2", "1/0", "1/-2", 1])
@@ -575,6 +576,27 @@ class TestCliPipelines:
         assert run(tmp_path, "verify", "shelling", cpath, opath) == 2
         assert capsys.readouterr().out == "shelling rejected\n"
 
+    def test_fill_rejects_hole_keys_that_mix_integers_and_tuples(self, tmp_path, capsys):
+        # hole keys are sorted, and an int and a tuple do not compare
+        host = join_of_paths((9, 9))
+        host_path = tmp_path / "host.json"
+        sfio.save_complex(str(host_path), host.complex)
+        holes = [
+            {"key": key, "facets": [[v.label for v in host.facet_of(c)] for c in sorted(band.cells)]}
+            for key, band in (
+                ("1", diagonal_band(host.box, 2, 3)),
+                ("1,2", diagonal_band(host.box, 6, 7)),
+            )
+        ]
+        holes_path = tmp_path / "holes.json"
+        holes_path.write_text(json.dumps({"holes": holes}))
+        capsys.readouterr()
+        out = tmp_path / "m.json"
+        assert run(tmp_path, "fill", "--input", host_path, "--holes", holes_path, "-o", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "input error: malformed holes file: hole keys mix integers and tuples\n"
+        assert captured.out == "" and not out.exists()
+
     def test_fill_rejects_non_integer_hole_key(self, tmp_path, capsys):
         host_path = tmp_path / "host.json"
         sfio.save_complex(str(host_path), join_of_paths((4, 4)).complex)
@@ -871,6 +893,49 @@ class TestCliPipelines:
                 captured = capsys.readouterr()
                 assert captured.err == f"input error: malformed lift file: {message}\n", argv
                 assert captured.out == "", argv
+
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda obj: obj["cells"].append(obj["cells"][1]), "cell {r:0,r:1,r:3} appears twice"),
+        (lambda obj: obj.update(dim=5), "dim 5 but the cells have dimension 2"),
+        (lambda obj: obj.update(dim="2"), "dim '2' but the cells have dimension 2"),
+    ], ids=["cell-twice", "dim-5", "dim-string"])
+    def test_a_complex_file_with_a_cell_twice_or_a_wrong_dim_is_rejected(
+        self, tmp_path, capsys, tamper, message
+    ):
+        # the boundary of a tetrahedron, which is sphere(2) as written
+        tetra = Simplex(map(VertexId.raw, range(4)))
+        good = tmp_path / "good.json"
+        facets = [tetra[:i] + tetra[i + 1:] for i in range(4)]
+        sfio.save_complex(str(good), SimplicialComplex.from_facets(facets))
+        assert run(tmp_path, "verify", "sphere", good) == 0
+        obj = json.loads(good.read_text())
+        tamper(obj)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run(tmp_path, "verify", "sphere", bad) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: malformed complex: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda obj: obj["complex"]["cells"].append(obj["complex"]["cells"][-1]),
+         "cell FS({a:1:4,a:2:3}+{a:1:5,a:2:4,h:1}) appears twice"),
+        (lambda obj: obj.update(dim=4), "dim 4 but the cells have dimension 3"),
+    ], ids=["free-cell-twice", "dim-4"])
+    def test_a_manifest_with_a_cell_twice_or_a_wrong_dim_is_rejected(
+        self, tmp_path, capsys, tamper, message
+    ):
+        assert run(tmp_path, "generate", "holes4", "--n", "5", "-o", tmp_path / "h.json") == 0
+        obj = json.loads((tmp_path / "h.manifest.json").read_text())
+        tamper(obj)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run(tmp_path, "count", "--manifest", bad) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: malformed manifest: {message}\n"
+        assert captured.out == ""
 
     def test_manifest_holes_that_disagree_with_the_complex_are_rejected(self, tmp_path, capsys):
         assert run(tmp_path, "generate", "holes4", "--n", "5", "-o", tmp_path / "h.json") == 0

@@ -5,7 +5,6 @@ import copy
 import pickle
 import random
 from itertools import combinations
-from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -88,7 +87,7 @@ class TestVertexId:
             assert sorted(vs) == sorted(vs, key=lambda v: v.sort_key)
             simplices = [Simplex(rng.sample(pool, rng.randint(0, 5))) for _ in range(40)]
             assert sorted(simplices) == sorted(
-                simplices, key=lambda s: tuple(v.sort_key for v in s.verts)
+                simplices, key=lambda s: tuple(v.sort_key for v in s)
             )
             cells = []
             for _ in range(40):
@@ -96,8 +95,8 @@ class TestVertexId:
                 cut = rng.randint(2, len(vs) - 2)
                 cells.append(FreeSumCell(Simplex(vs[:cut]), Simplex(vs[cut:])))
             assert sorted(cells) == sorted(cells, key=lambda c: (
-                tuple(v.sort_key for v in c.f_part.verts),
-                tuple(v.sort_key for v in c.g_part.verts),
+                tuple(v.sort_key for v in c.f_part),
+                tuple(v.sort_key for v in c.g_part),
             ))
 
     def test_labels_round_trip(self):
@@ -185,23 +184,23 @@ class TestSimplex:
         for _ in range(30):
             s = Simplex(rng.sample(pool, rng.randint(1, 7)))
             for f in simplex_facets(s):
-                vs = list(f.verts)
+                vs = list(f)
                 rng.shuffle(vs)
                 g = Simplex(vs)
                 assert f == g and g == f and hash(f) == hash(g)
-                assert f.verts == g.verts and f.vset == g.vset
+                assert tuple(f) == tuple(g) and frozenset(f) == frozenset(g)
                 faces.append(f)
                 built.append(g)
         assert sorted(faces) == sorted(built)
-        order = sorted(range(len(faces)), key=lambda i: built[i].verts)
+        order = sorted(range(len(faces)), key=lambda i: tuple(built[i]))
         assert [faces[i] for i in order] == sorted(faces)
 
     def test_pickle_and_deepcopy_keep_a_simplex(self):
         s = Simplex([VertexId.raw(3), a(2), VertexId.hole(-1), VertexId.cone()])
         for t in [pickle.loads(pickle.dumps(s, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]:
-            assert t == s and hash(t) == hash(s) and t.verts == s.verts
-            assert all(u is w for u, w in zip(t.verts, s.verts))
-        assert copy.deepcopy(s) == s and copy.deepcopy(s).vset == s.vset
+            assert t == s and hash(t) == hash(s) and type(t) is Simplex
+            assert all(u is w for u, w in zip(t, s))
+        assert copy.deepcopy(s) == s and type(copy.deepcopy(s)) is Simplex
 
 
 class TestJoin:
@@ -249,8 +248,8 @@ class TestLinkStar:
         # oracle: enumerate cofaces of the edge directly from the facet list
         j = paths_join(3, 3)
         e = Simplex([a(1), a(2)])
-        cofaces = [f for f in j.facets if e.vset <= f.vset]
-        expected = {Simplex(f.vset - e.vset) for f in cofaces}
+        cofaces = [f for f in j.facets if frozenset(e) <= frozenset(f)]
+        expected = {Simplex(frozenset(f) - frozenset(e)) for f in cofaces}
         assert link(j, e).facets == expected
         assert expected == {Simplex([b(1), b(2)]), Simplex([b(2), b(3)])}
 
@@ -372,6 +371,23 @@ class TestFreeSumCell:
             FreeSumCell(raw_simplex(1, 2), raw_simplex(2, 3))
 
 
+def test_simplices_and_free_cells_are_plain_tuples():
+    """Hashing, equality and ``<`` of both cell types are the tuple's
+    own, and copy and pickle rebuild a free cell through its checks."""
+    s = raw_simplex(2, 0, 1)
+    cell = FreeSumCell(raw_simplex(1, 2), raw_simplex(3, 4, 5))
+    for kind, x in ((Simplex, s), (FreeSumCell, cell)):
+        assert issubclass(kind, tuple) and kind.__slots__ == ()
+        assert not hasattr(x, "__dict__")
+        assert not {"__eq__", "__hash__", "__lt__"} & set(vars(kind))
+        assert x == tuple(x) and hash(x) == hash(tuple(x))
+    assert cell == (cell.f_part, cell.g_part)
+    copies = [pickle.loads(pickle.dumps(cell, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for t in copies + [copy.deepcopy(cell)]:
+        assert t == cell and hash(t) == hash(cell) and type(t) is FreeSumCell
+        assert type(t.f_part) is Simplex and type(t.g_part) is Simplex
+
+
 class TestFVector:
     def test_tetrahedron(self):
         fv = f_vector(SimplicialComplex.from_facets([raw_simplex(1, 2, 3, 4)]))
@@ -468,21 +484,21 @@ def free_cells(draw):
     cells=st.lists(free_cells(), max_size=8),
 )
 def test_the_sort_keys_give_the_order_of_lt(vertices, simplices, cells):
-    """``sorted`` of vertices, of simplices by ``verts`` and of free cells
-    by ``FreeSumCell.order_key`` gives the order of ``VertexId.sort_key``,
-    which is also the order of ``<``."""
+    """The plain ``sorted`` of vertices, of simplices and of free cells
+    gives the order of ``VertexId.sort_key``, which is also the order of
+    ``<``."""
 
     def simplex_ref(s):
-        return tuple(v.sort_key for v in s.verts)
+        return tuple(v.sort_key for v in s)
 
-    for items, key, ref in (
-        (vertices, None, lambda v: v.sort_key),
-        (simplices, attrgetter("verts"), simplex_ref),
-        (cells, FreeSumCell.order_key, lambda c: (simplex_ref(c.f_part), simplex_ref(c.g_part))),
+    for items, ref in (
+        (vertices, lambda v: v.sort_key),
+        (simplices, simplex_ref),
+        (cells, lambda c: (simplex_ref(c.f_part), simplex_ref(c.g_part))),
     ):
-        assert sorted(items, key=key) == sorted(items, key=ref) == sorted(items)
+        assert sorted(items) == sorted(items, key=ref)
         for x, y in combinations(items, 2):
             assert (ref(x) < ref(y)) == (x < y), (x, y)
             assert (ref(x) == ref(y)) == (x == y), (x, y)
     for s in simplices:
-        assert all(u < w for u, w in zip(s.verts, s.verts[1:])), s
+        assert all(u < w for u, w in zip(s, s[1:])), s

@@ -504,7 +504,7 @@ class TestHull:
         pts = [(R(t), pt(t, t * t, t ** 3, t ** 4)) for t in range(1, 8)]
         facets = convex_hull_brute(pts)
         expected = {
-            frozenset(R(v.data[0]) for v in f.verts)
+            frozenset(R(v.data[0]) for v in f)
             for f in cyclic_polytope_facets(7, 4).facets
         }
         assert {f.vertices for f in facets} == expected

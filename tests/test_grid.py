@@ -65,7 +65,7 @@ class TestJoinOfPaths:
         for cell in product(range(1, 4), (1, 5), range(2, 4)):
             verts = [VertexId.path(axis, i + k) for axis, i in enumerate(cell, 1) for k in (1, 0)]
             s = cell_simplex(cell)
-            assert s == Simplex(verts) and s.verts == Simplex(verts).verts
+            assert s == Simplex(verts) and tuple(s) == tuple(Simplex(verts))
 
 
 class TestPredicates:
