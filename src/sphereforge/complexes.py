@@ -283,10 +283,6 @@ class FreeSumCell(tuple):
     def dim(self) -> int:
         return len(self.f_part) + len(self.g_part) - 2
 
-    @property
-    def vset(self) -> frozenset[VertexId]:
-        return frozenset(self.f_part + self.g_part)
-
     def __repr__(self) -> str:
         return f"FS({self.f_part!r}+{self.g_part!r})"
 

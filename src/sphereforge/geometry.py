@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 
 from .carvefill import FillManifest, realize
 from .complexes import VertexId
@@ -70,27 +70,31 @@ class LiftedConfiguration:
 
 @dataclass(frozen=True)
 class Subdivision:
-    """Claimed cells of a subdivision: distinct sets of vertex ids."""
+    """Claimed cells of a subdivision, in sorted order: distinct cells,
+    each the strictly sorted tuple of its vertex ids."""
 
-    cells: tuple[frozenset[VertexId], ...]
-
-    def __post_init__(self) -> None:
-        seen: set[frozenset[VertexId]] = set()
-        for cell in self.cells:
-            if cell in seen:
-                labels = ",".join(v.label for v in _cell_key(cell))
-                raise DegenerateInput(f"cell {{{labels}}} appears twice")
-            seen.add(cell)
+    cells: tuple[tuple[VertexId, ...], ...]
 
     @classmethod
     def of(cls, cells) -> "Subdivision":
-        return cls(tuple(sorted((frozenset(c) for c in cells), key=_cell_key)))
+        """The subdivision of cells given as iterables of vertex ids, each
+        in any order; DegenerateInput names the least vertex a cell lists
+        twice, or a cell listed twice."""
+        cells = sorted(tuple(sorted(c)) for c in cells)
+        for cell in cells:
+            twice = next((u for u, v in zip(cell, cell[1:]) if u == v), None)
+            if twice is not None:
+                raise DegenerateInput(f"a cell lists {twice.label} twice")
+        twice = next((c for c, d in zip(cells, cells[1:]) if c == d), None)
+        if twice is not None:
+            labels = ",".join(v.label for v in twice)
+            raise DegenerateInput(f"cell {{{labels}}} appears twice")
+        return cls(tuple(cells))
 
     @classmethod
     def from_manifest(cls, manifest: FillManifest) -> "Subdivision":
-        cells = [frozenset(s) for s in manifest.result.simplex_cells]
-        cells.extend(c.vset for c in manifest.result.free_cells)
-        return cls.of(cells)
+        result = manifest.result
+        return cls.of([*result.simplex_cells, *(f + g for f, g in result.free_cells)])
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -98,18 +102,12 @@ class Subdivision:
     def check_points(self, config: LiftedConfiguration) -> "Subdivision":
         """This subdivision, if its cells use only points of config;
         otherwise DegenerateInput names the first cell that does not."""
-        ids = frozenset(config.heights)
         for cell in self.cells:
-            if not cell <= ids:
-                labels = ",".join(v.label for v in _cell_key(cell))
-                stray = min(cell - ids).label
-                raise DegenerateInput(f"cell {{{labels}}} uses {stray}, which is not a point")
+            stray = next((v for v in cell if v not in config.heights), None)
+            if stray is not None:
+                labels = ",".join(v.label for v in cell)
+                raise DegenerateInput(f"cell {{{labels}}} uses {stray.label}, which is not a point")
         return self
-
-
-def _cell_key(cell: frozenset[VertexId]) -> tuple[VertexId, ...]:
-    """Canonical order of vertex sets: by their sorted vertex tuples."""
-    return tuple(sorted(cell))
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +181,13 @@ def _integerize(columns: list[list[Fraction]]) -> list[list[int]]:
 
 
 def _int_config(
-    pts: list[tuple[VertexId, Point]], heights: dict[VertexId, Fraction] | None
+    pts, heights: dict[VertexId, Fraction] | None
 ) -> tuple[list[VertexId], list[tuple[int, ...]], int]:
+    """The ids of the points ``(id, point)`` in sorted order, each point's
+    coordinates, then its height if heights are given, as one integer row,
+    and the dimension.  Row i is the i-th id's, so the indices of a
+    sorted cell come out sorted."""
+    pts = sorted(pts)
     ids = [v for v, _ in pts]
     if not ids:
         raise DegenerateInput("empty configuration")
@@ -209,9 +212,9 @@ def _dot_h(nu: tuple[int, ...], row: tuple[int, ...]) -> int:
 
 def _cell_walls(
     cell_rows: list[tuple[int, ...]], dim: int, rank: int
-) -> dict[frozenset[int], tuple[int, ...]]:
+) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Supporting (dim-1)-hyperplanes of a projected cell, as onsets (the
-    indices into cell_rows of the points on each), each mapped to the
+    sorted indices into cell_rows of the points on each), each mapped to the
     first dim affinely independent points, in subset order, that span it.
 
     rank is the rank of the rows (p[:dim], 1), which every caller has
@@ -224,8 +227,8 @@ def _cell_walls(
     """
     n = len(cell_rows)
     if n == dim + 1 and rank == dim + 1:
-        return {frozenset(s): s for s in combinations(range(n), dim)}
-    walls: dict[frozenset[int], tuple[int, ...]] = {}
+        return {s: s for s in combinations(range(n), dim)}
+    walls: dict[tuple[int, ...], tuple[int, ...]] = {}
     if n == dim + 2 and rank == dim + 1:
         # The one affine dependence sum(lam_i * (p_i, 1)) = 0.  If no lam_i
         # is 0, any dim+1 of the points are affinely independent, so a
@@ -241,7 +244,7 @@ def _cell_walls(
             for s in combinations(range(n), dim):
                 i, j = (t for t in range(n) if t not in s)
                 if (lam[i] < 0) != (lam[j] < 0):
-                    walls[frozenset(s)] = s
+                    walls[s] = s
             return walls
     hom = [row[:dim] + (1,) for row in cell_rows]
     # the dim-subsets of every plane found to hold more than dim points:
@@ -259,7 +262,7 @@ def _cell_walls(
             known.update(combinations(onset, dim))
         if any(s > 0 for s in sides) and any(s < 0 for s in sides):
             continue
-        walls[frozenset(onset)] = subset
+        walls[onset] = subset
     return walls
 
 
@@ -280,7 +283,7 @@ def verify_regular(
     those of a circuit cell take one more elimination, and only other
     cells are searched (see _cell_walls).
     """
-    ids, rows, dim = _int_config(list(pts), heights)
+    ids, rows, dim = _int_config(pts, heights)
     index = {v: i for i, v in enumerate(ids)}
     if not sub.cells:
         return False
@@ -289,7 +292,7 @@ def verify_regular(
     for cell in sub.cells:
         if not all(v in index for v in cell):
             raise DegenerateInput("cell uses a vertex not in the configuration")
-        cell_indices.append(sorted(index[v] for v in cell))
+        cell_indices.append([index[v] for v in cell])
 
     lifted = [row + (1,) for row in rows]
     for idxs in cell_indices:
@@ -324,11 +327,11 @@ def verify_regular(
 
     # wall matching: every cell has passed the checks above, so its
     # projected rows have rank dim+1
-    counts: dict[frozenset[int], int] = {}
+    counts: dict[tuple[int, ...], int] = {}
     for idxs in cell_indices:
         cell_rows = [rows[i] for i in idxs]
         for onset_local in _cell_walls(cell_rows, dim, dim + 1):
-            onset = frozenset(idxs[i] for i in onset_local)
+            onset = tuple(idxs[i] for i in onset_local)
             counts[onset] = counts.get(onset, 0) + 1
     projected = [row[:dim] + (1,) for row in rows]
     for onset, count in counts.items():
@@ -336,7 +339,7 @@ def verify_regular(
             continue
         if count > 2:
             return False
-        _, nu = _rank_and_nullvector([projected[i] for i in sorted(onset)], dim + 1)
+        _, nu = _rank_and_nullvector([projected[i] for i in onset], dim + 1)
         if nu is None:
             return False
         sides = [sum(map(mul, nu, p)) for p in projected]
@@ -409,7 +412,7 @@ class AztecPatchLift:
     omega: dict[tuple[int, int], Fraction]
     alpha: dict[int, Fraction]
     beta: dict[int, Fraction]
-    cells: tuple[frozenset[tuple[int, int]], ...]
+    cells: tuple[tuple[tuple[int, int], ...], ...]
 
 
 def _validate_axis(vals: list[Fraction], k: int, name: str) -> dict[int, Fraction]:
@@ -489,45 +492,37 @@ def aztec_lift(k: int, xs, ys) -> AztecPatchLift:
     ids = {key: VertexId.raw(t) for t, key in enumerate(sorted(points))}
     pts = [(ids[key], points[key]) for key in sorted(points)]
     heights = {ids[key]: omega[key] for key in sorted(points)}
-    sub = Subdivision.of([{ids[key] for key in cell} for cell in cells])
+    sub = Subdivision.of([ids[key] for key in cell] for cell in cells)
     if not verify_regular(pts, heights, sub):
         raise LiftConstructionFailed("lift failed its own regularity check")
     return AztecPatchLift(k=k, points=points, omega=omega, alpha=alpha, beta=beta, cells=cells)
 
 
-def _aztec_patch_cells(k, points, omega) -> tuple[frozenset, ...]:
-    """Cells of the patch subdivision, with on-plane grid points included."""
+def _aztec_patch_cells(k, points, omega) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Cells of the patch subdivision, each the sorted tuple of its grid
+    keys, with on-plane grid points included."""
     center = (0, 0)
-    keys, rows, _ = _int_config([(p, points[p]) for p in sorted(points)], omega)
+    keys, rows, _ = _int_config(points.items(), omega)
     int_row = dict(zip(keys, rows))
 
-    def on_plane_closure(seed: list[tuple[int, int]]) -> frozenset:
+    def on_plane_closure(seed: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
         # hyperplane through three of the seed points, then collect every
         # configuration point lying on it
         nu = _hyperplane([int_row[p] for p in seed[:3]])
         if nu is None:
             raise LiftConstructionFailed("degenerate hole cell")
-        return frozenset(p for p in keys if _dot_h(nu, int_row[p]) == 0)
+        return tuple(p for p in keys if _dot_h(nu, int_row[p]) == 0)
 
-    cells: set[frozenset] = set()
+    cells: set[tuple[tuple[int, int], ...]] = set()
     n_rect = 0
     for p in range(1, k + 1):
         for q in range(1, k + 1):
             cx, cy = 2 * p - k - 1, 2 * q - k - 1
             if abs(cx) + abs(cy) <= k - 1:
                 continue  # inside the hole
-            cells.add(
-                frozenset(
-                    {
-                        (cx - 1, cy - 1),
-                        (cx + 1, cy - 1),
-                        (cx - 1, cy + 1),
-                        (cx + 1, cy + 1),
-                    }
-                )
-            )
+            cells.add(((cx - 1, cy - 1), (cx - 1, cy + 1), (cx + 1, cy - 1), (cx + 1, cy + 1)))
             n_rect += 1
-    hole_cells: set[frozenset] = set()
+    hole_cells: set[tuple[tuple[int, int], ...]] = set()
     for sx in (1, -1):
         for sy in (1, -1):
             for i in range(3, k - 1, 2):
@@ -551,7 +546,7 @@ def _aztec_patch_cells(k, points, omega) -> tuple[frozenset, ...]:
             f"unexpected patch structure: {n_rect} rectangles, "
             f"{n_quads} quadrilaterals, {n_pents} pentagons"
         )
-    return tuple(sorted(cells | hole_cells, key=lambda c: sorted(c)))
+    return tuple(sorted(cells | hole_cells))
 
 
 # ---------------------------------------------------------------------------
@@ -659,12 +654,12 @@ def build_aztec_lift(k: int, l: int) -> RegularAztecLift:
 
 @dataclass(frozen=True)
 class HullFacet:
-    """A hull facet: its vertex set and outward supporting hyperplane
+    """A hull facet: its sorted vertex ids and outward supporting hyperplane
     (normal . p <= offset for all configuration points, with each
     coordinate of p scaled to integers by its column's common
     denominator)."""
 
-    vertices: frozenset[VertexId]
+    vertices: tuple[VertexId, ...]
     normal: tuple[int, ...]
     offset: int
 
@@ -672,11 +667,11 @@ class HullFacet:
 def convex_hull_brute(pts: list[tuple[VertexId, Point]]) -> list[HullFacet]:
     """Exact brute-force convex hull: every supporting hyperplane spanned
     by the points, merged into maximal coplanar facets."""
-    ids, rows, dim = _int_config(list(pts), None)
+    ids, rows, dim = _int_config(pts, None)
     rank, _ = _rank_and_nullvector([r + (1,) for r in rows], dim + 1)
     if rank < dim + 1:
         raise DegenerateInput("point set is not full-dimensional")
-    found: dict[frozenset[int], tuple[tuple[int, ...], int]] = {}
+    found: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
     onsets: list[frozenset[int]] = []
     for subset in combinations(range(len(rows)), dim):
         sset = frozenset(subset)
@@ -701,15 +696,15 @@ def convex_hull_brute(pts: list[tuple[VertexId, Point]]) -> list[HullFacet]:
         if pos:  # flip so every point sits on the non-positive side
             nu = tuple(-x for x in nu)
             sides = [-s for s in sides]
-        onset = frozenset(i for i, s in enumerate(sides) if s == 0)
+        onset = tuple(i for i, s in enumerate(sides) if s == 0)
         if onset not in found:
             found[onset] = (nu[:-1], -nu[-1])
-            onsets.append(onset)
+            onsets.append(frozenset(onset))
     facets = [
-        HullFacet(frozenset(ids[i] for i in onset), normal, offset)
+        HullFacet(tuple(ids[i] for i in onset), normal, offset)
         for onset, (normal, offset) in found.items()
     ]
-    facets.sort(key=lambda f: _cell_key(f.vertices))
+    facets.sort(key=attrgetter("vertices"))
     return facets
 
 
@@ -763,11 +758,9 @@ def _first_facet(
         return (1, -rows[top][0]), [top]
     nu, basis = _first_facet([row[:-1] for row in rows], dim - 1)
     vertical = nu[:-1] + (0, nu[-1])
-    on = frozenset(i for i, row in enumerate(rows) if _dot_h(vertical, row) == 0)
+    on = [i for i, row in enumerate(rows) if _dot_h(vertical, row) == 0]
     span = [rows[i] for i in basis]
-    extra = next(
-        (i for i in sorted(on) if _hyperplane(span + [rows[i]]) is not None), None
-    )
+    extra = next((i for i in on if _hyperplane(span + [rows[i]]) is not None), None)
     if extra is not None:
         return vertical, basis + [extra]
     up = span[0][:-1] + (span[0][-1] + 1,)
@@ -785,37 +778,36 @@ def convex_hull(pts: list[tuple[VertexId, Point]]) -> list[HullFacet]:
     found, not with the C(n, dim) subsets that convex_hull_brute scans;
     the facet list is the same.
     """
-    ids, rows, dim = _int_config(list(pts), None)
+    ids, rows, dim = _int_config(pts, None)
     rank, _ = _rank_and_nullvector([r + (1,) for r in rows], dim + 1)
     if rank < dim + 1:
         raise DegenerateInput("point set is not full-dimensional")
-    found: dict[frozenset[int], tuple[int, ...]] = {}
-    ridges: set[frozenset[int]] = set()
+    found: dict[tuple[int, ...], tuple[int, ...]] = {}
+    ridges: set[tuple[int, ...]] = set()
     todo = [_first_facet(rows, dim)[0]]
     while todo:
         nu = todo.pop()
-        onset = frozenset(i for i, row in enumerate(rows) if _dot_h(nu, row) == 0)
+        onset = tuple(i for i, row in enumerate(rows) if _dot_h(nu, row) == 0)
         if onset in found:
             continue
         found[onset] = nu
         # the ridges are the walls of the facet in a chart that drops a
         # coordinate where its normal is nonzero (see _is_bipyramid); the
         # facet spans the chart, so its homogeneous rows have rank dim
-        local = sorted(onset)
         drop = next(a for a, n in enumerate(nu[:-1]) if n)
-        chart = [rows[i][:drop] + rows[i][drop + 1:] for i in local]
+        chart = [rows[i][:drop] + rows[i][drop + 1:] for i in onset]
         for wall, span in _cell_walls(chart, dim - 1, dim).items():
-            ridge = frozenset(local[j] for j in wall)
+            ridge = tuple(onset[j] for j in wall)
             if ridge in ridges:
                 continue  # already crossed from the facet on its other side
             ridges.add(ridge)
-            ref = next(rows[i] for j, i in enumerate(local) if j not in wall)
-            todo.append(_pivot(rows, [rows[local[j]] for j in span], ref, nu)[0])
+            ref = next(rows[i] for j, i in enumerate(onset) if j not in wall)
+            todo.append(_pivot(rows, [rows[onset[j]] for j in span], ref, nu)[0])
     facets = [
-        HullFacet(frozenset(ids[i] for i in onset), nu[:-1], -nu[-1])
+        HullFacet(tuple(ids[i] for i in onset), nu[:-1], -nu[-1])
         for onset, nu in found.items()
     ]
-    facets.sort(key=lambda f: _cell_key(f.vertices))
+    facets.sort(key=attrgetter("vertices"))
     return facets
 
 
@@ -879,7 +871,7 @@ def detect_bipyramid_facets(
         n = len(f.vertices)
         if n == 4:
             kinds.append(SIMPLEX)
-        elif n == 5 and _is_bipyramid([coords[v] for v in sorted(f.vertices)], f.normal):
+        elif n == 5 and _is_bipyramid([coords[v] for v in f.vertices], f.normal):
             kinds.append(BIPYRAMID)
         else:
             kinds.append(OTHER)
@@ -914,7 +906,7 @@ def count_degree3_edges(target: Subdivision) -> int:
     lying in exactly three of its simplices."""
     counts: dict[tuple[VertexId, ...], int] = {}
     for cell in target.cells:
-        for e in combinations(sorted(cell), 2):
+        for e in combinations(cell, 2):
             counts[e] = counts.get(e, 0) + 1
     return sum(1 for c in counts.values() if c == 3)
 

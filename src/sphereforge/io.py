@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+import reprlib
 from collections import Counter
 from fractions import Fraction
 from operator import attrgetter
@@ -34,12 +35,16 @@ def _labels(verts) -> list[str]:
     return [v.label for v in verts]
 
 
-def _sorted_labels(verts) -> list[str]:
-    return [v.label for v in sorted(verts)]
+def _list(obj, what: str) -> list:
+    """obj, if it is a JSON list; a string would be read one character at
+    a time."""
+    if not isinstance(obj, list):
+        raise ValueError(f"{what} must be a JSON list, not {reprlib.repr(obj)}")
+    return obj
 
 
 def _parse_verts(labels) -> list[VertexId]:
-    return [VertexId.from_label(s) for s in labels]
+    return [VertexId.from_label(s) for s in _list(labels, "vertex labels")]
 
 
 def _decoder(file: str):
@@ -376,10 +381,12 @@ def _points_to_obj(points) -> list:
 
 
 def _points_from_obj(obj) -> list[tuple[VertexId, Point]]:
-    return [
-        (VertexId.from_label(label), tuple(_frac_parse(c) for c in coords))
-        for label, coords in obj
-    ]
+    points = []
+    for point in _list(obj, "points"):
+        label, coords = _list(point, "a point")
+        coords = tuple(map(_frac_parse, _list(coords, "coordinates")))
+        points.append((VertexId.from_label(label), coords))
+    return points
 
 
 def _heights_to_obj(heights) -> dict:
@@ -387,6 +394,8 @@ def _heights_to_obj(heights) -> dict:
 
 
 def _heights_from_obj(obj) -> dict[VertexId, Fraction]:
+    if not isinstance(obj, dict):
+        raise ValueError(f"heights must be a JSON object, not {reprlib.repr(obj)}")
     return {VertexId.from_label(k): _frac_parse(v) for k, v in obj.items()}
 
 
@@ -400,26 +409,12 @@ def lift_to_obj(lift: RegularAztecLift) -> dict:
         "heights": _heights_to_obj(lift.heights),
         "coarse": _heights_to_obj(lift.coarse),
         "fine": _heights_to_obj(lift.fine),
-        "subdivision": [_sorted_labels(cell) for cell in lift.subdivision.cells],
+        "subdivision": [_labels(cell) for cell in lift.subdivision.cells],
     }
 
 
 def save_lift(path: str, lift: RegularAztecLift) -> None:
     write_text(path, dumps(lift_to_obj(lift)))
-
-
-def _cells_from_obj(obj) -> list[frozenset[VertexId]]:
-    """Subdivision cells as vertex sets, refusing a cell that lists a
-    label twice, which a set would merge."""
-    cells = []
-    for labels in obj:
-        verts = _parse_verts(labels)
-        cell = frozenset(verts)
-        if len(cell) != len(verts):
-            twice = next(v for i, v in enumerate(verts) if v in verts[:i])
-            raise ValueError(f"a cell lists {twice.label} twice")
-        cells.append(cell)
-    return cells
 
 
 @_decoder("lift file")
@@ -430,7 +425,7 @@ def lift_data_from_obj(obj: dict) -> dict:
     )
     return {
         "config": config,
-        "subdivision": Subdivision.of(_cells_from_obj(obj["subdivision"])).check_points(config),
+        "subdivision": Subdivision.of(map(_parse_verts, obj["subdivision"])).check_points(config),
         "eps": _frac_parse(obj["eps"]),
         "kind": obj.get("kind"),
         "k": obj.get("k"),
@@ -457,7 +452,7 @@ def hull_to_obj(facets: list[HullFacet], kinds: list[str]) -> dict:
     return {
         "facets": [
             {
-                "v": _sorted_labels(f.vertices),
+                "v": _labels(f.vertices),
                 "normal": [str(c) for c in f.normal],
                 "offset": str(f.offset),
                 "kind": kind,

@@ -131,13 +131,13 @@ def boundary_facets(cell: FreeSumCell) -> list[Simplex]:
     out = []
     for u in cell.f_part:
         for w in cell.g_part:
-            out.append(Simplex((cell.vset - {u}) - {w}))
+            out.append(Simplex((frozenset(cell.f_part + cell.g_part) - {u}) - {w}))
     return out
 
 
 def is_proper_face(cell: FreeSumCell, verts: frozenset[VertexId]) -> bool:
     """True iff the vertex set spans a proper face of the cell."""
-    if not verts <= cell.vset:
+    if not verts <= frozenset(cell.f_part + cell.g_part):
         return False
     return not (frozenset(cell.f_part) <= verts) and not (frozenset(cell.g_part) <= verts)
 
@@ -163,7 +163,7 @@ def validate_proper_intersections(x: PolyComplex) -> None:
     for s in x.sorted_simplex_cells:
         cells.append((frozenset(s), s))
     for c in x.sorted_free_cells:
-        cells.append((c.vset, c))
+        cells.append((frozenset(c.f_part + c.g_part), c))
     by_vertex: dict[VertexId, list[int]] = {}
     for i, (vs, _) in enumerate(cells):
         for v in vs:
@@ -229,7 +229,7 @@ def f_vector(x: "PolyComplex | SimplicialComplex") -> FVector:
                 faces.add(frozenset(c))
     full_cells: set[frozenset[VertexId]] = set()
     for cell in x.free_cells:
-        full_cells.add(cell.vset)
+        full_cells.add(frozenset(cell.f_part + cell.g_part))
         for f in proper_faces(cell):
             faces.add(frozenset(f))
     counts = [0] * (x.dim + 1)

@@ -1084,6 +1084,73 @@ class TestCliPipelines:
             assert captured.out == "", argv
         assert not off.exists()
 
+    def test_a_string_where_a_complex_or_an_order_lists_labels_is_rejected(self, tmp_path, capsys):
+        # "c" read one character at a time is the list ["c"]: a 0-ball,
+        # and a shelling order of it
+        point, bad = tmp_path / "point.json", tmp_path / "bad.json"
+        point.write_text(json.dumps({"dim": 0, "cells": [{"t": "s", "v": ["c"]}]}))
+        bad.write_text(json.dumps({"dim": 0, "cells": [{"t": "s", "v": "c"}]}))
+        order = tmp_path / "order.json"
+        order.write_text(json.dumps({"order": ["c"]}))
+        assert run(tmp_path, "verify", "ball", point) == 0
+        capsys.readouterr()
+        for argv, file in (
+            (("verify", "ball", bad), "complex"),
+            (("verify", "shelling", point, order), "shelling order"),
+        ):
+            assert run(tmp_path, *argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"input error: malformed {file}: vertex labels must be a JSON list, not 'c'\n"
+            ), argv
+            assert captured.out == "", argv
+
+    def test_a_string_where_a_manifest_or_holes_file_lists_labels_is_rejected(self, tmp_path, capsys):
+        assert run(tmp_path, "generate", "holes4", "--n", "5", "-o", tmp_path / "h.json") == 0
+        manifest = json.loads((tmp_path / "h.manifest.json").read_text())
+        manifest["holes"][1]["cells"][0]["f"] = "c"
+        bad_manifest = tmp_path / "bad.manifest.json"
+        bad_manifest.write_text(json.dumps(manifest))
+        host = tmp_path / "host.json"
+        sfio.save_complex(str(host), join_of_paths((4, 4)).complex)
+        holes = tmp_path / "holes.json"
+        holes.write_text(json.dumps({"holes": [{"key": 1, "facets": ["c"]}]}))
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        for argv, file in (
+            (("count", "--manifest", bad_manifest), "manifest"),
+            (("fill", "--input", host, "--holes", holes, "-o", out), "holes file"),
+        ):
+            assert run(tmp_path, *argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"input error: malformed {file}: vertex labels must be a JSON list, not 'c'\n"
+            ), argv
+            assert captured.out == "", argv
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tamper, message", [
+        # "101" read one character at a time is the point's own coordinates
+        (lambda obj: obj["points"][0].__setitem__(1, "101"), "coordinates must be a JSON list, not '101'"),
+        (lambda obj: obj["points"].__setitem__(0, "a:1:1"), "a point must be a JSON list, not 'a:1:1'"),
+        (lambda obj: obj["subdivision"].__setitem__(0, "c"), "vertex labels must be a JSON list, not 'c'"),
+        (lambda obj: obj.update(heights=[]), "heights must be a JSON object, not []"),
+    ], ids=["coordinates", "point", "cell", "heights"])
+    def test_a_lift_file_part_of_the_wrong_json_type_is_rejected(self, tmp_path, capsys, tamper, message):
+        lift = tmp_path / "lift.json"
+        assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0
+        obj = json.loads(lift.read_text())
+        assert obj["points"][0] == ["a:1:1", ["1", "0", "1"]]
+        tamper(obj)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        for argv in (("verify", "regular", bad), ("hull", "--input", bad), ("degree3", "--input", bad)):
+            assert run(tmp_path, *argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.err == f"input error: malformed lift file: {message}\n", argv
+            assert captured.out == "", argv
+
     @pytest.mark.parametrize("content", [b'{"cells": "\xff"}', b"[" * 100000 + b"]" * 100000],
                              ids=["not-utf8", "nested-too-deep"])
     def test_a_file_that_is_not_readable_json_is_an_input_error(self, tmp_path, capsys, content):

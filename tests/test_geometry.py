@@ -105,8 +105,29 @@ class TestLiftedConfiguration:
 
 class TestSubdivision:
     def test_a_cell_listed_twice_is_rejected(self):
-        with pytest.raises(DegenerateInput, match=r"cell \{r:0,r:1,r:2\} appears twice"):
-            Subdivision.of([{R(2), R(1), R(0)}, {R(1), R(2), R(3)}, {R(0), R(1), R(2)}])
+        for twice in (
+            [{R(2), R(1), R(0)}, {R(1), R(2), R(3)}, {R(0), R(1), R(2)}],
+            [[R(2), R(0), R(1)], (R(1), R(2), R(3)), iter([R(1), R(0), R(2)])],
+        ):
+            with pytest.raises(DegenerateInput, match=r"^cell \{r:0,r:1,r:2\} appears twice$"):
+                Subdivision.of(twice)
+
+    def test_a_cell_that_lists_a_vertex_twice_is_rejected(self):
+        # r:1 and r:3 are both listed twice; the least is named
+        with pytest.raises(DegenerateInput, match=r"^a cell lists r:1 twice$"):
+            Subdivision.of([[R(0), R(1), R(2)], [R(3), R(1), R(2), R(3), R(1)]])
+
+    def test_cells_and_vertices_in_any_order_give_the_same_cells(self):
+        rng = random.Random(2014)
+        verts = [R(i) for i in range(9)]
+        cells = sorted({tuple(sorted(rng.sample(verts, rng.randint(1, 5)))) for _ in range(12)})
+        expected = Subdivision.of(cells).cells
+        assert expected == tuple(cells)
+        assert all(type(c) is tuple for c in expected)
+        for _ in range(20):
+            shuffled = [rng.sample(c, len(c)) for c in rng.sample(cells, len(cells))]
+            assert Subdivision.of(shuffled).cells == expected
+            assert Subdivision.of(map(frozenset, shuffled)).cells == expected
 
     def test_a_cell_that_uses_a_vertex_which_is_not_a_point_is_rejected(self):
         pts = square_points()
@@ -190,7 +211,7 @@ def reference_cell_walls(cell_rows, dim):
         sides = [dot(nu, row[:dim]) + nu[-1] for row in cell_rows]
         if any(s > 0 for s in sides) and any(s < 0 for s in sides):
             continue
-        walls.setdefault(frozenset(i for i, s in enumerate(sides) if s == 0), subset)
+        walls.setdefault(tuple(i for i, s in enumerate(sides) if s == 0), subset)
     return walls
 
 
@@ -222,14 +243,14 @@ def reference_verify_regular(pts, heights, sub):
     counts = {}
     for idxs in cell_indices:
         for onset_local in reference_cell_walls([rows[i] for i in idxs], dim):
-            onset = frozenset(idxs[i] for i in onset_local)
+            onset = tuple(sorted(idxs[i] for i in onset_local))
             counts[onset] = counts.get(onset, 0) + 1
     for onset, count in counts.items():
         if count == 2:
             continue
         if count > 2:
             return False
-        _, nu = _rank_and_nullvector([rows[i][:dim] + (1,) for i in sorted(onset)], dim + 1)
+        _, nu = _rank_and_nullvector([rows[i][:dim] + (1,) for i in onset], dim + 1)
         if nu is None:
             return False
         sides = [dot(nu, row[:dim]) + nu[-1] for row in rows]
@@ -280,6 +301,8 @@ class TestVerifyRegularDifferential:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_same_answer_as_the_reference(self, dim):
         rng = random.Random(2000 + dim)
+        # a second stream, so the cases drawn from rng stay the same
+        shuffle = random.Random(dim)
         seen = {True: 0, False: 0, DegenerateCell: 0}
         for _ in range(200):
             try:
@@ -293,6 +316,8 @@ class TestVerifyRegularDifferential:
                     continue  # a cell listed twice
                 expected = outcome(reference_verify_regular, pts, hs, sub)
                 assert outcome(verify_regular, pts, hs, sub) == expected, (pts, hs, claimed)
+                shuffled = shuffle.sample(pts, len(pts))
+                assert outcome(verify_regular, shuffled, hs, sub) == expected, (shuffled, hs, claimed)
                 seen[expected] += 1
         assert min(seen[True], seen[False]) >= 200 and seen[DegenerateCell] >= 5, seen
 
@@ -316,7 +341,7 @@ class TestVerifyRegularDifferential:
         rank, _ = _rank_and_nullvector([row + (1,) for row in rows], 3)
         assert rank == 2
         assert _cell_walls(rows, 2, rank) == reference_cell_walls(rows, 2) == {
-            frozenset({0, 1, 2}): (0, 1)
+            (0, 1, 2): (0, 1)
         }
 
 
@@ -365,7 +390,7 @@ class TestCellWallsDifferential:
             for onset, span in walls.items():
                 nu = _hyperplane([rows[i][:dim] for i in span])
                 assert nu is not None and len(span) == dim, rows
-                assert {i for i, row in enumerate(rows) if dot(nu, row[:dim]) + nu[-1] == 0} == onset
+                assert tuple(i for i, row in enumerate(rows) if dot(nu, row[:dim]) + nu[-1] == 0) == onset
             circuit = all(
                 fraction_rank([rows[i][:dim] + (1,) for i in s], dim + 1) == dim + 1
                 for s in combinations(range(dim + 2), dim + 1)
@@ -504,7 +529,7 @@ class TestHull:
         pts = [(R(t), pt(t, t * t, t ** 3, t ** 4)) for t in range(1, 8)]
         facets = convex_hull_brute(pts)
         expected = {
-            frozenset(R(v.data[0]) for v in f)
+            tuple(sorted(R(v.data[0]) for v in f))
             for f in cyclic_polytope_facets(7, 4).facets
         }
         assert {f.vertices for f in facets} == expected
@@ -689,26 +714,34 @@ class TestGiftWrap:
 
     def test_matches_brute_force_on_random_sets(self):
         rng = random.Random(1970)
+        # a second stream, so the point sets drawn from rng stay the same
+        shuffle = random.Random(4)
         compared = {dim: 0 for dim in (1, 2, 3, 4)}
         for _ in range(240):
             dim = rng.choice((1, 2, 3, 4))
             pts = random_rational_points(rng, dim)
+            shuffled = shuffle.sample(pts, len(pts))
             try:
                 expected = convex_hull_brute(pts)
             except DegenerateInput:
-                with pytest.raises(DegenerateInput):
-                    convex_hull(pts)
+                for hull, points in product((convex_hull, convex_hull_brute), (pts, shuffled)):
+                    with pytest.raises(DegenerateInput):
+                        hull(points)
                 continue
             assert convex_hull(pts) == expected, pts
+            assert convex_hull(shuffled) == convex_hull_brute(shuffled) == expected, shuffled
             compared[dim] += 1
         assert min(compared.values()) >= 40
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_matches_brute_force_on_lifts(self, k):
         pts = lifted_points(k, 1)
-        assert convex_hull(pts) == convex_hull_brute(pts)
+        facets = convex_hull(pts)
+        assert facets == convex_hull_brute(pts) == convex_hull(pts[::-1])
+        assert all(type(f.vertices) is tuple and list(f.vertices) == sorted(set(f.vertices)) for f in facets)
         facets, apex_pt = hull_with_apex(pts, VertexId.cone())
         assert facets == convex_hull_brute(pts + [(VertexId.cone(), apex_pt)])
+        assert hull_with_apex(pts[::-1], VertexId.cone()) == (facets, apex_pt)
 
     def test_aztec_34_apex_hull(self):
         # counts checked against convex_hull_brute, too slow for a unit test here
