@@ -196,8 +196,8 @@ def _cmd_degree3(args) -> int:
     if len(data["config"].points) != 2 * (k * l + 1) + l * l:
         raise mismatch
     lift = build_aztec_lift(k, l)
-    regenerated = (lift.config, lift.subdivision, lift.eps)
-    if regenerated != (data["config"], data["subdivision"], data["eps"]):
+    regenerated = (lift.config, lift.subdivision, lift.eps, lift.coarse, lift.fine)
+    if regenerated != tuple(data[key] for key in ("config", "subdivision", "eps", "coarse", "fine")):
         raise mismatch
     target = raised_center_target(lift.manifest)
     delta, heights = delta_search(lift, target)

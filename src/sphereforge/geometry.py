@@ -115,9 +115,7 @@ class Subdivision:
 
 
 def _primitive(vec) -> tuple[int, ...]:
-    g = 0
-    for v in vec:
-        g = gcd(g, v)
+    g = gcd(*vec)
     if g == 0:
         return tuple(vec)
     return tuple(v // g for v in vec)
@@ -128,36 +126,43 @@ def _rank_and_nullvector(
 ) -> tuple[int, tuple[int, ...] | None]:
     """Row rank plus a primitive nullspace vector when the nullity is 1.
 
-    Fraction-free Gauss-Jordan over the integers (Bareiss, Math. Comp. 22,
-    1968): every update (p*a - f*b) // prev divides exactly, and at the end
-    every pivot row holds the last pivot p in its own pivot column and 0 in
-    the other pivot columns.
+    Fraction-free forward elimination over the integers (Bareiss, Math.
+    Comp. 22, 1968): each pivot updates only the rows below it and the
+    columns right of it, by (p*a - f*b) // prev, which divides exactly
+    because every entry is a minor of the rows.  When the nullity is 1,
+    back-substitution sets the free entry to the last pivot, which is up
+    to sign the determinant of the pivot rows in the pivot columns; by
+    Cramer's rule every other entry of that null vector is then a signed
+    minor too, an integer, so each division of the back-substitution is
+    exact.  The vector is the one Gauss-Jordan elimination gives.
     """
     m = [list(row) for row in rows]
     pivot_cols: list[int] = []
     prev = 1
+    rank = 0
     for col in range(ncols):
-        r = len(pivot_cols)
-        src = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if src is None:
+        for src in range(rank, len(m)):
+            if m[src][col]:
+                break
+        else:
             continue
-        m[r], m[src] = m[src], m[r]
-        prow = m[r]
-        p = prow[col]
-        for i, row in enumerate(m):
-            if i != r:
-                f = row[col]
-                m[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+        m[rank], m[src] = m[src], m[rank]
+        right = col + 1
+        tail = m[rank][right:]
+        p = m[rank][col]
+        for row in m[rank + 1:]:
+            f = row[col]
+            row[right:] = [(p * a - f * b) // prev for a, b in zip(row[right:], tail)]
         prev = p
         pivot_cols.append(col)
-    rank = len(pivot_cols)
+        rank += 1
     if rank != ncols - 1:
         return rank, None
     free = next(c for c in range(ncols) if c not in pivot_cols)
     sol = [0] * ncols
     sol[free] = prev
-    for row, col in zip(m, pivot_cols):
-        sol[col] = -row[free]
+    for row, col in zip(m[rank - 1::-1], pivot_cols[::-1]):
+        sol[col] = -sum(map(mul, row[col + 1:], sol[col + 1:])) // row[col]
     return rank, _primitive(sol)
 
 
@@ -204,6 +209,12 @@ def _int_config(
 
 def _dot_h(nu: tuple[int, ...], row: tuple[int, ...]) -> int:
     return sum(map(mul, nu, row)) + nu[-1]
+
+
+def _sides(nu: tuple[int, ...], rows: list[tuple[int, ...]]) -> list[int]:
+    """The hyperplane nu evaluated on every row: the side of each point."""
+    offset = nu[-1]
+    return [sum(map(mul, nu, row)) + offset for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -272,30 +283,57 @@ def verify_regular(
     sub: Subdivision,
 ) -> bool:
     """Exact check that the claimed cells are the regular subdivision
-    induced by the heights.
+    induced by the heights: each cell's lifted points share a
+    non-vertical plane, every point outside a cell lies strictly above
+    its plane, and each wall is in two cells or supports the hull.
 
-    For each cell: (a) its lifted points share a non-vertical hyperplane,
-    (b) every other point lifts strictly above it, and (c) the cells
-    cover: every interior wall is shared by exactly two cells and every
-    other wall supports the convex hull of the configuration.  One
-    elimination of the lifted rows (x, h, 1) settles (a) and the cell's
-    full dimension together; the walls of a simplex cell are read off,
-    those of a circuit cell take one more elimination, and only other
-    cells are searched (see _cell_walls).
+    Checks, from each cell's neighbours only: (1) each cell, in sorted
+    order, is eliminated once on its lifted rows (x, h, 1), for its plane
+    (or DegenerateCell, or False if not planar) and walls (_cell_walls);
+    (2) when a wall onset gets its second cell, each cell's points off
+    it lie strictly above the other's plane, a convex fold, and a third
+    cell opens the onset again; (3) every unmatched wall supports the
+    configuration; (4) some wall is unmatched, and the centroid of the
+    first lies in the closure of no other unmatched wall on its
+    hyperplane (_covered_once); (5) a point in no cell lies strictly
+    above every plane.
+
+    Proof.  A fold puts its cells on opposite sides of the wall (else
+    the lower plane's cell has points below the other plane), so a
+    third cell leaves an onset with cells on both sides, refused by (3),
+    or a fourth makes two cells overlap, refused below.  Crossing a wall
+    at a generic point trades each cell of a matched onset for its
+    partner, and by (3) unmatched walls lie on the boundary, so every
+    generic point of the hull is in the same number D of cells; entering
+    near the first unmatched wall's centroid meets one cell by (4), so
+    D = 1.  (Folds and matching alone hold on a branched double cover,
+    whose cells wind twice around a vertex like a pentagram.)  The cells
+    around a face G are linked by walls through G, each shared exactly,
+    so they hold the same points of G: the tiling is face to face, and
+    the cellwise lift f is continuous and, by (2), convex, strictly
+    across each wall.  A point p of another cell is on f outside this
+    cell's closure; the segment to p leaves the cell through a matched
+    wall beyond which f is strictly above the plane, so p is too.  (5)
+    covers the rest, and a regular subdivision passes every check.  Only
+    the order of checks differs from testing every point: an input with
+    a degenerate cell and an earlier cell that is not regular may raise
+    DegenerateCell where that answered False, or the reverse.
     """
     ids, rows, dim = _int_config(pts, heights)
     index = {v: i for i, v in enumerate(ids)}
     if not sub.cells:
         return False
-
-    cell_indices: list[list[int]] = []
     for cell in sub.cells:
         if not all(v in index for v in cell):
             raise DegenerateInput("cell uses a vertex not in the configuration")
-        cell_indices.append([index[v] for v in cell])
 
     lifted = [row + (1,) for row in rows]
-    for idxs in cell_indices:
+    planes: list[tuple[int, ...]] = []
+    # the cell of each wall onset not yet matched
+    unmatched: dict[tuple[int, ...], int] = {}
+    covered: set[int] = set()
+    for c, cell in enumerate(sub.cells):
+        idxs = [index[v] for v in cell]
         if len(idxs) < dim + 1:
             raise DegenerateCell(f"cell with {len(idxs)} points in dimension {dim}")
         # Let A hold the cell's lifted rows (x, h, 1) and P the projected
@@ -318,33 +356,86 @@ def verify_regular(
             return False  # lifted points not on a common hyperplane
         if nu[dim] < 0:
             nu = tuple(-x for x in nu)
-        in_cell = set(idxs)
-        for i, row in enumerate(lifted):
-            if i in in_cell:
-                continue
-            if sum(map(mul, nu, row)) <= 0:
-                return False  # not strictly above
-
-    # wall matching: every cell has passed the checks above, so its
-    # projected rows have rank dim+1
-    counts: dict[tuple[int, ...], int] = {}
-    for idxs in cell_indices:
-        cell_rows = [rows[i] for i in idxs]
-        for onset_local in _cell_walls(cell_rows, dim, dim + 1):
+        planes.append(nu)
+        covered.update(idxs)
+        # the cell has passed the checks above, so its projected rows
+        # have rank dim+1
+        for onset_local in _cell_walls([rows[i] for i in idxs], dim, dim + 1):
             onset = tuple(idxs[i] for i in onset_local)
-            counts[onset] = counts.get(onset, 0) + 1
+            other = unmatched.pop(onset, None)
+            if other is None:
+                unmatched[onset] = c
+            elif not (
+                _above(planes[other], lifted, idxs, onset)
+                and _above(nu, lifted, [index[v] for v in sub.cells[other]], onset)
+            ):
+                return False  # not a convex fold
+
+    walls = list(unmatched)
+    if not walls:
+        return False
     projected = [row[:dim] + (1,) for row in rows]
-    for onset, count in counts.items():
-        if count == 2:
-            continue
-        if count > 2:
-            return False
+    # the outward normal of each unmatched wall; walls on one hull facet
+    # share it, and its side pass is made once
+    normals: list[tuple[int, ...]] = []
+    supporting: set[tuple[int, ...]] = set()
+    for onset in walls:
         _, nu = _rank_and_nullvector([projected[i] for i in onset], dim + 1)
         if nu is None:
             return False
-        sides = [sum(map(mul, nu, p)) for p in projected]
-        if any(s > 0 for s in sides) and any(s < 0 for s in sides):
-            return False  # an unmatched interior wall
+        flipped = tuple(-x for x in nu)
+        if flipped in supporting:
+            nu = flipped
+        elif nu not in supporting:
+            sides = [sum(map(mul, nu, p)) for p in projected]
+            if max(sides) > 0:
+                if min(sides) < 0:
+                    return False  # an unmatched interior wall
+                nu = flipped
+            supporting.add(nu)
+        normals.append(nu)
+    first = normals[0]
+    on_first = [w for w, nu in zip(walls[1:], normals[1:]) if nu == first]
+    if not _covered_once(rows, dim, first, walls[0], on_first):
+        return False
+    return all(
+        all(sum(map(mul, nu, row)) > 0 for nu in planes)
+        for i, row in enumerate(lifted)
+        if i not in covered
+    )
+
+
+def _above(nu: tuple[int, ...], lifted, idxs: list[int], wall: tuple[int, ...]) -> bool:
+    """Whether the lifted points idxs off the wall lie strictly above the
+    plane nu, oriented up."""
+    return all(sum(map(mul, nu, lifted[i])) > 0 for i in idxs if i not in wall)
+
+
+def _covered_once(
+    rows: list[tuple[int, ...]],
+    dim: int,
+    nu: tuple[int, ...],
+    first: tuple[int, ...],
+    others: list[tuple[int, ...]],
+) -> bool:
+    """Whether the centroid of the wall first lies in the closure of none
+    of the walls others, all on the hyperplane nu: in a chart that drops
+    a coordinate where nu is nonzero, as convex_hull does, it must be
+    strictly outside one wall of each."""
+    drop = next(a for a, n in enumerate(nu[:dim]) if n)
+    chart = [row[:drop] + row[drop + 1:dim] for row in rows]
+    size = len(first)
+    total = [sum(col) for col in zip(*(chart[i] for i in first))]
+    for wall in others:
+        points = [chart[i] for i in wall]
+        for onset, span in _cell_walls(points, dim - 1, dim).items():
+            g = _hyperplane([points[j] for j in span])
+            side = sum(map(mul, g, total)) + size * g[-1]
+            ref = next(p for j, p in enumerate(points) if j not in onset)
+            if side and (side > 0) != (_dot_h(g, ref) > 0):
+                break  # the centroid is outside this wall
+        else:
+            return False
     return True
 
 
@@ -713,11 +804,12 @@ def _pivot(
     basis: list[tuple[int, ...]],
     ref: tuple[int, ...],
     h1: tuple[int, ...],
+    sides: list[int],
 ) -> tuple[tuple[int, ...], int]:
     """Turn the supporting hyperplane h1 about the ridge spanned by basis,
     away from ref (a point on h1 off the ridge), until it supports every
-    point again.  Returns the new hyperplane and a point on it off the
-    ridge.
+    point again.  sides holds h1 on every point, _sides(h1, rows).
+    Returns the new hyperplane and a point on it off the ridge.
 
     The hyperplanes through the ridge that have ref on their negative side
     are h2 + s*h1 for rational s, where h2 is the one through the ridge and
@@ -727,17 +819,18 @@ def _pivot(
     by cross-multiplying, and one elimination give the new hyperplane.
     """
     h2: tuple[int, ...] | None = None
-    for i, row in enumerate(rows):
-        below = -_dot_h(h1, row)
-        if not below:
+    for i, (row, side) in enumerate(zip(rows, sides)):
+        if not side:
             continue
+        below = -side
         if h2 is None:
             h2 = _hyperplane(basis + [row])
             if _dot_h(h2, ref) > 0:
                 h2 = tuple(-x for x in h2)
+            offset = h2[-1]
             top, top_below, last = 0, below, i
             continue
-        above = _dot_h(h2, row)
+        above = sum(map(mul, h2, row)) + offset
         if above * top_below > top * below:
             top, top_below, last = above, below, i
     return _primitive([top_below * a + top * b for a, b in zip(h2, h1)]), last
@@ -758,13 +851,14 @@ def _first_facet(
         return (1, -rows[top][0]), [top]
     nu, basis = _first_facet([row[:-1] for row in rows], dim - 1)
     vertical = nu[:-1] + (0, nu[-1])
-    on = [i for i, row in enumerate(rows) if _dot_h(vertical, row) == 0]
+    sides = _sides(vertical, rows)
+    on = [i for i, side in enumerate(sides) if not side]
     span = [rows[i] for i in basis]
     extra = next((i for i in on if _hyperplane(span + [rows[i]]) is not None), None)
     if extra is not None:
         return vertical, basis + [extra]
     up = span[0][:-1] + (span[0][-1] + 1,)
-    nu, extra = _pivot(rows, span, up, vertical)
+    nu, extra = _pivot(rows, span, up, vertical, sides)
     return nu, basis + [extra]
 
 
@@ -773,24 +867,29 @@ def convex_hull(pts: list[tuple[VertexId, Point]]) -> list[HullFacet]:
     facet, pivot about each ridge to the facet on its other side.
 
     A facet's ridges are the walls of its points in a chart of its
-    hyperplane (_cell_walls), and one pass over the points turns a
-    hyperplane about a ridge (_pivot).  The work grows with the facets
-    found, not with the C(n, dim) subsets that convex_hull_brute scans;
-    the facet list is the same.
+    hyperplane (_cell_walls).  Its side values, its hyperplane on every
+    point, are computed once, and with them one pass over the points
+    turns the hyperplane about each ridge (_pivot).  The work grows with
+    the facets found, not with the C(n, dim) subsets that
+    convex_hull_brute scans; the facet list is the same.
     """
     ids, rows, dim = _int_config(pts, None)
     rank, _ = _rank_and_nullvector([r + (1,) for r in rows], dim + 1)
     if rank < dim + 1:
         raise DegenerateInput("point set is not full-dimensional")
+    # the onset of each facet found, by its normal: normals are primitive
+    # and outward, so a facet reached again across another ridge is
+    # skipped before its side pass
     found: dict[tuple[int, ...], tuple[int, ...]] = {}
     ridges: set[tuple[int, ...]] = set()
     todo = [_first_facet(rows, dim)[0]]
     while todo:
         nu = todo.pop()
-        onset = tuple(i for i, row in enumerate(rows) if _dot_h(nu, row) == 0)
-        if onset in found:
+        if nu in found:
             continue
-        found[onset] = nu
+        sides = _sides(nu, rows)
+        onset = tuple(i for i, side in enumerate(sides) if not side)
+        found[nu] = onset
         # the ridges are the walls of the facet in a chart that drops a
         # coordinate where its normal is nonzero (see _is_bipyramid); the
         # facet spans the chart, so its homogeneous rows have rank dim
@@ -802,10 +901,10 @@ def convex_hull(pts: list[tuple[VertexId, Point]]) -> list[HullFacet]:
                 continue  # already crossed from the facet on its other side
             ridges.add(ridge)
             ref = next(rows[i] for j, i in enumerate(onset) if j not in wall)
-            todo.append(_pivot(rows, [rows[onset[j]] for j in span], ref, nu)[0])
+            todo.append(_pivot(rows, [rows[onset[j]] for j in span], ref, nu, sides)[0])
     facets = [
         HullFacet(tuple(ids[i] for i in onset), nu[:-1], -nu[-1])
-        for onset, nu in found.items()
+        for nu, onset in found.items()
     ]
     facets.sort(key=attrgetter("vertices"))
     return facets

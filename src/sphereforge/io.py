@@ -393,10 +393,23 @@ def _heights_to_obj(heights) -> dict:
     return {v.label: _frac_str(h) for v, h in heights.items()}
 
 
-def _heights_from_obj(obj) -> dict[VertexId, Fraction]:
+def _heights_from_obj(obj, what: str = "heights") -> dict[VertexId, Fraction]:
     if not isinstance(obj, dict):
-        raise ValueError(f"heights must be a JSON object, not {reprlib.repr(obj)}")
+        raise ValueError(f"{what} must be a JSON object, not {reprlib.repr(obj)}")
     return {VertexId.from_label(k): _frac_parse(v) for k, v in obj.items()}
+
+
+def _lift_part_from_obj(obj, what: str, config: LiftedConfiguration) -> dict[VertexId, Fraction]:
+    """A height map of a lift file, such as its coarse or fine part, with a
+    value for exactly the points of config; the least label that breaks
+    this is named."""
+    part = _heights_from_obj(obj, what)
+    odd = sorted(part.keys() ^ config.heights.keys())
+    if odd and odd[0] in config.heights:
+        raise ValueError(f"{what} has no value for point {odd[0].label}")
+    if odd:
+        raise ValueError(f"{what} has a value for {odd[0].label}, which is not a point")
+    return part
 
 
 def lift_to_obj(lift: RegularAztecLift) -> dict:
@@ -419,12 +432,18 @@ def save_lift(path: str, lift: RegularAztecLift) -> None:
 
 @_decoder("lift file")
 def lift_data_from_obj(obj: dict) -> dict:
-    """Decode the parts of a lift file needed by the verifier and hull."""
+    """Decode a lift file: its configuration and subdivision, which the
+    verifier and the hull read, and its eps and its coarse and fine
+    height maps, which degree3 compares with the rebuilt lift.  Heights
+    need not equal coarse + eps * fine, so a file whose heights alone
+    were edited is still judged by the verifier."""
     config = LiftedConfiguration(
         _points_from_obj(obj["points"]), _heights_from_obj(obj["heights"])
     )
     return {
         "config": config,
+        "coarse": _lift_part_from_obj(obj["coarse"], "coarse", config),
+        "fine": _lift_part_from_obj(obj["fine"], "fine", config),
         "subdivision": Subdivision.of(map(_parse_verts, obj["subdivision"])).check_points(config),
         "eps": _frac_parse(obj["eps"]),
         "kind": obj.get("kind"),

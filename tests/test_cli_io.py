@@ -742,7 +742,8 @@ class TestCliPipelines:
         assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0
         obj = json.loads(lift.read_text())
         obj["points"] = [["c" if label == "a:1:1" else label, coords] for label, coords in obj["points"]]
-        obj["heights"]["c"] = obj["heights"].pop("a:1:1")
+        for part in ("heights", "coarse", "fine"):
+            obj[part]["c"] = obj[part].pop("a:1:1")
         obj["subdivision"] = [["c" if label == "a:1:1" else label for label in cell] for cell in obj["subdivision"]]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
@@ -1150,6 +1151,55 @@ class TestCliPipelines:
             captured = capsys.readouterr()
             assert captured.err == f"input error: malformed lift file: {message}\n", argv
             assert captured.out == "", argv
+
+    @pytest.mark.parametrize("part, value, message", [
+        ("coarse", "junk", "coarse must be a JSON object, not 'junk'"),
+        ("fine", {"zz": 1}, "bad vertex label 'zz'"),
+        ("fine", "drop a:1:1", "fine has no value for point a:1:1"),
+        ("coarse", "add r:5", "coarse has a value for r:5, which is not a point"),
+        ("coarse", "set a:1:1 to 1", "bad rational 1"),
+    ], ids=["coarse-junk", "fine-bad-label", "fine-missing", "coarse-extra", "coarse-number"])
+    def test_a_lift_file_whose_coarse_or_fine_part_is_no_height_map_is_rejected(
+        self, tmp_path, capsys, part, value, message
+    ):
+        lift = tmp_path / "lift.json"
+        assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0
+        obj = json.loads(lift.read_text())
+        if value == "drop a:1:1":
+            del obj[part]["a:1:1"]
+        elif value == "add r:5":
+            obj[part]["r:5"] = "0"
+        elif value == "set a:1:1 to 1":
+            obj[part]["a:1:1"] = 1
+        else:
+            obj[part] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        for argv in (("verify", "regular", bad), ("degree3", "--input", bad), ("hull", "--input", bad)):
+            assert run(tmp_path, *argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.err == f"input error: malformed lift file: {message}\n", argv
+            assert captured.out == "", argv
+
+    def test_degree3_compares_the_coarse_and_fine_parts_with_the_rebuilt_lift(self, tmp_path, capsys):
+        # heights need not be coarse + eps * fine: the verifier and the hull
+        # judge a file whose parts were edited, and degree3 refuses it
+        lift = tmp_path / "lift.json"
+        assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0
+        for part in ("coarse", "fine"):
+            obj = json.loads(lift.read_text())
+            obj[part]["a:1:2"] = "7/3"
+            bad = tmp_path / f"{part}.json"
+            bad.write_text(json.dumps(obj))
+            capsys.readouterr()
+            assert run(tmp_path, "verify", "regular", bad) == 0
+            assert run(tmp_path, "hull", "--input", bad) == 0
+            capsys.readouterr()
+            assert run(tmp_path, "degree3", "--input", bad) == 1, part
+            captured = capsys.readouterr()
+            assert captured.err == "input error: lift file does not match its regenerated lift\n"
+            assert captured.out == ""
 
     @pytest.mark.parametrize("content", [b'{"cells": "\xff"}', b"[" * 100000 + b"]" * 100000],
                              ids=["not-utf8", "nested-too-deep"])

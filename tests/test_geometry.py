@@ -1,9 +1,10 @@
 """Exact lifting, regularity verification, hulls, center raising."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -181,6 +182,18 @@ class TestVerifyRegular:
         with pytest.raises(DegenerateCell):
             verify_regular(pts, heights, Subdivision.of([{R(0), R(1), R(2)}]))
 
+    def test_a_fold_is_tested_from_both_of_its_cells(self):
+        # the walls {r:1,r:4}, {r:2,r:4} and {r:0,r:1} each have both their
+        # cells on one side, and every other check passes: testing only the
+        # earlier cell's points against the later cell's plane accepts it
+        coords = {0: (-2, 1), 1: (-1, 2), 2: (0, 0), 3: (0, 2), 4: (0, 3)}
+        pts = [(R(i), pt(*p)) for i, p in coords.items()]
+        heights = {R(i): F(h) for i, h in {0: 10, 1: 4, 2: 11, 3: 1, 4: 12}.items()}
+        cells = [{1, 3, 4}, {1, 2, 4}, {0, 2, 4}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}]
+        sub = Subdivision.of([{R(i) for i in c} for c in cells])
+        assert not reference_verify_regular(pts, heights, sub)
+        assert not verify_regular(pts, heights, sub)
+
     def test_one_elimination_per_cell_and_none_for_simplex_walls(self, monkeypatch):
         calls = []
         kernel = geometry._rank_and_nullvector
@@ -193,12 +206,17 @@ class TestVerifyRegular:
         cells = lift.subdivision.cells
         monkeypatch.setattr(geometry, "_rank_and_nullvector", counting)
         assert verify_regular(list(lift.config.points), lift.heights, lift.subdivision)
-        # 72 cells, one elimination each; the walls of the 36 simplices are
-        # read off, the 36 five-point cells are circuits whose walls one
-        # elimination of their affine dependence gives, and each of the 36
-        # unmatched walls on the boundary takes one more
+        # 72 cells, one elimination each (36 of 4 rows, 36 of 5); the walls
+        # of the 36 simplices are read off, the 36 five-point cells are
+        # circuits whose walls one elimination of their affine dependence
+        # gives (4 rows), and each of the 36 unmatched walls on the
+        # boundary takes one more (3 rows).  The degree check tests the
+        # centroid of the first unmatched wall against the 8 other
+        # triangles on its hull facet, and the second edge of each, 2
+        # eliminations of 2 rows, puts it outside: 16 more
         assert (len(cells), sum(len(c) == 4 for c in cells)) == (72, 36)
-        assert len(calls) == 72 + 36 + 36 == 144
+        assert Counter(calls) == {4: 36 + 36, 5: 36, 3: 36, 2: 8 * 2}
+        assert len(calls) == 72 + 36 + 36 + 16 == 160
 
 
 def reference_cell_walls(cell_rows, dim):
@@ -274,8 +292,12 @@ def random_lower_hull(rng, dim):
         coords.add(tuple(F(rng.randint(-2, 2)) for _ in range(dim)))
     pts = [(R(i), p) for i, p in enumerate(sorted(coords))]
     heights = {v: F(rng.randint(0, 6), rng.choice((1, 2))) for v, _ in pts}
+    return pts, heights, lower_hull_cells(pts, heights)
+
+
+def lower_hull_cells(pts, heights):
     facets = convex_hull([(v, p + (heights[v],)) for v, p in pts])
-    return pts, heights, [set(f.vertices) for f in lower_facets(facets)]
+    return [set(f.vertices) for f in lower_facets(facets)]
 
 
 def mutations(rng, pts, heights, cells):
@@ -417,6 +439,109 @@ class TestCellWallsDifferential:
             assert list(walls.items()) == list(reference_cell_walls(rows, dim).items()), rows
         # on a 3^dim grid many subsets lie on a plane found before them
         assert made < subsets * 3 // 4, (made, subsets)
+
+
+def two_sheets(dim):
+    """The grid {-2, 0, 2}^dim, heights and two covers of its cube that
+    share no wall onset, each folding convexly across every wall: sheet
+    one cones the centre over the corners of each facet, sheet two uses
+    every point.  Sheet two is the regular subdivision; in the union,
+    every facet of the cube is tiled twice by unmatched walls."""
+    grid = sorted(product((-2, 0, 2), repeat=dim))
+    ids = {p: R(i) for i, p in enumerate(grid)}
+    centre = (0,) * dim
+    # the centre low enough that each sheet folds convexly at the cube's
+    # ridges; in the plane it must stay above the ears' planes
+    heights = {ids[p]: F(sum(x * x for x in p) - 4) for p in grid}
+    heights[ids[centre]] = F({2: -1, 3: -100}[dim])
+    corners = [p for p in grid if 0 not in p]
+    one, two = [], set()
+    for a, s in product(range(dim), (-2, 2)):
+        mid = tuple(s if i == a else 0 for i in range(dim))
+        on = [c for c in corners if c[a] == s]
+        one.append({ids[centre]} | {ids[c] for c in on})
+        for c in on:
+            if dim == 2:
+                # the centre's cone over the square of facet midpoints, and
+                # the ears outside it
+                turn = tuple(0 if i == a else x for i, x in enumerate(c))
+                two |= {frozenset({centre, mid, turn}), frozenset({mid, c, turn})}
+            else:
+                # through the midpoints of the facet's ridges at c
+                ridge_mids = [tuple(0 if i == b else x for i, x in enumerate(c)) for b in range(dim) if b != a]
+                two |= {frozenset({centre, mid, e, c}) for e in ridge_mids}
+    if dim == 3:
+        # the ridge midpoints lie a little above the facets' paraboloid,
+        # so each facet's four squares fold along the diagonals from mid
+        for p in grid:
+            if p.count(0) == 1:
+                heights[ids[p]] += 1
+    return [(ids[p], tuple(map(F, p))) for p in grid], heights, one, [{ids[p] for p in c} for c in two]
+
+
+class TestDegreeCheck:
+    """The degree check of verify_regular, _covered_once: folds and
+    matching alone accept a cover that tiles the hull twice."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_the_degree_check_alone_refuses_a_hull_facet_tiled_twice(self, dim, monkeypatch):
+        pts, heights, one, two = two_sheets(dim)
+        both = Subdivision.of(one + two)
+        assert verify_regular(pts, heights, Subdivision.of(two))
+        assert not verify_regular(pts, heights, Subdivision.of(one))
+        assert not reference_verify_regular(pts, heights, both)
+        assert not verify_regular(pts, heights, both)
+        monkeypatch.setattr(geometry, "_covered_once", lambda *args: True)
+        assert verify_regular(pts, heights, both)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_a_centroid_on_the_boundary_of_another_wall_is_in_its_closure(self, dim):
+        pts, heights, one, two = two_sheets(dim)
+        ids, rows, _ = _int_config(pts, heights)
+        nu = (1,) + (0,) * (dim - 1) + (-2,)  # the facet x = 2, outward
+
+        def on_facet(cells):
+            return [tuple(i for i, v in enumerate(ids) if v in c and rows[i][0] == 2) for c in cells]
+
+        (square,) = [w for w in on_facet(one) if len(w) == 2 ** (dim - 1)]
+        tiles = [w for w in on_facet(two) if len(w) == dim]
+        assert len(tiles) == {2: 2, 3: 8}[dim]
+        # the square's centroid is the facet's centre, a vertex of every tile
+        for tile in tiles:
+            assert not geometry._covered_once(rows, dim, nu, square, [tile])
+            assert not geometry._covered_once(rows, dim, nu, tile, [square])
+            # the tiles of sheet two meet only on their boundaries
+            assert geometry._covered_once(rows, dim, nu, tile, [t for t in tiles if t != tile])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_unions_of_two_lower_hulls_get_the_reference_answer(self, dim):
+        rng = random.Random(2600 + dim)
+        seen = {True: 0, False: 0}
+        differ = 0
+        for _ in range(150):
+            try:
+                pts, h1, cells1 = random_lower_hull(rng, dim)
+            except DegenerateInput:
+                continue  # not full-dimensional
+            if rng.random() < 0.5:
+                h2 = {v: F(rng.randint(0, 6), rng.choice((1, 2))) for v in h1}
+            else:
+                h2 = dict(h1)
+                for v in rng.sample(sorted(h1), rng.randint(1, 3)):
+                    h2[v] += rng.choice((1, 2, 3))
+            try:
+                cells2 = lower_hull_cells(pts, h2)
+            except DegenerateInput:
+                continue  # the lifted points lie on one plane
+            union = {frozenset(c) for c in cells1} | {frozenset(c) for c in cells2}
+            differ += len(union) > len(cells1)
+            # lower hull cells are full-dimensional, so no claim raises
+            for hs, claimed in ((h1, union), (h2, union), (h2, cells1), (h1, cells2)):
+                sub = Subdivision.of(claimed)
+                expected = reference_verify_regular(pts, hs, sub)
+                assert verify_regular(pts, hs, sub) == expected, (pts, hs, claimed)
+                seen[expected] += 1
+        assert differ >= 75 and min(seen.values()) >= 100, (seen, differ)
 
 
 class TestAztecLift:
@@ -614,6 +739,37 @@ def fraction_rank(rows, ncols):
     return rank
 
 
+def fraction_null_space(rows, ncols):
+    """Reference rank and null-space basis by reduced row echelon form
+    over the rationals, each basis vector scaled to a primitive integer
+    vector."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        src = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if src is None:
+            continue
+        m[r], m[src] = m[src], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for row, col in zip(m, pivots):
+            v[col] = -row[free]
+        scale = lcm(*(x.denominator for x in v))
+        ints = [int(x * scale) for x in v]
+        g = gcd(*ints)
+        basis.append(tuple(x // g for x in ints))
+    return len(pivots), basis
+
+
 def random_matrix(rng):
     """Small integer matrix with some zero columns and repeated or scaled
     rows, entries up to 10**6."""
@@ -649,6 +805,32 @@ class TestKernel:
             assert any(v) and all(dot(row, v) == 0 for row in rows), rows
             assert gcd(*v) == 1
         assert nullity_one >= 50
+
+    def test_forward_elimination_matches_the_fraction_null_space(self):
+        rng = random.Random(1999)
+        nullity_one = dependent = 0
+        for _ in range(10_000):
+            nrows, ncols = rng.randint(1, 5), rng.randint(2, 6)
+            bound = rng.choice((1, 3, 10 ** 6))
+            rows = [[rng.randint(-bound, bound) for _ in range(ncols)] for _ in range(nrows)]
+            for col in range(ncols):
+                if rng.random() < 0.15:
+                    for row in rows:
+                        row[col] = 0
+            if nrows > 1 and rng.random() < 0.5:
+                # a row made from one or two others
+                i, *others = rng.sample(range(nrows), min(nrows, rng.randint(2, 3)))
+                rows[i] = [sum(rng.randint(-3, 3) * rows[j][c] for j in others) for c in range(ncols)]
+                dependent += 1
+            rows = [tuple(row) for row in rows]
+            rank, v = _rank_and_nullvector(rows, ncols)
+            expected_rank, basis = fraction_null_space(rows, ncols)
+            assert rank == expected_rank, rows
+            assert (v is None) == (len(basis) != 1), rows
+            if v is not None:
+                nullity_one += 1
+                assert v in (basis[0], tuple(-x for x in basis[0])), rows
+        assert nullity_one >= 2000 and dependent >= 3000, (nullity_one, dependent)
 
     def test_hyperplane_none_exactly_for_affinely_dependent_points(self):
         rng = random.Random(22)
@@ -743,6 +925,34 @@ class TestGiftWrap:
         assert facets == convex_hull_brute(pts + [(VertexId.cone(), apex_pt)])
         assert hull_with_apex(pts[::-1], VertexId.cone()) == (facets, apex_pt)
 
+    def test_one_side_pass_per_facet_found(self, monkeypatch):
+        passes = []
+        sides, first_facet = geometry._sides, geometry._first_facet
+
+        def counting(nu, rows):
+            passes.append(nu)
+            return sides(nu, rows)
+
+        def first_facet_uncounted(rows, dim):
+            # the search for the first facet makes passes of its own
+            before = len(passes)
+            out = first_facet(rows, dim)
+            del passes[before:]
+            return out
+
+        monkeypatch.setattr(geometry, "_sides", counting)
+        monkeypatch.setattr(geometry, "_first_facet", first_facet_uncounted)
+        rng = random.Random(26)
+        for pts in [lifted_points(3, 1)] + [random_rational_points(rng, 4) for _ in range(20)]:
+            del passes[:]
+            try:
+                facets = convex_hull(pts)
+            except DegenerateInput:
+                continue
+            # a facet is pushed once per ridge crossed into it, and its side
+            # values are computed at its first pop only
+            assert sorted(passes) == sorted(f.normal + (-f.offset,) for f in facets), pts
+
     def test_aztec_34_apex_hull(self):
         # counts checked against convex_hull_brute, too slow for a unit test here
         pts = lifted_points(3, 4)
@@ -776,7 +986,8 @@ class TestPivot:
                     basis = [rows[onset[j]] for j in span]
                     ref = next(rows[i] for j, i in enumerate(onset) if j not in wall)
                     expected, _ = pivot_reference(rows, basis, ref, frozenset(onset))
-                    nu, last = geometry._pivot(rows, basis, ref, h1)
+                    sides = [dot(h1, row) + h1[-1] for row in rows]
+                    nu, last = geometry._pivot(rows, basis, ref, h1, sides)
                     assert nu == expected, (pts, f)
                     # the point returned is on the new facet and off the old one
                     assert dot(nu, rows[last]) + nu[-1] == 0 != dot(h1, rows[last]) + h1[-1]
