@@ -49,10 +49,6 @@ class HypothesisNotSatisfied(SphereforgeError):
     """A hole is not a ball, or a band misses the condition for its shelling order."""
 
 
-class SymmetryViolation(SphereforgeError):
-    """Lift input coordinates are not antisymmetric and increasing."""
-
-
 class LiftConstructionFailed(SphereforgeError):
     """An internally constructed lift failed its own regularity check."""
 

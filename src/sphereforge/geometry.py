@@ -23,7 +23,6 @@ from .errors import (
     EpsSearchExhausted,
     InternalInvariantViolation,
     LiftConstructionFailed,
-    SymmetryViolation,
 )
 
 Point = tuple[Fraction, ...]
@@ -175,14 +174,11 @@ def _hyperplane(points: list[tuple[int, ...]]) -> tuple[int, ...] | None:
     return _rank_and_nullvector([p + (1,) for p in points], len(points) + 1)[1]
 
 
-def _integerize(columns: list[list[Fraction]]) -> list[list[int]]:
-    """Scale each column independently to integers (a diagonal linear map,
-    which preserves hyperplanes and sidedness)."""
-    out = []
-    for col in columns:
-        scale = lcm(*(f.denominator for f in col)) if col else 1
-        out.append([int(f * scale) for f in col])
-    return out
+def _scales(columns) -> list[int]:
+    """The integer factor of each column: the least common multiple of its
+    denominators.  Scaling each column by its own factor is a diagonal
+    linear map, which preserves hyperplanes and sidedness."""
+    return [lcm(*(f.denominator for f in col)) for col in columns]
 
 
 def _int_config(
@@ -202,9 +198,21 @@ def _int_config(
     cols = [[Fraction(p[a]) for _, p in pts] for a in range(dim)]
     if heights is not None:
         cols.append([Fraction(heights[v]) for v in ids])
-    int_cols = _integerize(cols)
-    rows = [tuple(int_cols[a][i] for a in range(len(int_cols))) for i in range(len(ids))]
+    scales = _scales(cols)
+    rows = [tuple(int(f * s) for f, s in zip(row, scales)) for row in zip(*cols)]
     return ids, rows, dim
+
+
+def _chart(rows: list[tuple[int, ...]], normal: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The rows, points of a hyperplane with this normal, in a chart of it:
+    dropping a coordinate where the normal is nonzero maps the hyperplane
+    bijectively and affinely onto a space of one dimension less, so the
+    image of its points has their faces.  Columns past the normal's are
+    dropped too.  A per-column scaling keeps the normal's zero entries
+    where they are, so any integer rows of the points give the same
+    chart, up to scaling."""
+    drop = next(a for a, n in enumerate(normal) if n)
+    return [row[:drop] + row[drop + 1:len(normal)] for row in rows]
 
 
 def _dot_h(nu: tuple[int, ...], row: tuple[int, ...]) -> int:
@@ -419,11 +427,9 @@ def _covered_once(
     others: list[tuple[int, ...]],
 ) -> bool:
     """Whether the centroid of the wall first lies in the closure of none
-    of the walls others, all on the hyperplane nu: in a chart that drops
-    a coordinate where nu is nonzero, as convex_hull does, it must be
-    strictly outside one wall of each."""
-    drop = next(a for a, n in enumerate(nu[:dim]) if n)
-    chart = [row[:drop] + row[drop + 1:dim] for row in rows]
+    of the walls others, all on the hyperplane nu: in its _chart, as
+    convex_hull reads it, it must be strictly outside one wall of each."""
+    chart = _chart(rows, nu[:dim])
     size = len(first)
     total = [sum(col) for col in zip(*(chart[i] for i in first))]
     for wall in others:
@@ -473,15 +479,15 @@ def eps_search(
 # coordinates
 
 
-def standard_coordinates(n: int, m: int) -> dict[VertexId, Point]:
-    """First path on the line (t, 0, 1), second on (0, t, -1)."""
-    if n < 2 or m < 2:
+def standard_coordinates(n: int) -> dict[VertexId, Point]:
+    """Two paths of n vertices each: the first on the line (t, 0, 1), the
+    second on (0, t, -1)."""
+    if n < 2:
         raise DegenerateInput("paths need at least 2 vertices")
     out: dict[VertexId, Point] = {}
     for i in range(1, n + 1):
         out[VertexId.path(1, i)] = (Fraction(i), Fraction(0), Fraction(1))
-    for j in range(1, m + 1):
-        out[VertexId.path(2, j)] = (Fraction(0), Fraction(j), Fraction(-1))
+        out[VertexId.path(2, i)] = (Fraction(0), Fraction(i), Fraction(-1))
     return out
 
 
@@ -506,21 +512,9 @@ class AztecPatchLift:
     cells: tuple[tuple[tuple[int, int], ...], ...]
 
 
-def _validate_axis(vals: list[Fraction], k: int, name: str) -> dict[int, Fraction]:
-    if len(vals) != k + 1:
-        raise SymmetryViolation(f"{name} needs {k + 1} values for odd indices")
-    for a, b in zip(vals, vals[1:]):
-        if not a < b:
-            raise SymmetryViolation(f"{name} must be strictly increasing")
-    table = {i: vals[(i + k) // 2] for i in range(-k, k + 1, 2)}
-    for i in range(1, k + 1, 2):
-        if table[-i] != -table[i]:
-            raise SymmetryViolation(f"{name} must be antisymmetric")
-    return table
-
-
-def aztec_lift(k: int, xs, ys) -> AztecPatchLift:
-    """Split lifting of the midpoint grid of one hole.
+def aztec_lift(k: int) -> AztecPatchLift:
+    """Split lifting of the midpoint grid of one hole, at the coordinates
+    -k, -k+2, ..., k on both axes.
 
     Heights on the outer staircase corners are squared distances from the
     center (keeping the central star lifted strictly convex with rational
@@ -531,38 +525,30 @@ def aztec_lift(k: int, xs, ys) -> AztecPatchLift:
     """
     if k < 3 or k % 2 == 0:
         raise DegenerateInput("need odd k >= 3")
-    x = _validate_axis([Fraction(v) for v in xs], k, "xs")
-    y = _validate_axis([Fraction(v) for v in ys], k, "ys")
 
-    # ring: squared distance at the staircase corners (x_i, y_{k-1-i})
-    ring: dict[int, Fraction] = {}
-    for i in range(1, k - 1, 2):
-        ring[i] = x[i] ** 2 + y[k - 1 - i] ** 2
+    # ring: squared distance at the staircase corners (i, k-1-i)
+    ring = {i: Fraction(i * i + (k - 1 - i) ** 2) for i in range(1, k - 1, 2)}
 
-    # derived corner heights omega_{i, k+1-i}
-    corner: dict[int, Fraction] = {}
+    # corner heights omega_{i, k+1-i}: at i = 1 and i = k, those of the
+    # pentagons of the top and right arms, whose planes pass through the
+    # center and the ring point at distance k-2 along the arm (ring[1] =
+    # ring[k-2]); between them, derived
+    corner = {1: ring[1] * k / (k - 2), k: ring[k - 2] * k / (k - 2)}
     for i in range(3, k - 1, 2):
-        # plane through the origin and two ring points
-        a1, b1, h1 = x[i], y[k - 1 - i], ring[i]
-        a2, b2, h2 = x[i - 2], y[k + 1 - i], ring[i - 2]
+        # plane through the origin and the ring points at (i, k-1-i) and
+        # (i-2, k+1-i), whose determinant is 2k-2
+        a1, b1, h1 = i, k - 1 - i, ring[i]
+        a2, b2, h2 = i - 2, k + 1 - i, ring[i - 2]
         det = a1 * b2 - a2 * b1
-        if det == 0:
-            raise LiftConstructionFailed("degenerate staircase plane")
         ca = (h1 * b2 - h2 * b1) / det
         cb = (a1 * h2 - a2 * h1) / det
-        corner[i] = ca * x[i] + cb * y[k + 1 - i]
-    top = ring[1] * y[k] / y[k - 2]  # pentagon at the top arm
-    right = ring[k - 2] * x[k] / x[k - 2]  # pentagon at the right arm
-
-    def omega_corner(i: int) -> Fraction:
-        return top if i == 1 else corner[i]
+        corner[i] = ca * i + cb * (k + 1 - i)
 
     alpha: dict[int, Fraction] = {1: Fraction(0)}
-    beta: dict[int, Fraction] = {k: top}
+    beta: dict[int, Fraction] = {k: corner[1]}
     for i in range(3, k + 1, 2):
-        upper = right if i == k else corner[i]
-        alpha[i] = upper - ring[i - 2] + alpha[i - 2]
-        beta[k + 1 - i] = ring[i - 2] - omega_corner(i - 2) + beta[k + 3 - i]
+        alpha[i] = corner[i] - ring[i - 2] + alpha[i - 2]
+        beta[k + 1 - i] = ring[i - 2] - corner[i - 2] + beta[k + 3 - i]
     for i in range(1, k + 1, 2):
         alpha[-i] = alpha[i]
         beta[-i] = beta[i]
@@ -574,7 +560,7 @@ def aztec_lift(k: int, xs, ys) -> AztecPatchLift:
     for i in range(-k, k + 1, 2):
         for j in range(-k, k + 1, 2):
             omega[(i, j)] = alpha[i] + beta[j]
-            points[(i, j)] = (x[i], y[j])
+            points[(i, j)] = (Fraction(i), Fraction(j))
     for i in range(1, k - 1, 2):
         if omega[(i, k - 1 - i)] != ring[i]:
             raise LiftConstructionFailed("split lift does not reproduce the ring")
@@ -685,9 +671,8 @@ def build_aztec_lift(k: int, l: int) -> RegularAztecLift:
     report = build_aztec(k, l)
     manifest = report.manifest
     n = k * l + 1
-    coords = standard_coordinates(n, n)
-
-    patch = aztec_lift(k, list(range(-k, k + 1, 2)), list(range(-k, k + 1, 2)))
+    coords = standard_coordinates(n)
+    patch = aztec_lift(k)
 
     pts: list[tuple[VertexId, Point]] = []
     coarse: dict[VertexId, Fraction] = {}
@@ -890,11 +875,9 @@ def convex_hull(pts: list[tuple[VertexId, Point]]) -> list[HullFacet]:
         sides = _sides(nu, rows)
         onset = tuple(i for i, side in enumerate(sides) if not side)
         found[nu] = onset
-        # the ridges are the walls of the facet in a chart that drops a
-        # coordinate where its normal is nonzero (see _is_bipyramid); the
-        # facet spans the chart, so its homogeneous rows have rank dim
-        drop = next(a for a, n in enumerate(nu[:-1]) if n)
-        chart = [rows[i][:drop] + rows[i][drop + 1:] for i in onset]
+        # the ridges are the walls of the facet in its _chart; the facet
+        # spans the chart, so its homogeneous rows have rank dim
+        chart = _chart([rows[i] for i in onset], nu[:-1])
         for wall, span in _cell_walls(chart, dim - 1, dim).items():
             ridge = tuple(onset[j] for j in wall)
             if ridge in ridges:
@@ -914,32 +897,35 @@ def hull_with_apex(
     pts: list[tuple[VertexId, Point]], apex_id: VertexId
 ) -> tuple[list[HullFacet], Point]:
     """Hull of the configuration plus a far apex above it, both built by
-    gift wrapping (convex_hull).
+    gift wrapping (convex_hull).  An apex_id among the points is refused
+    with DegenerateInput before any hull is built.
 
-    The apex, above the centroid, must lie strictly beyond every upper
-    facet of the configuration's hull and beneath every other one.  Then
-    the new hull keeps the other facets and replaces the upper ones by
-    cones from the apex over the boundary of the upper side.  That is
-    checked after the fact: the facets without the apex must be exactly
-    the base facets whose normal does not point up, or
-    InternalInvariantViolation is raised.  Returns the facets and the apex
-    point.
+    The apex, above the centroid c, must lie strictly beyond every upper
+    facet of the configuration's hull and beneath every other one.  A
+    facet's normal n and offset live in the coordinates that _int_config
+    scales column by column, by the factors s of _scales, so the apex is
+    beyond it when its height exceeds (offset - sum_a n_a s_a c_a) /
+    (n_h s_h), summed over the coordinates a other than the height h; it
+    is placed 1 above every such bound and every point.  Then the new hull keeps the other facets
+    and replaces the upper ones by cones from the apex over the boundary
+    of the upper side.  That is checked after the fact: the facets
+    without the apex must be exactly the base facets whose normal does
+    not point up, or InternalInvariantViolation is raised.  Returns the
+    facets and the apex point.
     """
+    if any(v == apex_id for v, _ in pts):
+        raise DegenerateInput(f"the apex {apex_id.label} is already a point")
     base = convex_hull(pts)
-    dim = len(pts[0][1])
-    centroid = tuple(
-        sum((p[a] for _, p in pts), Fraction(0)) / len(pts) for a in range(dim)
-    )
-    height = max(p[-1] for _, p in pts) + 1
+    cols = list(zip(*(p for _, p in pts)))
+    scales = _scales(cols)
+    centroid = [Fraction(sum(col), len(pts)) for col in cols]
+    height = max(cols[-1]) + 1
     for f in base:
         if f.normal[-1] <= 0:
             continue
-        # outward normal . p <= offset; apex must violate it strictly
-        rest = sum(n * c for n, c in zip(f.normal[:-1], centroid[:-1]))
-        bound = Fraction(f.offset - rest, f.normal[-1])
-        if bound + 1 > height:
-            height = bound + 1
-    apex_pt = centroid[:-1] + (Fraction(height),)
+        rest = sum(n * s * c for n, s, c in zip(f.normal, scales, centroid[:-1]))
+        height = max(height, Fraction(f.offset - rest, f.normal[-1] * scales[-1]) + 1)
+    apex_pt = (*centroid[:-1], Fraction(height))
     hull = convex_hull(list(pts) + [(apex_id, apex_pt)])
     kept = {f.vertices for f in hull if apex_id not in f.vertices}
     if kept != {f.vertices for f in base if f.normal[-1] <= 0}:
@@ -962,30 +948,28 @@ def detect_bipyramid_facets(
     vertices); no facet is assumed to be anything from its vertex count
     alone.
     """
-    coords = dict(pts)
-    if facets and len(next(iter(coords.values()))) != 4:
+    ids, rows, dim = _int_config(pts, None)
+    if dim != 4:
         raise DegenerateInput("facet classification expects a 4-dimensional hull")
+    index = {v: i for i, v in enumerate(ids)}
     kinds = []
     for f in facets:
         n = len(f.vertices)
         if n == 4:
             kinds.append(SIMPLEX)
-        elif n == 5 and _is_bipyramid([coords[v] for v in f.vertices], f.normal):
+        elif n == 5 and _is_bipyramid([rows[index[v]] for v in f.vertices], f.normal):
             kinds.append(BIPYRAMID)
         else:
             kinds.append(OTHER)
     return kinds.count(BIPYRAMID), kinds
 
 
-def _is_bipyramid(points: list[Point], normal: tuple[int, ...]) -> bool:
-    """Dropping a coordinate where the facet normal is nonzero maps the
-    facet's hyperplane bijectively and affinely onto R^3, so the image of
-    the points has the facet's faces.  The hull's per-column scaling of
-    the coordinates keeps the normal's zero entries where they are.  A
-    facet spans its hyperplane, so the image's rows (p, 1) have rank 4."""
-    drop = next(a for a, n in enumerate(normal) if n)
-    cols = [[p[a] for p in points] for a in range(len(normal)) if a != drop]
-    walls = _cell_walls(list(zip(*_integerize(cols))), 3, 4)
+def _is_bipyramid(rows: list[tuple[int, ...]], normal: tuple[int, ...]) -> bool:
+    """Whether the integer rows of a facet's five points, with the facet's
+    normal, have six triangular walls in the facet's _chart, which has the
+    facet's faces.  A facet spans its hyperplane, so the chart's rows
+    (p, 1) have rank 4."""
+    walls = _cell_walls(_chart(rows, normal), 3, 4)
     return len(walls) == 6 and all(len(onset) == 3 for onset in walls)
 
 

@@ -18,7 +18,9 @@ A facet order is checked by restrictions.  The restriction of a facet s
 is R(s) = {v in s : s - v lies in an earlier facet}.  s meets the union
 of the earlier facets in a nonempty union of its ridges iff R(s) is
 nonempty and no earlier facet contains R(s), and in its whole boundary
-iff R(s) = s (Ziegler, Lectures on Polytopes, Lecture 8).
+iff R(s) = s (Ziegler, Lectures on Polytopes, Lecture 8).  The search
+tests exactly this, and ``verify_shelling`` checks a given order by
+running it with that order as the ranking.
 """
 
 from __future__ import annotations
@@ -197,6 +199,23 @@ def _by_degree(facets: list[tuple[int, ...]], n_vertices: int) -> list[int]:
     return sorted(range(len(facets)), key=lambda i: sorted([vrank[v] for v in facets[i]]))
 
 
+def _across(
+    facets: list[tuple[int, ...]], ridges: dict[tuple[int, ...], list[int]]
+) -> list[list[tuple[int, int]]]:
+    """For each facet i, a pair (j, v) for each facet j that shares a
+    ridge in two facets with it, v the vertex of i that the ridge omits
+    (the facet's vertex sum less the ridge's)."""
+    sums = list(map(sum, facets))
+    across: list[list[tuple[int, int]]] = [[] for _ in facets]
+    for r, owners in ridges.items():
+        if len(owners) == 2:
+            a, b = owners
+            s = sum(r)
+            across[a].append((b, sums[a] - s))
+            across[b].append((a, sums[b] - s))
+    return across
+
+
 def _greedy(
     facets: list[tuple[int, ...]],
     across: list[list[tuple[int, int]]],
@@ -205,7 +224,13 @@ def _greedy(
     ranked: Sequence[int],
 ) -> list[int] | None:
     """The greedy search of ``_shelling`` with the facets in the ranking
-    ``ranked``, or None when it gets stuck."""
+    ``ranked``, or None when it gets stuck.  ``across`` is ``_across``
+    of the facets.  Each step pops the least-ranked facet queued across a
+    ridge from the added ones and adds it when ``_shells`` passes it.  A
+    facet that passes has an added facet across a ridge, so it is
+    queued; so the search returns ``ranked`` itself exactly when each
+    facet passes at its turn, which is how ``verify_shelling`` replays an
+    order."""
     n = len(facets)
     rank = [0] * n
     for k, i in enumerate(ranked):
@@ -257,17 +282,7 @@ def _shelling(
     them relabelled at random, and the degree ranking shells most of
     those.
     """
-    # across[i]: a pair (j, v) for each facet j that shares a ridge with
-    # facet i, v the vertex of i that the ridge omits (the facet's
-    # vertex sum less the ridge's)
-    sums = list(map(sum, facets))
-    across: list[list[tuple[int, int]]] = [[] for _ in facets]
-    for r, owners in ridges.items():
-        if len(owners) == 2:
-            a, b = owners
-            s = sum(r)
-            across[a].append((b, sums[a] - s))
-            across[b].append((a, sums[b] - s))
+    across = _across(facets, ridges)
     order = _greedy(facets, across, closed, n_vertices, range(len(facets)))
     if order is None:
         order = _greedy(facets, across, closed, n_vertices, _by_degree(facets, n_vertices))
@@ -326,30 +341,21 @@ def verify_shelling(x: SimplicialComplex, order: Sequence[Simplex]) -> bool:
 
     Each facet after the first must meet the union of its predecessors in
     a nonempty union of its codimension-1 faces, and never in its whole
-    boundary (that would close a sphere inside a ball).  The restriction
-    of each facet is read off one set of the earlier facets' ridges and
-    tested by ``_shells``, as the search of ``certify`` tests it.  A
-    ridge in three or more facets, which no ball has, is refused.
+    boundary (that would close a sphere inside a ball).  The search of
+    ``certify`` checks this: ``_greedy``, ranking the facets by the order
+    and letting no facet close a sphere, returns the order exactly when
+    it is such a shelling.  A ridge in three or more facets, which no
+    ball has, is refused.
     """
     x._require_nonvoid()
     if len(order) != x.n_facets or set(order) != set(x.facets):
         raise InvalidOrder("order is not a permutation of the facets")
     if len(order) == 1:
         return True
-    if max(map(len, _ridges(_indexed_facets(x)).values())) > 2:
+    facets = _indexed_facets(x)
+    ridges = _ridges(facets)
+    if max(map(len, ridges.values())) > 2:
         return False
-    index = {v: i for i, v in enumerate(x.vertices)}
-    at: list[set[int]] = [set() for _ in index]
-    earlier: set[tuple[int, ...]] = set()
-    for j, sigma in enumerate(order):
-        f = tuple([index[v] for v in sigma])
-        # combinations omits the vertices from the last to the first
-        ridges = list(combinations(f, len(f) - 1))
-        if j > 0:
-            restriction = [v for v, r in zip(reversed(f), ridges) if r in earlier]
-            if not _shells(f, restriction, at, False):
-                return False
-        earlier.update(ridges)
-        for v in f:
-            at[v].add(j)
-    return True
+    position = {f: i for i, f in enumerate(x.sorted_facets)}
+    ranked = [position[f] for f in order]
+    return _greedy(facets, _across(facets, ridges), False, len(x.vertices), ranked) == ranked

@@ -14,8 +14,6 @@ from sphereforge.errors import (
     DegenerateInput,
     DeltaTooLarge,
     EpsSearchExhausted,
-    InternalInvariantViolation,
-    SymmetryViolation,
 )
 from sphereforge.geometry import (
     LiftedConfiguration,
@@ -48,12 +46,12 @@ def pt(*xs):
 
 class TestCoordinates:
     def test_standard(self):
-        coords = standard_coordinates(3, 3)
+        coords = standard_coordinates(3)
         assert coords[VertexId.path(1, 1)] == pt(1, 0, 1)
         assert coords[VertexId.path(2, 2)] == pt(0, 2, -1)
 
     def test_midpoint_on_cut_plane(self):
-        coords = standard_coordinates(3, 3)
+        coords = standard_coordinates(3)
         a1 = coords[VertexId.path(1, 1)]
         b1 = coords[VertexId.path(2, 1)]
         mid = tuple((x + y) / 2 for x, y in zip(a1, b1))
@@ -548,7 +546,7 @@ class TestAztecLift:
     def test_k3_frozen_values(self):
         # worked out by hand from the coplanarity conditions with squared
         # ring heights: ring (1,1) -> 2, pentagon planes z = 2y and z = 2x
-        lift = aztec_lift(3, [-3, -1, 1, 3], [-3, -1, 1, 3])
+        lift = aztec_lift(3)
         assert lift.omega[(0, 0)] == 0
         assert lift.omega[(1, 1)] == 2
         assert lift.omega[(1, 3)] == 6
@@ -558,13 +556,13 @@ class TestAztecLift:
         assert lift.beta == {3: 6, 1: 2, -3: 6, -1: 2}
 
     def test_k3_cell_counts(self):
-        lift = aztec_lift(3, [-3, -1, 1, 3], [-3, -1, 1, 3])
+        lift = aztec_lift(3)
         sizes = sorted(len(c) for c in lift.cells)
         assert len(lift.cells) == 8  # 4 rectangles + 4 pentagons
         assert sizes == [4, 4, 4, 4, 5, 5, 5, 5]
 
     def test_k5_frozen_values(self):
-        lift = aztec_lift(5, range(-5, 6, 2), range(-5, 6, 2))
+        lift = aztec_lift(5)
         assert lift.alpha[1] == 0 and lift.alpha[3] == 5
         assert lift.alpha[5] == F(35, 3)
         assert lift.beta[1] == 5 and lift.beta[3] == 10
@@ -572,23 +570,17 @@ class TestAztecLift:
 
     def test_k5_and_k7_structure(self):
         for k, rects, quads in ((5, 12, 4), (7, 24, 8)):
-            lift = aztec_lift(k, range(-k, k + 1, 2), range(-k, k + 1, 2))
+            lift = aztec_lift(k)
             n_cells = len(lift.cells)
             assert n_cells == rects + quads + 4
 
     def test_symmetry_split_and_center(self):
-        lift = aztec_lift(5, range(-5, 6, 2), range(-5, 6, 2))
+        lift = aztec_lift(5)
         assert lift.omega[(0, 0)] == 0
         for i in range(-5, 6, 2):
             for j in range(-5, 6, 2):
                 assert lift.omega[(i, j)] == lift.alpha[i] + lift.beta[j]
                 assert lift.omega[(i, j)] == lift.omega[(-i, j)] == lift.omega[(i, -j)]
-
-    def test_asymmetric_input_rejected(self):
-        with pytest.raises(SymmetryViolation):
-            aztec_lift(3, [-3, -1, 1, 4], [-3, -1, 1, 3])
-        with pytest.raises(SymmetryViolation):
-            aztec_lift(3, [-3, 1, -1, 3], [-3, -1, 1, 3])
 
 
 class TestComposeAndSearch:
@@ -706,6 +698,21 @@ class TestBipyramidDetection:
             facets = convex_hull_brute(pts)
             count, kinds = detect_bipyramid_facets(facets, pts)
             assert count == 1
+
+    def test_kinds_do_not_depend_on_point_order_or_scaling(self):
+        # an extra point inside the hull, off every facet, at coordinates
+        # over 13 changes the integer factors of every column
+        pts = lifted_points(3, 1)
+        facets, apex_pt = hull_with_apex(pts, VertexId.cone())
+        pts = pts + [(VertexId.cone(), apex_pt)]
+        centroid = [sum(col) / len(pts) for col in zip(*(p for _, p in pts))]
+        extra = (R(99), tuple((12 * c + a) / 13 for c, a in zip(centroid, pts[0][1])))
+        assert all(s % 13 for s in geometry._scales(zip(*(p for _, p in pts))))
+        assert all(s % 13 == 0 for s in geometry._scales(zip(*(p for _, p in pts + [extra]))))
+        count, kinds = detect_bipyramid_facets(facets, pts)
+        assert count == 4
+        assert detect_bipyramid_facets(facets, pts[::-1]) == (count, kinds)
+        assert detect_bipyramid_facets(facets, pts + [extra]) == (count, kinds)
 
     def test_pyramid_over_square_is_other(self):
         pyramid = [
@@ -864,14 +871,37 @@ class TestHullOfLift:
         count, _ = detect_bipyramid_facets(facets, pts + [(VertexId.cone(), apex_pt)])
         assert count == 4
 
-    def test_apex_below_an_upper_facet_is_caught(self):
-        # the apex height bound mixes column-scaled normals with the raw
-        # centroid; here the apex (33/98, 22249/2744) lands beneath the
-        # upper facet {r:4, r:5}, which would survive in the returned hull
+    def test_apex_beyond_the_upper_facets_of_a_fractional_set(self):
+        # the columns have different integer factors, and the apex clears
+        # the upper facet {r:4, r:5} only with a bound that applies them
+        # to the centroid as to the normals
         pts = [(R(i), pt(*p)) for i, p in enumerate(
             [(5, 5), (2, 4), (F(-3, 2), 0), (-1, 1), (0, 7), (-2, -2), (F(-1, 7), 3)]
         )]
-        with pytest.raises(InternalInvariantViolation):
+        facets, apex_pt = hull_with_apex(pts, VertexId.cone())
+        assert facets == convex_hull_brute(pts + [(VertexId.cone(), apex_pt)])
+        assert {R(4), R(5)} not in [set(f.vertices) for f in facets]
+
+    def test_apex_hull_is_the_brute_force_hull_on_random_sets(self):
+        # coordinates in -6..6 over 1, 2, 3 or 7, so that the columns get
+        # different integer factors
+        rng = random.Random(3)
+        for _ in range(160):
+            dim = rng.choice((2, 3, 4))
+            pts = [
+                (R(i), tuple(F(rng.randint(-6, 6), rng.choice((1, 2, 3, 7))) for _ in range(dim)))
+                for i in range(rng.randint(dim + 1, 12))
+            ]
+            try:
+                convex_hull_brute(pts)
+            except DegenerateInput:
+                continue
+            facets, apex_pt = hull_with_apex(pts, VertexId.cone())
+            assert facets == convex_hull_brute(pts + [(VertexId.cone(), apex_pt)]), pts
+
+    def test_an_apex_among_the_points_is_refused(self):
+        pts = [(R(0), pt(0, 0)), (R(1), pt(1, 0)), (VertexId.cone(), pt(0, 1))]
+        with pytest.raises(DegenerateInput, match="apex c is already a point"):
             hull_with_apex(pts, VertexId.cone())
 
 
@@ -924,6 +954,8 @@ class TestGiftWrap:
         facets, apex_pt = hull_with_apex(pts, VertexId.cone())
         assert facets == convex_hull_brute(pts + [(VertexId.cone(), apex_pt)])
         assert hull_with_apex(pts[::-1], VertexId.cone()) == (facets, apex_pt)
+        # 1 above the highest upper facet over the centroid
+        assert apex_pt[-1] == {3: 23, 5: F(161, 3)}[k]
 
     def test_one_side_pass_per_facet_found(self, monkeypatch):
         passes = []

@@ -59,3 +59,43 @@ def test_every_imported_name_is_used_in_its_module():
         named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused += [f"{path.stem}.{name}" for name in sorted(imported - named)]
     assert unused == []
+
+
+def _package_trees():
+    return {
+        path.stem: ast.parse(path.read_text())
+        for path in sorted(Path(sphereforge.__file__).parent.glob("*.py"))
+    }
+
+
+def test_every_private_function_is_named_by_the_package():
+    """A private top-level function that only the tests name is kept
+    alive by them: it must be named, as an identifier or an attribute,
+    somewhere in the package outside its own definition."""
+    trees = _package_trees()
+    private, named = set(), set()
+    for module, tree in trees.items():
+        for top in tree.body:
+            own = None
+            if isinstance(top, ast.FunctionDef) and top.name.startswith("_"):
+                own = top.name
+                private.add(f"{module}.{own}")
+            names = {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute)}
+            named |= names - {own}
+    assert sorted(f for f in private if f.split(".")[1] not in named) == []
+
+
+def test_every_error_class_is_raised_by_the_package():
+    """An error class that nothing raises is a check that is gone.  Every
+    class in ``errors`` but the base ``SphereforgeError`` must be raised
+    somewhere in the package, by name."""
+    trees = _package_trees()
+    classes = {c.name for c in trees["errors"].body if isinstance(c, ast.ClassDef)}
+    raised = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised |= {n.id for n in ast.walk(exc) if isinstance(n, ast.Name)}
+    assert sorted(classes - raised - {"SphereforgeError"}) == []
