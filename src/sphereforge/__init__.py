@@ -24,6 +24,7 @@ from .carvefill import (
     BallInComplex,
     CompatibleFamily,
     FillManifest,
+    Hole,
     carve_and_fill,
     fill_ball,
     is_compatible,
@@ -53,6 +54,7 @@ from .constructions import (
     build_highd,
     build_holes3,
     build_holes4,
+    fill_holes,
 )
 from .geometry import (
     LiftedConfiguration,

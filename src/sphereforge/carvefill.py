@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress
-from typing import Collection, Hashable, Iterable, Sequence
+from operator import itemgetter
+from typing import Collection, Hashable, Iterable, NamedTuple, Sequence
 
 from .complexes import (
     FreeSumCell,
@@ -203,31 +204,35 @@ def fill_ball(
     return result, free
 
 
+class Hole(NamedTuple):
+    """One filled hole: its key, its apex and its free cells in canonical
+    order (by missing face)."""
+
+    key: Hashable
+    apex: VertexId
+    cells: tuple[FreeSumCell, ...]
+
+
 @dataclass(frozen=True)
 class FillManifest:
-    """The outcome of carving and filling: the new complex plus the free
-    cells per hole in canonical order (hole key, then missing face).
+    """The outcome of carving and filling: the new complex plus its holes.
     Hole keys are distinct, and the holes list every free cell of the
     complex exactly once."""
 
     result: PolyComplex
-    hole_keys: tuple[Hashable, ...]
-    free_cells_by_ball: dict[Hashable, tuple[FreeSumCell, ...]]
-    apex_of_ball: dict[Hashable, VertexId]
+    holes: tuple[Hole, ...]
 
     def __post_init__(self) -> None:
-        if len(set(self.hole_keys)) != len(self.hole_keys):
-            raise DegenerateInput(f"hole keys {self.hole_keys} are not distinct")
+        keys = tuple(h.key for h in self.holes)
+        if len(set(keys)) != len(keys):
+            raise DegenerateInput(f"hole keys {keys} are not distinct")
         cells = self.free_cells
         if len(cells) != len(self.result.free_cells) or set(cells) != self.result.free_cells:
             raise DegenerateInput("the holes do not list each free cell of the complex once")
 
     @cached_property
     def free_cells(self) -> tuple[FreeSumCell, ...]:
-        out: list[FreeSumCell] = []
-        for key in self.hole_keys:
-            out.extend(self.free_cells_by_ball[key])
-        return tuple(out)
+        return tuple(c for h in self.holes for c in h.cells)
 
     @property
     def n_free_cells(self) -> int:
@@ -247,60 +252,46 @@ def _apex_key(key: Hashable, rank: int) -> int:
 
 
 def carve_and_fill(
-    host: SimplicialComplex,
-    fams: Sequence[CompatibleFamily],
-    keys: Sequence[Hashable] | None = None,
+    host: SimplicialComplex, holes: Iterable[tuple[Hashable, CompatibleFamily]]
 ) -> FillManifest:
-    """Fill several balls with disjoint interiors simultaneously.
+    """Fill several balls with disjoint interiors simultaneously, given as
+    ``(key, family)`` pairs in any order; the manifest lists them by key.
 
     Balls may share boundary faces but no full-dimensional simplex.  One
     fresh apex is introduced per ball; simplices outside every ball are
     kept unchanged.
     """
     host._require_nonvoid()
-    if keys is None:
-        keys = list(range(1, len(fams) + 1))
-    if len(keys) != len(fams) or len(set(keys)) != len(keys):
-        raise DegenerateInput("hole keys must be unique, one per family")
-    for fam in fams:
+    holes = sorted(holes, key=itemgetter(0))
+    if len({key for key, _ in holes}) != len(holes):
+        raise DegenerateInput("hole keys must be unique")
+    seen: set[Simplex] = set()
+    for _, fam in holes:
         if fam.ball.host is not host and fam.ball.host != host:
             raise FaceNotFound("family ball lives in a different host")
-    order = sorted(range(len(fams)), key=lambda i: keys[i])
-    seen: set[Simplex] = set()
-    for i in order:
-        overlap = seen & fams[i].ball.ball_facets
+        overlap = seen & fam.ball.ball_facets
         if overlap:
             raise BallOverlap(f"balls share the simplex {min(overlap)!r}")
-        seen |= fams[i].ball.ball_facets
+        seen |= fam.ball.ball_facets
 
-    kept = [f for f in host.facets if f not in seen]
-    simplex_cells: list[Simplex] = list(kept)
-    by_ball: dict[Hashable, tuple[FreeSumCell, ...]] = {}
-    apex_of: dict[Hashable, VertexId] = {}
+    simplex_cells: list[Simplex] = [f for f in host.facets if f not in seen]
+    filled: list[Hole] = []
     used_apexes: set[VertexId] = set()
-    for rank, i in enumerate(order, start=1):
-        key = keys[i]
+    for rank, (key, fam) in enumerate(holes, start=1):
         apex = VertexId.hole(_apex_key(key, rank))
-        if apex in used_apexes or apex in host.vertex_set:
+        if apex in used_apexes:
             raise DisjointnessViolation(f"apex {apex.label} already used")
         used_apexes.add(apex)
-        filled, free = fill_ball(fams[i], apex)
-        simplex_cells.extend(filled.simplex_cells)
-        by_ball[key] = tuple(free)
-        apex_of[key] = apex
-    all_free = [c for key in sorted(by_ball) for c in by_ball[key]]
-    result = PolyComplex.from_cells(simplex_cells, all_free)
-    expected = len(host.vertex_set) + len(fams)
+        cones, free = fill_ball(fam, apex)
+        simplex_cells.extend(cones.simplex_cells)
+        filled.append(Hole(key, apex, tuple(free)))
+    result = PolyComplex.from_cells(simplex_cells, [c for h in filled for c in h.cells])
+    expected = len(host.vertex_set) + len(filled)
     if len(result.vertex_set) != expected:
         raise InternalInvariantViolation(
             f"expected {expected} vertices, got {len(result.vertex_set)}"
         )
-    return FillManifest(
-        result=result,
-        hole_keys=tuple(sorted(by_ball)),
-        free_cells_by_ball=by_ball,
-        apex_of_ball=apex_of,
-    )
+    return FillManifest(result, tuple(filled))
 
 
 def triangulate_cell(c: FreeSumCell, choice: int) -> list[Simplex]:

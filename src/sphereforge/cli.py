@@ -13,9 +13,9 @@ import argparse
 import sys
 
 from . import io as sfio
-from .carvefill import CompatibleFamily, carve_and_fill, realize
+from .carvefill import realize
 from .complexes import VertexId
-from .constructions import BUILDERS, certified_hole
+from .constructions import BUILDERS, fill_holes
 from .errors import DegenerateInput, InputParseError, SphereforgeError
 from .geometry import (
     build_aztec_lift,
@@ -99,15 +99,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_fill(args) -> int:
-    host = sfio.load_simplicial(args.input)
-    keys, fams = [], []
-    for key, facets, members in sfio.load_holes(args.holes):
-        keys.append(key)
-        ball = certified_hole(host, key, facets)
-        fams.append(CompatibleFamily.of(ball, members))
-    manifest = carve_and_fill(host, fams, keys=keys)
+    manifest = fill_holes(sfio.load_simplicial(args.input), sfio.load_holes(args.holes))
     sfio.save_manifest(args.output, manifest)
-    print(f"filled {len(fams)} holes, {manifest.n_free_cells} free cells")
+    print(f"filled {len(manifest.holes)} holes, {manifest.n_free_cells} free cells")
     return OK
 
 
@@ -212,8 +206,8 @@ def _cmd_degree3(args) -> int:
 
 def _cmd_count(args) -> int:
     manifest = sfio.load_manifest(args.manifest)
-    for key in manifest.hole_keys:
-        print(f"hole {sfio.key_label(key)}: {len(manifest.free_cells_by_ball[key])} free cells")
+    for hole in manifest.holes:
+        print(f"hole {sfio.key_label(hole.key)}: {len(hole.cells)} free cells")
     b = manifest.n_free_cells
     print(f"total: {b} free cells, 2^{b} = {2 ** b} realizations")
     return OK

@@ -46,27 +46,24 @@ class ConstructionReport:
 
     name: str
     manifest: FillManifest
-    vertex_count: int
-    free_cell_count: int
-    simplex_cell_count: int
-    per_hole_counts: dict[Hashable, int]
     claimed_bounds: dict[str, float]
     flags: dict = field(default_factory=dict)
 
+    @property
+    def vertex_count(self) -> int:
+        return len(self.manifest.result.vertex_set)
 
-def _report(name, manifest, claimed, flags=None) -> ConstructionReport:
-    return ConstructionReport(
-        name=name,
-        manifest=manifest,
-        vertex_count=len(manifest.result.vertex_set),
-        free_cell_count=manifest.n_free_cells,
-        simplex_cell_count=len(manifest.result.simplex_cells),
-        per_hole_counts={
-            key: len(manifest.free_cells_by_ball[key]) for key in manifest.hole_keys
-        },
-        claimed_bounds=claimed,
-        flags=flags or {},
-    )
+    @property
+    def free_cell_count(self) -> int:
+        return self.manifest.n_free_cells
+
+    @property
+    def simplex_cell_count(self) -> int:
+        return len(self.manifest.result.simplex_cells)
+
+    @property
+    def per_hole_counts(self) -> dict[Hashable, int]:
+        return {h.key: len(h.cells) for h in self.manifest.holes}
 
 
 def _close_with_cone(host: SimplicialComplex, manifest: FillManifest) -> FillManifest:
@@ -94,6 +91,18 @@ def certified_hole(host: SimplicialComplex, key: Hashable, facets) -> BallInComp
             f"hole {key_label(key)} is not a ball: certified {cert.kind}({cert.dim})"
         )
     return ball
+
+
+def fill_holes(host: SimplicialComplex, holes) -> FillManifest:
+    """The manifest of a host's holes, given as ``(key, facets, members)``
+    triples: each hole's ball certified by ``certified_hole``, its members
+    made a ``CompatibleFamily``, and all carved and filled at once by
+    ``carve_and_fill``.  The one path from holes to a manifest, for the
+    builders and for ``fill``."""
+    return carve_and_fill(host, [
+        (key, CompatibleFamily.of(certified_hole(host, key, facets), members))
+        for key, facets, members in holes
+    ])
 
 
 def _band_regions(box: GridBox, width: int) -> list[tuple[int, GridRegion]]:
@@ -136,18 +145,13 @@ def _extreme_members(host: JoinOfPaths, region: GridRegion, width: int) -> list[
     return members
 
 
-def _grid_band_families(
-    host: JoinOfPaths, width: int
-) -> tuple[list[int], list[BallInComplex], list[list[Simplex]]]:
-    """Band balls of the join, each certified as a hole, with the extreme
-    members of each."""
-    keys, balls, member_lists = [], [], []
-    for q, region in _band_regions(host.box, width):
-        ball = certified_hole(host.complex, q, [host.facet_of(c) for c in region.cells])
-        keys.append(q)
-        balls.append(ball)
-        member_lists.append(_extreme_members(host, region, width))
-    return keys, balls, member_lists
+def _band_holes(host: JoinOfPaths, width: int) -> list[tuple[int, list[Simplex], list[Simplex]]]:
+    """The band holes of the join as ``(key, facets, members)`` triples:
+    each band's host facets and its extreme members."""
+    return [
+        (q, [host.facet_of(c) for c in region.cells], _extreme_members(host, region, width))
+        for q, region in _band_regions(host.box, width)
+    ]
 
 
 def _assert_cell_shapes(manifest: FillManifest, d: int) -> None:
@@ -174,13 +178,8 @@ def _band_manifest(lengths: tuple[int, ...]) -> FillManifest:
     distinct interior missing face, so all of them triangulate
     independently."""
     host = join_of_paths(lengths)
-    keys, balls, member_lists = _grid_band_families(host, host.d + 2)
-    fams = [
-        CompatibleFamily.of(ball, members)
-        for ball, members in zip(balls, member_lists)
-    ]
     manifest = _close_with_cone(
-        host.complex, carve_and_fill(host.complex, fams, keys=keys)
+        host.complex, fill_holes(host.complex, _band_holes(host, host.d + 2))
     )
     _assert_cell_shapes(manifest, host.d)
     _assert_missing_faces_distinct(manifest)
@@ -203,7 +202,7 @@ def build_holes4(n: int, m: int | None = None) -> ConstructionReport:
         "free_cells_over_n_squared": b / (n * m),
         "leading_coefficient": 0.5,
     }
-    return _report("holes4", manifest, claimed)
+    return ConstructionReport("holes4", manifest, claimed)
 
 
 def build_holes3(n: int, m: int | None = None) -> ConstructionReport:
@@ -217,13 +216,13 @@ def build_holes3(n: int, m: int | None = None) -> ConstructionReport:
     if n < 4 or m < 4:
         raise DegenerateInput("need n, m >= 4")
     host = join_of_paths((n, m))
-    keys, balls, member_lists = _grid_band_families(host, 3)
-    fams = []
+    holes = []
     incompatible = []
     family_sizes = {}
     fallback_sizes = {}
-    for q, ball, members in zip(keys, balls, member_lists):
+    for q, facets, members in _band_holes(host, 3):
         family_sizes[q] = len(members)
+        ball = certified_hole(host.complex, q, facets)
         full = CompatibleFamily.of(ball, members)
         seen_faces = set()
         kept = []
@@ -233,13 +232,11 @@ def build_holes3(n: int, m: int | None = None) -> ConstructionReport:
                 continue
             seen_faces.add(f)
             kept.append(mbr)
-        fams.append(full.subfamily(kept))
+        holes.append((q, full.subfamily(kept)))
         fallback_sizes[q] = len(kept)
         if len(kept) < len(members):
             incompatible.append(q)
-    manifest = _close_with_cone(
-        host.complex, carve_and_fill(host.complex, fams, keys=keys)
-    )
+    manifest = _close_with_cone(host.complex, carve_and_fill(host.complex, holes))
     _assert_cell_shapes(manifest, 2)
     _assert_missing_faces_distinct(manifest)
     b = manifest.n_free_cells
@@ -253,7 +250,7 @@ def build_holes3(n: int, m: int | None = None) -> ConstructionReport:
         "family_sizes": family_sizes,
         "fallback_sizes": fallback_sizes,
     }
-    return _report("holes3", manifest, claimed, flags)
+    return ConstructionReport("holes3", manifest, claimed, flags)
 
 
 def _aztec_regions(d: int, k: int, l: int) -> dict[tuple[int, ...], GridRegion]:
@@ -282,15 +279,10 @@ def _aztec_manifest(d: int, k: int, l: int) -> FillManifest:
     if k < 3 or k % 2 == 0 or l < 1:
         raise DegenerateInput("need odd k >= 3 and l >= 1")
     host = join_of_paths((k * l + 1,) * d)
-    regions = _aztec_regions(d, k, l)
-    keys, fams = [], []
-    for key in sorted(regions):
-        region = regions[key]
-        ball = certified_hole(host.complex, key, [host.facet_of(c) for c in region.cells])
-        members = sorted(boundary_members(region, host))
-        keys.append(key)
-        fams.append(CompatibleFamily.of(ball, members))
-    manifest = carve_and_fill(host.complex, fams, keys=keys)
+    manifest = fill_holes(host.complex, [
+        (key, [host.facet_of(c) for c in region.cells], sorted(boundary_members(region, host)))
+        for key, region in sorted(_aztec_regions(d, k, l).items())
+    ])
     _assert_missing_faces_distinct(manifest)
     expected = _aztec_cells_per_hole(d, k) * l ** d
     if manifest.n_free_cells != expected:
@@ -312,7 +304,7 @@ def build_aztec(k: int, l: int) -> ConstructionReport:
         "formula_2k_minus_2_times_l_squared": (2 * k - 2) * l * l,
         "point_count": 2 * k * l + 2 + l * l,
     }
-    return _report("aztec", manifest, claimed)
+    return ConstructionReport("aztec", manifest, claimed)
 
 
 def _cyclic_host(n: int) -> SimplicialComplex:
@@ -362,23 +354,19 @@ def build_cyclic(n: int) -> ConstructionReport:
     host = _cyclic_host(n)
     box = GridBox((2 * n - 1, 2 * n - 1))
     region = diagonal_band(box, 2 * n - 2, 2 * n + 1)
-    keys, fams = [], []
-    covered: set[Simplex] = set()
+    holes = []
     for k in range(1, n + 1):
         shift = (2 * k + 2 * n) % (4 * n)
         facet_of = {c: _cyclic_hole_facet(n, shift, c) for c in region.cells}
-        ball = certified_hole(host, k, facet_of.values())
         members = [
             facet_of[c] for c in sorted(region.cells) if sum(c) in (2 * n - 2, 2 * n + 1)
         ]
-        keys.append(k)
-        fams.append(CompatibleFamily.of(ball, members))
-        covered |= ball.ball_facets
-    if len(host.facets - covered) != 2 * n:
+        holes.append((k, facet_of.values(), members))
+    if len(host.facets.difference(*(facets for _, facets, _ in holes))) != 2 * n:
         raise InternalInvariantViolation(
             "expected exactly two uncarved facets per hole class"
         )
-    manifest = carve_and_fill(host, fams, keys=keys)
+    manifest = fill_holes(host, holes)
     _assert_missing_faces_distinct(manifest)
     b = manifest.n_free_cells
     claimed = {
@@ -393,7 +381,7 @@ def build_cyclic(n: int) -> ConstructionReport:
         ),
         "vertex_count_alternatives": [5 * n, 5 * n + 1],
     }
-    return _report("cyclic", manifest, claimed, flags)
+    return ConstructionReport("cyclic", manifest, claimed, flags)
 
 
 def build_highd(d: int, n: int) -> ConstructionReport:
@@ -411,7 +399,7 @@ def build_highd(d: int, n: int) -> ConstructionReport:
         "free_cells_over_n_to_d": b / (n ** d),
         "leading_coefficient": 2 / (d + 2),
     }
-    return _report("highd", manifest, claimed)
+    return ConstructionReport("highd", manifest, claimed)
 
 
 def build_aztec_highd(d: int, k: int, l: int) -> ConstructionReport:
@@ -425,7 +413,7 @@ def build_aztec_highd(d: int, k: int, l: int) -> ConstructionReport:
         "boundary_cubes_per_hole": _aztec_cells_per_hole(d, k),
         "vertex_count_formula": d * (k * l + 1) + l ** d,
     }
-    return _report("aztec_highd", manifest, claimed)
+    return ConstructionReport("aztec_highd", manifest, claimed)
 
 
 BUILDERS = {

@@ -16,6 +16,7 @@ from operator import attrgetter, mul
 
 from .carvefill import FillManifest, realize
 from .complexes import VertexId
+from .constructions import build_aztec
 from .errors import (
     DegenerateCell,
     DegenerateInput,
@@ -40,18 +41,7 @@ class LiftedConfiguration:
 
     def __post_init__(self) -> None:
         points = tuple(sorted(self.points))
-        if not points:
-            raise DegenerateInput("no points")
-        ids = [v for v, _ in points]
-        twice = [u for u, v in zip(ids, ids[1:]) if u == v]
-        if twice:
-            raise DegenerateInput(f"point {twice[0].label} appears twice")
-        missing = [v for v in ids if v not in self.heights]
-        if missing:
-            raise DegenerateInput(f"point {missing[0].label} has no height")
-        extra = sorted(set(self.heights) - set(ids))
-        if extra:
-            raise DegenerateInput(f"height for {extra[0].label}, which is not a point")
+        _check_ids([v for v, _ in points], self.heights)
         at: dict[Point, VertexId] = {}
         for v, p in points:
             if not p:
@@ -65,6 +55,23 @@ class LiftedConfiguration:
                 coords = ",".join(str(c) for c in p)
                 raise DegenerateInput(f"points {at[p].label} and {v.label} are both at ({coords})")
         object.__setattr__(self, "points", points)
+
+
+def _check_ids(ids: list[VertexId], heights: dict[VertexId, Fraction] | None) -> None:
+    """Refuse sorted point ids that are none or list a point twice, and
+    heights, if given, for other than exactly these points."""
+    if not ids:
+        raise DegenerateInput("no points")
+    twice = next((u for u, v in zip(ids, ids[1:]) if u == v), None)
+    if twice is not None:
+        raise DegenerateInput(f"point {twice.label} appears twice")
+    if heights is None:
+        return
+    missing = next((v for v in ids if v not in heights), None)
+    if missing is not None:
+        raise DegenerateInput(f"point {missing.label} has no height")
+    if len(heights) != len(ids):
+        raise DegenerateInput(f"height for {min(heights.keys() - set(ids)).label}, which is not a point")
 
 
 @dataclass(frozen=True)
@@ -187,11 +194,11 @@ def _int_config(
     """The ids of the points ``(id, point)`` in sorted order, each point's
     coordinates, then its height if heights are given, as one integer row,
     and the dimension.  Row i is the i-th id's, so the indices of a
-    sorted cell come out sorted."""
+    sorted cell come out sorted.  The ids and heights obey the rules of
+    ``LiftedConfiguration`` (_check_ids)."""
     pts = sorted(pts)
     ids = [v for v, _ in pts]
-    if not ids:
-        raise DegenerateInput("empty configuration")
+    _check_ids(ids, heights)
     dim = len(pts[0][1])
     if any(len(p) != dim for _, p in pts):
         raise DegenerateInput("points of mixed dimension")
@@ -666,8 +673,6 @@ def _local_doubled(i: int, k: int, l: int) -> int:
 def build_aztec_lift(k: int, l: int) -> RegularAztecLift:
     """Coarse squared-breakpoint lift plus the per-hole split perturbation,
     composed with a certified dyadic scale."""
-    from .constructions import build_aztec
-
     report = build_aztec(k, l)
     manifest = report.manifest
     n = k * l + 1
@@ -687,9 +692,7 @@ def build_aztec_lift(k: int, l: int) -> RegularAztecLift:
 
     # hole centers: each is the centroid of its block's four coarse
     # corners, so lifting it onto the block hyperplane means averaging
-    for key in manifest.hole_keys:
-        r, s = key
-        apex = manifest.apex_of_ball[key]
+    for (r, s), apex, _ in manifest.holes:
         p_hat = (r - 1) * k + (k + 1) // 2
         q_hat = (s - 1) * k + (k + 1) // 2
         o = (Fraction(2 * p_hat + 1, 4), Fraction(2 * q_hat + 1, 4), Fraction(0))
@@ -1025,5 +1028,5 @@ def delta_search(
 
 def _center_bump(lift: RegularAztecLift, size: Fraction) -> dict[VertexId, Fraction]:
     """size at every hole center of the lift, 0 at every other point."""
-    apexes = set(lift.manifest.apex_of_ball.values())
+    apexes = {h.apex for h in lift.manifest.holes}
     return {v: Fraction(size) if v in apexes else Fraction(0) for v in lift.heights}

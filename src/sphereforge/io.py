@@ -16,13 +16,14 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Any, Sequence
 
-from .carvefill import FillManifest, key_label
+from .carvefill import FillManifest, Hole, key_label
 from .complexes import (
     FreeSumCell,
     PolyComplex,
     Simplex,
     SimplicialComplex,
     VertexId,
+    boundary_complex,
 )
 from .constructions import ConstructionReport
 from .errors import InputParseError, SphereforgeError
@@ -278,27 +279,17 @@ def manifest_from_obj(obj: dict) -> FillManifest:
     _check_dim(obj, result.dim)
     if isinstance(result, SimplicialComplex):
         result = PolyComplex.from_simplicial(result)
-    keys, by_ball, apex_of = [], {}, {}
-    for hole in obj["holes"]:
-        key = _key_parse(hole["key"])
-        keys.append(key)
-        apex_of[key] = VertexId.from_label(hole["apex"])
-        by_ball[key] = tuple(_free_cell(c) for c in hole["cells"])
-    return FillManifest(
-        result=result,
-        hole_keys=tuple(keys),
-        free_cells_by_ball=by_ball,
-        apex_of_ball=apex_of,
+    holes = tuple(
+        Hole(_key_parse(h["key"]), VertexId.from_label(h["apex"]), tuple(map(_free_cell, h["cells"])))
+        for h in obj["holes"]
     )
+    return FillManifest(result, holes)
 
 
 def save_manifest(path: str, m: FillManifest) -> None:
     """Write the dimension, the complex and each hole's key, apex and free
     cells, which ``dumps`` encodes straight from the objects."""
-    holes = [
-        {"key": key_label(key), "apex": m.apex_of_ball[key].label, "cells": m.free_cells_by_ball[key]}
-        for key in m.hole_keys
-    ]
+    holes = [{"key": key_label(h.key), "apex": h.apex.label, "cells": h.cells} for h in m.holes]
     write_text(path, dumps({"dim": m.result.dim, "complex": m.result, "holes": holes}))
 
 
@@ -494,8 +485,6 @@ def off_export(
     Vertex coordinates are decimal approximations (lossy); the returned
     sidecar object records the exact rationals.
     """
-    from .complexes import boundary_complex
-
     if x.dim not in (2, 3):
         raise InputParseError(
             f"export off needs a 2- or 3-dimensional complex, got dimension {x.dim}"

@@ -766,12 +766,9 @@ def manifest_to_obj(m: FillManifest) -> dict:
     holes = [
         {
             "key": key_label(key),
-            "apex": m.apex_of_ball[key].label,
-            "cells": [
-                {"f": _labels(c.f_part), "g": _labels(c.g_part)}
-                for c in m.free_cells_by_ball[key]
-            ],
+            "apex": apex.label,
+            "cells": [{"f": _labels(c.f_part), "g": _labels(c.g_part)} for c in cells],
         }
-        for key in m.hole_keys
+        for key, apex, cells in m.holes
     ]
     return {"dim": m.result.dim, "complex": complex_to_obj(m.result), "holes": holes}

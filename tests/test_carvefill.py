@@ -144,9 +144,9 @@ def _families_of(kind, *params):
     seen = []
     real = constructions.carve_and_fill
 
-    def recording(host, fams, keys=None):
-        seen.extend(fams)
-        return real(host, fams, keys=keys)
+    def recording(host, holes):
+        seen.extend(fam for _, fam in holes)
+        return real(host, holes)
 
     constructions.carve_and_fill = recording
     try:
@@ -275,7 +275,9 @@ class TestBoundaryReads:
     @pytest.mark.parametrize("width", [3, 4])
     def test_one_missing_face_read_per_member(self, monkeypatch, width):
         host = join_of_paths((9, 7))
-        _, balls, member_lists = constructions._grid_band_families(host, width)
+        holes = constructions._band_holes(host, width)
+        balls = [constructions.certified_hole(host.complex, q, facets) for q, facets, _ in holes]
+        member_lists = [members for _, _, members in holes]
         for ball in balls:
             ball.boundary_ridges
         reads, built = self._counting(monkeypatch)
@@ -303,25 +305,30 @@ class TestBoundaryReads:
     def test_the_holes3_fallback_reuses_the_missing_faces(self, monkeypatch):
         # build_holes3 makes a full family of each band and then the
         # subfamily of the members it keeps; the two read each candidate
-        # member's missing face once in all
-        real_families = constructions._grid_band_families
+        # member's missing face once in all.  Certification interleaves
+        # with family building, so the read log is not cleared in it.
+        real_holes = constructions._band_holes
+        real_certified = constructions.certified_hole
         candidates = []
 
-        def families(host, width):
-            keys, balls, member_lists = real_families(host, width)
-            for ball in balls:
-                ball.boundary_ridges
-            candidates.extend(m for members in member_lists for m in members)
-            reads.clear()
-            return keys, balls, member_lists
+        def band_holes(host, width):
+            holes = real_holes(host, width)
+            candidates.extend(m for _, _, members in holes for m in members)
+            return holes
+
+        def certified(host, key, facets):
+            ball = real_certified(host, key, facets)
+            ball.boundary_ridges
+            return ball
 
         class Built(Exception):
             pass
 
-        def stop(host, fams, keys):
-            raise Built(fams)
+        def stop(host, holes):
+            raise Built([fam for _, fam in holes])
 
-        monkeypatch.setattr(constructions, "_grid_band_families", families)
+        monkeypatch.setattr(constructions, "_band_holes", band_holes)
+        monkeypatch.setattr(constructions, "certified_hole", certified)
         monkeypatch.setattr(constructions, "carve_and_fill", stop)
         reads, _ = self._counting(monkeypatch)
         with pytest.raises(Built) as built:
@@ -386,7 +393,7 @@ class TestTheLeastOffenderIsNamed:
             for part in (facets[:8], facets[2:12])
         ]
         with pytest.raises(BallOverlap, match=f"^balls share the simplex {re.escape(repr(facets[2]))}$"):
-            carve_and_fill(host.complex, fams)
+            carve_and_fill(host.complex, enumerate(fams, start=1))
 
 
 class TestCompatibility:
@@ -472,17 +479,23 @@ class TestFillBall:
             fill_ball(fam, VertexId.hole(1))
 
 
-def small_two_hole_manifest():
-    # two 2x2 blocks; all four cells of a block share one missing face, so
-    # each compatible family holds a single member
+def two_holes():
+    # two 2x2 blocks as (key, family) pairs; all four cells of a block
+    # share one missing face, so each compatible family holds a single
+    # member
     host = join_of_paths((5, 5))
     cells1 = [(1, 1), (1, 2), (2, 1), (2, 2)]
     cells2 = [(3, 3), (3, 4), (4, 3), (4, 4)]
-    fams = []
-    for cells, member in ((cells1, (1, 1)), (cells2, (4, 4))):
+    holes = []
+    for key, cells, member in ((1, cells1, (1, 1)), (2, cells2, (4, 4))):
         ball = BallInComplex.of(host.complex, [host.facet_of(c) for c in cells])
-        fams.append(CompatibleFamily.of(ball, [host.facet_of(member)]))
-    return host, carve_and_fill(host.complex, fams, keys=[1, 2])
+        holes.append((key, CompatibleFamily.of(ball, [host.facet_of(member)])))
+    return host, holes
+
+
+def small_two_hole_manifest():
+    host, holes = two_holes()
+    return host, carve_and_fill(host.complex, holes)
 
 
 class TestCarveAndFill:
@@ -499,42 +512,55 @@ class TestCarveAndFill:
     def test_free_cell_bookkeeping(self):
         host, manifest = small_two_hole_manifest()
         assert manifest.n_free_cells == 2
-        assert [len(manifest.free_cells_by_ball[k]) for k in manifest.hole_keys] == [1, 1]
-        assert manifest.apex_of_ball[1] == VertexId.hole(1)
+        assert [(h.key, len(h.cells)) for h in manifest.holes] == [(1, 1), (2, 1)]
+        assert manifest.holes[0].apex == VertexId.hole(1)
         validate_proper_intersections(manifest.result)
+
+    def test_pairs_in_any_order_give_the_manifest_in_key_order(self):
+        host, holes = two_holes()
+        manifest = carve_and_fill(host.complex, holes)
+        assert [(h.key, h.apex) for h in manifest.holes] == [(1, VertexId.hole(1)), (2, VertexId.hole(2))]
+        assert carve_and_fill(host.complex, iter(holes[::-1])) == manifest
+
+    def test_a_repeated_key_is_refused(self):
+        host, (one, two) = two_holes()
+        for key in (1, 2):
+            with pytest.raises(DegenerateInput, match="^hole keys must be unique$"):
+                carve_and_fill(host.complex, [(key, one[1]), (key, two[1])])
 
     def test_manifest_holes_must_list_each_free_cell_once(self):
         _, m = small_two_hole_manifest()
+        h1, h2 = m.holes
         cell1, cell2 = m.free_cells
-        for keys, by_ball in (
-            ((1, 2, 2), m.free_cells_by_ball),
-            ((1, 2), {1: (cell1,), 2: ()}),
-            ((1, 2), {1: (cell1,), 2: (cell2, cell2)}),
-            ((1, 2), {1: (cell1, cell2), 2: (cell2,)}),
+        for holes in (
+            (h1, h2, h2._replace(cells=())),
+            (h1, h2._replace(cells=())),
+            (h1, h2._replace(cells=(cell2, cell2))),
+            (h1._replace(cells=(cell1, cell2)), h2),
         ):
             with pytest.raises(DegenerateInput):
-                FillManifest(m.result, keys, by_ball, m.apex_of_ball)
+                FillManifest(m.result, holes)
         # only the cover is checked, not which hole holds a cell
-        FillManifest(m.result, (2, 1), {1: (), 2: (cell2, cell1)}, m.apex_of_ball)
+        FillManifest(m.result, (h2._replace(cells=(cell2, cell1)), h1._replace(cells=())))
 
     def test_a_built_manifest_survives_pickle_and_deepcopy(self):
         m = BUILDERS["holes4"](6).manifest
         zeros = (0,) * m.n_free_cells
         for copied in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
             assert copied == m and copied is not m
-            assert copied.free_cells == m.free_cells and copied.apex_of_ball == m.apex_of_ball
+            assert copied.free_cells == m.free_cells and copied.holes == m.holes
             assert realize(copied, zeros) == realize(m, zeros)
 
     def test_overlapping_balls_rejected(self):
         host = join_of_paths((5, 5))
         cells1 = [(1, 1), (1, 2), (2, 1), (2, 2)]
         cells2 = [(2, 2), (2, 3), (3, 2), (3, 3)]
-        fams = []
-        for cells in (cells1, cells2):
+        holes = []
+        for key, cells in ((1, cells1), (2, cells2)):
             ball = BallInComplex.of(host.complex, [host.facet_of(c) for c in cells])
-            fams.append(CompatibleFamily.of(ball, []))
+            holes.append((key, CompatibleFamily.of(ball, [])))
         with pytest.raises(BallOverlap):
-            carve_and_fill(host.complex, fams)
+            carve_and_fill(host.complex, holes)
 
 
 class TestTriangulateCell:

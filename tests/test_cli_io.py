@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import sphereforge
 from sphereforge import (
     PolyComplex,
+    boundary_members,
     diagonal_band,
     join_of_paths,
 )
@@ -25,7 +26,7 @@ from sphereforge import cli, geometry
 from sphereforge.carvefill import realize
 from sphereforge.cli import main
 from sphereforge.complexes import Simplex, SimplicialComplex, VertexId
-from sphereforge.constructions import BUILDERS, build_aztec, build_holes4
+from sphereforge.constructions import BUILDERS, _aztec_regions, build_aztec, build_holes4
 from sphereforge.geometry import (
     build_aztec_lift,
     count_degree3_edges,
@@ -494,6 +495,30 @@ class TestCliPipelines:
         assert run(tmp_path, "fill", "--input", host_path, "--holes", holes_path, "-o", mpath) == 0
         m = sfio.load_manifest(str(mpath))
         assert m.n_free_cells == 1
+
+    def test_fill_takes_the_builders_path(self, tmp_path, capsys):
+        # the four Aztec (3, 2) holes, handed to fill as a holes file,
+        # give the manifest build_aztec writes, byte for byte
+        host = join_of_paths((7, 7))
+        host_path = tmp_path / "host.json"
+        sfio.save_complex(str(host_path), host.complex)
+        holes = [
+            {
+                "key": sfio.key_label(key),
+                "facets": [[v.label for v in host.facet_of(c)] for c in sorted(region.cells)],
+                "members": [[v.label for v in m] for m in sorted(boundary_members(region, host))],
+            }
+            for key, region in sorted(_aztec_regions(2, 3, 2).items())
+        ]
+        assert [h["key"] for h in holes] == ["1,1", "1,2", "2,1", "2,2"]
+        holes_path = tmp_path / "holes.json"
+        holes_path.write_text(json.dumps({"holes": holes}))
+        mpath, ref = tmp_path / "m.json", tmp_path / "ref.json"
+        capsys.readouterr()
+        assert run(tmp_path, "fill", "--input", host_path, "--holes", holes_path, "-o", mpath) == 0
+        assert capsys.readouterr().out == "filled 4 holes, 16 free cells\n"
+        sfio.save_manifest(str(ref), build_aztec(3, 2).manifest)
+        assert mpath.read_bytes() == ref.read_bytes()
 
     def test_realize_refuses_a_choice_bit_beyond_the_free_cells(self, tmp_path, capsys):
         # a hole without members fills with cones alone: 0 free cells

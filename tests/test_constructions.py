@@ -265,5 +265,5 @@ class TestHoleCertificates:
     def test_every_aztec_hole_is_certified_once(self, monkeypatch):
         calls = counting_certify(monkeypatch)
         report = build_aztec(3, 2)
-        assert len(report.manifest.hole_keys) == 4
+        assert len(report.manifest.holes) == 4
         assert calls == [("ball", 3)] * 4

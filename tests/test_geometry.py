@@ -102,6 +102,44 @@ class TestLiftedConfiguration:
                 LiftedConfiguration(tuple(points), hs)
 
 
+class TestTheKernelsKeepTheConfigurationRules:
+    """Called from the library, the kernels refuse what
+    ``LiftedConfiguration`` refuses of the ids and heights: no point, a
+    point listed twice, and heights that do not name exactly the points."""
+
+    def test_no_point_or_a_repeated_one_is_refused_by_name(self):
+        plane = [(R(0), pt(0, 0)), (R(1), pt(1, 0)), (R(2), pt(0, 1)), (R(2), pt(5, 5))]
+        heights = {R(0): F(0), R(1): F(0), R(2): F(0)}
+        triangle = Subdivision.of([{R(0), R(1), R(2)}])
+        space = simplex_points_r4() + [(R(2), pt(1, 1, 1, 1))]
+        for call in (
+            lambda: verify_regular(plane, heights, triangle),
+            lambda: eps_search(plane, heights, dict.fromkeys(heights, F(0)), triangle),
+            lambda: convex_hull(plane),
+            lambda: convex_hull_brute(plane),
+            lambda: hull_with_apex(plane, VertexId.cone()),
+            lambda: detect_bipyramid_facets([], space),
+        ):
+            with pytest.raises(DegenerateInput, match="^point r:2 appears twice$"):
+                call()
+        for hull in (convex_hull, convex_hull_brute):
+            with pytest.raises(DegenerateInput, match="^no points$"):
+                hull([])
+
+    def test_heights_must_name_exactly_the_points(self):
+        pts = square_points()
+        heights = paraboloid(pts)
+        sub = Subdivision.of([{R(0), R(1), R(2)}, {R(1), R(2), R(3)}])
+        for hs, message in (
+            ({v: h for v, h in heights.items() if v != R(3)}, "^point r:3 has no height$"),
+            ({**heights, R(9): F(0)}, "^height for r:9, which is not a point$"),
+        ):
+            with pytest.raises(DegenerateInput, match=message):
+                verify_regular(pts, hs, sub)
+            with pytest.raises(DegenerateInput, match=message):
+                eps_search(pts, hs, dict.fromkeys(hs, F(0)), sub)
+
+
 class TestSubdivision:
     def test_a_cell_listed_twice_is_rejected(self):
         for twice in (
@@ -1050,9 +1088,9 @@ class TestRaiseCenters:
         delta, _ = delta_search(lift, raised_center_target(lift.manifest))
         heights, degree3 = raise_centers(lift, delta)
         assert degree3 >= 0  # 2k-6 = 0 quadrilaterals, nothing guaranteed
-        assert heights[lift.manifest.apex_of_ball[(1, 1)]] > lift.heights[
-            lift.manifest.apex_of_ball[(1, 1)]
-        ]
+        (hole,) = lift.manifest.holes
+        assert hole.key == (1, 1)
+        assert heights[hole.apex] > lift.heights[hole.apex]
 
     def test_k5_degree3_guarantee(self):
         lift = build_aztec_lift(5, 1)

@@ -99,3 +99,18 @@ def test_every_error_class_is_raised_by_the_package():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised |= {n.id for n in ast.walk(exc) if isinstance(n, ast.Name)}
     assert sorted(classes - raised - {"SphereforgeError"}) == []
+
+
+def test_no_function_body_imports():
+    """Every import of the package is at the top of its module, where the
+    import graph can be read off, not hidden in a function body."""
+    local = []
+    for module, tree in _package_trees().items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local += [
+                    f"{module}.{fn.name}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert local == []
