@@ -27,7 +27,6 @@ from .carvefill import (
     Hole,
     carve_and_fill,
     fill_ball,
-    is_compatible,
     missing_face,
     realize,
     triangulate_cell,

@@ -127,7 +127,10 @@ class CompatibleFamily:
     merged into free-sum cells.
 
     Members need at least two facets on the ball boundary, so each yields
-    a genuine free sum of two simplices of dimension at least one.
+    a genuine free sum of two simplices of dimension at least one.  Their
+    missing faces are pairwise distinct and none lies on the ball
+    boundary, so every free sum triangulates independently of the others;
+    ``of`` refuses any other family.
     """
 
     ball: BallInComplex
@@ -139,12 +142,15 @@ class CompatibleFamily:
         if not ms <= ball.ball_facets:
             raise FaceNotFound(f"member {min(ms - ball.ball_facets)!r} is not a facet of the ball")
         fam = cls(ball, ms)
-        for m, f in fam.missing_faces.items():
+        faces = fam.missing_faces
+        for m, f in faces.items():
             if len(f) < 2:
                 raise IncompatibleFamily(
                     f"member {m!r} has a single boundary facet; its fill "
                     "cell would degenerate to a simplex"
                 )
+        if len(set(faces.values())) != len(faces) or ball.faces_on_boundary(faces.values()):
+            raise IncompatibleFamily("missing faces collide or touch the boundary")
         return fam
 
     @cached_property
@@ -155,21 +161,6 @@ class CompatibleFamily:
     def sorted_members(self) -> tuple[Simplex, ...]:
         return tuple(sorted(self.members))
 
-    def subfamily(self, members: Iterable[Simplex]) -> "CompatibleFamily":
-        """The family of some of these members, its ``missing_faces``
-        cache filled from this one's instead of read again."""
-        sub = CompatibleFamily(self.ball, frozenset(members))
-        sub.__dict__["missing_faces"] = {m: self.missing_faces[m] for m in sub.sorted_members}
-        return sub
-
-
-def is_compatible(fam: CompatibleFamily) -> bool:
-    """All missing faces pairwise distinct and none on the ball boundary."""
-    faces = list(fam.missing_faces.values())
-    if len(set(faces)) != len(faces):
-        return False
-    return not fam.ball.faces_on_boundary(faces)
-
 
 def fill_ball(
     fam: CompatibleFamily, apex: VertexId
@@ -177,8 +168,6 @@ def fill_ball(
     """Replace the ball interior by a cone over its boundary from a fresh
     apex, merging each member's boundary restriction into one free-sum
     cell.  The result has the same boundary as the ball."""
-    if not is_compatible(fam):
-        raise IncompatibleFamily("missing faces collide or touch the boundary")
     ball = fam.ball
     if apex in ball.host.vertex_set:
         raise DisjointnessViolation(f"apex {apex.label} already used")
@@ -247,8 +236,18 @@ def key_label(key: Hashable) -> str:
     return str(key)
 
 
-def _apex_key(key: Hashable, rank: int) -> int:
-    return key if isinstance(key, int) else rank
+def _check_keys(keys: list[Hashable]) -> None:
+    """Hole keys are the ones a manifest file spells and reads back: all
+    integers, or all tuples of at least two integers.  ``bool`` is not
+    an integer key."""
+    for key in keys:
+        if not (type(key) is int or isinstance(key, tuple) and len(key) >= 2
+                and all(type(k) is int for k in key)):
+            raise DegenerateInput(
+                f"hole key {key!r} is neither an integer nor a tuple of at least two integers"
+            )
+        if isinstance(key, tuple) != isinstance(keys[0], tuple):
+            raise DegenerateInput(f"hole keys {keys[0]!r} and {key!r} mix integers and tuples")
 
 
 def carve_and_fill(
@@ -258,11 +257,14 @@ def carve_and_fill(
     ``(key, family)`` pairs in any order; the manifest lists them by key.
 
     Balls may share boundary faces but no full-dimensional simplex.  One
-    fresh apex is introduced per ball; simplices outside every ball are
-    kept unchanged.
+    fresh apex is introduced per ball: ``h:<key>`` for an integer key,
+    ``h:<rank>`` for a tuple key, so the apexes are distinct.  Simplices
+    outside every ball are kept unchanged.
     """
     host._require_nonvoid()
-    holes = sorted(holes, key=itemgetter(0))
+    holes = list(holes)
+    _check_keys([key for key, _ in holes])
+    holes.sort(key=itemgetter(0))
     if len({key for key, _ in holes}) != len(holes):
         raise DegenerateInput("hole keys must be unique")
     seen: set[Simplex] = set()
@@ -276,12 +278,8 @@ def carve_and_fill(
 
     simplex_cells: list[Simplex] = [f for f in host.facets if f not in seen]
     filled: list[Hole] = []
-    used_apexes: set[VertexId] = set()
     for rank, (key, fam) in enumerate(holes, start=1):
-        apex = VertexId.hole(_apex_key(key, rank))
-        if apex in used_apexes:
-            raise DisjointnessViolation(f"apex {apex.label} already used")
-        used_apexes.add(apex)
+        apex = VertexId.hole(key if isinstance(key, int) else rank)
         cones, free = fill_ball(fam, apex)
         simplex_cells.extend(cones.simplex_cells)
         filled.append(Hole(key, apex, tuple(free)))

@@ -279,10 +279,6 @@ class FreeSumCell(tuple):
     def __getnewargs__(self) -> tuple[Simplex, Simplex]:
         return tuple(self)
 
-    @property
-    def dim(self) -> int:
-        return len(self.f_part) + len(self.g_part) - 2
-
     def __repr__(self) -> str:
         return f"FS({self.f_part!r}+{self.g_part!r})"
 

@@ -108,26 +108,25 @@ def fill_holes(host: SimplicialComplex, holes) -> FillManifest:
 def _band_regions(box: GridBox, width: int) -> list[tuple[int, GridRegion]]:
     """Diagonal bands of constant floor(sum/width), lowest first.
 
+    Callers pass a width above d, so no band's range of sums,
+    max(d, q * width) to min(total, q * width + width - 1), is empty.
     Bands with fewer than two cells cannot be carved and are skipped; at
     most the single top-corner cell is affected.
     """
-    d = box.d
     total = sum(box.dims)
     out = []
     for q in range(total // width + 1):
-        m1 = max(d, q * width)
-        m2 = min(total, q * width + width - 1)
-        if m1 > m2:
-            continue
-        region = diagonal_band(box, m1, m2)
+        region = diagonal_band(box, max(box.d, q * width), min(total, q * width + width - 1))
         if len(region) >= 2:
             out.append((q, region))
     return out
 
 
-def _extreme_members(host: JoinOfPaths, region: GridRegion, width: int) -> list[Simplex]:
-    """Host facets of the cells on the extreme diagonals of a band whose
-    missing face stays off the grid boundary.
+def _extreme_diagonals(
+    host: JoinOfPaths, region: GridRegion, width: int
+) -> tuple[list[Simplex], list[Simplex]]:
+    """Host facets of the cells on the bottom and on the top diagonal of a
+    band whose missing face stays off the grid boundary.
 
     Bottom cells (index sum divisible by the width) need all upper
     neighbors inside the box; top cells (sum = width-1 mod width) need all
@@ -135,21 +134,23 @@ def _extreme_members(host: JoinOfPaths, region: GridRegion, width: int) -> list[
     its fill cell is a free sum with 2d+1 vertices.
     """
     dims = host.box.dims
-    members = []
+    bottom, top = [], []
     for c in sorted(region.cells):
         s = sum(c)
         if s % width == 0 and all(i + 1 <= n for i, n in zip(c, dims)):
-            members.append(host.facet_of(c))
+            bottom.append(host.facet_of(c))
         elif s % width == width - 1 and all(i >= 2 for i in c):
-            members.append(host.facet_of(c))
-    return members
+            top.append(host.facet_of(c))
+    return bottom, top
 
 
-def _band_holes(host: JoinOfPaths, width: int) -> list[tuple[int, list[Simplex], list[Simplex]]]:
-    """The band holes of the join as ``(key, facets, members)`` triples:
-    each band's host facets and its extreme members."""
+def _bands(
+    host: JoinOfPaths, width: int
+) -> list[tuple[int, list[Simplex], list[Simplex], list[Simplex]]]:
+    """The band holes of the join as ``(key, facets, bottom, top)``: each
+    band's host facets and the members on its two extreme diagonals."""
     return [
-        (q, [host.facet_of(c) for c in region.cells], _extreme_members(host, region, width))
+        (q, [host.facet_of(c) for c in region.cells], *_extreme_diagonals(host, region, width))
         for q, region in _band_regions(host.box, width)
     ]
 
@@ -178,9 +179,8 @@ def _band_manifest(lengths: tuple[int, ...]) -> FillManifest:
     distinct interior missing face, so all of them triangulate
     independently."""
     host = join_of_paths(lengths)
-    manifest = _close_with_cone(
-        host.complex, fill_holes(host.complex, _band_holes(host, host.d + 2))
-    )
+    holes = [(q, facets, bottom + top) for q, facets, bottom, top in _bands(host, host.d + 2)]
+    manifest = _close_with_cone(host.complex, fill_holes(host.complex, holes))
     _assert_cell_shapes(manifest, host.d)
     _assert_missing_faces_distinct(manifest)
     return manifest
@@ -207,48 +207,47 @@ def build_holes4(n: int, m: int | None = None) -> ConstructionReport:
 
 def build_holes3(n: int, m: int | None = None) -> ConstructionReport:
     """Width-3 band variant: denser candidate families, but the members
-    come in pairs sharing a missing edge, so most holes fail the
-    compatibility test.  Each hole keeps a maximal compatible subfamily
-    (greedy in lexicographic order, so all of a compatible family), and
-    the report lists the holes that drop members.  m defaults to n."""
+    come in pairs sharing a missing edge, so most holes would fail the
+    compatibility test.  Each hole keeps its bottom members, the largest
+    compatible family of its candidates, and the report lists the holes
+    that drop members.  m defaults to n.
+
+    Why the bottom members: the member of a bottom cell (i, j), with
+    i + j = 3q, has its lower neighbors outside the band and its upper
+    ones inside, so its missing face is the edge {a:1:i+1, a:2:j+1}.
+    The four cells on that edge, (i, j), (i+1, j), (i, j+1) and
+    (i+1, j+1), lie in the box and have sums 3q to 3q+2, so all are in
+    the band; every triangle on the edge lies in two of them, so the
+    edge is off the ball boundary.  Distinct bottom members have
+    distinct edges.  A top member (i+1, j+1) has the same missing edge
+    as (i, j), which is always a bottom member: its upper neighbors are
+    cells of the box.  So the bottom members form a compatible family
+    that no top member can join.  They are also exactly what a greedy
+    pass keeps that takes the candidates in simplex order, each unless
+    its missing face is on the boundary or already taken, since (i, j)
+    sorts before (i+1, j+1).
+    """
     if m is None:
         m = n
     if n < 4 or m < 4:
         raise DegenerateInput("need n, m >= 4")
     host = join_of_paths((n, m))
-    holes = []
-    incompatible = []
-    family_sizes = {}
-    fallback_sizes = {}
-    for q, facets, members in _band_holes(host, 3):
-        family_sizes[q] = len(members)
-        ball = certified_hole(host.complex, q, facets)
-        full = CompatibleFamily.of(ball, members)
-        seen_faces = set()
-        kept = []
-        on_boundary = ball.faces_on_boundary(full.missing_faces.values())
-        for mbr, f in full.missing_faces.items():
-            if f in seen_faces or f in on_boundary:
-                continue
-            seen_faces.add(f)
-            kept.append(mbr)
-        holes.append((q, full.subfamily(kept)))
-        fallback_sizes[q] = len(kept)
-        if len(kept) < len(members):
-            incompatible.append(q)
-    manifest = _close_with_cone(host.complex, carve_and_fill(host.complex, holes))
+    bands = _bands(host, 3)
+    holes = [(q, facets, bottom) for q, facets, bottom, _ in bands]
+    manifest = _close_with_cone(host.complex, fill_holes(host.complex, holes))
     _assert_cell_shapes(manifest, 2)
     _assert_missing_faces_distinct(manifest)
     b = manifest.n_free_cells
+    family_sizes = {q: len(bottom) + len(top) for q, _, bottom, top in bands}
     claimed = {
         "free_cells": b,
         "candidate_cells": sum(family_sizes.values()),
         "free_cells_over_n_squared": b / (n * m),
     }
     flags = {
-        "incompatible_holes": incompatible,
+        "incompatible_holes": [q for q, _, _, top in bands if top],
         "family_sizes": family_sizes,
-        "fallback_sizes": fallback_sizes,
+        "fallback_sizes": {q: len(bottom) for q, _, bottom, _ in bands},
     }
     return ConstructionReport("holes3", manifest, claimed, flags)
 
@@ -318,8 +317,6 @@ def _cyclic_host(n: int) -> SimplicialComplex:
     for p in range(size):
         for q in range(p + 2, size):
             if p == 0 and q == size - 1:
-                continue
-            if (q + 1) % size == p:
                 continue
             facets.append(
                 Simplex(

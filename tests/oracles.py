@@ -448,6 +448,22 @@ def missing_face_reference(b: BallInComplex, sigma: Simplex) -> Simplex:
     return Simplex(frozenset(sigma) - frozenset.intersection(*map(frozenset, contact)))
 
 
+def greedy_compatible_members(b: BallInComplex, members: Iterable[Simplex]) -> list[Simplex]:
+    """The greedy compatible subfamily, the reference for the rule by
+    which ``build_holes3`` keeps a band's bottom members: in simplex
+    order, a member is kept unless its missing face lies on the ball
+    boundary or is the missing face of a member kept before it."""
+    ridges = [frozenset(r) for r in b.boundary.facets]
+    seen, kept = set(), []
+    for m in sorted(members):
+        f = missing_face_reference(b, m)
+        if f in seen or any(frozenset(f) <= r for r in ridges):
+            continue
+        seen.add(f)
+        kept.append(m)
+    return kept
+
+
 def triangulate_cell_reference(c: FreeSumCell, choice: int) -> list[Simplex]:
     """``carvefill.triangulate_cell`` as it was before it built its
     simplices straight from sorted tuples: each simplex is made by

@@ -19,7 +19,6 @@ from sphereforge import (
     carve_and_fill,
     certify,
     fill_ball,
-    is_compatible,
     join_of_paths,
     missing_face,
     realize,
@@ -275,9 +274,9 @@ class TestBoundaryReads:
     @pytest.mark.parametrize("width", [3, 4])
     def test_one_missing_face_read_per_member(self, monkeypatch, width):
         host = join_of_paths((9, 7))
-        holes = constructions._band_holes(host, width)
-        balls = [constructions.certified_hole(host.complex, q, facets) for q, facets, _ in holes]
-        member_lists = [members for _, _, members in holes]
+        bands = constructions._bands(host, width)
+        balls = [constructions.certified_hole(host.complex, q, facets) for q, facets, _, _ in bands]
+        member_lists = [bottom + top for _, _, bottom, top in bands]
         for ball in balls:
             ball.boundary_ridges
         reads, built = self._counting(monkeypatch)
@@ -285,41 +284,41 @@ class TestBoundaryReads:
         for ball, members in zip(balls, member_lists):
             reads.clear()
             built.clear()
-            fam = CompatibleFamily.of(ball, members)
+            try:
+                fam = CompatibleFamily.of(ball, members)
+            except IncompatibleFamily:
+                compatible = False
+            else:
+                compatible = True
             assert sorted(reads) == sorted(members)
-            # one simplex per member: its missing face
+            # one simplex per member, its missing face; the compatibility
+            # test builds none
             assert len(built) == len(members)
-            built.clear()
-            compatible = is_compatible(fam)
-            assert not built
             if compatible:
+                built.clear()
                 filled, _ = fill_ball(fam, VertexId.hole(1))
                 # one per g part and one per cone
                 assert len(built) == len(members) + len(filled.simplex_cells)
             assert len(reads) == len(members)
             outcomes.add(compatible)
         # every width-3 band here has two members sharing a missing face,
-        # so both outcomes of is_compatible are read-free
+        # so both outcomes of the compatibility test are read-free
         assert outcomes == {width == 4}
 
-    def test_the_holes3_fallback_reuses_the_missing_faces(self, monkeypatch):
-        # build_holes3 makes a full family of each band and then the
-        # subfamily of the members it keeps; the two read each candidate
-        # member's missing face once in all.  Certification interleaves
-        # with family building, so the read log is not cleared in it.
-        real_holes = constructions._band_holes
-        real_certified = constructions.certified_hole
-        candidates = []
+    def test_holes3_reads_the_missing_faces_of_its_bottom_members_once(self, monkeypatch):
+        # build_holes3 makes the family of each band's bottom members, so
+        # it reads each of their missing faces once and no top member's.
+        # Certification interleaves with family building, so the read log
+        # is not cleared in it.
+        real_bands = constructions._bands
+        bottoms, tops = [], []
 
-        def band_holes(host, width):
-            holes = real_holes(host, width)
-            candidates.extend(m for _, _, members in holes for m in members)
-            return holes
-
-        def certified(host, key, facets):
-            ball = real_certified(host, key, facets)
-            ball.boundary_ridges
-            return ball
+        def bands(host, width):
+            out = real_bands(host, width)
+            for _, _, bottom, top in out:
+                bottoms.extend(bottom)
+                tops.extend(top)
+            return out
 
         class Built(Exception):
             pass
@@ -327,19 +326,15 @@ class TestBoundaryReads:
         def stop(host, holes):
             raise Built([fam for _, fam in holes])
 
-        monkeypatch.setattr(constructions, "_band_holes", band_holes)
-        monkeypatch.setattr(constructions, "certified_hole", certified)
+        monkeypatch.setattr(constructions, "_bands", bands)
         monkeypatch.setattr(constructions, "carve_and_fill", stop)
         reads, _ = self._counting(monkeypatch)
         with pytest.raises(Built) as built:
             constructions.build_holes3(9, 7)
-        assert sorted(reads) == sorted(candidates)
-        monkeypatch.undo()
+        assert sorted(reads) == sorted(bottoms)
+        assert tops
         fams = built.value.args[0]
-        assert len(candidates) > sum(len(fam.members) for fam in fams)
-        for fam in fams:
-            assert is_compatible(fam)
-            assert fam.missing_faces == {m: missing_face(fam.ball, m) for m in fam.sorted_members}
+        assert sorted(m for fam in fams for m in fam.members) == sorted(bottoms)
 
 
 class TestFamilyErrors:
@@ -397,34 +392,45 @@ class TestTheLeastOffenderIsNamed:
 
 
 class TestCompatibility:
+    """``CompatibleFamily.of`` makes only compatible families: missing
+    faces pairwise distinct and none on the ball boundary."""
+
     def test_empty_family(self):
         host, ball = grid_ball(3, 3)
-        fam = CompatibleFamily.of(ball, [])
-        assert is_compatible(fam)
+        assert CompatibleFamily.of(ball, []).missing_faces == {}
 
     def test_glued_tetrahedra_incompatible(self):
         host, ball = glued_tetrahedra()
-        fam = CompatibleFamily.of(ball, host.facets)
-        assert not is_compatible(fam)
+        with pytest.raises(IncompatibleFamily, match="^missing faces collide or touch the boundary$"):
+            CompatibleFamily.of(ball, host.facets)
 
     def test_grid_corner_family(self):
         host, ball = grid_ball(4, 4)
-        fam = CompatibleFamily.of(
-            ball, [host.facet_of((1, 1)), host.facet_of((3, 3))]
-        )
-        assert is_compatible(fam)
+        members = [host.facet_of((1, 1)), host.facet_of((3, 3))]
+        fam = CompatibleFamily.of(ball, members)
+        assert fam.members == frozenset(members)
 
     def test_a_missing_face_on_the_boundary(self):
         # in a strip of three cubes the middle one's missing face is an
         # edge of the strip's boundary; the end ones' are interior
         host = join_of_paths((3, 5))
         ball = BallInComplex.of(host.complex, [host.facet_of((1, j)) for j in (1, 2, 3)])
-        middle = CompatibleFamily.of(ball, [host.facet_of((1, 2))])
-        assert middle.missing_faces[host.facet_of((1, 2))] == Simplex([VertexId.path(1, 1), VertexId.path(1, 2)])
-        assert not is_compatible(middle)
-        with pytest.raises(IncompatibleFamily):
-            fill_ball(middle, VertexId.hole(1))
-        assert is_compatible(CompatibleFamily.of(ball, [host.facet_of((1, 1)), host.facet_of((1, 3))]))
+        assert missing_face(ball, host.facet_of((1, 2))) == Simplex([VertexId.path(1, 1), VertexId.path(1, 2)])
+        with pytest.raises(IncompatibleFamily, match="^missing faces collide or touch the boundary$"):
+            CompatibleFamily.of(ball, [host.facet_of((1, 2))])
+        CompatibleFamily.of(ball, [host.facet_of((1, 1)), host.facet_of((1, 3))])
+
+    def test_an_incompatible_family_is_refused_before_the_balls_are_compared(self):
+        # a width-3 band with the members of both extreme diagonals, and a
+        # second hole that overlaps it: the band's family is refused when
+        # it is made, before carve_and_fill compares the balls
+        host = join_of_paths((9, 9))
+        [(q, facets, bottom, top)] = [band for band in constructions._bands(host, 3) if band[0] == 2]
+        overlap = [host.facet_of((3, 3)), host.facet_of((3, 4))]
+        with pytest.raises(IncompatibleFamily, match="^missing faces collide or touch the boundary$"):
+            constructions.fill_holes(host.complex, [(q, facets, bottom + top), (9, overlap, [])])
+        with pytest.raises(BallOverlap):
+            constructions.fill_holes(host.complex, [(q, facets, bottom), (9, overlap, [])])
 
     @pytest.mark.parametrize("kind", ["holes4", "cyclic", "aztec-hd"])
     def test_faces_on_boundary_agree_with_a_scan_of_every_ridge(self, kind):
@@ -463,10 +469,12 @@ class TestFillBall:
         assert poly_boundary(filled).facets == ball.boundary.facets
         validate_proper_intersections(filled)
 
-    def test_incompatible_rejected(self):
-        host, ball = glued_tetrahedra()
-        fam = CompatibleFamily.of(ball, host.facets)
-        with pytest.raises(IncompatibleFamily):
+    def test_a_closed_ball_without_members_fills_nothing(self):
+        # the boundary of a tetrahedron has no boundary, so there is
+        # nothing to cone and, with no members, nothing to merge
+        host = SimplicialComplex.from_facets([rs(1, 2, 3), rs(1, 2, 4), rs(1, 3, 4), rs(2, 3, 4)])
+        fam = CompatibleFamily.of(BallInComplex.of(host, host.facets), [])
+        with pytest.raises(DegenerateInput, match="^fill produced no cells$"):
             fill_ball(fam, VertexId.hole(1))
 
     def test_apex_collision(self):
@@ -527,6 +535,30 @@ class TestCarveAndFill:
         for key in (1, 2):
             with pytest.raises(DegenerateInput, match="^hole keys must be unique$"):
                 carve_and_fill(host.complex, [(key, one[1]), (key, two[1])])
+
+    @pytest.mark.parametrize("keys, named", [
+        ((1, (2, 3)), "hole keys 1 and (2, 3) mix integers and tuples"),
+        (((2, 3), 1), "hole keys (2, 3) and 1 mix integers and tuples"),
+        (("a", 7), "hole key 'a' is neither"),
+        ((7, "a"), "hole key 'a' is neither"),
+        ((0.5, 1), "hole key 0.5 is neither"),
+        ((True, 2), "hole key True is neither"),
+        (((1, True), (2, 3)), "hole key (1, True) is neither"),
+        (((3,), (4,)), "hole key (3,) is neither"),
+        (("a",), "hole key 'a' is neither"),
+        ((True,), "hole key True is neither"),
+        ((0.5,), "hole key 0.5 is neither"),
+        (((3,),), "hole key (3,) is neither"),
+        (((),), "hole key () is neither"),
+    ])
+    def test_a_key_a_manifest_file_cannot_spell_is_refused(self, keys, named):
+        # unchecked, such keys die in the key sort with a TypeError (mixed
+        # forms, or "a" and 7), share the apex h:1 (0.5 and 1), or are
+        # written to a file that load_manifest refuses ("a", True) or
+        # reads back as another key ((3,) as 3)
+        host, holes = two_holes()
+        with pytest.raises(DegenerateInput, match=f"^{re.escape(named)}"):
+            carve_and_fill(host.complex, [(key, fam) for key, (_, fam) in zip(keys, holes)])
 
     def test_manifest_holes_must_list_each_free_cell_once(self):
         _, m = small_two_hole_manifest()

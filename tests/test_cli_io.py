@@ -583,6 +583,60 @@ class TestCliPipelines:
         assert text.startswith("OFF")
         assert (tmp_path / "mesh.off.exact.json").exists()
 
+    def test_verify_refuses_a_complex_with_free_cells(self, tmp_path, capsys):
+        assert run(tmp_path, "generate", "aztec", "--k", "3", "--l", "1", "-o", tmp_path / "a.json") == 0
+        capsys.readouterr()
+        for what in ("sphere", "ball"):
+            assert run(tmp_path, "verify", what, tmp_path / "a.json") == 1
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"input error: {tmp_path / 'a.json'} holds free-sum cells; "
+                "realize it into a triangulation first\n"
+            )
+            assert captured.out == ""
+
+    def test_export_off_refuses_a_closed_complex(self, tmp_path, capsys):
+        lift = tmp_path / "lift.json"
+        assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0
+        assert run(tmp_path, "generate", "holes4", "--n", "4", "-o", tmp_path / "h.json") == 0
+        capsys.readouterr()
+        off = tmp_path / "mesh.off"
+        assert run(tmp_path, "export", "off", "--input", tmp_path / "h.realized.json", "--lift", lift, "-o", off) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "input error: complex is closed; no boundary surface to export\n"
+        assert captured.out == ""
+        assert not off.exists()
+
+    def test_export_off_names_the_least_vertex_without_coordinates(self, tmp_path, capsys):
+        lift = tmp_path / "lift.json"
+        assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0
+        a11, a12, a21 = (VertexId.from_label(t) for t in ("a:1:1", "a:1:2", "a:2:1"))
+        x = SimplicialComplex.from_facets([
+            Simplex([a11, a12, a21]), Simplex([a12, a21, VertexId.raw(9)]), Simplex([a11, a21, VertexId.raw(7)]),
+        ])
+        sfio.save_complex(str(tmp_path / "x.json"), x)
+        capsys.readouterr()
+        off = tmp_path / "mesh.off"
+        assert run(tmp_path, "export", "off", "--input", tmp_path / "x.json", "--lift", lift, "-o", off) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "input error: no coordinates for vertex r:7\n"
+        assert captured.out == ""
+        assert not off.exists()
+
+    def test_degree3_refuses_a_lift_that_is_not_an_aztec_lift(self, tmp_path, capsys):
+        lift = tmp_path / "lift.json"
+        assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0
+        obj = json.loads(lift.read_text())
+        for kind in ("cube", None):
+            obj["kind"] = kind
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(obj))
+            capsys.readouterr()
+            assert run(tmp_path, "degree3", "--input", bad) == 1
+            captured = capsys.readouterr()
+            assert captured.err == "input error: degree3 expects an aztec lift file\n"
+            assert captured.out == ""
+
     def test_shelling_verify_cli(self, tmp_path):
         from sphereforge import diagonal_band, GridBox
 

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from sphereforge import Simplex, VertexId, betti_gf2, certify, constructions, realize
+from sphereforge import BallInComplex, Simplex, VertexId, betti_gf2, certify, constructions, realize
 from sphereforge import io as sfio
 from sphereforge.cli import main
 from sphereforge.constructions import (
@@ -20,7 +20,7 @@ from sphereforge.constructions import (
 from sphereforge.errors import DegenerateInput, HypothesisNotSatisfied
 from sphereforge.grid import ehrhart_crosspolytope, join_of_paths
 
-from oracles import cyclic_polytope_facets, f_vector, manifest_to_obj
+from oracles import cyclic_polytope_facets, f_vector, greedy_compatible_members, manifest_to_obj
 
 
 def manifest_bytes(report):
@@ -102,6 +102,27 @@ class TestHoles3:
         points = interior_point_count((9, 9), 3, {2})
         assert report.claimed_bounds["candidate_cells"] == 2 * points
         assert report.free_cell_count == points
+
+    def test_each_hole_keeps_the_members_of_the_greedy_reference(self):
+        # every band's candidates are its bottom and top members; the
+        # hole keeps the bottom ones, which the greedy reference keeps
+        # too, and the flags count both
+        for n, m in product(range(4, 13), repeat=2):
+            host = join_of_paths((n, m))
+            report = build_holes3(n, m)
+            holes = {h.key: h for h in report.manifest.holes}
+            incompatible = []
+            for q, facets, bottom, top in constructions._bands(host, 3):
+                kept = greedy_compatible_members(BallInComplex.of(host.complex, facets), bottom + top)
+                apex = holes[q].apex
+                members = sorted(Simplex([*c.f_part, *(v for v in c.g_part if v != apex)]) for c in holes[q].cells)
+                assert members == kept == bottom, (n, m, q)
+                assert report.flags["family_sizes"][q] == len(bottom) + len(top)
+                assert report.flags["fallback_sizes"][q] == len(kept)
+                if len(kept) < len(bottom) + len(top):
+                    incompatible.append(q)
+            assert report.flags["incompatible_holes"] == incompatible
+            assert list(holes) == list(report.flags["family_sizes"])
 
     def test_small_instance_is_sphere(self, tmp_path):
         assert generate_samples(tmp_path, "holes3", "--n", 4, "--m", 4, "--samples", 2, "--seed", 3) == 0

@@ -1,7 +1,8 @@
 """The package holds what its commands and builders run: a public
-top-level function or class of ``src/sphereforge`` that no package code
-names must be one of the few listed here, each for its stated reason.
-Reference code that only the tests run belongs in ``tests/oracles.py``."""
+top-level function or class of ``src/sphereforge``, or a public method or
+property of one of its classes, that no package code names must be one
+of the few listed here, each for its stated reason.  Reference code that
+only the tests run belongs in ``tests/oracles.py``."""
 
 import ast
 from pathlib import Path
@@ -19,6 +20,19 @@ UNCALLED = {
 }
 
 
+UNNAMED_METHODS = {
+    "complexes.VertexId.sort_key": "the order reference that the tests compare vertex order with",
+    "complexes.Simplex.vset": "the vertex set of a simplex, which perfbench reads",
+    "topology.TopologyCertificate.is_sphere": "the pair of is_ball, which the package names",
+}
+
+
+def _names(node) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
 def test_every_public_member_is_used_by_the_package_or_listed():
     """Names are matched as identifiers and attributes in the package's
     code, outside the member's own definition and the ``__init__``
@@ -33,9 +47,7 @@ def test_every_public_member_is_used_by_the_package_or_listed():
                 own = top.name
                 if not own.startswith("_"):
                     members.add(f"{path.stem}.{own}")
-            names = {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
-            names |= {n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute)}
-            named |= names - {own}
+            named |= _names(top) - {own}
     uncalled = {m for m in members if m.split(".")[1] not in named}
     assert uncalled == set(UNCALLED)
 
@@ -80,9 +92,7 @@ def test_every_private_function_is_named_by_the_package():
             if isinstance(top, ast.FunctionDef) and top.name.startswith("_"):
                 own = top.name
                 private.add(f"{module}.{own}")
-            names = {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
-            names |= {n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute)}
-            named |= names - {own}
+            named |= _names(top) - {own}
     assert sorted(f for f in private if f.split(".")[1] not in named) == []
 
 
@@ -114,3 +124,47 @@ def test_no_function_body_imports():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
     assert local == []
+
+
+def _class_member(stmt) -> str | None:
+    """The name a class-body statement defines as a method or property:
+    a ``def``, or an assignment of ``property(...)``."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return stmt.name
+    if (
+        isinstance(stmt, ast.Assign)
+        and len(stmt.targets) == 1
+        and isinstance(stmt.targets[0], ast.Name)
+        and isinstance(stmt.value, ast.Call)
+        and isinstance(stmt.value.func, ast.Name)
+        and stmt.value.func.id == "property"
+    ):
+        return stmt.targets[0].id
+    return None
+
+
+def test_every_public_method_is_named_by_the_package_or_listed():
+    """A public method or property of a public package class must be
+    named, as an identifier or an attribute, somewhere in the package
+    outside its own definition; the ``__init__`` re-exports do not
+    count.  Names are matched without their class, as the other surface
+    tests match them."""
+    units = []  # (the public member a statement defines, or None; its names)
+    for module, tree in _package_trees().items():
+        if module == "__init__":
+            continue
+        for top in tree.body:
+            if not isinstance(top, ast.ClassDef):
+                units.append((None, _names(top)))
+                continue
+            units += [(None, _names(node)) for node in top.decorator_list + top.bases]
+            for stmt in top.body:
+                name = _class_member(stmt)
+                public = name and not name.startswith("_") and not top.name.startswith("_")
+                units.append((f"{module}.{top.name}.{name}" if public else None, _names(stmt)))
+    unnamed = {
+        own
+        for own, _ in units
+        if own and not any(own.rsplit(".", 1)[1] in names for other, names in units if other != own)
+    }
+    assert unnamed == set(UNNAMED_METHODS)

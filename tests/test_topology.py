@@ -6,11 +6,13 @@ from itertools import permutations
 import pytest
 
 from sphereforge import (
+    PolyComplex,
     Simplex,
     SimplicialComplex,
     VertexId,
     betti_gf2,
     boundary_complex,
+    carve_and_fill,
     certify,
     verify_shelling,
 )
@@ -26,12 +28,13 @@ from sphereforge.constructions import (
     build_holes3,
     build_holes4,
 )
-from sphereforge.errors import InvalidOrder
+from sphereforge.errors import DegenerateInput, InvalidOrder
 from sphereforge.grid import GridBox, band_cell_order, diagonal_band
 from sphereforge.sampling import choice_vector
 
 from oracles import (
     canonical_shelling,
+    empty_complex,
     certify_reference,
     circle_times_sphere,
     cone,
@@ -92,6 +95,32 @@ class TestBetti:
             list(circle(0, 4).facets) + list(circle(10, 4).facets)
         )
         assert betti_gf2(two) == (1, 2)
+
+
+class TestDegenerateComplexes:
+    """The empty-facet complex {∅} has a boundary but no homology to
+    report or certify; the void complex, with no facet at all, is no
+    input to any of the package's complex routines."""
+
+    def test_the_empty_facet_complex_is_refused_by_name(self):
+        with pytest.raises(DegenerateInput, match="^cannot certify the empty-facet complex$"):
+            certify(empty_complex())
+        with pytest.raises(DegenerateInput, match="^the empty-facet complex has no homology to report$"):
+            betti_gf2(empty_complex())
+
+    def test_the_void_complex_is_refused_everywhere(self):
+        void = SimplicialComplex.from_facets([])
+        assert void.is_void
+        for call in (
+            certify,
+            betti_gf2,
+            boundary_complex,
+            lambda x: verify_shelling(x, ()),
+            PolyComplex.from_simplicial,
+            lambda x: carve_and_fill(x, []),
+        ):
+            with pytest.raises(DegenerateInput, match="^void complex is not valid input$"):
+                call(void)
 
 
 class TestCertify:
