@@ -205,16 +205,14 @@ class Hole(NamedTuple):
 @dataclass(frozen=True)
 class FillManifest:
     """The outcome of carving and filling: the new complex plus its holes.
-    Hole keys are distinct, and the holes list every free cell of the
-    complex exactly once."""
+    Hole keys obey ``_check_keys``, and the holes list every free cell of
+    the complex exactly once."""
 
     result: PolyComplex
     holes: tuple[Hole, ...]
 
     def __post_init__(self) -> None:
-        keys = tuple(h.key for h in self.holes)
-        if len(set(keys)) != len(keys):
-            raise DegenerateInput(f"hole keys {keys} are not distinct")
+        _check_keys([h.key for h in self.holes])
         cells = self.free_cells
         if len(cells) != len(self.result.free_cells) or set(cells) != self.result.free_cells:
             raise DegenerateInput("the holes do not list each free cell of the complex once")
@@ -236,10 +234,17 @@ def key_label(key: Hashable) -> str:
     return str(key)
 
 
+def key_from_label(text: str) -> Hashable:
+    """The hole key that ``key_label`` spells as text."""
+    return tuple(int(p) for p in text.split(",")) if "," in text else int(text)
+
+
 def _check_keys(keys: list[Hashable]) -> None:
     """Hole keys are the ones a manifest file spells and reads back: all
-    integers, or all tuples of at least two integers.  ``bool`` is not
-    an integer key."""
+    integers, or all tuples of at least two integers, and no key twice.
+    ``bool`` is not an integer key.  Every path that makes or reads
+    holes checks its keys here."""
+    seen: set[Hashable] = set()
     for key in keys:
         if not (type(key) is int or isinstance(key, tuple) and len(key) >= 2
                 and all(type(k) is int for k in key)):
@@ -248,6 +253,9 @@ def _check_keys(keys: list[Hashable]) -> None:
             )
         if isinstance(key, tuple) != isinstance(keys[0], tuple):
             raise DegenerateInput(f"hole keys {keys[0]!r} and {key!r} mix integers and tuples")
+        if key in seen:
+            raise DegenerateInput(f"hole key {key!r} appears twice")
+        seen.add(key)
 
 
 def carve_and_fill(
@@ -265,8 +273,6 @@ def carve_and_fill(
     holes = list(holes)
     _check_keys([key for key, _ in holes])
     holes.sort(key=itemgetter(0))
-    if len({key for key, _ in holes}) != len(holes):
-        raise DegenerateInput("hole keys must be unique")
     seen: set[Simplex] = set()
     for _, fam in holes:
         if fam.ball.host is not host and fam.ball.host != host:
@@ -284,7 +290,13 @@ def carve_and_fill(
         simplex_cells.extend(cones.simplex_cells)
         filled.append(Hole(key, apex, tuple(free)))
     result = PolyComplex.from_cells(simplex_cells, [c for h in filled for c in h.cells])
-    expected = len(host.vertex_set) + len(filled)
+    # the balls' interior vertices, in a ball but on no ball's boundary,
+    # leave with them, unless a facet outside every ball holds them
+    gone = set().union(*(fam.ball.subcomplex.vertex_set for _, fam in holes))
+    gone.difference_update(*(f for _, fam in holes for f in fam.ball.boundary.facets))
+    if gone:
+        gone -= set().union(*(f for f in host.facets if f not in seen))
+    expected = len(host.vertex_set) - len(gone) + len(filled)
     if len(result.vertex_set) != expected:
         raise InternalInvariantViolation(
             f"expected {expected} vertices, got {len(result.vertex_set)}"

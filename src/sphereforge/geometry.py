@@ -41,37 +41,40 @@ class LiftedConfiguration:
 
     def __post_init__(self) -> None:
         points = tuple(sorted(self.points))
-        _check_ids([v for v, _ in points], self.heights)
-        at: dict[Point, VertexId] = {}
-        for v, p in points:
-            if not p:
-                raise DegenerateInput(f"point {v.label} has no coordinates")
-            if len(p) != len(points[0][1]):
-                first, q = points[0]
-                raise DegenerateInput(
-                    f"points {first.label} and {v.label} have {len(q)} and {len(p)} coordinates"
-                )
-            if at.setdefault(p, v) != v:
-                coords = ",".join(str(c) for c in p)
-                raise DegenerateInput(f"points {at[p].label} and {v.label} are both at ({coords})")
+        _check_points(points, self.heights)
         object.__setattr__(self, "points", points)
 
 
-def _check_ids(ids: list[VertexId], heights: dict[VertexId, Fraction] | None) -> None:
-    """Refuse sorted point ids that are none or list a point twice, and
-    heights, if given, for other than exactly these points."""
-    if not ids:
+def _check_points(points, heights: dict[VertexId, Fraction] | None) -> None:
+    """Refuse sorted points ``(id, coordinates)`` that break a rule of
+    ``LiftedConfiguration``: none, an id listed twice, heights, if given,
+    for other than exactly these points, a point with no coordinates,
+    two numbers of coordinates, or two ids at one point."""
+    if not points:
         raise DegenerateInput("no points")
+    ids = [v for v, _ in points]
     twice = next((u for u, v in zip(ids, ids[1:]) if u == v), None)
     if twice is not None:
         raise DegenerateInput(f"point {twice.label} appears twice")
-    if heights is None:
-        return
-    missing = next((v for v in ids if v not in heights), None)
-    if missing is not None:
-        raise DegenerateInput(f"point {missing.label} has no height")
-    if len(heights) != len(ids):
-        raise DegenerateInput(f"height for {min(heights.keys() - set(ids)).label}, which is not a point")
+    if heights is not None:
+        missing = next((v for v in ids if v not in heights), None)
+        if missing is not None:
+            raise DegenerateInput(f"point {missing.label} has no height")
+        if len(heights) != len(ids):
+            stray = min(heights.keys() - set(ids))
+            raise DegenerateInput(f"height for {stray.label}, which is not a point")
+    first, q = points[0]
+    at: dict[Point, VertexId] = {}
+    for v, p in points:
+        if not p:
+            raise DegenerateInput(f"point {v.label} has no coordinates")
+        if len(p) != len(q):
+            raise DegenerateInput(
+                f"points {first.label} and {v.label} have {len(q)} and {len(p)} coordinates"
+            )
+        if at.setdefault(p, v) != v:
+            coords = ",".join(str(c) for c in p)
+            raise DegenerateInput(f"points {at[p].label} and {v.label} are both at ({coords})")
 
 
 @dataclass(frozen=True)
@@ -105,11 +108,11 @@ class Subdivision:
     def __len__(self) -> int:
         return len(self.cells)
 
-    def check_points(self, config: LiftedConfiguration) -> "Subdivision":
-        """This subdivision, if its cells use only points of config;
+    def check_points(self, points) -> "Subdivision":
+        """This subdivision, if its cells use only the point ids in points;
         otherwise DegenerateInput names the first cell that does not."""
         for cell in self.cells:
-            stray = next((v for v in cell if v not in config.heights), None)
+            stray = next((v for v in cell if v not in points), None)
             if stray is not None:
                 labels = ",".join(v.label for v in cell)
                 raise DegenerateInput(f"cell {{{labels}}} uses {stray.label}, which is not a point")
@@ -121,9 +124,8 @@ class Subdivision:
 
 
 def _primitive(vec) -> tuple[int, ...]:
+    """A nonzero integer vector divided by the gcd of its entries."""
     g = gcd(*vec)
-    if g == 0:
-        return tuple(vec)
     return tuple(v // g for v in vec)
 
 
@@ -194,14 +196,12 @@ def _int_config(
     """The ids of the points ``(id, point)`` in sorted order, each point's
     coordinates, then its height if heights are given, as one integer row,
     and the dimension.  Row i is the i-th id's, so the indices of a
-    sorted cell come out sorted.  The ids and heights obey the rules of
-    ``LiftedConfiguration`` (_check_ids)."""
+    sorted cell come out sorted.  The points and heights obey the rules
+    of ``LiftedConfiguration`` (_check_points)."""
     pts = sorted(pts)
+    _check_points(pts, heights)
     ids = [v for v, _ in pts]
-    _check_ids(ids, heights)
     dim = len(pts[0][1])
-    if any(len(p) != dim for _, p in pts):
-        raise DegenerateInput("points of mixed dimension")
     cols = [[Fraction(p[a]) for _, p in pts] for a in range(dim)]
     if heights is not None:
         cols.append([Fraction(heights[v]) for v in ids])
@@ -335,12 +335,10 @@ def verify_regular(
     DegenerateCell where that answered False, or the reverse.
     """
     ids, rows, dim = _int_config(pts, heights)
+    sub.check_points(heights)
     index = {v: i for i, v in enumerate(ids)}
     if not sub.cells:
         return False
-    for cell in sub.cells:
-        if not all(v in index for v in cell):
-            raise DegenerateInput("cell uses a vertex not in the configuration")
 
     lifted = [row + (1,) for row in rows]
     planes: list[tuple[int, ...]] = []

@@ -230,7 +230,7 @@ def aztec_crosspolytope(d: int, k: int) -> GridRegion:
     return GridRegion.of(box, cells)
 
 
-def boundary_members(r: GridRegion, host: JoinOfPaths | None = None) -> set[Simplex]:
+def boundary_members(r: GridRegion) -> set[Simplex]:
     """Full-dimensional simplices of a region ball with at least two
     codimension-1 faces on its boundary.
 
@@ -238,10 +238,6 @@ def boundary_members(r: GridRegion, host: JoinOfPaths | None = None) -> set[Simp
     the boundary exactly when the corresponding neighbor cube is missing
     (outside the region or outside the box).
     """
-    if host is not None:
-        for c in r.cells:
-            if c not in host.box:
-                raise FaceNotFound(f"cell {c} outside the host grid")
     out = set()
     for c in r.cells:
         missing = sum(1 for nb in _neighbors(c) if nb not in r.cells)

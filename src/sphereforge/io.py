@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Any, Sequence
 
-from .carvefill import FillManifest, Hole, key_label
+from .carvefill import FillManifest, Hole, _check_keys, key_from_label, key_label
 from .complexes import (
     FreeSumCell,
     PolyComplex,
@@ -245,27 +245,19 @@ def load_simplicial(path: str) -> SimplicialComplex:
 # manifests
 
 
-def _key_parse(text: str):
-    if "," in text:
-        return tuple(int(p) for p in text.split(","))
-    return int(text)
-
-
 @_decoder("holes file")
 def holes_from_obj(obj: dict) -> list[tuple[Any, list[Simplex], list[Simplex]]]:
     """Decode a ``fill --holes`` file: one ``(key, ball facets, family
-    members)`` triple per hole, in file order.  The keys are sorted, so
-    all are integers, such as "3", or all are tuples, such as "1,2"."""
+    members)`` triple per hole, in file order, its keys checked by ``_check_keys``."""
     holes = [
         (
-            _key_parse(str(hole["key"])),
+            key_from_label(str(hole["key"])),
             [Simplex(_parse_verts(v)) for v in hole["facets"]],
             [Simplex(_parse_verts(v)) for v in hole.get("members", [])],
         )
         for hole in obj["holes"]
     ]
-    if len({type(key) for key, _, _ in holes}) > 1:
-        raise ValueError("hole keys mix integers and tuples")
+    _check_keys([key for key, _, _ in holes])
     return holes
 
 
@@ -280,7 +272,7 @@ def manifest_from_obj(obj: dict) -> FillManifest:
     if isinstance(result, SimplicialComplex):
         result = PolyComplex.from_simplicial(result)
     holes = tuple(
-        Hole(_key_parse(h["key"]), VertexId.from_label(h["apex"]), tuple(map(_free_cell, h["cells"])))
+        Hole(key_from_label(h["key"]), VertexId.from_label(h["apex"]), tuple(map(_free_cell, h["cells"])))
         for h in obj["holes"]
     )
     return FillManifest(result, holes)
@@ -435,7 +427,7 @@ def lift_data_from_obj(obj: dict) -> dict:
         "config": config,
         "coarse": _lift_part_from_obj(obj["coarse"], "coarse", config),
         "fine": _lift_part_from_obj(obj["fine"], "fine", config),
-        "subdivision": Subdivision.of(map(_parse_verts, obj["subdivision"])).check_points(config),
+        "subdivision": Subdivision.of(map(_parse_verts, obj["subdivision"])).check_points(config.heights),
         "eps": _frac_parse(obj["eps"]),
         "kind": obj.get("kind"),
         "k": obj.get("k"),

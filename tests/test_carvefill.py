@@ -80,6 +80,11 @@ class TestBallInComplex:
         with pytest.raises(FaceNotFound):
             BallInComplex.of(host, [rs(1, 2, 3, 4), rs(7, 8, 9, 10)])
 
+    def test_no_facet_rejected(self):
+        host = SimplicialComplex.from_facets([rs(1, 2, 3, 4), rs(2, 3, 4, 5)])
+        with pytest.raises(DegenerateInput, match="^ball needs at least one facet$"):
+            BallInComplex.of(host, [])
+
 
 class TestBoundaryRestriction:
     def test_corner_of_2x2_grid(self):
@@ -136,6 +141,13 @@ class TestMissingFace:
         host, ball = grid_ball(4, 4)
         with pytest.raises(NoBoundaryContact):
             missing_face(ball, host.facet_of((2, 2)))
+
+    def test_a_facet_outside_the_ball_is_refused(self):
+        host = join_of_paths((4, 4))
+        ball = BallInComplex.of(host.complex, [host.facet_of((1, 1)), host.facet_of((1, 2))])
+        outside = host.facet_of((3, 3))
+        with pytest.raises(FaceNotFound, match=f"^{re.escape(repr(outside))} is not a facet of the ball$"):
+            missing_face(ball, outside)
 
 
 def _families_of(kind, *params):
@@ -533,7 +545,7 @@ class TestCarveAndFill:
     def test_a_repeated_key_is_refused(self):
         host, (one, two) = two_holes()
         for key in (1, 2):
-            with pytest.raises(DegenerateInput, match="^hole keys must be unique$"):
+            with pytest.raises(DegenerateInput, match=f"^hole key {key} appears twice$"):
                 carve_and_fill(host.complex, [(key, one[1]), (key, two[1])])
 
     @pytest.mark.parametrize("keys, named", [
@@ -593,6 +605,29 @@ class TestCarveAndFill:
             holes.append((key, CompatibleFamily.of(ball, [])))
         with pytest.raises(BallOverlap):
             carve_and_fill(host.complex, holes)
+
+    def test_a_family_of_another_host_is_refused(self):
+        host, other = join_of_paths((4, 4)), join_of_paths((4, 5))
+        ball = BallInComplex.of(other.complex, [other.facet_of((1, 1)), other.facet_of((1, 2))])
+        with pytest.raises(FaceNotFound, match="^family ball lives in a different host$"):
+            carve_and_fill(host.complex, [(1, CompatibleFamily.of(ball, []))])
+
+    def test_a_ball_with_an_interior_vertex_drops_it(self):
+        # the four triangles at the pole r:0 of the octahedron form a disk
+        # with r:0 inside; the cone over its boundary replaces r:0 by h:1
+        ring = (1, 2, 3, 4, 1)
+        facets = [rs(pole, a, b) for pole in (0, 5) for a, b in zip(ring, ring[1:])]
+        host = SimplicialComplex.from_facets(facets)
+        ball = BallInComplex.of(host, [f for f in facets if R(0) in f])
+        m = carve_and_fill(host, [(1, CompatibleFamily.of(ball, []))])
+        assert m.result.vertex_set == (host.vertex_set - {R(0)}) | {VertexId.hole(1)}
+        cert = certify(realize(m, ()))
+        assert (cert.kind, cert.dim) == ("sphere", 2)
+        # a triangle outside the ball that holds r:0 keeps it
+        pinched = SimplicialComplex.from_facets(facets + [rs(0, 6, 7)])
+        ball = BallInComplex.of(pinched, [f for f in facets if R(0) in f])
+        m = carve_and_fill(pinched, [(1, CompatibleFamily.of(ball, []))])
+        assert m.result.vertex_set == pinched.vertex_set | {VertexId.hole(1)}
 
 
 class TestTriangulateCell:

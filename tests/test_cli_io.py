@@ -249,6 +249,11 @@ def run(tmp_path, *argv):
     return main([str(a) for a in argv])
 
 
+def _set_keys(manifest, *keys):
+    for hole, key in zip(manifest["holes"], keys):
+        hole["key"] = key
+
+
 # SHA-256 of the .json, .manifest.json, .realized.json and .report.json
 # artifacts of `generate`.  These pin the output bytes of every builder;
 # a refactor must reproduce them, never re-record them.
@@ -506,7 +511,7 @@ class TestCliPipelines:
             {
                 "key": sfio.key_label(key),
                 "facets": [[v.label for v in host.facet_of(c)] for c in sorted(region.cells)],
-                "members": [[v.label for v in m] for m in sorted(boundary_members(region, host))],
+                "members": [[v.label for v in m] for m in sorted(boundary_members(region))],
             }
             for key, region in sorted(_aztec_regions(2, 3, 2).items())
         ]
@@ -673,7 +678,9 @@ class TestCliPipelines:
         out = tmp_path / "m.json"
         assert run(tmp_path, "fill", "--input", host_path, "--holes", holes_path, "-o", out) == 1
         captured = capsys.readouterr()
-        assert captured.err == "input error: malformed holes file: hole keys mix integers and tuples\n"
+        assert captured.err == (
+            "input error: malformed holes file: hole keys 1 and (1, 2) mix integers and tuples\n"
+        )
         assert captured.out == "" and not out.exists()
 
     def test_fill_rejects_non_integer_hole_key(self, tmp_path, capsys):
@@ -1002,10 +1009,12 @@ class TestCliPipelines:
         (lambda obj: obj["complex"]["cells"].append(obj["complex"]["cells"][-1]),
          "cell FS({a:1:4,a:2:3}+{a:1:5,a:2:4,h:1}) appears twice"),
         (lambda obj: obj.update(dim=4), "dim 4 but the cells have dimension 3"),
-    ], ids=["free-cell-twice", "dim-4"])
-    def test_a_manifest_with_a_cell_twice_or_a_wrong_dim_is_rejected(
-        self, tmp_path, capsys, tamper, message
-    ):
+        # unchecked, keys "1,2" and "1" load, and count exits 0
+        (lambda obj: _set_keys(obj, "1,2", "1"), "hole keys (1, 2) and 1 mix integers and tuples"),
+        (lambda obj: _set_keys(obj, "1", "1,2"), "hole keys 1 and (1, 2) mix integers and tuples"),
+        (lambda obj: _set_keys(obj, "1", "1"), "hole key 1 appears twice"),
+    ], ids=["free-cell-twice", "dim-4", "tuple-then-int-key", "int-then-tuple-key", "key-twice"])
+    def test_a_malformed_manifest_is_rejected_with_its_reason(self, tmp_path, capsys, tamper, message):
         assert run(tmp_path, "generate", "holes4", "--n", "5", "-o", tmp_path / "h.json") == 0
         obj = json.loads((tmp_path / "h.manifest.json").read_text())
         tamper(obj)
@@ -1036,6 +1045,19 @@ class TestCliPipelines:
                 assert captured.err.startswith("input error: malformed manifest: "), argv
                 assert captured.out == "", argv
             assert not out.exists()
+
+    @pytest.mark.parametrize("label, message", [
+        ("a:0:1", "path vertices are 1-based"),
+        ("a:1", "vertex kind 'a' needs 2 fields"),
+        ("r:-1", "raw vertex ids are nonnegative"),
+    ])
+    def test_a_label_of_no_vertex_is_rejected(self, tmp_path, capsys, label, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"dim": 1, "cells": [{"t": "s", "v": [label, "r:5"]}]}))
+        assert run(tmp_path, "verify", "sphere", path) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: malformed complex: {message}\n"
+        assert captured.out == ""
 
     def test_a_vertex_label_that_is_not_a_string_is_rejected(self, tmp_path, capsys):
         assert run(tmp_path, "generate", "holes4", "--n", "5", "-o", tmp_path / "h.json") == 0
@@ -1345,10 +1367,35 @@ class TestCliPipelines:
         assert captured.out == ""
         assert not mpath.exists()
 
-    def test_aztec_hd_dimension_bound(self, tmp_path, capsys):
-        code = run(tmp_path, "generate", "aztec-hd", "--d", "1", "--k", "3", "--l", "1", "-o", tmp_path / "a.json")
-        assert code == 1
-        assert "need 2 <= d <= 3" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv, message", [
+        (("holes3", "--n", "3"), "need n, m >= 4"),
+        (("aztec", "--k", "4", "--l", "1"), "need odd k >= 3 and l >= 1"),
+        (("cyclic", "--n", "2"), "need n >= 3"),
+        (("highd", "--d", "5", "--n", "8"), "need 2 <= d <= 4 at desk scale"),
+        (("highd", "--d", "3", "--n", "5"), "need n >= d + 3"),
+        (("aztec-hd", "--d", "1", "--k", "3", "--l", "1"), "need 2 <= d <= 3 at desk scale"),
+    ])
+    def test_generate_refuses_parameters_it_cannot_build(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "g.json"
+        assert run(tmp_path, "generate", *argv, "-o", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_fill_drops_the_interior_vertex_of_a_hole(self, tmp_path, capsys):
+        # the four triangles at the pole r:0 of the octahedron form a disk
+        # with r:0 inside; the fill replaces r:0 by the apex h:1
+        ring = (1, 2, 3, 4, 1)
+        facets = [[f"r:{pole}", f"r:{a}", f"r:{b}"] for pole in (0, 5) for a, b in zip(ring, ring[1:])]
+        host_path, holes_path, mpath = tmp_path / "host.json", tmp_path / "holes.json", tmp_path / "m.json"
+        host_path.write_text(json.dumps({"dim": 2, "cells": [{"t": "s", "v": f} for f in facets]}))
+        holes_path.write_text(json.dumps({"holes": [{"key": 1, "facets": facets[:4]}]}))
+        assert run(tmp_path, "fill", "--input", host_path, "--holes", holes_path, "-o", mpath) == 0
+        assert capsys.readouterr().out == "filled 1 holes, 0 free cells\n"
+        m = sfio.load_manifest(str(mpath))
+        assert sorted(v.label for v in m.result.vertex_set) == ["h:1", "r:1", "r:2", "r:3", "r:4", "r:5"]
+        cert = certify(realize(m, ()))
+        assert (cert.kind, cert.dim) == ("sphere", 2)
 
     def test_exit_codes_on_bad_input(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -7,6 +7,8 @@ from itertools import combinations, product
 from math import comb, gcd, lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sphereforge import VertexId, geometry
 from sphereforge.errors import (
@@ -14,6 +16,7 @@ from sphereforge.errors import (
     DegenerateInput,
     DeltaTooLarge,
     EpsSearchExhausted,
+    SphereforgeError,
 )
 from sphereforge.geometry import (
     LiftedConfiguration,
@@ -49,6 +52,10 @@ class TestCoordinates:
         coords = standard_coordinates(3)
         assert coords[VertexId.path(1, 1)] == pt(1, 0, 1)
         assert coords[VertexId.path(2, 2)] == pt(0, 2, -1)
+
+    def test_paths_need_two_vertices(self):
+        with pytest.raises(DegenerateInput, match="^paths need at least 2 vertices$"):
+            standard_coordinates(1)
 
     def test_midpoint_on_cut_plane(self):
         coords = standard_coordinates(3)
@@ -126,6 +133,35 @@ class TestTheKernelsKeepTheConfigurationRules:
             with pytest.raises(DegenerateInput, match="^no points$"):
                 hull([])
 
+    def test_points_without_coordinates_are_refused_by_name(self):
+        # unchecked, verify_regular charts the one wall of a point with no
+        # coordinate and dies with a bare StopIteration
+        pts = [(R(0), ()), (R(1), ())]
+        heights = {R(0): F(0), R(1): F(0)}
+        sub = Subdivision.of([[R(0)]])
+        with pytest.raises(DegenerateInput, match="^point r:0 has no coordinates$"):
+            verify_regular(pts, heights, sub)
+        for hull in (convex_hull, convex_hull_brute):
+            with pytest.raises(DegenerateInput, match="^point r:0 has no coordinates$"):
+                hull(pts)
+
+    def test_two_labels_at_one_point_are_refused_by_name(self):
+        # unchecked, verify_regular reads the cell {r:1,r:3,r:7} as
+        # degenerate, and the hulls list both labels on their facets
+        plane = square_points() + [(R(7), pt(2, 0))]
+        heights = paraboloid(plane)
+        sub = Subdivision.of([{R(0), R(1), R(2)}, {R(1), R(2), R(3)}, {R(1), R(3), R(7)}])
+        space = simplex_points_r4() + [(R(7), pt(1, 0, 0, 0))]
+        for call, at in (
+            (lambda: verify_regular(plane, heights, sub), "2,0"),
+            (lambda: eps_search(plane, heights, dict.fromkeys(heights, F(0)), sub), "2,0"),
+            (lambda: convex_hull(plane), "2,0"),
+            (lambda: convex_hull_brute(plane), "2,0"),
+            (lambda: detect_bipyramid_facets([], space), "1,0,0,0"),
+        ):
+            with pytest.raises(DegenerateInput, match=rf"^points r:1 and r:7 are both at \({at}\)$"):
+                call()
+
     def test_heights_must_name_exactly_the_points(self):
         pts = square_points()
         heights = paraboloid(pts)
@@ -138,6 +174,45 @@ class TestTheKernelsKeepTheConfigurationRules:
                 verify_regular(pts, hs, sub)
             with pytest.raises(DegenerateInput, match=message):
                 eps_search(pts, hs, dict.fromkeys(hs, F(0)), sub)
+
+
+COORDINATES = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+
+@st.composite
+def small_configurations(draw):
+    """Up to 6 points, some ids repeated, with 0 to 3 coordinates each,
+    most of one number, drawn from few values so that points coincide;
+    a height for each id; and up to 4 cells of up to 5 of the ids r:0 to
+    r:6, which need not be points."""
+    dim = draw(st.integers(0, 3))
+    points = []
+    for i in draw(st.lists(st.integers(0, 5), max_size=6)):
+        arity = draw(st.sampled_from((dim, dim, dim, 0, 1, 2, 3)))
+        points.append((R(i), tuple(draw(st.lists(COORDINATES, min_size=arity, max_size=arity)))))
+    heights = {v: F(draw(st.integers(-3, 3))) for v, _ in points}
+    cells = draw(st.sets(st.frozensets(st.integers(0, 6), min_size=1, max_size=5), max_size=4))
+    return points, heights, Subdivision.of([R(i) for i in c] for c in cells)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_configurations())
+@example(([(R(0), ()), (R(1), ())], {R(0): F(0), R(1): F(0)}, Subdivision.of([[R(0)]])))
+def test_the_kernels_answer_or_refuse_every_small_point_set(case):
+    """verify_regular and both hulls return an answer or raise a
+    SphereforgeError, and the hulls agree on which."""
+    pts, heights, sub = case
+    try:
+        verify_regular(pts, heights, sub)
+    except SphereforgeError:
+        pass
+    hulls = []
+    for hull in (convex_hull, convex_hull_brute):
+        try:
+            hulls.append(hull(pts))
+        except SphereforgeError as exc:
+            hulls.append(str(exc))
+    assert hulls[0] == hulls[1]
 
 
 class TestSubdivision:
@@ -171,9 +246,9 @@ class TestSubdivision:
         config = LiftedConfiguration(tuple(pts), paraboloid(pts))
         stray = Subdivision.of([{R(0), R(1), R(2)}, {R(1), R(9), R(7), R(2)}])
         with pytest.raises(DegenerateInput, match=r"^cell \{r:1,r:2,r:7,r:9\} uses r:7, which is not a point$"):
-            stray.check_points(config)
+            stray.check_points(config.heights)
         sub = Subdivision.of([{R(0), R(1), R(2)}, {R(1), R(2), R(3)}])
-        assert sub.check_points(config) is sub
+        assert sub.check_points(config.heights) is sub
 
 
 class TestVerifyRegular:
@@ -581,6 +656,11 @@ class TestDegreeCheck:
 
 
 class TestAztecLift:
+    @pytest.mark.parametrize("k", [4, 1, -3])
+    def test_k_must_be_odd_and_at_least_3(self, k):
+        with pytest.raises(DegenerateInput, match="^need odd k >= 3$"):
+            aztec_lift(k)
+
     def test_k3_frozen_values(self):
         # worked out by hand from the coplanarity conditions with squared
         # ring heights: ring (1,1) -> 2, pentagon planes z = 2y and z = 2x
@@ -626,6 +706,10 @@ class TestComposeAndSearch:
         coarse = {R(0): F(1), R(1): F(2)}
         fine = {R(0): F(5), R(1): F(-3)}
         assert compose_lift(coarse, fine, F(0)) == coarse
+
+    def test_the_parts_must_share_their_points(self):
+        with pytest.raises(DegenerateInput, match="^coarse and fine lifts must share the vertex set$"):
+            compose_lift({R(0): F(1), R(1): F(2)}, {R(0): F(5)}, F(1, 2))
 
     def test_fine_zero_returns_half(self):
         pts = square_points()
@@ -950,13 +1034,18 @@ def lifted_points(k, l):
 
 def random_rational_points(rng, dim):
     """Up to 14 points with coordinates in {-2..2} / {1, 2}: many coplanar
-    points, repeated points and non-simplicial facets."""
+    points and non-simplicial facets.  A point drawn at the place of an
+    earlier one is dropped, as the kernels refuse two points at one place."""
     n = rng.randint(dim + 1, 14)
     bound = rng.choice((1, 2))
-    return [
+    drawn = [
         (R(i), tuple(F(rng.randint(-bound, bound), rng.choice((1, 2))) for _ in range(dim)))
         for i in range(n)
     ]
+    at = {}
+    for v, p in drawn:
+        at.setdefault(p, v)
+    return [(v, p) for p, v in at.items()]
 
 
 class TestGiftWrap:
@@ -1110,3 +1199,9 @@ class TestRaiseCenters:
         lift = build_aztec_lift(3, 1)
         with pytest.raises(DeltaTooLarge):
             raise_centers(lift, F(10 ** 6))
+
+    @pytest.mark.parametrize("delta", [0, F(-1, 2)])
+    def test_delta_must_be_positive(self, delta):
+        lift = build_aztec_lift(3, 1)
+        with pytest.raises(DegenerateInput, match="^delta must be positive$"):
+            raise_centers(lift, delta)

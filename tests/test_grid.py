@@ -11,6 +11,7 @@ from sphereforge import (
     Simplex,
     VertexId,
     aztec_crosspolytope,
+    band_cell_order,
     boundary_members,
     certify,
     diagonal_band,
@@ -278,11 +279,49 @@ class TestEhrhart:
                 assert ehrhart_crosspolytope(d, r) == count
 
 
+class TestRefusals:
+    """Each grid builder refuses what it cannot build, by message."""
+
+    @pytest.mark.parametrize("dims", [(3, 0), (-1,), ()])
+    def test_a_box_needs_positive_dimensions(self, dims):
+        with pytest.raises(DegenerateInput, match="^box dimensions must be positive$"):
+            GridBox(dims)
+
+    def test_a_region_lies_in_its_box(self):
+        with pytest.raises(DegenerateInput, match=r"^cell \(4, 1\) outside box \(3, 3\)$"):
+            region((3, 3), [(1, 1), (4, 1)])
+
+    def test_facet_of_a_cell_outside_the_grid(self):
+        with pytest.raises(FaceNotFound, match=r"^cell \(3, 1\) outside the grid$"):
+            join_of_paths((3, 3)).facet_of((3, 1))
+
+    def test_band_cell_order_needs_a_full_band(self):
+        band = diagonal_band(GridBox((4, 4)), 2, 5)
+        assert band.shellable_guaranteed
+        partial = GridRegion.of(band.box, band.cells - {(2, 2)}, True)
+        with pytest.raises(HypothesisNotSatisfied, match="^region is not a full diagonal band$"):
+            band_cell_order(partial)
+
+    @pytest.mark.parametrize("d, x", [(0, 1), (-1, 2), (1, -1)])
+    def test_ehrhart_needs_a_dimension_and_no_negative_dilation(self, d, x):
+        with pytest.raises(DegenerateInput, match="^need d >= 1 and x >= 0$"):
+            ehrhart_crosspolytope(d, x)
+
+    @pytest.mark.parametrize("d, k, message", [
+        (0, 3, "need d >= 1"),
+        (-1, 3, "need d >= 1"),
+        (2, 0, "need odd k >= 3"),
+        (2, -3, "need odd k >= 3"),
+    ])
+    def test_aztec_needs_a_dimension_and_an_odd_size(self, d, k, message):
+        with pytest.raises(DegenerateInput, match=f"^{message}$"):
+            aztec_crosspolytope(d, k)
+
+
 class TestBoundaryMembers:
     def test_aztec3_in_grid(self):
-        host = join_of_paths((4, 4))
         r = aztec_crosspolytope(2, 3)
-        members = boundary_members(r, host)
+        members = boundary_members(r)
         assert len(members) == 4  # 2k - 2
 
     def test_aztec_member_formula(self):
