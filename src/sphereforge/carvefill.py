@@ -235,8 +235,14 @@ def key_label(key: Hashable) -> str:
 
 
 def key_from_label(text: str) -> Hashable:
-    """The hole key that ``key_label`` spells as text."""
-    return tuple(int(p) for p in text.split(",")) if "," in text else int(text)
+    """The hole key that ``key_label`` spells as text: ``key_label`` of
+    the result equals text, so a sign, a leading zero, an underscore, a
+    space or a non-ASCII digit, which ``int`` would read, is refused."""
+    key = tuple(int(p) for p in text.split(",")) if "," in text else int(text)
+    canonical = key_label(key)
+    if canonical != text:
+        raise DegenerateInput(f"bad hole key {text!r}: the canonical spelling is {canonical!r}")
+    return key
 
 
 def _check_keys(keys: list[Hashable]) -> None:

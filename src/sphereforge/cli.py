@@ -169,11 +169,12 @@ def _cmd_hull(args) -> int:
     if any(len(p) != 4 for _, p in pts):
         raise DegenerateInput("facet classification expects a 4-dimensional hull")
     facets, apex_pt = hull_with_apex(pts, apex)
-    count, kinds = detect_bipyramid_facets(facets, pts + [(apex, apex_pt)])
+    pts.append((apex, apex_pt))
+    count, kinds = detect_bipyramid_facets(facets, pts)
     print(f"bipyramids: {count}")
     print(f"facets: {len(facets)} (simplices {kinds.count('simplex')}, other {kinds.count('other')})")
     if args.output:
-        sfio.write_text(args.output, sfio.dumps(sfio.hull_to_obj(facets, kinds)))
+        sfio.write_text(args.output, sfio.dumps(sfio.hull_to_obj(facets, kinds, pts)))
     return OK
 
 

@@ -174,115 +174,100 @@ def _rank_and_nullvector(
     return rank, _primitive(sol)
 
 
-def _hyperplane(points: list[tuple[int, ...]]) -> tuple[int, ...] | None:
-    """Homogeneous normal of the hyperplane through k points in R^k.
-
-    Returns nu of length k+1 with nu . (p, 1) = 0 for each point, or None
-    if the points are affinely dependent.
-    """
-    return _rank_and_nullvector([p + (1,) for p in points], len(points) + 1)[1]
-
-
-def _scales(columns) -> list[int]:
-    """The integer factor of each column: the least common multiple of its
-    denominators.  Scaling each column by its own factor is a diagonal
-    linear map, which preserves hyperplanes and sidedness."""
-    return [lcm(*(f.denominator for f in col)) for col in columns]
+def _hyperplane(rows: list[tuple[int, ...]]) -> tuple[int, ...] | None:
+    """Homogeneous normal of the hyperplane through k points in R^k, given
+    as homogeneous rows: nu with nu . row = 0 for each row, or None if the
+    points are affinely dependent."""
+    return _rank_and_nullvector(rows, len(rows) + 1)[1]
 
 
 def _int_config(
     pts, heights: dict[VertexId, Fraction] | None
 ) -> tuple[list[VertexId], list[tuple[int, ...]], int]:
-    """The ids of the points ``(id, point)`` in sorted order, each point's
-    coordinates, then its height if heights are given, as one integer row,
-    and the dimension.  Row i is the i-th id's, so the indices of a
-    sorted cell come out sorted.  The points and heights obey the rules
-    of ``LiftedConfiguration`` (_check_points)."""
+    """The ids of the points ``(id, point)`` in sorted order, each point as
+    one homogeneous integer row, and the dimension.  A row holds the
+    point's coordinates, then its height if heights are given, then 1,
+    all multiplied by the least common multiple of the row's own
+    denominators.  A positive factor per row changes no null vector and
+    no side sign, so every hyperplane through rows is primitive in the
+    input's coordinates, (normal, -offset).  Row i is the i-th id's, so
+    the indices of a sorted cell come out sorted.  The points and
+    heights obey the rules of ``LiftedConfiguration`` (_check_points)."""
     pts = sorted(pts)
     _check_points(pts, heights)
-    ids = [v for v, _ in pts]
-    dim = len(pts[0][1])
-    cols = [[Fraction(p[a]) for _, p in pts] for a in range(dim)]
-    if heights is not None:
-        cols.append([Fraction(heights[v]) for v in ids])
-    scales = _scales(cols)
-    rows = [tuple(int(f * s) for f, s in zip(row, scales)) for row in zip(*cols)]
-    return ids, rows, dim
+    rows = []
+    for v, p in pts:
+        row = [Fraction(x) for x in (p if heights is None else (*p, heights[v]))]
+        c = lcm(*(f.denominator for f in row))
+        rows.append(tuple(f.numerator * (c // f.denominator) for f in row) + (c,))
+    return [v for v, _ in pts], rows, len(pts[0][1])
 
 
 def _chart(rows: list[tuple[int, ...]], normal: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The rows, points of a hyperplane with this normal, in a chart of it:
-    dropping a coordinate where the normal is nonzero maps the hyperplane
-    bijectively and affinely onto a space of one dimension less, so the
-    image of its points has their faces.  Columns past the normal's are
-    dropped too.  A per-column scaling keeps the normal's zero entries
-    where they are, so any integer rows of the points give the same
-    chart, up to scaling."""
+    """The homogeneous rows of points on a hyperplane with this normal, in
+    a chart of it: dropping a coordinate where the normal is nonzero maps
+    the hyperplane bijectively and affinely onto a space of one dimension
+    less, so the image of its points has their faces."""
     drop = next(a for a, n in enumerate(normal) if n)
-    return [row[:drop] + row[drop + 1:len(normal)] for row in rows]
-
-
-def _dot_h(nu: tuple[int, ...], row: tuple[int, ...]) -> int:
-    return sum(map(mul, nu, row)) + nu[-1]
+    return [row[:drop] + row[drop + 1:] for row in rows]
 
 
 def _sides(nu: tuple[int, ...], rows: list[tuple[int, ...]]) -> list[int]:
     """The hyperplane nu evaluated on every row: the side of each point."""
-    offset = nu[-1]
-    return [sum(map(mul, nu, row)) + offset for row in rows]
+    return [sum(map(mul, nu, row)) for row in rows]
 
 
 # ---------------------------------------------------------------------------
 # regularity verification
 
 
-def _cell_walls(
-    cell_rows: list[tuple[int, ...]], dim: int, rank: int
-) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Supporting (dim-1)-hyperplanes of a projected cell, as onsets (the
-    sorted indices into cell_rows of the points on each), each mapped to the
-    first dim affinely independent points, in subset order, that span it.
+def _cell_walls(rows: list[tuple[int, ...]]) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Supporting (dim-1)-hyperplanes of a full-dimensional cell in R^dim,
+    given as the homogeneous rows of its points (dim is the row length
+    less 1; every caller has established that the rows have rank dim+1),
+    as onsets (the sorted indices into rows of the points on each), each
+    mapped to the first dim affinely independent points, in subset order,
+    that span it.
 
-    rank is the rank of the rows (p[:dim], 1), which every caller has
-    already established.  A full-dimensional simplex (dim+1 rows of rank
-    dim+1) has exactly its dim-subsets as walls, each spanned by itself.
-    A full-dimensional circuit (dim+2 rows, any dim+1 of them affinely
+    A simplex (dim+1 rows) has exactly its dim-subsets as walls, each
+    spanned by itself.  A circuit (dim+2 rows, any dim+1 of them affinely
     independent) has its walls read off its affine dependence.  Other
     cells are searched by testing every dim-subset of their points that
     does not lie on a plane already computed.
     """
-    n = len(cell_rows)
-    if n == dim + 1 and rank == dim + 1:
+    n = len(rows)
+    dim = len(rows[0]) - 1
+    if n == dim + 1:
         return {s: s for s in combinations(range(n), dim)}
     walls: dict[tuple[int, ...], tuple[int, ...]] = {}
-    if n == dim + 2 and rank == dim + 1:
-        # The one affine dependence sum(lam_i * (p_i, 1)) = 0.  If no lam_i
-        # is 0, any dim+1 of the points are affinely independent, so a
-        # wall holds exactly dim points: all but some i and j.  Applying
-        # the plane h through them to the dependence gives
-        # h(p_i)*lam_i + h(p_j)*lam_j = 0, and neither h value is 0, or
+    if n == dim + 2:
+        # The one linear dependence sum(lam_i * row_i) = 0 of the rows.
+        # Row i is c_i * (p_i, 1) with c_i > 0, so the affine dependence of
+        # the points is lam_i * c_i, with the signs of lam.  If no lam_i is
+        # 0, any dim+1 of the points are affinely independent, so a wall
+        # holds exactly dim points: all but some i and j.  Applying the
+        # plane h through them to the dependence gives
+        # h(row_i)*lam_i + h(row_j)*lam_j = 0, and neither h value is 0, or
         # dim+1 points would lie on h.  So p_i and p_j lie on the same
         # side of h, and h is a wall, exactly when lam_i*lam_j < 0.  Each
         # wall is spanned by itself.
-        transposed = list(zip(*cell_rows))[:dim] + [(1,) * n]
-        lam = _rank_and_nullvector(transposed, n)[1]
+        lam = _rank_and_nullvector(list(zip(*rows)), n)[1]
         if all(lam):
             for s in combinations(range(n), dim):
                 i, j = (t for t in range(n) if t not in s)
                 if (lam[i] < 0) != (lam[j] < 0):
                     walls[s] = s
             return walls
-    hom = [row[:dim] + (1,) for row in cell_rows]
     # the dim-subsets of every plane found to hold more than dim points:
     # such a subset is dependent or spans that plane again
     known: set[tuple[int, ...]] = set()
     for subset in combinations(range(n), dim):
         if subset in known:
             continue
-        nu = _rank_and_nullvector([hom[i] for i in subset], dim + 1)[1]
+        nu = _hyperplane([rows[i] for i in subset])
         if nu is None:
             continue
-        sides = [sum(map(mul, nu, h)) for h in hom]
+        sides = [sum(map(mul, nu, row)) for row in rows]
         onset = tuple(i for i, s in enumerate(sides) if s == 0)
         if len(onset) > dim:
             known.update(combinations(onset, dim))
@@ -308,39 +293,38 @@ def verify_regular(
     (2) when a wall onset gets its second cell, each cell's points off
     it lie strictly above the other's plane, a convex fold, and a third
     cell opens the onset again; (3) every unmatched wall supports the
-    configuration; (4) some wall is unmatched, and the centroid of the
+    configuration; (4) some wall is unmatched, and a point inside the
     first lies in the closure of no other unmatched wall on its
     hyperplane (_covered_once); (5) a point in no cell lies strictly
     above every plane.
 
-    Proof.  A fold puts its cells on opposite sides of the wall (else
-    the lower plane's cell has points below the other plane), so a
-    third cell leaves an onset with cells on both sides, refused by (3),
-    or a fourth makes two cells overlap, refused below.  Crossing a wall
-    at a generic point trades each cell of a matched onset for its
-    partner, and by (3) unmatched walls lie on the boundary, so every
-    generic point of the hull is in the same number D of cells; entering
-    near the first unmatched wall's centroid meets one cell by (4), so
-    D = 1.  (Folds and matching alone hold on a branched double cover,
-    whose cells wind twice around a vertex like a pentagram.)  The cells
-    around a face G are linked by walls through G, each shared exactly,
-    so they hold the same points of G: the tiling is face to face, and
-    the cellwise lift f is continuous and, by (2), convex, strictly
-    across each wall.  A point p of another cell is on f outside this
-    cell's closure; the segment to p leaves the cell through a matched
-    wall beyond which f is strictly above the plane, so p is too.  (5)
-    covers the rest, and a regular subdivision passes every check.  Only
-    the order of checks differs from testing every point: an input with
-    a degenerate cell and an earlier cell that is not regular may raise
-    DegenerateCell where that answered False, or the reverse.
+    Proof.  A fold puts its cells on opposite sides of the wall (else the
+    lower plane's cell has points below the other plane), so a third cell
+    leaves an onset with cells on both sides, refused by (3), or a fourth
+    makes two cells overlap, refused below.  Crossing a wall at a generic
+    point trades each cell of a matched onset for its partner, and by (3)
+    unmatched walls lie on the boundary, so every generic point of the
+    hull is in the same number D of cells; entering near the point of (4)
+    meets one cell, so D = 1.  (Folds and matching alone hold on a
+    branched double cover, whose cells wind twice around a vertex like a
+    pentagram.)  The cells around a face G are linked by walls through G,
+    each shared exactly, so they hold the same points of G: the tiling is
+    face to face, and the cellwise lift f is continuous and, by (2),
+    convex, strictly across each wall.  A point p of another cell is on f
+    outside this cell's closure; the segment to p leaves the cell through
+    a matched wall beyond which f is strictly above the plane, so p is
+    too.  (5) covers the rest, and a regular subdivision passes every
+    check.  Only the order of checks differs from testing every point: an
+    input with a degenerate cell and an earlier cell that is not regular
+    may raise DegenerateCell where that answered False, or the reverse.
     """
-    ids, rows, dim = _int_config(pts, heights)
+    ids, lifted, dim = _int_config(pts, heights)
     sub.check_points(heights)
     index = {v: i for i, v in enumerate(ids)}
     if not sub.cells:
         return False
 
-    lifted = [row + (1,) for row in rows]
+    projected = [row[:dim] + row[dim + 1:] for row in lifted]
     planes: list[tuple[int, ...]] = []
     # the cell of each wall onset not yet matched
     unmatched: dict[tuple[int, ...], int] = {}
@@ -373,7 +357,7 @@ def verify_regular(
         covered.update(idxs)
         # the cell has passed the checks above, so its projected rows
         # have rank dim+1
-        for onset_local in _cell_walls([rows[i] for i in idxs], dim, dim + 1):
+        for onset_local in _cell_walls([projected[i] for i in idxs]):
             onset = tuple(idxs[i] for i in onset_local)
             other = unmatched.pop(onset, None)
             if other is None:
@@ -387,7 +371,6 @@ def verify_regular(
     walls = list(unmatched)
     if not walls:
         return False
-    projected = [row[:dim] + (1,) for row in rows]
     # the outward normal of each unmatched wall; walls on one hull facet
     # share it, and its side pass is made once
     normals: list[tuple[int, ...]] = []
@@ -400,7 +383,7 @@ def verify_regular(
         if flipped in supporting:
             nu = flipped
         elif nu not in supporting:
-            sides = [sum(map(mul, nu, p)) for p in projected]
+            sides = _sides(nu, projected)
             if max(sides) > 0:
                 if min(sides) < 0:
                     return False  # an unmatched interior wall
@@ -409,7 +392,7 @@ def verify_regular(
         normals.append(nu)
     first = normals[0]
     on_first = [w for w, nu in zip(walls[1:], normals[1:]) if nu == first]
-    if not _covered_once(rows, dim, first, walls[0], on_first):
+    if not _covered_once(projected, first, walls[0], on_first):
         return False
     return all(
         all(sum(map(mul, nu, row)) > 0 for nu in planes)
@@ -426,25 +409,26 @@ def _above(nu: tuple[int, ...], lifted, idxs: list[int], wall: tuple[int, ...]) 
 
 def _covered_once(
     rows: list[tuple[int, ...]],
-    dim: int,
     nu: tuple[int, ...],
     first: tuple[int, ...],
     others: list[tuple[int, ...]],
 ) -> bool:
-    """Whether the centroid of the wall first lies in the closure of none
+    """Whether a point inside the wall first lies in the closure of none
     of the walls others, all on the hyperplane nu: in its _chart, as
-    convex_hull reads it, it must be strictly outside one wall of each."""
-    chart = _chart(rows, nu[:dim])
-    size = len(first)
+    convex_hull reads it, it must be strictly outside one wall of each.
+    The point, the sum of the first wall's homogeneous rows, is a
+    positively weighted mean of its points; it is in the closure of
+    another wall on the hyperplane only if the two walls overlap."""
+    chart = _chart(rows, nu)
     total = [sum(col) for col in zip(*(chart[i] for i in first))]
     for wall in others:
         points = [chart[i] for i in wall]
-        for onset, span in _cell_walls(points, dim - 1, dim).items():
+        for onset, span in _cell_walls(points).items():
             g = _hyperplane([points[j] for j in span])
-            side = sum(map(mul, g, total)) + size * g[-1]
+            side = sum(map(mul, g, total))
             ref = next(p for j, p in enumerate(points) if j not in onset)
-            if side and (side > 0) != (_dot_h(g, ref) > 0):
-                break  # the centroid is outside this wall
+            if side and (side > 0) != (sum(map(mul, g, ref)) > 0):
+                break  # the point is outside this wall
         else:
             return False
     return True
@@ -593,7 +577,7 @@ def _aztec_patch_cells(k, points, omega) -> tuple[tuple[tuple[int, int], ...], .
         nu = _hyperplane([int_row[p] for p in seed[:3]])
         if nu is None:
             raise LiftConstructionFailed("degenerate hole cell")
-        return tuple(p for p in keys if _dot_h(nu, int_row[p]) == 0)
+        return tuple(p for p in keys if sum(map(mul, nu, int_row[p])) == 0)
 
     cells: set[tuple[tuple[int, int], ...]] = set()
     n_rect = 0
@@ -691,21 +675,14 @@ def build_aztec_lift(k: int, l: int) -> RegularAztecLift:
     # hole centers: each is the centroid of its block's four coarse
     # corners, so lifting it onto the block hyperplane means averaging
     for (r, s), apex, _ in manifest.holes:
-        p_hat = (r - 1) * k + (k + 1) // 2
-        q_hat = (s - 1) * k + (k + 1) // 2
-        o = (Fraction(2 * p_hat + 1, 4), Fraction(2 * q_hat + 1, 4), Fraction(0))
         corners = [
             VertexId.path(1, (r - 1) * k + 1),
             VertexId.path(1, r * k + 1),
             VertexId.path(2, (s - 1) * k + 1),
             VertexId.path(2, s * k + 1),
         ]
-        centroid = tuple(
-            sum((coords[v][a] for v in corners), Fraction(0)) / 4 for a in range(3)
-        )
-        if centroid != o:
-            raise InternalInvariantViolation("hole center is not the block centroid")
-        pts.append((apex, o))
+        centroid = tuple(sum(col, Fraction(0)) / 4 for col in zip(*(coords[v] for v in corners)))
+        pts.append((apex, centroid))
         coarse[apex] = sum((coarse[v] for v in corners), Fraction(0)) / 4
         fine[apex] = Fraction(0)
 
@@ -731,10 +708,10 @@ def build_aztec_lift(k: int, l: int) -> RegularAztecLift:
 
 @dataclass(frozen=True)
 class HullFacet:
-    """A hull facet: its sorted vertex ids and outward supporting hyperplane
-    (normal . p <= offset for all configuration points, with each
-    coordinate of p scaled to integers by its column's common
-    denominator)."""
+    """A hull facet: its sorted vertex ids and outward supporting hyperplane,
+    primitive in the input's coordinates: normal . p <= offset for every
+    configuration point p, with equality exactly on the facet's
+    vertices."""
 
     vertices: tuple[VertexId, ...]
     normal: tuple[int, ...]
@@ -745,7 +722,7 @@ def convex_hull_brute(pts: list[tuple[VertexId, Point]]) -> list[HullFacet]:
     """Exact brute-force convex hull: every supporting hyperplane spanned
     by the points, merged into maximal coplanar facets."""
     ids, rows, dim = _int_config(pts, None)
-    rank, _ = _rank_and_nullvector([r + (1,) for r in rows], dim + 1)
+    rank, _ = _rank_and_nullvector(rows, dim + 1)
     if rank < dim + 1:
         raise DegenerateInput("point set is not full-dimensional")
     found: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
@@ -760,7 +737,7 @@ def convex_hull_brute(pts: list[tuple[VertexId, Point]]) -> list[HullFacet]:
         pos = neg = False
         sides = []
         for row in rows:
-            s = _dot_h(nu, row)
+            s = sum(map(mul, nu, row))
             sides.append(s)
             if s > 0:
                 pos = True
@@ -803,6 +780,8 @@ def _pivot(
     on the member with s = h2(q) / -h1(q), and no point on h1 is on the
     positive side of any member.  So one pass for the largest s, compared
     by cross-multiplying, and one elimination give the new hyperplane.
+    A positive factor on a row scales h1(q) and h2(q) alike, so s is the
+    same for every homogeneous row of q.
     """
     h2: tuple[int, ...] | None = None
     for i, (row, side) in enumerate(zip(rows, sides)):
@@ -811,12 +790,11 @@ def _pivot(
         below = -side
         if h2 is None:
             h2 = _hyperplane(basis + [row])
-            if _dot_h(h2, ref) > 0:
+            if sum(map(mul, h2, ref)) > 0:
                 h2 = tuple(-x for x in h2)
-            offset = h2[-1]
             top, top_below, last = 0, below, i
             continue
-        above = sum(map(mul, h2, row)) + offset
+        above = sum(map(mul, h2, row))
         if above * top_below > top * below:
             top, top_below, last = above, below, i
     return _primitive([top_below * a + top * b for a, b in zip(h2, h1)]), last
@@ -825,17 +803,20 @@ def _pivot(
 def _first_facet(
     rows: list[tuple[int, ...]], dim: int
 ) -> tuple[tuple[int, ...], list[int]]:
-    """One facet of the hull of full-dimensional points in R^dim: its
-    outward normal and dim affinely independent points on it.
+    """One facet of the hull of full-dimensional points in R^dim, given as
+    homogeneous rows: its primitive outward normal and dim affinely
+    independent points on it.
 
     A facet of the projection to the first dim-1 coordinates spans a
     vertical supporting hyperplane.  It meets the hull in a facet or in a
-    ridge, and one pivot about that ridge gives a facet.
+    ridge, and one pivot about that ridge gives a facet.  In R^1 the
+    facet is the point of largest x, read as row[0] / row[1].
     """
     if dim == 1:
-        top = max(range(len(rows)), key=lambda i: rows[i][0])
-        return (1, -rows[top][0]), [top]
-    nu, basis = _first_facet([row[:-1] for row in rows], dim - 1)
+        top = max(range(len(rows)), key=lambda i: Fraction(*rows[i]))
+        x, w = rows[top]
+        return _primitive((w, -x)), [top]
+    nu, basis = _first_facet([row[:-2] + row[-1:] for row in rows], dim - 1)
     vertical = nu[:-1] + (0, nu[-1])
     sides = _sides(vertical, rows)
     on = [i for i, side in enumerate(sides) if not side]
@@ -843,7 +824,7 @@ def _first_facet(
     extra = next((i for i in on if _hyperplane(span + [rows[i]]) is not None), None)
     if extra is not None:
         return vertical, basis + [extra]
-    up = span[0][:-1] + (span[0][-1] + 1,)
+    up = span[0][:-2] + (span[0][-2] + 1, span[0][-1])
     nu, extra = _pivot(rows, span, up, vertical, sides)
     return nu, basis + [extra]
 
@@ -860,7 +841,7 @@ def convex_hull(pts: list[tuple[VertexId, Point]]) -> list[HullFacet]:
     convex_hull_brute scans; the facet list is the same.
     """
     ids, rows, dim = _int_config(pts, None)
-    rank, _ = _rank_and_nullvector([r + (1,) for r in rows], dim + 1)
+    rank, _ = _rank_and_nullvector(rows, dim + 1)
     if rank < dim + 1:
         raise DegenerateInput("point set is not full-dimensional")
     # the onset of each facet found, by its normal: normals are primitive
@@ -878,8 +859,8 @@ def convex_hull(pts: list[tuple[VertexId, Point]]) -> list[HullFacet]:
         found[nu] = onset
         # the ridges are the walls of the facet in its _chart; the facet
         # spans the chart, so its homogeneous rows have rank dim
-        chart = _chart([rows[i] for i in onset], nu[:-1])
-        for wall, span in _cell_walls(chart, dim - 1, dim).items():
+        chart = _chart([rows[i] for i in onset], nu)
+        for wall, span in _cell_walls(chart).items():
             ridge = tuple(onset[j] for j in wall)
             if ridge in ridges:
                 continue  # already crossed from the facet on its other side
@@ -902,30 +883,28 @@ def hull_with_apex(
     with DegenerateInput before any hull is built.
 
     The apex, above the centroid c, must lie strictly beyond every upper
-    facet of the configuration's hull and beneath every other one.  A
-    facet's normal n and offset live in the coordinates that _int_config
-    scales column by column, by the factors s of _scales, so the apex is
-    beyond it when its height exceeds (offset - sum_a n_a s_a c_a) /
-    (n_h s_h), summed over the coordinates a other than the height h; it
-    is placed 1 above every such bound and every point.  Then the new hull keeps the other facets
-    and replaces the upper ones by cones from the apex over the boundary
-    of the upper side.  That is checked after the fact: the facets
-    without the apex must be exactly the base facets whose normal does
-    not point up, or InternalInvariantViolation is raised.  Returns the
-    facets and the apex point.
+    facet of the configuration's hull and beneath every other one.  It is
+    beyond a facet with normal n and offset when its height exceeds
+    (offset - sum_a n_a c_a) / n_h, summed over the coordinates a other
+    than the height h; it is placed 1 above every such bound and every
+    point.  Then the new hull keeps the other facets and replaces the
+    upper ones by cones from the apex over the boundary of the upper
+    side.  That is checked after the fact: the facets without the apex
+    must be exactly the base facets whose normal does not point up, or
+    InternalInvariantViolation is raised.  Returns the facets and the
+    apex point.
     """
     if any(v == apex_id for v, _ in pts):
         raise DegenerateInput(f"the apex {apex_id.label} is already a point")
     base = convex_hull(pts)
     cols = list(zip(*(p for _, p in pts)))
-    scales = _scales(cols)
     centroid = [Fraction(sum(col), len(pts)) for col in cols]
     height = max(cols[-1]) + 1
     for f in base:
         if f.normal[-1] <= 0:
             continue
-        rest = sum(n * s * c for n, s, c in zip(f.normal, scales, centroid[:-1]))
-        height = max(height, Fraction(f.offset - rest, f.normal[-1] * scales[-1]) + 1)
+        rest = sum(map(mul, f.normal[:-1], centroid))
+        height = max(height, Fraction(f.offset - rest, f.normal[-1]) + 1)
     apex_pt = (*centroid[:-1], Fraction(height))
     hull = convex_hull(list(pts) + [(apex_id, apex_pt)])
     kept = {f.vertices for f in hull if apex_id not in f.vertices}
@@ -966,11 +945,11 @@ def detect_bipyramid_facets(
 
 
 def _is_bipyramid(rows: list[tuple[int, ...]], normal: tuple[int, ...]) -> bool:
-    """Whether the integer rows of a facet's five points, with the facet's
-    normal, have six triangular walls in the facet's _chart, which has the
-    facet's faces.  A facet spans its hyperplane, so the chart's rows
-    (p, 1) have rank 4."""
-    walls = _cell_walls(_chart(rows, normal), 3, 4)
+    """Whether the homogeneous rows of a facet's five points, with the
+    facet's normal, have six triangular walls in the facet's _chart, which
+    has the facet's faces.  A facet spans its hyperplane, so the chart's
+    rows have rank 4."""
+    walls = _cell_walls(_chart(rows, normal))
     return len(walls) == 6 and all(len(onset) == 3 for onset in walls)
 
 

@@ -13,6 +13,7 @@ import re
 import reprlib
 from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 from operator import attrgetter
 from typing import Any, Sequence
 
@@ -450,18 +451,26 @@ def degree3_to_obj(delta: Fraction, degree3: int, guaranteed: int, heights) -> d
     }
 
 
-def hull_to_obj(facets: list[HullFacet], kinds: list[str]) -> dict:
-    return {
-        "facets": [
-            {
-                "v": _labels(f.vertices),
-                "normal": [str(c) for c in f.normal],
-                "offset": str(f.offset),
-                "kind": kind,
-            }
-            for f, kind in zip(facets, kinds)
-        ]
-    }
+def hull_to_obj(facets: list[HullFacet], kinds: list[str], points) -> dict:
+    """The ``hull -o`` record of the hull of points ``(id, point)``.  Each
+    facet's normal and offset are stated, made primitive, in the
+    coordinates where each column of the points is scaled to integers by
+    the least common multiple s of its denominators: the entry for a
+    column is n * L / s and the offset is offset * L, for L the lcm of
+    every s."""
+    scales = [lcm(*(c.denominator for c in col)) for col in zip(*(p for _, p in points))]
+    big = lcm(*scales)
+    records = []
+    for f, kind in zip(facets, kinds):
+        vec = [n * (big // s) for n, s in zip(f.normal, scales)] + [f.offset * big]
+        g = gcd(*vec)
+        records.append({
+            "v": _labels(f.vertices),
+            "normal": [str(c // g) for c in vec[:-1]],
+            "offset": str(vec[-1] // g),
+            "kind": kind,
+        })
+    return {"facets": records}
 
 
 # --------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from sphereforge.errors import (
     NotPseudomanifold,
     SingleSimplexBall,
 )
-from sphereforge.geometry import HullFacet, Point, _dot_h, _hyperplane
+from sphereforge.geometry import HullFacet, Point, _hyperplane
 from sphereforge.grid import GridBox, GridRegion, _neighbors, band_cell_order, cell_simplex
 from sphereforge.topology import (
     BALL,
@@ -407,7 +407,8 @@ def pivot_reference(
     skip: frozenset[int],
 ) -> tuple[tuple[int, ...], int]:
     """Turn a hyperplane about the ridge spanned by basis, away from ref,
-    until it supports every point.
+    until it supports every point; rows, basis and ref are homogeneous
+    rows of points.
 
     Every candidate contains the ridge and has ref strictly on its
     negative side, and a point strictly outside one candidate turns the
@@ -416,11 +417,15 @@ def pivot_reference(
     """
     best, last = None, -1
     for i, row in enumerate(rows):
-        if i in skip or (best is not None and _dot_h(best, row) <= 0):
+        if i in skip or (best is not None and _dot(best, row) <= 0):
             continue
         nu = _hyperplane(basis + [row])
-        best, last = (nu if _dot_h(nu, ref) < 0 else tuple(-x for x in nu)), i
+        best, last = (nu if _dot(nu, ref) < 0 else tuple(-x for x in nu)), i
     return best, last
+
+
+def _dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
 
 
 # --------------------------------------------------------------------------

@@ -229,7 +229,8 @@ class TestDumps:
         lift = build_aztec_lift(3, 1)
         points = [(v, p + (lift.config.heights[v],)) for v, p in lift.config.points]
         facets, apex_point = hull_with_apex(points, VertexId.cone())
-        _, kinds = detect_bipyramid_facets(facets, points + [(VertexId.cone(), apex_point)])
+        points.append((VertexId.cone(), apex_point))
+        _, kinds = detect_bipyramid_facets(facets, points)
         lift51 = build_aztec_lift(5, 1)
         target = raised_center_target(lift51.manifest)
         delta, heights = delta_search(lift51, target)
@@ -238,7 +239,7 @@ class TestDumps:
         _, sidecar = sfio.off_export(realized, dict(lift.config.points))
         for obj in (
             sfio.lift_to_obj(lift),
-            sfio.hull_to_obj(facets, kinds),
+            sfio.hull_to_obj(facets, kinds, points),
             sfio.degree3_to_obj(delta, degree3, (2 * lift51.k - 6) * lift51.l ** 2, heights),
             sidecar,
         ):
@@ -683,6 +684,27 @@ class TestCliPipelines:
         )
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("key, canonical", [
+        ("+01", "1"), (" 1", "1"), ("1_0", "10"), ("1, 2", "1,2"), ("-0", "0"), (1, None), ("1", None),
+    ], ids=["sign-and-zero", "space", "underscore", "space-in-tuple", "minus-zero", "json-integer", "canonical"])
+    def test_fill_reads_a_hole_key_only_as_key_label_spells_it(self, tmp_path, capsys, key, canonical):
+        host_path = tmp_path / "host.json"
+        sfio.save_complex(str(host_path), join_of_paths((4, 4)).complex)
+        block = [[f"a:1:{i}", f"a:1:{i+1}", f"a:2:{j}", f"a:2:{j+1}"] for i in (1, 2) for j in (1, 2)]
+        holes_path = tmp_path / "holes.json"
+        holes_path.write_text(json.dumps({"holes": [{"key": key, "facets": block, "members": [block[0]]}]}))
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        code = run(tmp_path, "fill", "--input", host_path, "--holes", holes_path, "-o", out)
+        captured = capsys.readouterr()
+        if canonical is None:
+            assert code == 0 and sfio.load_manifest(str(out)).holes[0].key == 1
+        else:
+            assert code == 1 and not out.exists()
+            assert captured.err == (
+                f"input error: malformed holes file: bad hole key {key!r}: the canonical spelling is {canonical!r}\n"
+            )
+
     def test_fill_rejects_non_integer_hole_key(self, tmp_path, capsys):
         host_path = tmp_path / "host.json"
         sfio.save_complex(str(host_path), join_of_paths((4, 4)).complex)
@@ -1013,7 +1035,14 @@ class TestCliPipelines:
         (lambda obj: _set_keys(obj, "1,2", "1"), "hole keys (1, 2) and 1 mix integers and tuples"),
         (lambda obj: _set_keys(obj, "1", "1,2"), "hole keys 1 and (1, 2) mix integers and tuples"),
         (lambda obj: _set_keys(obj, "1", "1"), "hole key 1 appears twice"),
-    ], ids=["free-cell-twice", "dim-4", "tuple-then-int-key", "int-then-tuple-key", "key-twice"])
+        # unchecked, each key loads as the integer or tuple int() reads
+        (lambda obj: _set_keys(obj, "0", "+01"), "bad hole key '+01': the canonical spelling is '1'"),
+        (lambda obj: _set_keys(obj, "0", " 1"), "bad hole key ' 1': the canonical spelling is '1'"),
+        (lambda obj: _set_keys(obj, "0", "1_0"), "bad hole key '1_0': the canonical spelling is '10'"),
+        (lambda obj: _set_keys(obj, "1, 2", "3,4"), "bad hole key '1, 2': the canonical spelling is '1,2'"),
+        (lambda obj: _set_keys(obj, "-0", "1"), "bad hole key '-0': the canonical spelling is '0'"),
+    ], ids=["free-cell-twice", "dim-4", "tuple-then-int-key", "int-then-tuple-key", "key-twice",
+            "sign-and-zero-key", "space-key", "underscore-key", "space-in-tuple-key", "minus-zero-key"])
     def test_a_malformed_manifest_is_rejected_with_its_reason(self, tmp_path, capsys, tamper, message):
         assert run(tmp_path, "generate", "holes4", "--n", "5", "-o", tmp_path / "h.json") == 0
         obj = json.loads((tmp_path / "h.manifest.json").read_text())

@@ -200,7 +200,8 @@ def small_configurations(draw):
 @example(([(R(0), ()), (R(1), ())], {R(0): F(0), R(1): F(0)}, Subdivision.of([[R(0)]])))
 def test_the_kernels_answer_or_refuse_every_small_point_set(case):
     """verify_regular and both hulls return an answer or raise a
-    SphereforgeError, and the hulls agree on which."""
+    SphereforgeError, the hulls agree on which, and a hull's facets
+    support the points as given."""
     pts, heights, sub = case
     try:
         verify_regular(pts, heights, sub)
@@ -213,6 +214,17 @@ def test_the_kernels_answer_or_refuse_every_small_point_set(case):
         except SphereforgeError as exc:
             hulls.append(str(exc))
     assert hulls[0] == hulls[1]
+    if not isinstance(hulls[0], str):
+        assert_supporting(hulls[0], pts)
+
+
+def assert_supporting(facets, pts):
+    """Each facet's normal . p <= offset on the points p as given, with
+    equality exactly on the facet's vertices."""
+    for f in facets:
+        values = {v: dot(f.normal, p) for v, p in pts}
+        assert max(values.values()) == f.offset, f
+        assert tuple(sorted(v for v, x in values.items() if x == f.offset)) == f.vertices, f
 
 
 class TestSubdivision:
@@ -321,8 +333,8 @@ class TestVerifyRegular:
         # of the 36 simplices are read off, the 36 five-point cells are
         # circuits whose walls one elimination of their affine dependence
         # gives (4 rows), and each of the 36 unmatched walls on the
-        # boundary takes one more (3 rows).  The degree check tests the
-        # centroid of the first unmatched wall against the 8 other
+        # boundary takes one more (3 rows).  The degree check tests a
+        # point inside the first unmatched wall against the 8 other
         # triangles on its hull facet, and the second edge of each, 2
         # eliminations of 2 rows, puts it outside: 16 more
         assert (len(cells), sum(len(c) == 4 for c in cells)) == (72, 36)
@@ -330,24 +342,40 @@ class TestVerifyRegular:
         assert len(calls) == 72 + 36 + 36 + 16 == 160
 
 
-def reference_cell_walls(cell_rows, dim):
-    """The walls of a projected cell by testing every dim-subset."""
+def reference_cell_walls(rows):
+    """The walls of a cell, given as homogeneous rows of its points in
+    R^dim (dim the row length less 1), by testing every dim-subset."""
+    dim = len(rows[0]) - 1
     walls = {}
-    for subset in combinations(range(len(cell_rows)), dim):
-        nu = _hyperplane([cell_rows[i][:dim] for i in subset])
+    for subset in combinations(range(len(rows)), dim):
+        nu = _hyperplane([rows[i] for i in subset])
         if nu is None:
             continue
-        sides = [dot(nu, row[:dim]) + nu[-1] for row in cell_rows]
+        sides = [dot(nu, row) for row in rows]
         if any(s > 0 for s in sides) and any(s < 0 for s in sides):
             continue
         walls.setdefault(tuple(i for i, s in enumerate(sides) if s == 0), subset)
     return walls
 
 
+def column_scaled_rows(pts, heights):
+    """The ids in sorted order and the points' integer rows (x, h, 1):
+    each column of coordinates and of heights scaled by the lcm of its
+    denominators, a diagonal map that keeps every hyperplane and side."""
+    pts = sorted(pts)
+    cols = [[F(p[a]) for _, p in pts] for a in range(len(pts[0][1]))]
+    cols.append([F(heights[v]) for v, _ in pts])
+    scales = [lcm(*(f.denominator for f in col)) for col in cols]
+    rows = [tuple(int(f * s) for f, s in zip(row, scales)) + (1,) for row in zip(*cols)]
+    return [v for v, _ in pts], rows, len(cols) - 1
+
+
 def reference_verify_regular(pts, heights, sub):
     """verify_regular with two eliminations per cell (projected rank, then
-    lifted plane) and walls by subset search for every cell."""
-    ids, rows, dim = _int_config(list(pts), heights)
+    lifted plane) and walls by subset search for every cell, on rows
+    scaled by column, not by row as the kernels scale them."""
+    ids, rows, dim = column_scaled_rows(pts, heights)
+    projected = [row[:dim] + (1,) for row in rows]
     index = {v: i for i, v in enumerate(ids)}
     if not sub.cells:
         return False
@@ -359,19 +387,19 @@ def reference_verify_regular(pts, heights, sub):
     for idxs in cell_indices:
         if len(idxs) < dim + 1:
             raise DegenerateCell("too few points")
-        proj_rank, _ = _rank_and_nullvector([rows[i][:dim] + (1,) for i in idxs], dim + 1)
+        proj_rank, _ = _rank_and_nullvector([projected[i] for i in idxs], dim + 1)
         if proj_rank < dim + 1:
             raise DegenerateCell("cell does not span full dimension")
-        _, nu = _rank_and_nullvector([rows[i] + (1,) for i in idxs], dim + 2)
+        _, nu = _rank_and_nullvector([rows[i] for i in idxs], dim + 2)
         if nu is None or nu[dim] == 0:
             return False
         if nu[dim] < 0:
             nu = tuple(-x for x in nu)
-        if any(dot(nu, row) + nu[-1] <= 0 for i, row in enumerate(rows) if i not in idxs):
+        if any(dot(nu, row) <= 0 for i, row in enumerate(rows) if i not in idxs):
             return False
     counts = {}
     for idxs in cell_indices:
-        for onset_local in reference_cell_walls([rows[i] for i in idxs], dim):
+        for onset_local in reference_cell_walls([projected[i] for i in idxs]):
             onset = tuple(sorted(idxs[i] for i in onset_local))
             counts[onset] = counts.get(onset, 0) + 1
     for onset, count in counts.items():
@@ -379,10 +407,10 @@ def reference_verify_regular(pts, heights, sub):
             continue
         if count > 2:
             return False
-        _, nu = _rank_and_nullvector([rows[i][:dim] + (1,) for i in onset], dim + 1)
+        _, nu = _rank_and_nullvector([projected[i] for i in onset], dim + 1)
         if nu is None:
             return False
-        sides = [dot(nu, row[:dim]) + nu[-1] for row in rows]
+        sides = [dot(nu, row) for row in projected]
         if any(s > 0 for s in sides) and any(s < 0 for s in sides):
             return False
     return True
@@ -459,32 +487,41 @@ class TestVerifyRegularDifferential:
         read_off = 0
         for _ in range(300):
             dim = rng.choice((1, 2, 3))
-            # a trailing height column, as verify_regular passes its rows
-            rows = [tuple(rng.randint(-3, 3) for _ in range(dim + 1)) for _ in range(dim + 1)]
-            rank, _ = _rank_and_nullvector([row[:dim] + (1,) for row in rows], dim + 1)
-            walls = _cell_walls(rows, dim, rank)
-            assert list(walls.items()) == list(reference_cell_walls(rows, dim).items()), rows
-            read_off += rank == dim + 1
+            # each point's homogeneous row times a positive factor, as
+            # verify_regular passes its rows
+            drawn = [
+                (tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(1, 7))
+                for _ in range(dim + 1)
+            ]
+            rows = [tuple(c * x for x in p) + (c,) for p, c in drawn]
+            # _cell_walls is only given cells that span R^dim
+            if fraction_rank(rows, dim + 1) == dim + 1:
+                walls = _cell_walls(rows)
+                assert list(walls.items()) == list(reference_cell_walls(rows).items()), rows
+                read_off += 1
         assert read_off >= 150
 
     def test_affinely_dependent_points_are_searched(self):
-        # three points on a line: one wall through all of them, not the
-        # three pairs that a triangle would have
-        rows = [(0, 0), (1, 1), (2, 2)]
-        rank, _ = _rank_and_nullvector([row + (1,) for row in rows], 3)
-        assert rank == 2
-        assert _cell_walls(rows, 2, rank) == reference_cell_walls(rows, 2) == {
-            (0, 1, 2): (0, 1)
+        # three points on a line and one off it: one wall through the
+        # three, not the three pairs that a triangle would have
+        rows = [(0, 0, 1), (1, 1, 1), (4, 4, 2), (0, 1, 1)]
+        assert fraction_rank(rows, 3) == 3
+        assert _cell_walls(rows) == reference_cell_walls(rows) == {
+            (0, 1, 2): (0, 1), (0, 3): (0, 3), (2, 3): (2, 3)
         }
 
 
 def grid_cell(rng, dim, n, bound):
     """n distinct points of the grid {-bound..bound}^dim that span it, each
-    with a trailing height, as verify_regular passes its rows."""
+    as its homogeneous row times a positive factor, as verify_regular
+    passes its rows."""
     grid = list(product(range(-bound, bound + 1), repeat=dim))
     while True:
-        rows = [p + (rng.randint(-3, 3),) for p in sorted(rng.sample(grid, n))]
-        if fraction_rank([row[:dim] + (1,) for row in rows], dim + 1) == dim + 1:
+        rows = []
+        for p in sorted(rng.sample(grid, n)):
+            c = rng.randint(1, 7)
+            rows.append(tuple(c * x for x in p) + (c,))
+        if fraction_rank(rows, dim + 1) == dim + 1:
             return rows
 
 
@@ -512,20 +549,20 @@ class TestCellWallsDifferential:
         # hyperplane (3 on a line, 4 on a square) and one point off it
         flat = {2: [(0, 0), (1, 1), (2, 2), (0, 1)],
                 3: [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]}[dim]
-        cells.append([p + (0,) for p in flat])
+        cells.append([p + (1,) for p in flat])
         calls = counting_kernel(monkeypatch)
         circuits = []
         for rows in cells:
             del calls[:]
-            walls = _cell_walls(rows, dim, dim + 1)
+            walls = _cell_walls(rows)
             made = len(calls)
-            assert set(walls) == set(reference_cell_walls(rows, dim)), rows
+            assert set(walls) == set(reference_cell_walls(rows)), rows
             for onset, span in walls.items():
-                nu = _hyperplane([rows[i][:dim] for i in span])
+                nu = _hyperplane([rows[i] for i in span])
                 assert nu is not None and len(span) == dim, rows
-                assert tuple(i for i, row in enumerate(rows) if dot(nu, row[:dim]) + nu[-1] == 0) == onset
+                assert tuple(i for i, row in enumerate(rows) if dot(nu, row) == 0) == onset
             circuit = all(
-                fraction_rank([rows[i][:dim] + (1,) for i in s], dim + 1) == dim + 1
+                fraction_rank([rows[i] for i in s], dim + 1) == dim + 1
                 for s in combinations(range(dim + 2), dim + 1)
             )
             if circuit:
@@ -544,10 +581,10 @@ class TestCellWallsDifferential:
         for _ in range(150):
             rows = grid_cell(rng, dim, rng.randint(dim + 3, 9), 1)
             del calls[:]
-            walls = _cell_walls(rows, dim, dim + 1)
+            walls = _cell_walls(rows)
             subsets += comb(len(rows), dim)
             made += len(calls)
-            assert list(walls.items()) == list(reference_cell_walls(rows, dim).items()), rows
+            assert list(walls.items()) == list(reference_cell_walls(rows).items()), rows
         # on a 3^dim grid many subsets lie on a plane found before them
         assert made < subsets * 3 // 4, (made, subsets)
 
@@ -607,8 +644,10 @@ class TestDegreeCheck:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_a_centroid_on_the_boundary_of_another_wall_is_in_its_closure(self, dim):
-        pts, heights, one, two = two_sheets(dim)
-        ids, rows, _ = _int_config(pts, heights)
+        pts, _, one, two = two_sheets(dim)
+        # integer points: each homogeneous row is (x, 1), and the point
+        # _covered_once tests in a wall is its centroid
+        ids, rows, _ = _int_config(pts, None)
         nu = (1,) + (0,) * (dim - 1) + (-2,)  # the facet x = 2, outward
 
         def on_facet(cells):
@@ -619,10 +658,10 @@ class TestDegreeCheck:
         assert len(tiles) == {2: 2, 3: 8}[dim]
         # the square's centroid is the facet's centre, a vertex of every tile
         for tile in tiles:
-            assert not geometry._covered_once(rows, dim, nu, square, [tile])
-            assert not geometry._covered_once(rows, dim, nu, tile, [square])
+            assert not geometry._covered_once(rows, nu, square, [tile])
+            assert not geometry._covered_once(rows, nu, tile, [square])
             # the tiles of sheet two meet only on their boundaries
-            assert geometry._covered_once(rows, dim, nu, tile, [t for t in tiles if t != tile])
+            assert geometry._covered_once(rows, nu, tile, [t for t in tiles if t != tile])
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_unions_of_two_lower_hulls_get_the_reference_answer(self, dim):
@@ -780,12 +819,13 @@ class TestHull:
                 hull(flat)
 
     def test_outward_normals(self):
-        facets = convex_hull_brute(simplex_points_r4())
-        pts = dict(simplex_points_r4())
-        for f in facets:
-            for v, p in pts.items():
-                val = sum(n * c for n, c in zip(f.normal, p))
-                assert val <= f.offset
+        assert_supporting(convex_hull_brute(simplex_points_r4()), simplex_points_r4())
+        # the apex hulls of lifts with fractional heights, 16 and 80 facets
+        for k, l in ((3, 1), (3, 3)):
+            pts = lifted_points(k, l)
+            facets, apex_pt = hull_with_apex(pts, VertexId.cone())
+            assert len(facets) == {1: 16, 3: 80}[l]
+            assert_supporting(facets, pts + [(VertexId.cone(), apex_pt)])
 
 
 def sheared(pts):
@@ -823,14 +863,19 @@ class TestBipyramidDetection:
 
     def test_kinds_do_not_depend_on_point_order_or_scaling(self):
         # an extra point inside the hull, off every facet, at coordinates
-        # over 13 changes the integer factors of every column
+        # over 13: its row gets a factor of 13, and each row is its own
+        # point times the lcm of that point's denominators
         pts = lifted_points(3, 1)
         facets, apex_pt = hull_with_apex(pts, VertexId.cone())
         pts = pts + [(VertexId.cone(), apex_pt)]
         centroid = [sum(col) / len(pts) for col in zip(*(p for _, p in pts))]
         extra = (R(99), tuple((12 * c + a) / 13 for c, a in zip(centroid, pts[0][1])))
-        assert all(s % 13 for s in geometry._scales(zip(*(p for _, p in pts))))
-        assert all(s % 13 == 0 for s in geometry._scales(zip(*(p for _, p in pts + [extra]))))
+        ids, rows, _ = _int_config(pts + [extra], None)
+        at = dict(pts + [extra])
+        for v, row in zip(ids, rows):
+            factor = lcm(*(x.denominator for x in at[v]))
+            assert row == tuple(int(x * factor) for x in at[v]) + (factor,)
+            assert (row[-1] % 13 == 0) == (v == R(99))
         count, kinds = detect_bipyramid_facets(facets, pts)
         assert count == 4
         assert detect_bipyramid_facets(facets, pts[::-1]) == (count, kinds)
@@ -970,10 +1015,12 @@ class TestKernel:
             if k > 1 and rng.random() < 0.2:
                 points[0] = points[1]
             homog = [p + (1,) for p in points]
-            nu = _hyperplane(points)
+            nu = _hyperplane(homog)
             assert (nu is None) == (fraction_rank(homog, k + 1) < k), points
             if nu is not None:
                 assert all(dot(nu, h) == 0 for h in homog)
+            # a positive factor on a row changes no null vector
+            assert _hyperplane([tuple(c * x for x in h) for c, h in zip((3, 1, 5, 2), homog)]) == nu
 
 
 class TestHullOfLift:
@@ -1138,18 +1185,18 @@ class TestPivot:
             _, rows, _ = _int_config(pts, None)
             for f in facets:
                 h1 = f.normal + (-f.offset,)
-                onset = [i for i, row in enumerate(rows) if dot(h1, row) + h1[-1] == 0]
+                onset = [i for i, row in enumerate(rows) if dot(h1, row) == 0]
                 drop = next(a for a, n in enumerate(f.normal) if n)
                 chart = [rows[i][:drop] + rows[i][drop + 1:] for i in onset]
-                for wall, span in reference_cell_walls(chart, dim - 1).items():
+                for wall, span in reference_cell_walls(chart).items():
                     basis = [rows[onset[j]] for j in span]
                     ref = next(rows[i] for j, i in enumerate(onset) if j not in wall)
                     expected, _ = pivot_reference(rows, basis, ref, frozenset(onset))
-                    sides = [dot(h1, row) + h1[-1] for row in rows]
+                    sides = [dot(h1, row) for row in rows]
                     nu, last = geometry._pivot(rows, basis, ref, h1, sides)
                     assert nu == expected, (pts, f)
                     # the point returned is on the new facet and off the old one
-                    assert dot(nu, rows[last]) + nu[-1] == 0 != dot(h1, rows[last]) + h1[-1]
+                    assert dot(nu, rows[last]) == 0 != dot(h1, rows[last])
                     compared[dim] += 1
         assert min(compared.values()) >= 100, compared
 
