@@ -27,17 +27,7 @@ from .complexes import (
     VertexId,
     boundary_complex,
 )
-from .errors import (
-    BallOverlap,
-    ChoiceLengthMismatch,
-    DegenerateInput,
-    DisjointnessViolation,
-    FaceNotFound,
-    IncompatibleFamily,
-    InternalInvariantViolation,
-    NoBoundaryContact,
-    SingleSimplexBall,
-)
+from .errors import DegenerateInput, InternalInvariantViolation
 
 
 @dataclass(frozen=True)
@@ -51,11 +41,11 @@ class BallInComplex:
     def of(cls, host: SimplicialComplex, facets: Iterable[Simplex]) -> "BallInComplex":
         fs = frozenset(facets)
         if not fs <= host.facets:
-            raise FaceNotFound(f"{min(fs - host.facets)!r} is not a facet of the host")
+            raise DegenerateInput(f"{min(fs - host.facets)!r} is not a facet of the host")
         if len(fs) == 0:
             raise DegenerateInput("ball needs at least one facet")
         if len(fs) == 1:
-            raise SingleSimplexBall("a single-simplex ball cannot be carved")
+            raise DegenerateInput("a single-simplex ball cannot be carved")
         return cls(host, fs)
 
     @property
@@ -109,15 +99,15 @@ def missing_face(b: BallInComplex, sigma: Simplex) -> Simplex:
     already sorted.
     """
     if sigma not in b.ball_facets:
-        raise FaceNotFound(f"{sigma!r} is not a facet of the ball")
+        raise DegenerateInput(f"{sigma!r} is not a facet of the ball")
     ridges = b.boundary_ridges
     s = b.indices(sigma)
     on = [r in ridges for r in combinations(s, len(s) - 1)]
     f = tuple(compress(sigma, reversed(on)))
     if not f:
-        raise NoBoundaryContact(f"{sigma!r} has no facet on the ball boundary")
+        raise DegenerateInput(f"{sigma!r} has no facet on the ball boundary")
     if len(f) == len(sigma):
-        raise SingleSimplexBall("boundary restriction is the whole cell boundary")
+        raise DegenerateInput("boundary restriction is the whole cell boundary")
     return Simplex._face(f)
 
 
@@ -140,17 +130,17 @@ class CompatibleFamily:
     def of(cls, ball: BallInComplex, members: Iterable[Simplex]) -> "CompatibleFamily":
         ms = frozenset(members)
         if not ms <= ball.ball_facets:
-            raise FaceNotFound(f"member {min(ms - ball.ball_facets)!r} is not a facet of the ball")
+            raise DegenerateInput(f"member {min(ms - ball.ball_facets)!r} is not a facet of the ball")
         fam = cls(ball, ms)
         faces = fam.missing_faces
         for m, f in faces.items():
             if len(f) < 2:
-                raise IncompatibleFamily(
+                raise DegenerateInput(
                     f"member {m!r} has a single boundary facet; its fill "
                     "cell would degenerate to a simplex"
                 )
         if len(set(faces.values())) != len(faces) or ball.faces_on_boundary(faces.values()):
-            raise IncompatibleFamily("missing faces collide or touch the boundary")
+            raise DegenerateInput("missing faces collide or touch the boundary")
         return fam
 
     @cached_property
@@ -170,7 +160,7 @@ def fill_ball(
     cell.  The result has the same boundary as the ball."""
     ball = fam.ball
     if apex in ball.host.vertex_set:
-        raise DisjointnessViolation(f"apex {apex.label} already used")
+        raise DegenerateInput(f"apex {apex.label} already used")
     free: list[FreeSumCell] = []
     # The ridges of the members, as vertex-index tuples.  Those on the
     # boundary are the ones the free cells cover: m - v for v in f.
@@ -238,6 +228,8 @@ def key_from_label(text: str) -> Hashable:
     """The hole key that ``key_label`` spells as text: ``key_label`` of
     the result equals text, so a sign, a leading zero, an underscore, a
     space or a non-ASCII digit, which ``int`` would read, is refused."""
+    if not isinstance(text, str):
+        raise DegenerateInput(f"bad hole key {text!r}")
     key = tuple(int(p) for p in text.split(",")) if "," in text else int(text)
     canonical = key_label(key)
     if canonical != text:
@@ -282,10 +274,10 @@ def carve_and_fill(
     seen: set[Simplex] = set()
     for _, fam in holes:
         if fam.ball.host is not host and fam.ball.host != host:
-            raise FaceNotFound("family ball lives in a different host")
+            raise DegenerateInput("family ball lives in a different host")
         overlap = seen & fam.ball.ball_facets
         if overlap:
-            raise BallOverlap(f"balls share the simplex {min(overlap)!r}")
+            raise DegenerateInput(f"balls share the simplex {min(overlap)!r}")
         seen |= fam.ball.ball_facets
 
     simplex_cells: list[Simplex] = [f for f in host.facets if f not in seen]
@@ -340,9 +332,7 @@ def realize(m: FillManifest, choices: Sequence[int]) -> SimplicialComplex:
     ``vertices`` are taken from ``m.result`` instead of counted again."""
     cells = m.free_cells
     if len(choices) != len(cells):
-        raise ChoiceLengthMismatch(
-            f"{len(cells)} free cells but {len(choices)} choices"
-        )
+        raise DegenerateInput(f"{len(cells)} free cells but {len(choices)} choices")
     facets: list[Simplex] = list(m.result.simplex_cells)
     for cell, bit in zip(cells, choices):
         facets.extend(triangulate_cell(cell, int(bit)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from decimal import Decimal
 
 from . import io as sfio
 from .carvefill import realize
@@ -210,7 +211,8 @@ def _cmd_count(args) -> int:
     for hole in manifest.holes:
         print(f"hole {sfio.key_label(hole.key)}: {len(hole.cells)} free cells")
     b = manifest.n_free_cells
-    print(f"total: {b} free cells, 2^{b} = {2 ** b} realizations")
+    # Decimal prints an int of any size; str refuses one over 4300 digits
+    print(f"total: {b} free cells, 2^{b} = {Decimal(2 ** b)} realizations")
     return OK
 
 

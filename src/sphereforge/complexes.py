@@ -13,11 +13,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Iterable
 
-from .errors import (
-    DegenerateInput,
-    DisjointnessViolation,
-    NotPseudomanifold,
-)
+from .errors import DegenerateInput
 
 _KIND_RANK = {"a": 0, "h": 1, "c": 2, "r": 3}
 _ARITY = {"a": 2, "h": 1, "c": 0, "r": 1}
@@ -234,10 +230,10 @@ def boundary_complex(x: SimplicialComplex) -> SimplicialComplex:
 
     The ridges are counted on vertex-index tuples by ``_ridges``, the
     pass that ``certify`` makes, and a ``Simplex`` is built only for a
-    boundary ridge.  A ridge in three or more facets raises
-    ``NotPseudomanifold``, which names the least such ridge in vertex
-    order and its facet count.  The empty-facet complex has no ridge,
-    so its boundary is void."""
+    boundary ridge.  A ridge in three or more facets is refused by a
+    message naming the least such ridge in vertex order and its facet
+    count.  The empty-facet complex has no ridge, so its boundary is
+    void."""
     x._require_nonvoid()
     if x.dim < 0:
         return SimplicialComplex.from_facets(())
@@ -245,7 +241,7 @@ def boundary_complex(x: SimplicialComplex) -> SimplicialComplex:
     vertex = x.vertices.__getitem__
     if max(map(len, ridges.values())) > 2:
         r = min(r for r, owners in ridges.items() if len(owners) > 2)
-        raise NotPseudomanifold(
+        raise DegenerateInput(
             f"face {Simplex._face(map(vertex, r))!r} lies in {len(ridges[r])} facets"
         )
     return SimplicialComplex.from_facets(
@@ -268,7 +264,7 @@ class FreeSumCell(tuple):
 
     def __new__(cls, f_part: Simplex, g_part: Simplex) -> "FreeSumCell":
         if not set(f_part).isdisjoint(g_part):
-            raise DisjointnessViolation("free sum parts must be disjoint")
+            raise DegenerateInput("free sum parts must be disjoint")
         if len(f_part) < 2 or len(g_part) < 2:
             raise DegenerateInput("each free sum part needs at least 2 vertices")
         return tuple.__new__(cls, (f_part, g_part))

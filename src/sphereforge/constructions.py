@@ -26,7 +26,7 @@ from .complexes import (
     VertexId,
     boundary_complex,
 )
-from .errors import DegenerateInput, HypothesisNotSatisfied, InternalInvariantViolation
+from .errors import DegenerateInput, InternalInvariantViolation
 from .grid import (
     GridBox,
     GridRegion,
@@ -87,7 +87,7 @@ def certified_hole(host: SimplicialComplex, key: Hashable, facets) -> BallInComp
     ball = BallInComplex.of(host, facets)
     cert = certify(ball.subcomplex)
     if not cert.is_ball(ball.dim):
-        raise HypothesisNotSatisfied(
+        raise DegenerateInput(
             f"hole {key_label(key)} is not a ball: certified {cert.kind}({cert.dim})"
         )
     return ball

@@ -17,14 +17,7 @@ from operator import attrgetter, mul
 from .carvefill import FillManifest, realize
 from .complexes import VertexId
 from .constructions import build_aztec
-from .errors import (
-    DegenerateCell,
-    DegenerateInput,
-    DeltaTooLarge,
-    EpsSearchExhausted,
-    InternalInvariantViolation,
-    LiftConstructionFailed,
-)
+from .errors import DegenerateInput, InternalInvariantViolation
 
 Point = tuple[Fraction, ...]
 
@@ -289,7 +282,8 @@ def verify_regular(
 
     Checks, from each cell's neighbours only: (1) each cell, in sorted
     order, is eliminated once on its lifted rows (x, h, 1), for its plane
-    (or DegenerateCell, or False if not planar) and walls (_cell_walls);
+    (refused if not full-dimensional, False if not planar) and walls
+    (_cell_walls);
     (2) when a wall onset gets its second cell, each cell's points off
     it lie strictly above the other's plane, a convex fold, and a third
     cell opens the onset again; (3) every unmatched wall supports the
@@ -316,7 +310,8 @@ def verify_regular(
     too.  (5) covers the rest, and a regular subdivision passes every
     check.  Only the order of checks differs from testing every point: an
     input with a degenerate cell and an earlier cell that is not regular
-    may raise DegenerateCell where that answered False, or the reverse.
+    may be refused as degenerate where that answered False, or the
+    reverse.
     """
     ids, lifted, dim = _int_config(pts, heights)
     sub.check_points(heights)
@@ -332,7 +327,7 @@ def verify_regular(
     for c, cell in enumerate(sub.cells):
         idxs = [index[v] for v in cell]
         if len(idxs) < dim + 1:
-            raise DegenerateCell(f"cell with {len(idxs)} points in dimension {dim}")
+            raise DegenerateInput(f"cell with {len(idxs)} points in dimension {dim}")
         # Let A hold the cell's lifted rows (x, h, 1) and P the projected
         # rows (x, 1), which are A without its h column; removing a column
         # lowers the rank by at most 1, so rank P <= rank A <= rank P + 1.
@@ -348,7 +343,7 @@ def verify_regular(
         #   vertical lifted plane therefore always means a degenerate cell.
         rank, nu = _rank_and_nullvector([lifted[i] for i in idxs], dim + 2)
         if rank < dim + 1 or (nu is not None and nu[dim] == 0):
-            raise DegenerateCell("cell does not span full dimension")
+            raise DegenerateInput("cell does not span full dimension")
         if nu is None:
             return False  # lifted points not on a common hyperplane
         if nu[dim] < 0:
@@ -461,7 +456,7 @@ def eps_search(
         eps = Fraction(1, 2 ** t)
         if verify_regular(pts, compose_lift(coarse, fine, eps), target):
             return eps
-    raise EpsSearchExhausted("no dyadic perturbation certified the target")
+    raise DegenerateInput("no dyadic perturbation certified the target")
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +547,7 @@ def aztec_lift(k: int) -> AztecPatchLift:
             points[(i, j)] = (Fraction(i), Fraction(j))
     for i in range(1, k - 1, 2):
         if omega[(i, k - 1 - i)] != ring[i]:
-            raise LiftConstructionFailed("split lift does not reproduce the ring")
+            raise InternalInvariantViolation("split lift does not reproduce the ring")
 
     cells = _aztec_patch_cells(k, points, omega)
     ids = {key: VertexId.raw(t) for t, key in enumerate(sorted(points))}
@@ -560,7 +555,7 @@ def aztec_lift(k: int) -> AztecPatchLift:
     heights = {ids[key]: omega[key] for key in sorted(points)}
     sub = Subdivision.of([ids[key] for key in cell] for cell in cells)
     if not verify_regular(pts, heights, sub):
-        raise LiftConstructionFailed("lift failed its own regularity check")
+        raise InternalInvariantViolation("lift failed its own regularity check")
     return AztecPatchLift(k=k, points=points, omega=omega, alpha=alpha, beta=beta, cells=cells)
 
 
@@ -576,7 +571,7 @@ def _aztec_patch_cells(k, points, omega) -> tuple[tuple[tuple[int, int], ...], .
         # configuration point lying on it
         nu = _hyperplane([int_row[p] for p in seed[:3]])
         if nu is None:
-            raise LiftConstructionFailed("degenerate hole cell")
+            raise InternalInvariantViolation("degenerate hole cell")
         return tuple(p for p in keys if sum(map(mul, nu, int_row[p])) == 0)
 
     cells: set[tuple[tuple[int, int], ...]] = set()
@@ -608,7 +603,7 @@ def _aztec_patch_cells(k, points, omega) -> tuple[tuple[tuple[int, int], ...], .
     n_quads = sum(1 for c in hole_cells if not any(abs(i) == k or abs(j) == k for i, j in c))
     n_pents = len(hole_cells) - n_quads
     if n_rect != (k * k - 1) // 2 or n_quads != expected_quads or n_pents != 4:
-        raise LiftConstructionFailed(
+        raise InternalInvariantViolation(
             f"unexpected patch structure: {n_rect} rectangles, "
             f"{n_quads} quadrilaterals, {n_pents} pentagons"
         )
@@ -987,7 +982,7 @@ def raise_centers(
     heights = compose_lift(lift.heights, _center_bump(lift, 1), delta)
     target = raised_center_target(lift.manifest)
     if not verify_regular(list(lift.config.points), heights, target):
-        raise DeltaTooLarge(f"raising centers by {delta} breaks regularity")
+        raise DegenerateInput(f"raising centers by {delta} breaks regularity")
     return heights, count_degree3_edges(target)
 
 

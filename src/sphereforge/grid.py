@@ -18,7 +18,7 @@ from itertools import product
 from math import comb
 
 from .complexes import Simplex, SimplicialComplex, VertexId
-from .errors import DegenerateInput, FaceNotFound, HypothesisNotSatisfied
+from .errors import DegenerateInput
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ class JoinOfPaths:
         try:
             return self.by_cell[tuple(cell)]
         except KeyError as exc:
-            raise FaceNotFound(f"cell {cell} outside the grid") from exc
+            raise DegenerateInput(f"cell {cell} outside the grid") from exc
 
 
 def join_of_paths(path_lengths) -> JoinOfPaths:
@@ -122,7 +122,7 @@ def is_grid_starconvex(r: GridRegion, center: tuple[int, ...]) -> bool:
     """Box-interval condition from a center cell toward every region cell."""
     center = tuple(center)
     if center not in r.cells:
-        raise FaceNotFound(f"center {center} not in the region")
+        raise DegenerateInput(f"center {center} not in the region")
     for target in r.cells:
         ranges = [
             range(min(a, b), max(a, b) + 1) for a, b in zip(center, target)
@@ -197,14 +197,14 @@ def _band_order(dims: tuple[int, ...], m1: int, m2: int) -> list[tuple[int, ...]
 def band_cell_order(r: GridRegion) -> list[tuple[int, ...]]:
     """The cubes of a diagonal band in a shelling order of their simplices."""
     if not r.shellable_guaranteed:
-        raise HypothesisNotSatisfied(
+        raise DegenerateInput(
             "band does not meet the sufficient condition; no order claimed"
         )
     sums = [sum(c) for c in r.cells]
     m1, m2 = min(sums), max(sums)
     order = _band_order(r.box.dims, m1, m2)
     if set(order) != r.cells:
-        raise HypothesisNotSatisfied("region is not a full diagonal band")
+        raise DegenerateInput("region is not a full diagonal band")
     return order
 
 

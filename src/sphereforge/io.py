@@ -500,7 +500,10 @@ def off_export(
     index = {v: i for i, v in enumerate(verts)}
     lines = ["OFF", f"{len(verts)} {surface.n_facets} 0"]
     for v in verts:
-        lines.append(" ".join(f"{float(c):.12g}" for c in coords[v][:3]))
+        try:
+            lines.append(" ".join(f"{float(c):.12g}" for c in coords[v][:3]))
+        except OverflowError as exc:
+            raise InputParseError(f"point {v.label} has a coordinate beyond the float range") from exc
     for f in surface.sorted_facets:
         lines.append("3 " + " ".join(str(index[v]) for v in f))
     sidecar = {

@@ -31,7 +31,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .complexes import Simplex, SimplicialComplex, _indexed_facets, _ridges
-from .errors import DegenerateInput, InvalidOrder
+from .errors import DegenerateInput
 
 SPHERE = "sphere"
 BALL = "ball"
@@ -349,7 +349,7 @@ def verify_shelling(x: SimplicialComplex, order: Sequence[Simplex]) -> bool:
     """
     x._require_nonvoid()
     if len(order) != x.n_facets or set(order) != set(x.facets):
-        raise InvalidOrder("order is not a permutation of the facets")
+        raise DegenerateInput("order is not a permutation of the facets")
     if len(order) == 1:
         return True
     facets = _indexed_facets(x)

@@ -18,16 +18,7 @@ from typing import Iterable, Iterator
 
 from sphereforge.carvefill import BallInComplex, FillManifest, key_label
 from sphereforge.complexes import FreeSumCell, PolyComplex, Simplex, SimplicialComplex, VertexId
-from sphereforge.errors import (
-    DegenerateInput,
-    DisjointnessViolation,
-    FaceNotFound,
-    InternalInvariantViolation,
-    InvalidOrder,
-    NoBoundaryContact,
-    NotPseudomanifold,
-    SingleSimplexBall,
-)
+from sphereforge.errors import DegenerateInput, InternalInvariantViolation
 from sphereforge.geometry import HullFacet, Point, _hyperplane
 from sphereforge.grid import GridBox, GridRegion, _neighbors, band_cell_order, cell_simplex
 from sphereforge.topology import (
@@ -68,7 +59,7 @@ def join(x: SimplicialComplex, y: SimplicialComplex) -> SimplicialComplex:
     overlap = x.vertex_set & y.vertex_set
     if overlap:
         labels = sorted(v.label for v in overlap)
-        raise DisjointnessViolation(f"joined complexes share vertices {labels}")
+        raise DegenerateInput(f"joined complexes share vertices {labels}")
     return SimplicialComplex.from_facets(
         Simplex(f + g) for f in x.facets for g in y.facets
     )
@@ -79,7 +70,7 @@ def link(x: SimplicialComplex, f: Simplex) -> SimplicialComplex:
     x._require_nonvoid()
     cofacets = [s for s in x.facets if frozenset(f) <= frozenset(s)]
     if not cofacets:
-        raise FaceNotFound(f"{f!r} is not a face")
+        raise DegenerateInput(f"{f!r} is not a face")
     return SimplicialComplex.from_facets(
         Simplex(frozenset(s) - frozenset(f)) for s in cofacets
     )
@@ -90,7 +81,7 @@ def star(x: SimplicialComplex, f: Simplex) -> SimplicialComplex:
     x._require_nonvoid()
     cofacets = [s for s in x.facets if frozenset(f) <= frozenset(s)]
     if not cofacets:
-        raise FaceNotFound(f"{f!r} is not a face")
+        raise DegenerateInput(f"{f!r} is not a face")
     return SimplicialComplex.from_facets(cofacets)
 
 
@@ -98,7 +89,7 @@ def cone(x: SimplicialComplex, apex: VertexId) -> SimplicialComplex:
     """Cone over a complex from a fresh apex."""
     x._require_nonvoid()
     if apex in x.vertex_set:
-        raise DisjointnessViolation(f"apex {apex.label} already a vertex")
+        raise DegenerateInput(f"apex {apex.label} already a vertex")
     return SimplicialComplex.from_facets(Simplex((*f, apex)) for f in x.facets)
 
 
@@ -114,7 +105,7 @@ def boundary_reference(x: SimplicialComplex) -> SimplicialComplex:
     bad = [r for r, c in counts.items() if c >= 3]
     if bad:
         r = min(bad)
-        raise NotPseudomanifold(f"face {r!r} lies in {counts[r]} facets")
+        raise DegenerateInput(f"face {r!r} lies in {counts[r]} facets")
     return SimplicialComplex.from_facets(r for r, c in counts.items() if c == 1)
 
 
@@ -199,7 +190,7 @@ def poly_boundary(x: PolyComplex) -> SimplicialComplex:
             counts[r] = counts.get(r, 0) + 1
     bad = [r for r, c in counts.items() if c >= 3]
     if bad:
-        raise NotPseudomanifold(f"face {bad[0]!r} lies in {counts[bad[0]]} cells")
+        raise DegenerateInput(f"face {bad[0]!r} lies in {counts[bad[0]]} cells")
     return SimplicialComplex.from_facets(r for r, c in counts.items() if c == 1)
 
 
@@ -436,7 +427,7 @@ def boundary_restriction(b: BallInComplex, sigma: Simplex) -> SimplicialComplex:
     """The pure codimension-1 part of a cell's boundary lying on the
     ball's boundary.  May be void."""
     if sigma not in b.ball_facets:
-        raise FaceNotFound(f"{sigma!r} is not a facet of the ball")
+        raise DegenerateInput(f"{sigma!r} is not a facet of the ball")
     return SimplicialComplex.from_facets(
         t for t in simplex_facets(sigma) if t in b.boundary.facets
     )
@@ -447,9 +438,9 @@ def missing_face_reference(b: BallInComplex, sigma: Simplex) -> Simplex:
     intersection of its facets on the ball boundary."""
     contact = boundary_restriction(b, sigma).facets
     if not contact:
-        raise NoBoundaryContact(f"{sigma!r} has no facet on the ball boundary")
+        raise DegenerateInput(f"{sigma!r} has no facet on the ball boundary")
     if len(contact) == len(sigma):
-        raise SingleSimplexBall("boundary restriction is the whole cell boundary")
+        raise DegenerateInput("boundary restriction is the whole cell boundary")
     return Simplex(frozenset(sigma) - frozenset.intersection(*map(frozenset, contact)))
 
 
@@ -493,7 +484,7 @@ def verify_shelling_reference(x: SimplicialComplex, order) -> bool:
     other intersection must lie in one of them.  A complex with a ridge
     in three or more facets is refused."""
     if len(order) != x.n_facets or set(order) != set(x.facets):
-        raise InvalidOrder("order is not a permutation of the facets")
+        raise DegenerateInput("order is not a permutation of the facets")
     if len(order) == 1:
         return True
     if max(Counter(frozenset(f) - {v} for f in x.facets for v in f).values()) > 2:

@@ -489,6 +489,21 @@ class TestCliPipelines:
         assert run(tmp_path, "count", "--manifest", tmp_path / "a.manifest.json") == 0
         assert "2^4 = 16" in capsys.readouterr().out
 
+    def test_count_prints_every_digit_of_a_count_over_4300_digits(self, tmp_path, capsys):
+        # 2^14449 has 4350 digits, more than str() of an int prints by default
+        sfio.save_manifest(str(tmp_path / "m.json"), build_holes4(172).manifest)
+        assert run(tmp_path, "count", "--manifest", tmp_path / "m.json") == 0
+        total = capsys.readouterr().out.splitlines()[-1]
+        head, rest = total.split(" = ")
+        digits, tail = rest.split(" ")
+        assert (head, tail) == ("total: 14449 free cells, 2^14449", "realizations")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert int(digits) == 2 ** 14449
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_fill_roundtrip(self, tmp_path):
         host = join_of_paths((4, 4)).complex
         host_path = tmp_path / "host.json"
@@ -628,6 +643,30 @@ class TestCliPipelines:
         assert captured.err == "input error: no coordinates for vertex r:7\n"
         assert captured.out == ""
         assert not off.exists()
+
+    @pytest.mark.parametrize("coordinate, code", [
+        ("1" + "0" * 400, 1), ("-1" + "0" * 400, 1), ("1/1" + "0" * 400, 0),
+    ], ids=["huge", "huge-negative", "tiny"])
+    def test_export_off_refuses_a_coordinate_beyond_the_float_range(self, tmp_path, capsys, coordinate, code):
+        # the export is lossy: a coordinate that rounds to 0 is written
+        lift = tmp_path / "lift.json"
+        assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0
+        assert run(tmp_path, "generate", "aztec", "--k", "3", "--l", "1", "-o", tmp_path / "a.json") == 0
+        obj = json.loads(lift.read_text())
+        [point] = [p for label, p in obj["points"] if label == "a:1:1"]
+        point[0] = coordinate
+        lift.write_text(json.dumps(obj))
+        capsys.readouterr()
+        off = tmp_path / "mesh.off"
+        assert run(tmp_path, "export", "off", "--input", tmp_path / "a.realized.json", "--lift", lift, "-o", off) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err == "input error: point a:1:1 has a coordinate beyond the float range\n"
+            assert captured.out == ""
+            assert not off.exists()
+        else:
+            assert captured.err == ""
+            assert off.read_text().splitlines()[2] == "0 0 1"
 
     def test_degree3_refuses_a_lift_that_is_not_an_aztec_lift(self, tmp_path, capsys):
         lift = tmp_path / "lift.json"
@@ -1041,8 +1080,12 @@ class TestCliPipelines:
         (lambda obj: _set_keys(obj, "0", "1_0"), "bad hole key '1_0': the canonical spelling is '10'"),
         (lambda obj: _set_keys(obj, "1, 2", "3,4"), "bad hole key '1, 2': the canonical spelling is '1,2'"),
         (lambda obj: _set_keys(obj, "-0", "1"), "bad hole key '-0': the canonical spelling is '0'"),
+        # unchecked, a key that is not a string fails inside the key parser
+        (lambda obj: _set_keys(obj, 1), "bad hole key 1"),
+        (lambda obj: _set_keys(obj, None), "bad hole key None"),
     ], ids=["free-cell-twice", "dim-4", "tuple-then-int-key", "int-then-tuple-key", "key-twice",
-            "sign-and-zero-key", "space-key", "underscore-key", "space-in-tuple-key", "minus-zero-key"])
+            "sign-and-zero-key", "space-key", "underscore-key", "space-in-tuple-key", "minus-zero-key",
+            "integer-key", "null-key"])
     def test_a_malformed_manifest_is_rejected_with_its_reason(self, tmp_path, capsys, tamper, message):
         assert run(tmp_path, "generate", "holes4", "--n", "5", "-o", tmp_path / "h.json") == 0
         obj = json.loads((tmp_path / "h.manifest.json").read_text())

@@ -4,6 +4,7 @@ import ast
 import copy
 import pickle
 import random
+import re
 from itertools import combinations
 from pathlib import Path
 
@@ -19,12 +20,7 @@ from sphereforge import (
     VertexId,
     boundary_complex,
 )
-from sphereforge.errors import (
-    DegenerateInput,
-    DisjointnessViolation,
-    FaceNotFound,
-    NotPseudomanifold,
-)
+from sphereforge.errors import DegenerateInput
 
 from oracles import (
     EMPTY_SIMPLEX,
@@ -227,7 +223,8 @@ class TestJoin:
 
     def test_overlap_rejected(self):
         x = path_complex(a, 3)
-        with pytest.raises(DisjointnessViolation):
+        labels = sorted(v.label for v in x.vertex_set)
+        with pytest.raises(DegenerateInput, match=f"^{re.escape(f'joined complexes share vertices {labels}')}$"):
             join(x, x)
 
     def test_associative_commutative(self):
@@ -259,8 +256,9 @@ class TestLinkStar:
 
     def test_link_missing_face(self):
         j = paths_join(3, 3)
-        with pytest.raises(FaceNotFound):
-            link(j, Simplex([a(1), a(3)]))
+        face = Simplex([a(1), a(3)])
+        with pytest.raises(DegenerateInput, match=f"^{re.escape(repr(face))} is not a face$"):
+            link(j, face)
 
     def test_star_equals_join_of_face_and_link(self):
         j = paths_join(4, 4)
@@ -298,7 +296,7 @@ class TestBoundary:
 
     def test_overused_ridge_rejected(self):
         tris = [raw_simplex(1, 2, 3, k) for k in (4, 5, 6)]
-        with pytest.raises(NotPseudomanifold):
+        with pytest.raises(DegenerateInput, match=f"^face {re.escape(repr(raw_simplex(1, 2, 3)))} lies in 3 facets$"):
             boundary_complex(SimplicialComplex.from_facets(tris))
 
     @pytest.mark.parametrize("low, high", [(3, 3), (4, 3), (3, 5)])
@@ -306,7 +304,7 @@ class TestBoundary:
         # two fans of triangles on the edges {r:0,r:1} and {r:5,r:6}
         fans = [raw_simplex(0, 1, k) for k in (2, 3, 4, 10, 11)[:low]]
         fans += [raw_simplex(5, 6, k) for k in (7, 8, 9, 12, 13)[:high]]
-        with pytest.raises(NotPseudomanifold, match=rf"^face \{{r:0,r:1\}} lies in {low} facets$"):
+        with pytest.raises(DegenerateInput, match=rf"^face \{{r:0,r:1\}} lies in {low} facets$"):
             boundary_complex(SimplicialComplex.from_facets(fans))
 
     def test_the_empty_facet_complex_has_a_void_boundary(self):
@@ -318,7 +316,7 @@ class TestBoundary:
 
     def test_three_points_put_the_empty_face_in_three_facets(self):
         points = SimplicialComplex.from_facets([raw_simplex(k) for k in range(3)])
-        with pytest.raises(NotPseudomanifold, match=r"^face \{\} lies in 3 facets$"):
+        with pytest.raises(DegenerateInput, match=r"^face \{\} lies in 3 facets$"):
             boundary_complex(points)
 
 
@@ -340,7 +338,7 @@ class TestCone:
 
     def test_apex_collision(self):
         x = path_complex(a, 3)
-        with pytest.raises(DisjointnessViolation):
+        with pytest.raises(DegenerateInput, match=f"^apex {a(2).label} already a vertex$"):
             cone(x, a(2))
 
 
@@ -365,9 +363,9 @@ class TestFreeSumCell:
                 assert frozenset(boundary_facets(cell)) == expected
 
     def test_part_size_validation(self):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(DegenerateInput, match="^each free sum part needs at least 2 vertices$"):
             FreeSumCell(raw_simplex(1), raw_simplex(2, 3))
-        with pytest.raises(DisjointnessViolation):
+        with pytest.raises(DegenerateInput, match="^free sum parts must be disjoint$"):
             FreeSumCell(raw_simplex(1, 2), raw_simplex(2, 3))
 
 

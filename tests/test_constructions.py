@@ -17,7 +17,7 @@ from sphereforge.constructions import (
     build_holes3,
     build_holes4,
 )
-from sphereforge.errors import DegenerateInput, HypothesisNotSatisfied
+from sphereforge.errors import DegenerateInput
 from sphereforge.grid import ehrhart_crosspolytope, join_of_paths
 
 from oracles import cyclic_polytope_facets, f_vector, greedy_compatible_members, manifest_to_obj
@@ -280,7 +280,7 @@ class TestHoleCertificates:
         args, first_hole, dim = self.FIRST_HOLES[kind]
         counting_certify(monkeypatch, failing=1)
         message = f"hole {first_hole} is not a ball: certified neither({dim})"
-        with pytest.raises(HypothesisNotSatisfied, match=re.escape(message)):
+        with pytest.raises(DegenerateInput, match=re.escape(message)):
             constructions.BUILDERS[kind](*args)
 
     def test_every_aztec_hole_is_certified_once(self, monkeypatch):

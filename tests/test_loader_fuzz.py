@@ -45,13 +45,16 @@ COMMANDS = {
     "order.json": (("verify", "shelling", "{d}/band.json", "{f}"),),
 }
 
+# a number beyond the float range, which the lossy OFF export cannot write
+HUGE = "1" + "0" * 400
 LEAVES = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-2, 5),
     st.sampled_from([0.25, 1.0, -0.5]),
     st.sampled_from(
-        ["", "x", "0", "1/2", "-3", "1/0", "a:1:1", "a:9:9", "h:1", "c", "r:-1", "1,2", "s", "fs"]
+        ["", "x", "0", "1/2", "-3", "1/0", "a:1:1", "a:9:9", "h:1", "c", "r:-1", "1,2", "s", "fs",
+         HUGE]
     ),
 )
 VALUES = st.recursive(
@@ -121,6 +124,8 @@ def valid(tmp_path_factory):
 @example(name="lift.json", edits=[([1], "set", 0.25)])
 @example(name="lift.json", edits=[([7, 0, 1], "set", [1.0, 0.0, 1.0])])
 @example(name="lift.json", edits=[([3, 0], "set", 2.0)])
+# a:1:1's first coordinate beyond the float range
+@example(name="lift.json", edits=[([7, 0, 1, 0], "set", HUGE)])
 # a:1:2 moved onto the point of a:1:1
 @example(name="lift.json", edits=[([7, 1, 1], "set", ["1", "0", "1"])])
 # points, heights, coarse and fine all emptied

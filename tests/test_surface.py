@@ -27,6 +27,16 @@ UNNAMED_METHODS = {
 }
 
 
+# The classes of ``errors``, each with the party at fault when it is
+# raised.  The message of a refusal says which check failed.
+ERRORS = {
+    "SphereforgeError": "the base: cli.main and the file decoders catch every refusal by it",
+    "DegenerateInput": "the caller: an argument breaks a rule that the called function states",
+    "InputParseError": "the file or text argument: it cannot be decoded; the CLI prints 'input error:'",
+    "InternalInvariantViolation": "the package: a construction broke one of its own guarantees",
+}
+
+
 def _names(node) -> set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
         n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
@@ -109,6 +119,18 @@ def test_every_error_class_is_raised_by_the_package():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised |= {n.id for n in ast.walk(exc) if isinstance(n, ast.Name)}
     assert sorted(classes - raised - {"SphereforgeError"}) == []
+
+
+def test_the_error_classes_are_the_listed_parties_at_fault():
+    """``errors`` defines exactly the classes of ``ERRORS``, the base
+    aside each a direct subclass of ``SphereforgeError``, so a new class
+    needs a stated reason."""
+    bases = {
+        c.name: [ast.unparse(b) for b in c.bases]
+        for c in _package_trees()["errors"].body
+        if isinstance(c, ast.ClassDef)
+    }
+    assert bases == {name: ["Exception" if name == "SphereforgeError" else "SphereforgeError"] for name in ERRORS}
 
 
 def test_no_function_body_imports():

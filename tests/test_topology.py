@@ -28,7 +28,7 @@ from sphereforge.constructions import (
     build_holes3,
     build_holes4,
 )
-from sphereforge.errors import DegenerateInput, InvalidOrder
+from sphereforge.errors import DegenerateInput
 from sphereforge.grid import GridBox, band_cell_order, diagonal_band
 from sphereforge.sampling import choice_vector
 
@@ -228,9 +228,9 @@ class TestShelling:
 
     def test_not_a_permutation(self):
         x = SimplicialComplex.from_facets([rs(1, 2, 3), rs(2, 3, 4)])
-        with pytest.raises(InvalidOrder):
+        with pytest.raises(DegenerateInput, match="^order is not a permutation of the facets$"):
             verify_shelling(x, [rs(1, 2, 3)])
-        with pytest.raises(InvalidOrder):
+        with pytest.raises(DegenerateInput, match="^order is not a permutation of the facets$"):
             verify_shelling(x, [rs(1, 2, 3), rs(1, 2, 3)])
 
     def test_closing_a_sphere_rejected(self):
