@@ -60,30 +60,15 @@ class BallInComplex:
     def boundary(self) -> SimplicialComplex:
         return boundary_complex(self.subcomplex)
 
-    @cached_property
-    def vertex_index(self) -> dict[VertexId, int]:
-        """Each ball vertex's index in ``subcomplex.vertices``.  Those are
-        sorted, so the indices of a simplex's vertices come out sorted."""
-        return {v: i for i, v in enumerate(self.subcomplex.vertices)}
-
-    def indices(self, s: Simplex) -> tuple[int, ...]:
-        index = self.vertex_index
-        return tuple([index[v] for v in s])
-
-    @cached_property
-    def boundary_ridges(self) -> frozenset[tuple[int, ...]]:
-        """The facets of ``boundary``, as vertex-index tuples."""
-        return frozenset(map(self.indices, self.boundary.facets))
-
     def faces_on_boundary(self, faces: Collection[Simplex]) -> set[Simplex]:
         """Those of a collection of faces of the ball that lie in a
-        boundary ridge, tested on vertex-index tuples: the subsets of the
-        ridges of each size asked for are listed once."""
-        on: set[tuple[int, ...]] = set()
+        boundary ridge: the subsets of the ridges of each size asked for
+        are listed once."""
+        on: set[tuple[VertexId, ...]] = set()
         for k in {len(f) for f in faces}:
-            for r in self.boundary_ridges:
+            for r in self.boundary.facets:
                 on.update(combinations(r, k))
-        return {f for f in faces if self.indices(f) in on}
+        return {f for f in faces if f in on}
 
 
 def missing_face(b: BallInComplex, sigma: Simplex) -> Simplex:
@@ -93,16 +78,15 @@ def missing_face(b: BallInComplex, sigma: Simplex) -> Simplex:
 
     This is sigma minus the common intersection of its boundary facets:
     those facets are exactly sigma - v for v in f, and they meet in
-    sigma - f.  The facets are read as vertex-index tuples against
-    ``b.boundary_ridges``; ``combinations`` leaves out the last vertex
-    first and the first vertex last, so f is read off in one pass,
-    already sorted.
+    sigma - f.  The facets are read as vertex tuples against the facets
+    of ``b.boundary``, which equal them; ``combinations`` leaves out the
+    last vertex first and the first vertex last, so f is read off in one
+    pass, already sorted.
     """
     if sigma not in b.ball_facets:
         raise DegenerateInput(f"{sigma!r} is not a facet of the ball")
-    ridges = b.boundary_ridges
-    s = b.indices(sigma)
-    on = [r in ridges for r in combinations(s, len(s) - 1)]
+    ridges = b.boundary.facets
+    on = [r in ridges for r in combinations(sigma, len(sigma) - 1)]
     f = tuple(compress(sigma, reversed(on)))
     if not f:
         raise DegenerateInput(f"{sigma!r} has no facet on the ball boundary")
@@ -162,20 +146,14 @@ def fill_ball(
     if apex in ball.host.vertex_set:
         raise DegenerateInput(f"apex {apex.label} already used")
     free: list[FreeSumCell] = []
-    # The ridges of the members, as vertex-index tuples.  Those on the
+    # The ridges of the members, as vertex tuples.  Those on the
     # boundary are the ones the free cells cover: m - v for v in f.
-    covered: set[tuple[int, ...]] = set()
+    covered: set[tuple[VertexId, ...]] = set()
     for m, f_part in fam.missing_faces.items():
         g_part = Simplex([v for v in m if v not in f_part] + [apex])
         free.append(FreeSumCell(f_part, g_part))
-        s = ball.indices(m)
-        covered.update(combinations(s, len(s) - 1))
-    vertex = ball.subcomplex.vertices.__getitem__
-    cones = [
-        Simplex([*map(vertex, r), apex])
-        for r in ball.boundary_ridges
-        if r not in covered
-    ]
+        covered.update(combinations(m, len(m) - 1))
+    cones = [Simplex((*r, apex)) for r in ball.boundary.facets if r not in covered]
     free.sort()
     if not cones and not free:
         raise DegenerateInput("fill produced no cells")

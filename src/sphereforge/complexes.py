@@ -205,20 +205,14 @@ class SimplicialComplex:
             raise DegenerateInput("void complex is not valid input")
 
 
-def _indexed_facets(x: SimplicialComplex) -> list[tuple[int, ...]]:
-    """Facets as sorted tuples of vertex indices, in the order of
-    ``x.sorted_facets``.  ``x.vertices`` and each facet are sorted, so
-    the indices come out in order."""
-    index = {v: i for i, v in enumerate(x.vertices)}
-    return sorted([tuple([index[v] for v in f]) for f in x.facets])
-
-
-def _ridges(facets: list[tuple[int, ...]]) -> dict[tuple[int, ...], list[int]]:
+def _ridges(facets: list[tuple]) -> dict[tuple, list[int]]:
     """Map each codimension-1 face to the indices of the facets that
-    contain it: the one ridge pass, which ``boundary_complex`` and, in
-    ``topology``, ``certify`` and ``betti_gf2`` make."""
+    contain it: the one ridge pass.  ``boundary_complex`` makes it on
+    the simplices themselves, whose ridges are their vertex tuples;
+    ``certify`` and ``betti_gf2`` in ``topology`` make it on facets as
+    vertex-index tuples."""
     d = len(facets[0]) - 1
-    ridges: dict[tuple[int, ...], list[int]] = {}
+    ridges: dict[tuple, list[int]] = {}
     for i, f in enumerate(facets):
         for r in combinations(f, d):
             ridges.setdefault(r, []).append(i)
@@ -228,24 +222,20 @@ def _ridges(facets: list[tuple[int, ...]]) -> dict[tuple[int, ...], list[int]]:
 def boundary_complex(x: SimplicialComplex) -> SimplicialComplex:
     """Codimension-1 faces lying in exactly one facet; void if closed.
 
-    The ridges are counted on vertex-index tuples by ``_ridges``, the
-    pass that ``certify`` makes, and a ``Simplex`` is built only for a
+    The ridges are counted on vertex tuples by ``_ridges``, the pass
+    that ``certify`` makes, and a ``Simplex`` is built only for a
     boundary ridge.  A ridge in three or more facets is refused by a
-    message naming the least such ridge in vertex order and its facet
-    count.  The empty-facet complex has no ridge, so its boundary is
-    void."""
+    message naming the least such ridge and its facet count.  The
+    empty-facet complex has no ridge, so its boundary is void."""
     x._require_nonvoid()
     if x.dim < 0:
         return SimplicialComplex.from_facets(())
-    ridges = _ridges(_indexed_facets(x))
-    vertex = x.vertices.__getitem__
+    ridges = _ridges(list(x.facets))
     if max(map(len, ridges.values())) > 2:
         r = min(r for r, owners in ridges.items() if len(owners) > 2)
-        raise DegenerateInput(
-            f"face {Simplex._face(map(vertex, r))!r} lies in {len(ridges[r])} facets"
-        )
+        raise DegenerateInput(f"face {Simplex._face(r)!r} lies in {len(ridges[r])} facets")
     return SimplicialComplex.from_facets(
-        [Simplex._face(map(vertex, r)) for r, owners in ridges.items() if len(owners) == 1]
+        [Simplex._face(r) for r, owners in ridges.items() if len(owners) == 1]
     )
 
 

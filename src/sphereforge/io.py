@@ -12,6 +12,7 @@ import json
 import re
 import reprlib
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
@@ -464,10 +465,11 @@ def hull_to_obj(facets: list[HullFacet], kinds: list[str], points) -> dict:
     for f, kind in zip(facets, kinds):
         vec = [n * (big // s) for n, s in zip(f.normal, scales)] + [f.offset * big]
         g = gcd(*vec)
+        # Decimal prints an int of any size; str refuses one over 4300 digits
         records.append({
             "v": _labels(f.vertices),
-            "normal": [str(c // g) for c in vec[:-1]],
-            "offset": str(vec[-1] // g),
+            "normal": [str(Decimal(c // g)) for c in vec[:-1]],
+            "offset": str(Decimal(vec[-1] // g)),
             "kind": kind,
         })
     return {"facets": records}

@@ -30,7 +30,7 @@ from heapq import heappop, heappush
 from itertools import combinations
 from typing import Sequence
 
-from .complexes import Simplex, SimplicialComplex, _indexed_facets, _ridges
+from .complexes import Simplex, SimplicialComplex, _ridges
 from .errors import DegenerateInput
 
 SPHERE = "sphere"
@@ -62,6 +62,14 @@ class TopologyCertificate:
 
     def is_ball(self, d: int | None = None) -> bool:
         return self.kind == BALL and (d is None or self.dim == d)
+
+
+def _indexed_facets(x: SimplicialComplex) -> list[tuple[int, ...]]:
+    """Facets as sorted tuples of vertex indices, in the order of
+    ``x.sorted_facets``.  ``x.vertices`` and each facet are sorted, so
+    the indices come out in order."""
+    index = {v: i for i, v in enumerate(x.vertices)}
+    return sorted([tuple([index[v] for v in f]) for f in x.facets])
 
 
 def _faces_by_dim(facets: list[tuple[int, ...]], dims: range) -> list[list[tuple[int, ...]]]:

@@ -193,7 +193,7 @@ class TestMissingFaceDifferential:
 
 
 class TestBoundaryDifferential:
-    """``boundary_complex`` counts ridges on vertex-index tuples; the
+    """``boundary_complex`` counts ridges on vertex tuples; the
     reference counts every ridge as a ``Simplex``."""
 
     @pytest.mark.parametrize("kind, params", [
@@ -247,7 +247,7 @@ class TestBoundaryReads:
     """Once the ball boundary is built, each member's missing face is read
     once, by ``CompatibleFamily.of``; compatibility and filling reuse the
     missing faces it recorded.  None of them builds a ``Simplex`` for a
-    ridge: the ridges are read as vertex-index tuples."""
+    ridge: the ridges are read as vertex tuples."""
 
     @staticmethod
     def _counting(monkeypatch):
@@ -281,7 +281,7 @@ class TestBoundaryReads:
         balls = [constructions.certified_hole(host.complex, q, facets) for q, facets, _, _ in bands]
         member_lists = [bottom + top for _, _, bottom, top in bands]
         for ball in balls:
-            ball.boundary_ridges
+            ball.boundary
         reads, built = self._counting(monkeypatch)
         outcomes = set()
         for ball, members in zip(balls, member_lists):

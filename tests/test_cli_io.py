@@ -4,6 +4,7 @@ import ast
 import functools
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -460,6 +461,33 @@ class TestCliPipelines:
         assert run(tmp_path, "hull", "--input", lift, "-o", hull) == 0
         out = capsys.readouterr().out
         assert "bipyramids: 4" in out
+
+    def test_hull_writes_a_normal_and_an_offset_of_any_size(self, tmp_path, capsys):
+        # h:1 at two 4001-digit coordinates gives hull normals and offsets
+        # past the 4300 digits that str and int convert by default
+        lift = tmp_path / "lift.json"
+        assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "1", "-o", lift) == 0
+        obj = json.loads(lift.read_text())
+        [point] = [p for label, p in obj["points"] if label == "h:1"]
+        point[:2] = ["5/4" + "0" * 4000] * 2
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(obj))
+        capsys.readouterr()
+        hull = tmp_path / "hull.json"
+        assert run(tmp_path, "hull", "--input", big, "-o", hull) == 0
+        assert capsys.readouterr().out == "bipyramids: 0\nfacets: 25 (simplices 21, other 4)\n"
+        facets = json.loads(hull.read_text())["facets"]
+        texts = [f["normal"] + [f["offset"]] for f in facets]
+        assert max(len(t) for row in texts for t in row) > 4300
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            for row in texts:
+                values = [int(t) for t in row]
+                assert [str(v) for v in values] == row
+                assert math.gcd(*values) == 1
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_degree3_pipeline(self, tmp_path, capsys):
         lift = tmp_path / "lift.json"
@@ -1402,11 +1430,15 @@ class TestCliPipelines:
         assert capsys.readouterr().err.startswith("usage error")
         assert not (tmp_path / "g.json").exists()
 
-    def test_a_negative_sample_count_is_a_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("samples, message", [
+        (-2, "must not be negative, got -2"),
+        ("x", "invalid int value: 'x'"),
+    ], ids=["negative", "not-an-int"])
+    def test_a_sample_count_that_is_no_count_is_a_usage_error(self, tmp_path, capsys, samples, message):
         out = tmp_path / "x.json"
-        assert run(tmp_path, "generate", "holes4", "--n", 5, "--samples", -2, "-o", out) == 1
+        assert run(tmp_path, "generate", "holes4", "--n", 5, "--samples", samples, "-o", out) == 1
         captured = capsys.readouterr()
-        assert captured.err == "usage error: argument --samples: must not be negative, got -2\n"
+        assert captured.err == f"usage error: argument --samples: {message}\n"
         assert captured.out == ""
         assert not out.exists()
 

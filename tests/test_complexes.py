@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import sphereforge
 from sphereforge import (
     FreeSumCell,
+    PolyComplex,
     Simplex,
     SimplicialComplex,
     VertexId,
@@ -108,6 +109,16 @@ class TestVertexId:
         for label in ("r:01", "r:1_0", "r: 1", "a:+1:2", "r:\u0663", "h:-0", "c:"):
             with pytest.raises(DegenerateInput, match="bad vertex label"):
                 VertexId.from_label(label)
+
+    @pytest.mark.parametrize("kind, data, message", [
+        ("q", (), "unknown vertex kind 'q'"),
+        ("a", (1,), "vertex kind 'a' needs 2 fields"),
+        ("a", (1, 0), "path vertices are 1-based"),
+        ("r", (-1,), "raw vertex ids are nonnegative"),
+    ])
+    def test_a_directly_built_vertex_of_no_kind_is_refused(self, kind, data, message):
+        with pytest.raises(DegenerateInput, match=f"^{re.escape(message)}$"):
+            VertexId(kind, data)
 
     def test_a_directly_built_vertex_equals_the_shared_one(self):
         direct, shared = VertexId("a", (1, 2)), VertexId.path(1, 2)
@@ -345,8 +356,6 @@ class TestCone:
 class TestFreeSumCell:
     def test_bipyramid_f_vector(self):
         cell = FreeSumCell(raw_simplex(1, 2), raw_simplex(3, 4, 5))
-        from sphereforge import PolyComplex
-
         fv = f_vector(PolyComplex.from_cells([], [cell]))
         assert fv.counts == (5, 9, 6, 1)
         assert fv.euler_characteristic == 1
@@ -361,6 +370,15 @@ class TestFreeSumCell:
                 bg = boundary_complex(SimplicialComplex.from_facets([g]))
                 expected = join(bf, bg).facets
                 assert frozenset(boundary_facets(cell)) == expected
+
+    @pytest.mark.parametrize("simplices, free, message", [
+        ([], [], "a polyhedral complex needs at least one cell"),
+        ([raw_simplex(1, 2, 3)], [FreeSumCell(raw_simplex(4, 5), raw_simplex(6, 7, 8))],
+         "cells of mixed dimensions [2, 3]"),
+    ], ids=["no-cell", "mixed"])
+    def test_a_polyhedral_complex_refuses_no_cell_or_mixed_dimensions(self, simplices, free, message):
+        with pytest.raises(DegenerateInput, match=f"^{re.escape(message)}$"):
+            PolyComplex.from_cells(simplices, free)
 
     def test_part_size_validation(self):
         with pytest.raises(DegenerateInput, match="^each free sum part needs at least 2 vertices$"):

@@ -849,6 +849,12 @@ class TestBipyramidDetection:
         count, kinds = detect_bipyramid_facets(facets, simplex_points_r4())
         assert count == 0 and set(kinds) == {"simplex"}
 
+    def test_a_hull_of_another_dimension_is_refused(self):
+        tetrahedron = [(R(i), p) for i, p in enumerate([pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1)])]
+        facets = convex_hull_brute(tetrahedron)
+        with pytest.raises(DegenerateInput, match="^facet classification expects a 4-dimensional hull$"):
+            detect_bipyramid_facets(facets, tetrahedron)
+
     def test_known_bipyramid_cell(self):
         # a bipyramid and a pyramid-over-square embedded as hull facets in
         # the hyperplane w = 0, closed off by one extra vertex above; the
