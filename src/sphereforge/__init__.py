@@ -38,7 +38,6 @@ from .grid import (
     aztec_crosspolytope,
     band_cell_order,
     boundary_members,
-    cell_simplex,
     diagonal_band,
     ehrhart_crosspolytope,
     is_grid_starconvex,

@@ -208,7 +208,10 @@ def key_from_label(text: str) -> Hashable:
     space or a non-ASCII digit, which ``int`` would read, is refused."""
     if not isinstance(text, str):
         raise DegenerateInput(f"bad hole key {text!r}")
-    key = tuple(int(p) for p in text.split(",")) if "," in text else int(text)
+    try:
+        key = tuple(int(p) for p in text.split(",")) if "," in text else int(text)
+    except ValueError as exc:
+        raise DegenerateInput(f"bad hole key {text!r}") from exc
     canonical = key_label(key)
     if canonical != text:
         raise DegenerateInput(f"bad hole key {text!r}: the canonical spelling is {canonical!r}")

@@ -279,7 +279,8 @@ def _aztec_manifest(d: int, k: int, l: int) -> FillManifest:
         raise DegenerateInput("need odd k >= 3 and l >= 1")
     host = join_of_paths((k * l + 1,) * d)
     manifest = fill_holes(host.complex, [
-        (key, [host.facet_of(c) for c in region.cells], sorted(boundary_members(region)))
+        (key, [host.facet_of(c) for c in region.cells],
+         [host.facet_of(c) for c in sorted(boundary_members(region))])
         for key, region in sorted(_aztec_regions(d, k, l).items())
     ])
     _assert_missing_faces_distinct(manifest)

@@ -18,6 +18,7 @@ from .carvefill import FillManifest, realize
 from .complexes import VertexId
 from .constructions import build_aztec
 from .errors import DegenerateInput, InternalInvariantViolation
+from .grid import aztec_crosspolytope, boundary_members
 
 Point = tuple[Fraction, ...]
 
@@ -489,7 +490,6 @@ class AztecPatchLift:
     """
 
     k: int
-    points: dict[tuple[int, int], tuple[Fraction, Fraction]]
     omega: dict[tuple[int, int], Fraction]
     alpha: dict[int, Fraction]
     beta: dict[int, Fraction]
@@ -503,9 +503,10 @@ def aztec_lift(k: int) -> AztecPatchLift:
     Heights on the outer staircase corners are squared distances from the
     center (keeping the central star lifted strictly convex with rational
     arithmetic); the remaining values follow from coplanarity of the hole
-    cells, and the result splits as alpha + beta.  The induced subdivision
-    (grid rectangles outside the hole, 2k-6 quadrilaterals and 4 pentagons
-    joined to the center) is certified by verify_regular.
+    cells, and the result splits as alpha + beta.  The subdivision is read
+    off the hole alone: the squares of the grid cubes outside the hole,
+    and each of the hole's 2k-2 rim squares joined to the center (see
+    ``_aztec_patch_cells``).  verify_regular is its one certificate.
     """
     if k < 3 or k % 2 == 0:
         raise DegenerateInput("need odd k >= 3")
@@ -538,76 +539,43 @@ def aztec_lift(k: int) -> AztecPatchLift:
         beta[-i] = beta[i]
 
     omega: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(0)}
-    points: dict[tuple[int, int], tuple[Fraction, Fraction]] = {
-        (0, 0): (Fraction(0), Fraction(0))
-    }
     for i in range(-k, k + 1, 2):
         for j in range(-k, k + 1, 2):
             omega[(i, j)] = alpha[i] + beta[j]
-            points[(i, j)] = (Fraction(i), Fraction(j))
     for i in range(1, k - 1, 2):
         if omega[(i, k - 1 - i)] != ring[i]:
             raise InternalInvariantViolation("split lift does not reproduce the ring")
 
-    cells = _aztec_patch_cells(k, points, omega)
-    ids = {key: VertexId.raw(t) for t, key in enumerate(sorted(points))}
-    pts = [(ids[key], points[key]) for key in sorted(points)]
-    heights = {ids[key]: omega[key] for key in sorted(points)}
+    cells = _aztec_patch_cells(k)
+    keys = sorted(omega)
+    ids = {key: VertexId.raw(t) for t, key in enumerate(keys)}
+    pts = [(ids[key], tuple(map(Fraction, key))) for key in keys]
+    heights = {ids[key]: omega[key] for key in keys}
     sub = Subdivision.of([ids[key] for key in cell] for cell in cells)
     if not verify_regular(pts, heights, sub):
         raise InternalInvariantViolation("lift failed its own regularity check")
-    return AztecPatchLift(k=k, points=points, omega=omega, alpha=alpha, beta=beta, cells=cells)
+    return AztecPatchLift(k=k, omega=omega, alpha=alpha, beta=beta, cells=cells)
 
 
-def _aztec_patch_cells(k, points, omega) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _aztec_patch_cells(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Cells of the patch subdivision, each the sorted tuple of its grid
-    keys, with on-plane grid points included."""
-    center = (0, 0)
-    keys, rows, _ = _int_config(points.items(), omega)
-    int_row = dict(zip(keys, rows))
-
-    def on_plane_closure(seed: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-        # hyperplane through three of the seed points, then collect every
-        # configuration point lying on it
-        nu = _hyperplane([int_row[p] for p in seed[:3]])
-        if nu is None:
-            raise InternalInvariantViolation("degenerate hole cell")
-        return tuple(p for p in keys if sum(map(mul, nu, int_row[p])) == 0)
-
-    cells: set[tuple[tuple[int, int], ...]] = set()
-    n_rect = 0
-    for p in range(1, k + 1):
-        for q in range(1, k + 1):
-            cx, cy = 2 * p - k - 1, 2 * q - k - 1
-            if abs(cx) + abs(cy) <= k - 1:
-                continue  # inside the hole
-            cells.add(((cx - 1, cy - 1), (cx - 1, cy + 1), (cx + 1, cy - 1), (cx + 1, cy + 1)))
-            n_rect += 1
-    hole_cells: set[tuple[tuple[int, int], ...]] = set()
-    for sx in (1, -1):
-        for sy in (1, -1):
-            for i in range(3, k - 1, 2):
-                quad = [
-                    center,
-                    (sx * i, sy * (k - 1 - i)),
-                    (sx * i, sy * (k + 1 - i)),
-                    (sx * (i - 2), sy * (k + 1 - i)),
-                ]
-                hole_cells.add(on_plane_closure([q for q in quad if q != center] + [center]))
-    for sy in (1, -1):
-        pent = [center, (1, sy * k), (-1, sy * k), (1, sy * (k - 2)), (-1, sy * (k - 2))]
-        hole_cells.add(on_plane_closure(pent[1:] + [center]))
-        pent = [center, (sy * k, 1), (sy * k, -1), (sy * (k - 2), 1), (sy * (k - 2), -1)]
-        hole_cells.add(on_plane_closure(pent[1:] + [center]))
-    expected_quads = 2 * k - 6
-    n_quads = sum(1 for c in hole_cells if not any(abs(i) == k or abs(j) == k for i, j in c))
-    n_pents = len(hole_cells) - n_quads
-    if n_rect != (k * k - 1) // 2 or n_quads != expected_quads or n_pents != 4:
-        raise InternalInvariantViolation(
-            f"unexpected patch structure: {n_rect} rectangles, "
-            f"{n_quads} quadrilaterals, {n_pents} pentagons"
-        )
-    return tuple(sorted(cells | hole_cells))
+    keys, read off the hole that ``build_aztec`` fills.  Cube (p, q) of
+    ``aztec_crosspolytope(2, k)``'s box is the square of keys centred at
+    (2p-k-1, 2q-k-1).  A cube outside the hole is a cell; a cube on the
+    hole's rim (a boundary member, one of 2k-2) is a cell with the center
+    (0, 0) added; the other hole cubes add nothing, as the rim cells
+    cover their squares."""
+    hole = aztec_crosspolytope(2, k)
+    rim = boundary_members(hole)
+    cells = []
+    for p, q in hole.box.all_cells():
+        cx, cy = 2 * p - k - 1, 2 * q - k - 1
+        square = [(cx - 1, cy - 1), (cx - 1, cy + 1), (cx + 1, cy - 1), (cx + 1, cy + 1)]
+        if (p, q) in rim:
+            cells.append(tuple(sorted(square + [(0, 0)])))
+        elif (p, q) not in hole.cells:
+            cells.append(tuple(square))
+    return tuple(sorted(cells))
 
 
 # ---------------------------------------------------------------------------

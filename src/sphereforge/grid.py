@@ -64,16 +64,6 @@ class GridRegion:
         return len(self.cells)
 
 
-def cell_simplex(cell: tuple[int, ...]) -> Simplex:
-    """The (2d-1)-simplex of a cube: both path vertices on every axis,
-    which come out sorted, axis by axis."""
-    verts = []
-    for axis, i in enumerate(cell, start=1):
-        verts.append(VertexId.path(axis, i))
-        verts.append(VertexId.path(axis, i + 1))
-    return Simplex._face(verts)
-
-
 @dataclass(frozen=True)
 class JoinOfPaths:
     """The join of d paths, with the cube-index to facet bijection."""
@@ -94,7 +84,16 @@ class JoinOfPaths:
 
     @cached_property
     def by_cell(self) -> dict[tuple[int, ...], Simplex]:
-        return {c: cell_simplex(c) for c in self.box.all_cells()}
+        """The (2d-1)-simplex of each cube: both path vertices on every
+        axis, which come out sorted, axis by axis."""
+        paths = [
+            [VertexId.path(axis, i) for i in range(1, n + 1)]
+            for axis, n in enumerate(self.lengths, start=1)
+        ]
+        return {
+            c: Simplex._face([v for path, i in zip(paths, c) for v in path[i - 1:i + 1]])
+            for c in self.box.all_cells()
+        }
 
     @cached_property
     def complex(self) -> SimplicialComplex:
@@ -230,17 +229,15 @@ def aztec_crosspolytope(d: int, k: int) -> GridRegion:
     return GridRegion.of(box, cells)
 
 
-def boundary_members(r: GridRegion) -> set[Simplex]:
-    """Full-dimensional simplices of a region ball with at least two
-    codimension-1 faces on its boundary.
+def boundary_members(r: GridRegion) -> set[tuple[int, ...]]:
+    """The cubes of a region ball with at least two codimension-1 faces
+    on its boundary.
 
-    These are the candidates for compatible families.  A cell facet is on
-    the boundary exactly when the corresponding neighbor cube is missing
-    (outside the region or outside the box).
+    Their simplices are the candidates for compatible families.  A cube
+    facet is on the boundary exactly when the corresponding neighbor cube
+    is missing (outside the region or outside the box).
     """
-    out = set()
-    for c in r.cells:
-        missing = sum(1 for nb in _neighbors(c) if nb not in r.cells)
-        if missing >= 2:
-            out.add(cell_simplex(c))
-    return out
+    return {
+        c for c in r.cells
+        if sum(1 for nb in _neighbors(c) if nb not in r.cells) >= 2
+    }

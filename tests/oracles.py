@@ -19,8 +19,8 @@ from typing import Iterable, Iterator
 from sphereforge.carvefill import BallInComplex, FillManifest, key_label
 from sphereforge.complexes import FreeSumCell, PolyComplex, Simplex, SimplicialComplex, VertexId
 from sphereforge.errors import DegenerateInput, InternalInvariantViolation
-from sphereforge.geometry import HullFacet, Point, _hyperplane
-from sphereforge.grid import GridBox, GridRegion, _neighbors, band_cell_order, cell_simplex
+from sphereforge.geometry import HullFacet, Point, _hyperplane, _int_config
+from sphereforge.grid import GridBox, GridRegion, _neighbors, band_cell_order
 from sphereforge.topology import (
     BALL,
     NEITHER,
@@ -309,6 +309,11 @@ def suspended_prism(d: int, pinched: bool = False) -> SimplicialComplex:
 # grid
 
 
+def cell_simplex(cell: tuple[int, ...]) -> Simplex:
+    """The (2d-1)-simplex of a cube: both path vertices on every axis."""
+    return Simplex(VertexId.path(axis, i + step) for axis, i in enumerate(cell, start=1) for step in (0, 1))
+
+
 def region_complex(r: GridRegion) -> SimplicialComplex:
     if not r.cells:
         raise DegenerateInput("empty region has no complex")
@@ -384,6 +389,39 @@ def paths_coordinates(lengths) -> dict[VertexId, Point]:
             p[-1] = Fraction(1)
             out[VertexId.path(axis, i)] = tuple(p)
     return out
+
+
+def aztec_patch_cells_on_plane(k: int, omega: dict[tuple[int, int], Fraction]):
+    """The cells of the Aztec patch of size k found from its heights: the
+    grid squares outside the hole, and for each quadrilateral and
+    pentagon of the hole joined to the center, every key on the plane
+    through three of its points.  Each cell is the sorted tuple of its
+    keys, the cells sorted, with the number of rectangles,
+    quadrilaterals and pentagons."""
+    center = (0, 0)
+    keys, rows, _ = _int_config([(key, tuple(map(Fraction, key))) for key in omega], omega)
+    row = dict(zip(keys, rows))
+
+    def on_plane(seed):
+        nu = _hyperplane([row[p] for p in seed[:3]])
+        return tuple(p for p in keys if _dot(nu, row[p]) == 0)
+
+    rects = set()
+    for cx in range(1 - k, k, 2):
+        for cy in range(1 - k, k, 2):
+            if abs(cx) + abs(cy) > k - 1:
+                rects.add(((cx - 1, cy - 1), (cx - 1, cy + 1), (cx + 1, cy - 1), (cx + 1, cy + 1)))
+    hole = set()
+    for sx in (1, -1):
+        for sy in (1, -1):
+            for i in range(3, k - 1, 2):
+                hole.add(on_plane([(sx * i, sy * (k - 1 - i)), (sx * i, sy * (k + 1 - i)),
+                                   (sx * (i - 2), sy * (k + 1 - i)), center]))
+    for s in (1, -1):
+        hole.add(on_plane([(1, s * k), (-1, s * k), (1, s * (k - 2)), (-1, s * (k - 2)), center]))
+        hole.add(on_plane([(s * k, 1), (s * k, -1), (s * (k - 2), 1), (s * (k - 2), -1), center]))
+    quads = sum(1 for c in hole if not any(abs(i) == k or abs(j) == k for i, j in c))
+    return tuple(sorted(rects | hole)), (len(rects), quads, len(hole) - quads)
 
 
 def lower_facets(facets: list[HullFacet]) -> list[HullFacet]:

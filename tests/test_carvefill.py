@@ -568,6 +568,12 @@ class TestCarveAndFill:
         with pytest.raises(DegenerateInput, match=f"^{re.escape(named)}"):
             carve_and_fill(host.complex, [(key, fam) for key, (_, fam) in zip(keys, holes)])
 
+    @pytest.mark.parametrize("text", ["x", "1,", ""], ids=["letter", "trailing-comma", "empty"])
+    def test_a_key_label_that_is_no_number_is_refused(self, text):
+        # unchecked, int() raises a bare ValueError
+        with pytest.raises(DegenerateInput, match=f"^bad hole key {re.escape(repr(text))}$"):
+            carvefill.key_from_label(text)
+
     def test_manifest_holes_must_list_each_free_cell_once(self):
         _, m = small_two_hole_manifest()
         h1, h2 = m.holes

@@ -462,6 +462,22 @@ class TestCliPipelines:
         out = capsys.readouterr().out
         assert "bipyramids: 4" in out
 
+    def test_hull_wraps_a_lift_whose_cells_are_not_regular(self, tmp_path, capsys):
+        # h:1 raised by 1 in the (3, 3) lift: verify regular refuses the
+        # cells, while hull, which does not check them, wraps the points
+        # as given and finds 32 of the 36 bipyramids
+        lift = tmp_path / "lift.json"
+        assert run(tmp_path, "lift", "aztec", "--k", "3", "--l", "3", "-o", lift) == 0
+        obj = json.loads(lift.read_text())
+        obj["heights"]["h:1"] = str(Fraction(obj["heights"]["h:1"]) + 1)
+        raised = tmp_path / "raised.json"
+        raised.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run(tmp_path, "verify", "regular", raised) == 2
+        assert capsys.readouterr().out == "regularity check failed\n"
+        assert run(tmp_path, "hull", "--input", raised) == 0
+        assert capsys.readouterr().out == "bipyramids: 32\nfacets: 81 (simplices 45, other 4)\n"
+
     def test_hull_writes_a_normal_and_an_offset_of_any_size(self, tmp_path, capsys):
         # h:1 at two 4001-digit coordinates gives hull normals and offsets
         # past the 4300 digits that str and int convert by default
@@ -555,7 +571,7 @@ class TestCliPipelines:
             {
                 "key": sfio.key_label(key),
                 "facets": [[v.label for v in host.facet_of(c)] for c in sorted(region.cells)],
-                "members": [[v.label for v in m] for m in sorted(boundary_members(region))],
+                "members": [[v.label for v in host.facet_of(c)] for c in sorted(boundary_members(region))],
             }
             for key, region in sorted(_aztec_regions(2, 3, 2).items())
         ]
@@ -772,14 +788,19 @@ class TestCliPipelines:
                 f"input error: malformed holes file: bad hole key {key!r}: the canonical spelling is {canonical!r}\n"
             )
 
-    def test_fill_rejects_non_integer_hole_key(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key", ["abc", "x", "1,", ""], ids=["word", "letter", "trailing-comma", "empty"])
+    def test_fill_rejects_non_integer_hole_key(self, tmp_path, capsys, key):
+        # unchecked, int() raises a bare ValueError, whose message is printed
         host_path = tmp_path / "host.json"
         sfio.save_complex(str(host_path), join_of_paths((4, 4)).complex)
         holes_path = tmp_path / "holes.json"
-        holes_path.write_text(json.dumps({"holes": [{"key": "abc", "facets": []}]}))
-        code = run(tmp_path, "fill", "--input", host_path, "--holes", holes_path, "-o", tmp_path / "m.json")
-        assert code == 1
-        assert "input error: malformed holes file:" in capsys.readouterr().err
+        holes_path.write_text(json.dumps({"holes": [{"key": key, "facets": []}]}))
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run(tmp_path, "fill", "--input", host_path, "--holes", holes_path, "-o", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: malformed holes file: bad hole key {key!r}\n"
+        assert captured.out == "" and not out.exists()
 
     def test_lift_file_missing_a_height_is_rejected(self, tmp_path, capsys):
         lift = tmp_path / "lift.json"
@@ -1111,9 +1132,13 @@ class TestCliPipelines:
         # unchecked, a key that is not a string fails inside the key parser
         (lambda obj: _set_keys(obj, 1), "bad hole key 1"),
         (lambda obj: _set_keys(obj, None), "bad hole key None"),
+        # unchecked, int() raises a bare ValueError on text that is no number
+        (lambda obj: _set_keys(obj, "x"), "bad hole key 'x'"),
+        (lambda obj: _set_keys(obj, "1,"), "bad hole key '1,'"),
+        (lambda obj: _set_keys(obj, ""), "bad hole key ''"),
     ], ids=["free-cell-twice", "dim-4", "tuple-then-int-key", "int-then-tuple-key", "key-twice",
             "sign-and-zero-key", "space-key", "underscore-key", "space-in-tuple-key", "minus-zero-key",
-            "integer-key", "null-key"])
+            "integer-key", "null-key", "letter-key", "trailing-comma-key", "empty-key"])
     def test_a_malformed_manifest_is_rejected_with_its_reason(self, tmp_path, capsys, tamper, message):
         assert run(tmp_path, "generate", "holes4", "--n", "5", "-o", tmp_path / "h.json") == 0
         obj = json.loads((tmp_path / "h.manifest.json").read_text())

@@ -32,7 +32,13 @@ from sphereforge.geometry import (
 )
 from sphereforge.geometry import _cell_walls, _hyperplane, _int_config, _rank_and_nullvector
 
-from oracles import cyclic_polytope_facets, lower_facets, paths_coordinates, pivot_reference
+from oracles import (
+    aztec_patch_cells_on_plane,
+    cyclic_polytope_facets,
+    lower_facets,
+    paths_coordinates,
+    pivot_reference,
+)
 
 R = VertexId.raw
 F = Fraction
@@ -735,6 +741,38 @@ class TestAztecLift:
             lift = aztec_lift(k)
             n_cells = len(lift.cells)
             assert n_cells == rects + quads + 4
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_the_patch_cells_are_the_cells_on_the_planes_of_the_heights(self, k):
+        lift = aztec_lift(k)
+        cells, counts = aztec_patch_cells_on_plane(k, lift.omega)
+        assert lift.cells == cells
+        assert counts == ((k * k - 1) // 2, 2 * k - 6, 4)  # rectangles, quadrilaterals, pentagons
+
+    def test_the_patch_makes_no_kernel_call_outside_its_certificate(self, monkeypatch):
+        # the cells are read off the hole, so the only exact linear algebra
+        # is the one verify_regular that certifies them
+        calls = {"verify_regular": 0, "inside": 0, "outside": 0}
+        inside = [False]
+        kernel, verify = geometry._rank_and_nullvector, geometry.verify_regular
+
+        def counted_kernel(*args):
+            calls["inside" if inside[0] else "outside"] += 1
+            return kernel(*args)
+
+        def counted_verify(*args):
+            calls["verify_regular"] += 1
+            inside[0] = True
+            try:
+                return verify(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(geometry, "_rank_and_nullvector", counted_kernel)
+        monkeypatch.setattr(geometry, "verify_regular", counted_verify)
+        aztec_lift(7)
+        assert calls["verify_regular"] == 1 and calls["inside"] > 0
+        assert calls["outside"] == 0
 
     def test_symmetry_split_and_center(self):
         lift = aztec_lift(5)

@@ -20,10 +20,9 @@ from sphereforge import (
     join_of_paths,
     verify_shelling,
 )
-from sphereforge.grid import cell_simplex
 from sphereforge.errors import DegenerateInput
 
-from oracles import is_grid_connected, is_grid_unimodal, region_complex, shelling_order_band
+from oracles import cell_simplex, is_grid_connected, is_grid_unimodal, region_complex, shelling_order_band
 
 
 def region(dims, cells):
@@ -59,10 +58,12 @@ class TestJoinOfPaths:
             join_of_paths((1, 3))
 
     def test_a_cell_simplex_is_the_simplex_of_its_vertices(self):
+        j = join_of_paths((4, 6, 4))
         for cell in product(range(1, 4), (1, 5), range(2, 4)):
             verts = [VertexId.path(axis, i + k) for axis, i in enumerate(cell, 1) for k in (1, 0)]
-            s = cell_simplex(cell)
+            s = j.facet_of(cell)
             assert s == Simplex(verts) and tuple(s) == tuple(Simplex(verts))
+            assert s == cell_simplex(cell)
 
 
 class TestPredicates:
@@ -318,7 +319,7 @@ class TestBoundaryMembers:
     def test_aztec3_in_grid(self):
         r = aztec_crosspolytope(2, 3)
         members = boundary_members(r)
-        assert len(members) == 4  # 2k - 2
+        assert members == {(1, 2), (2, 1), (2, 3), (3, 2)}  # 2k - 2 cubes
 
     def test_aztec_member_formula(self):
         for d, k in ((2, 3), (2, 5), (2, 7), (3, 3), (3, 5)):
