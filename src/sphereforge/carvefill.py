@@ -27,7 +27,7 @@ from .complexes import (
     VertexId,
     boundary_complex,
 )
-from .errors import DegenerateInput, InternalInvariantViolation
+from .errors import DegenerateInput
 
 
 @dataclass(frozen=True)
@@ -247,6 +247,17 @@ def carve_and_fill(
     fresh apex is introduced per ball: ``h:<key>`` for an integer key,
     ``h:<rank>`` for a tuple key, so the apexes are distinct.  Simplices
     outside every ball are kept unchanged.
+
+    The result's vertices are those of the facets outside every ball,
+    those of the balls' boundaries and one apex per hole, so a ball's
+    interior vertices (in it but on no ball's boundary) leave with it
+    unless an outside facet holds them.  A hole's cells hold exactly its
+    boundary's vertices and its apex: a cone is a boundary ridge plus the
+    apex; a free cell is a member plus the apex, and a member has at
+    least two boundary facets (its missing face, a free sum part, has at
+    least two vertices), which together hold all its vertices; and every
+    boundary ridge is coned or covered by a member.  ``fill_ball``
+    refuses an apex the host uses and a hole with no cell.
     """
     host._require_nonvoid()
     holes = list(holes)
@@ -269,17 +280,6 @@ def carve_and_fill(
         simplex_cells.extend(cones.simplex_cells)
         filled.append(Hole(key, apex, tuple(free)))
     result = PolyComplex.from_cells(simplex_cells, [c for h in filled for c in h.cells])
-    # the balls' interior vertices, in a ball but on no ball's boundary,
-    # leave with them, unless a facet outside every ball holds them
-    gone = set().union(*(fam.ball.subcomplex.vertex_set for _, fam in holes))
-    gone.difference_update(*(f for _, fam in holes for f in fam.ball.boundary.facets))
-    if gone:
-        gone -= set().union(*(f for f in host.facets if f not in seen))
-    expected = len(host.vertex_set) - len(gone) + len(filled)
-    if len(result.vertex_set) != expected:
-        raise InternalInvariantViolation(
-            f"expected {expected} vertices, got {len(result.vertex_set)}"
-        )
     return FillManifest(result, tuple(filled))
 
 

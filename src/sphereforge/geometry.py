@@ -105,12 +105,18 @@ class Subdivision:
     def check_points(self, points) -> "Subdivision":
         """This subdivision, if its cells use only the point ids in points;
         otherwise DegenerateInput names the first cell that does not."""
-        for cell in self.cells:
-            stray = next((v for v in cell if v not in points), None)
-            if stray is not None:
-                labels = ",".join(v.label for v in cell)
-                raise DegenerateInput(f"cell {{{labels}}} uses {stray.label}, which is not a point")
+        _check_uses_points("cell", self.cells, points)
         return self
+
+
+def _check_uses_points(kind: str, groups, points) -> None:
+    """Refuse the first of groups, tuples of vertex ids, that uses an id
+    not in points, naming it as a kind ("cell" or "facet") and the id."""
+    for group in groups:
+        stray = next((v for v in group if v not in points), None)
+        if stray is not None:
+            labels = ",".join(v.label for v in group)
+            raise DegenerateInput(f"{kind} {{{labels}}} uses {stray.label}, which is not a point")
 
 
 # ---------------------------------------------------------------------------
@@ -288,21 +294,27 @@ def verify_regular(
     (2) when a wall onset gets its second cell, each cell's points off
     it lie strictly above the other's plane, a convex fold, and a third
     cell opens the onset again; (3) every unmatched wall supports the
-    configuration; (4) some wall is unmatched, and a point inside the
-    first lies in the closure of no other unmatched wall on its
-    hyperplane (_covered_once); (5) a point in no cell lies strictly
-    above every plane.
+    configuration; (4) a point inside the first unmatched wall lies in
+    the closure of no other unmatched wall on its hyperplane
+    (_covered_once); (5) a point in no cell lies strictly above every
+    plane.
 
     Proof.  A fold puts its cells on opposite sides of the wall (else the
     lower plane's cell has points below the other plane), so a third cell
     leaves an onset with cells on both sides, refused by (3), or a fourth
-    makes two cells overlap, refused below.  Crossing a wall at a generic
-    point trades each cell of a matched onset for its partner, and by (3)
-    unmatched walls lie on the boundary, so every generic point of the
-    hull is in the same number D of cells; entering near the point of (4)
-    meets one cell, so D = 1.  (Folds and matching alone hold on a
-    branched double cover, whose cells wind twice around a vertex like a
-    pentagram.)  The cells around a face G are linked by walls through G,
+    makes two cells overlap, refused below.  So once (1) and (2) pass,
+    some wall is unmatched, and every unmatched wall has a normal, as (3)
+    and (4) need: an onset of _cell_walls holds dim affinely independent
+    points, so its projected rows have nullity 1; and a generic point x
+    on the boundary of the union of the cells, which is bounded and not
+    empty, lies inside a wall of some cell and has every cell through it
+    on one side, while a matched onset has a cell through x on each
+    side.  Crossing a wall at a generic point trades each cell of a
+    matched onset for its partner, and by (3) unmatched walls lie on the
+    boundary, so every generic point of the hull is in the same number D
+    of cells; entering near the point of (4) meets one cell, so D = 1.
+    (Folds and matching alone hold on a branched double cover, whose
+    cells wind twice around a vertex like a pentagram.)  The cells around a face G are linked by walls through G,
     each shared exactly, so they hold the same points of G: the tiling is
     face to face, and the cellwise lift f is continuous and, by (2),
     convex, strictly across each wall.  A point p of another cell is on f
@@ -365,16 +377,12 @@ def verify_regular(
                 return False  # not a convex fold
 
     walls = list(unmatched)
-    if not walls:
-        return False
     # the outward normal of each unmatched wall; walls on one hull facet
     # share it, and its side pass is made once
     normals: list[tuple[int, ...]] = []
     supporting: set[tuple[int, ...]] = set()
     for onset in walls:
         _, nu = _rank_and_nullvector([projected[i] for i in onset], dim + 1)
-        if nu is None:
-            return False
         flipped = tuple(-x for x in nu)
         if flipped in supporting:
             nu = flipped
@@ -503,9 +511,16 @@ def aztec_lift(k: int) -> AztecPatchLift:
     Heights on the outer staircase corners are squared distances from the
     center (keeping the central star lifted strictly convex with rational
     arithmetic); the remaining values follow from coplanarity of the hole
-    cells, and the result splits as alpha + beta.  The subdivision is read
-    off the hole alone: the squares of the grid cubes outside the hole,
-    and each of the hole's 2k-2 rim squares joined to the center (see
+    cells, and the result splits as alpha + beta.  The split reproduces
+    the ring, omega(i, k-1-i) = ring[i] for odd i <= k-2, by its
+    recurrences alone: alpha[1] + beta[k] = corner[1], and their step i,
+    for odd i from 3 to k, sets alpha[i] = corner[i] - ring[i-2] +
+    alpha[i-2] and beta[k+1-i] = ring[i-2] - corner[i-2] + beta[k+3-i],
+    so alpha[i] + beta[k+1-i] = corner[i] for every odd i by induction;
+    step i+2 sets beta[k-1-i] = ring[i] - corner[i] + beta[k+1-i], so
+    alpha[i] + beta[k-1-i] = ring[i].  The subdivision is read off the
+    hole alone: the squares of the grid cubes outside the hole, and each
+    of the hole's 2k-2 rim squares joined to the center (see
     ``_aztec_patch_cells``).  verify_regular is its one certificate.
     """
     if k < 3 or k % 2 == 0:
@@ -542,9 +557,6 @@ def aztec_lift(k: int) -> AztecPatchLift:
     for i in range(-k, k + 1, 2):
         for j in range(-k, k + 1, 2):
             omega[(i, j)] = alpha[i] + beta[j]
-    for i in range(1, k - 1, 2):
-        if omega[(i, k - 1 - i)] != ring[i]:
-            raise InternalInvariantViolation("split lift does not reproduce the ring")
 
     cells = _aztec_patch_cells(k)
     keys = sorted(omega)
@@ -600,19 +612,15 @@ class RegularAztecLift:
         return self.config.heights
 
 
-def _coarse_path_height(i: int, k: int, l: int) -> Fraction:
-    t0 = (_subgrid_of(i, k, l) - 1) * k + 1
-    v0, v1 = Fraction(t0) ** 2, Fraction(t0 + k) ** 2
-    return v0 + (v1 - v0) * Fraction(i - t0, k)
-
-
-def _subgrid_of(i: int, k: int, l: int) -> int:
-    return min((i - 2) // k if i >= 2 else 0, l - 1) + 1
-
-
-def _local_doubled(i: int, k: int, l: int) -> int:
-    r = _subgrid_of(i, k, l)
-    return 2 * (i - (r - 1) * k) - k - 2
+def _coarse_path_height(i: int, k: int) -> Fraction:
+    """The coarse height of path position i with blocks of k steps: t0^2
+    at each breakpoint t0 = 1, k+1, 2k+1, ..., and linear in between.
+    Position i lies at i - t0 = (i-1) mod k steps past its breakpoint t0,
+    where the chord to (t0+k)^2 rises by ((t0+k)^2 - t0^2)/k = 2*t0 + k
+    per step, an integer.  A breakpoint reads its own square, which is
+    where the blocks on either side of it both end."""
+    t0 = i - (i - 1) % k
+    return Fraction(t0 * t0 + (2 * t0 + k) * (i - t0))
 
 
 def build_aztec_lift(k: int, l: int) -> RegularAztecLift:
@@ -631,9 +639,13 @@ def build_aztec_lift(k: int, l: int) -> RegularAztecLift:
         for axis in (1, 2):
             v = VertexId.path(axis, i)
             pts.append((v, coords[v]))
-            coarse[v] = _coarse_path_height(i, k, l)
+            coarse[v] = _coarse_path_height(i, k)
+            # the coordinate of i in the block it starts or lies in, one
+            # of -k, -k+2, ..., k-2; a breakpoint also ends the block
+            # before it, at coordinate k, where the even alpha and beta
+            # agree
             table = patch.alpha if axis == 1 else patch.beta
-            fine[v] = 2 * table[_local_doubled(i, k, l)]
+            fine[v] = 2 * table[2 * ((i - 1) % k) - k]
 
     # hole centers: each is the centroid of its block's four coarse
     # corners, so lifting it onto the block hyperplane means averaging
@@ -889,12 +901,13 @@ def detect_bipyramid_facets(
     A five-vertex facet counts as a bipyramid exactly when all of its
     2-faces are triangles (the unique simplicial 3-polytope on 5
     vertices); no facet is assumed to be anything from its vertex count
-    alone.
+    alone.  A facet that uses a vertex which is not a point is refused.
     """
     ids, rows, dim = _int_config(pts, None)
     if dim != 4:
         raise DegenerateInput("facet classification expects a 4-dimensional hull")
     index = {v: i for i, v in enumerate(ids)}
+    _check_uses_points("facet", (f.vertices for f in facets), index)
     kinds = []
     for f in facets:
         n = len(f.vertices)

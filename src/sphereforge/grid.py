@@ -46,19 +46,21 @@ class GridBox:
 
 @dataclass(frozen=True)
 class GridRegion:
-    """A subset of a box's cubes."""
+    """A subset of a box's cubes.  ``shellable_guaranteed`` is the flag
+    that ``diagonal_band`` sets and ``band_cell_order`` reads; ``of``
+    leaves it unset."""
 
     box: GridBox
     cells: frozenset[tuple[int, ...]]
     shellable_guaranteed: bool | None = None
 
     @classmethod
-    def of(cls, box: GridBox, cells, shellable_guaranteed=None) -> "GridRegion":
+    def of(cls, box: GridBox, cells) -> "GridRegion":
         cs = frozenset(tuple(c) for c in cells)
         for c in cs:
             if c not in box:
                 raise DegenerateInput(f"cell {c} outside box {box.dims}")
-        return cls(box, cs, shellable_guaranteed)
+        return cls(box, cs)
 
     def __len__(self) -> int:
         return len(self.cells)

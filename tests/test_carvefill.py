@@ -4,7 +4,8 @@ import copy
 import pickle
 import random
 import re
-from itertools import product
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
@@ -26,7 +27,7 @@ from sphereforge import (
 )
 from sphereforge import carvefill, constructions
 from sphereforge.carvefill import FillManifest, FreeSumCell
-from sphereforge.constructions import BUILDERS
+from sphereforge.constructions import BUILDERS, fill_holes
 from sphereforge.errors import DegenerateInput
 from sphereforge.sampling import choice_vector
 
@@ -630,6 +631,82 @@ class TestCarveAndFill:
         ball = BallInComplex.of(pinched, [f for f in facets if R(0) in f])
         m = carve_and_fill(pinched, [(1, CompatibleFamily.of(ball, []))])
         assert m.result.vertex_set == pinched.vertex_set | {VertexId.hole(1)}
+
+
+def _fill_vertex_count(host, holes):
+    """The vertex count of a fill, from the host's facets and the balls:
+    the host's vertices, less those in a ball but on no ball's boundary
+    that no facet outside every ball holds, plus one apex per hole."""
+    balls = [fam.ball.ball_facets for _, fam in holes]
+    on_boundary = set()
+    for ball in balls:
+        ridges = Counter(r for f in ball for r in combinations(f, len(f) - 1))
+        on_boundary.update(v for r, n in ridges.items() if n == 1 for v in r)
+    inside = set().union(*balls)
+    interior = set().union(*inside) - on_boundary
+    outside = set().union(*(f for f in host.facets if f not in inside))
+    return len(set().union(*host.facets)) - len(interior - outside) + len(balls)
+
+
+class TestAFillHasTheVerticesOfItsRule:
+    """Every fill that ``fill_holes`` makes, the one path of the builders
+    and of ``fill``, has the vertex count of ``_fill_vertex_count``: the
+    rule that ``carve_and_fill`` proves rather than recounts."""
+
+    @pytest.fixture
+    def fills(self, monkeypatch):
+        made = []
+        real = constructions.carve_and_fill
+
+        def recording(host, holes):
+            holes = list(holes)
+            made.append((host, holes, real(host, holes)))
+            return made[-1][2]
+
+        monkeypatch.setattr(constructions, "carve_and_fill", recording)
+        return made
+
+    def _check(self, fills):
+        assert fills
+        for host, holes, manifest in fills:
+            assert len(manifest.result.vertex_set) == _fill_vertex_count(host, holes)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("holes4", (5, 7)),
+        ("holes3", (6,)),
+        ("aztec", (3, 2)),
+        ("cyclic", (4,)),
+        ("highd", (3, 6)),
+        ("aztec-hd", (3, 3, 1)),
+    ], ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else v)
+    def test_every_builder(self, fills, kind, params):
+        BUILDERS[kind](*params)
+        self._check(fills)
+
+    def test_a_fill_of_the_octahedron_hole_and_its_pinched_host(self, fills):
+        # the four triangles at the pole r:0 form a disk with r:0 inside;
+        # a triangle outside the disk that holds r:0 keeps it
+        ring = (1, 2, 3, 4, 1)
+        facets = [rs(pole, a, b) for pole in (0, 5) for a, b in zip(ring, ring[1:])]
+        for host, count in (
+            (SimplicialComplex.from_facets(facets), 6),
+            (SimplicialComplex.from_facets(facets + [rs(0, 6, 7)]), 9),
+        ):
+            manifest = fill_holes(host, [(1, facets[:4], [])])
+            assert len(manifest.result.vertex_set) == count
+        self._check(fills)
+
+    def test_a_two_hole_fill(self, fills):
+        host = join_of_paths((5, 5))
+        holes = [
+            (key, [host.facet_of(c) for c in cells], [host.facet_of(member)])
+            for key, cells, member in (
+                (1, [(1, 1), (1, 2), (2, 1), (2, 2)], (1, 1)),
+                (2, [(3, 3), (3, 4), (4, 3), (4, 4)], (4, 4)),
+            )
+        ]
+        fill_holes(host.complex, holes)
+        self._check(fills)
 
 
 class TestTriangulateCell:

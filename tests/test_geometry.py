@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from sphereforge import VertexId, geometry
 from sphereforge.errors import DegenerateInput, SphereforgeError
 from sphereforge.geometry import (
+    HullFacet,
     LiftedConfiguration,
     Subdivision,
     aztec_lift,
@@ -736,6 +737,14 @@ class TestAztecLift:
         assert lift.beta[1] == 5 and lift.beta[3] == 10
         assert lift.beta[5] == F(50, 3)
 
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_the_split_reproduces_the_ring(self, k):
+        # the squared distances at the staircase corners (i, k-1-i) that
+        # the recurrences of alpha and beta are built from
+        lift = aztec_lift(k)
+        for i in range(1, k - 1, 2):
+            assert lift.omega[(i, k - 1 - i)] == i * i + (k - 1 - i) ** 2
+
     def test_k5_and_k7_structure(self):
         for k, rects, quads in ((5, 12, 4), (7, 24, 8)):
             lift = aztec_lift(k)
@@ -886,6 +895,17 @@ class TestBipyramidDetection:
         facets = convex_hull_brute(simplex_points_r4())
         count, kinds = detect_bipyramid_facets(facets, simplex_points_r4())
         assert count == 0 and set(kinds) == {"simplex"}
+
+    @pytest.mark.parametrize("drop", [1, 0], ids=["four-vertex", "five-vertex"])
+    def test_a_facet_that_uses_no_point_is_refused(self, drop):
+        # r:99 is not a point: a four-vertex facet holding it was
+        # classified a simplex, and a five-vertex one raised a bare KeyError
+        pts = simplex_points_r4()
+        f = convex_hull_brute(pts)[0]
+        stray = HullFacet(tuple(sorted(f.vertices[drop:] + (R(99),))), f.normal, f.offset)
+        labels = ",".join(v.label for v in stray.vertices)
+        with pytest.raises(DegenerateInput, match=f"^facet {{{labels}}} uses r:99, which is not a point$"):
+            detect_bipyramid_facets([f, stray], pts)
 
     def test_a_hull_of_another_dimension_is_refused(self):
         tetrahedron = [(R(i), p) for i, p in enumerate([pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1)])]

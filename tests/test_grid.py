@@ -167,7 +167,7 @@ class TestDiagonalBand:
                     for m2 in range(m1, total + 1):
                         cells = [c for c in box.all_cells() if m1 <= sum(c) <= m2]
                         flag = m2 - m1 >= d or m1 == d or m2 == total
-                        assert diagonal_band(box, m1, m2) == GridRegion.of(box, cells, flag)
+                        assert diagonal_band(box, m1, m2) == GridRegion(box, frozenset(cells), flag)
 
     def test_single_corner_cell(self):
         band = diagonal_band(GridBox((3, 3)), 2, 2)
@@ -295,7 +295,7 @@ class TestRefusals:
     def test_band_cell_order_needs_a_full_band(self):
         band = diagonal_band(GridBox((4, 4)), 2, 5)
         assert band.shellable_guaranteed
-        partial = GridRegion.of(band.box, band.cells - {(2, 2)}, True)
+        partial = GridRegion(band.box, band.cells - {(2, 2)}, True)
         with pytest.raises(DegenerateInput, match="^region is not a full diagonal band$"):
             band_cell_order(partial)
 

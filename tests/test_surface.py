@@ -37,6 +37,20 @@ ERRORS = {
 }
 
 
+# The functions that raise ``InternalInvariantViolation``, each with the
+# claim of its own construction that the raise guards.  A claim that the
+# code has just written down, and so cannot fail, is proved in a
+# docstring instead and is tested, not checked at run time.
+GUARDS = {
+    "constructions._assert_cell_shapes": "every free cell of a band or Aztec build is the free sum of a (d-1)-simplex and a d-simplex",
+    "constructions._assert_missing_faces_distinct": "no two free cells of a build share a missing face, even across holes",
+    "constructions._aztec_manifest": "an Aztec build has the free-cell count of its formula",
+    "constructions.build_cyclic": "the cyclic holes leave exactly two uncarved facets per hole class",
+    "geometry.aztec_lift": "the split lift passes its own verify_regular, which fails from k = 9 on",
+    "geometry.hull_with_apex": "the apex lies beyond every upper facet of the hull and beneath every other one",
+}
+
+
 def _names(node) -> set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
         n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
@@ -119,6 +133,23 @@ def test_every_error_class_is_raised_by_the_package():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised |= {n.id for n in ast.walk(exc) if isinstance(n, ast.Name)}
     assert sorted(classes - raised - {"SphereforgeError"}) == []
+
+
+def test_every_internal_invariant_guards_a_listed_claim():
+    """The functions that raise ``InternalInvariantViolation`` are
+    exactly the keys of ``GUARDS``, so a new guard needs a stated claim
+    and a guard that goes leaves no entry behind."""
+    raisers = {
+        f"{module}.{fn.name}"
+        for module, tree in _package_trees().items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Raise) and "InternalInvariantViolation" in _names(node)
+            for node in ast.walk(fn)
+        )
+    }
+    assert raisers == set(GUARDS)
 
 
 def test_the_error_classes_are_the_listed_parties_at_fault():
